@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
-# Run every tier-2 perf bench and diff the fresh recordings against the
-# committed baselines with scripts/compare_bench.py.
+# Run every tier-2 perf bench, then the benchmark of record (perfbench/:
+# its own tests and one untraced fleet-tick run, whose report ends in one
+# JSON line), and diff the fresh recordings against the committed
+# baselines with scripts/compare_bench.py.
 #
 # Usage, from the repository root:
 #
@@ -32,6 +34,9 @@ benchmarks/test_compare_bench.py
 
 # shellcheck disable=SC2086  # word splitting of the file list is wanted
 python -m pytest $PERF_BENCHES -q -m tier2
+
+python3 -m pytest perfbench/tests -q
+python3 perfbench/run.py --workload fleet-tick --trace 0
 
 [ "${1:-}" = "--no-diff" ] && exit 0
 

@@ -1,19 +1,17 @@
 """Struct-of-arrays drive state and block verdicts for the hot path.
 
 The streaming monitor's original :class:`~repro.core.monitor.DriveStateStore`
-keeps one Python deque of per-record numpy arrays per drive — clear, but
-every observed sample allocates an array object and every batch walks a
-Python loop.  At fleet scale (ROADMAP item 2: millions of drives, hourly
-ticks) the per-drive objects *are* the cost.
+keeps per-drive state in Python dicts — clear, but every batch walks a
+Python loop.  At fleet scale (millions of drives, hourly ticks) the
+per-drive objects *are* the cost.
 
 This module is the columnar replacement:
 
-* :class:`ColumnStateStore` — one preallocated 3-D ring buffer for the
-  whole store (``drives x history_hours x attributes``) plus flat
-  per-row cursor/count/level/last-hour arrays and a serial→row map.
-  Rows are recycled when drives are evicted and the arrays grow by
-  doubling, so a churning million-drive fleet has bounded memory and no
-  per-drive allocation on the healthy path.
+* :class:`ColumnStateStore` — flat preallocated per-row arrays (level
+  code, last hour, retained count) plus a serial→row map.  Rows are
+  recycled when drives are evicted and the arrays grow by doubling, so
+  a churning million-drive fleet has bounded memory and no per-drive
+  allocation on the healthy path.
 * :class:`AlertBlock` — the struct-of-arrays result of scoring one tick
   of samples: per-type stage and remaining-hour matrices, likely-type
   indices and level codes.  Materializing
@@ -24,7 +22,7 @@ This module is the columnar replacement:
 
 Both classes are byte-identity preserving: a
 :class:`~repro.core.monitor.DegradationMonitor` running on a
-:class:`ColumnStateStore` emits exactly the verdicts the deque-backed
+:class:`ColumnStateStore` emits exactly the verdicts the dict-backed
 store produced, and ``AlertBlock.alerts()`` equals the scalar
 ``observe`` loop bit for bit (pinned by ``tests/test_core_columnar.py``).
 """
@@ -43,6 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: Rows allocated on a store's first write; growth doubles from here.
 DEFAULT_INITIAL_ROWS = 256
 
+#: ``last_hour`` of a row that never reported an hour.
+_NO_HOUR = np.iinfo(np.int64).min
+
 
 class ColumnStateStore:
     """Keyed per-drive monitoring state in struct-of-arrays layout.
@@ -50,22 +51,22 @@ class ColumnStateStore:
     A drop-in replacement for
     :class:`~repro.core.monitor.DriveStateStore`: the scalar surface
     (``record`` / ``level_of`` / ``drives_at`` / ``serials`` /
-    ``history_of`` / ``snapshot``) matches exactly, so the monitor's
-    per-sample path runs unchanged on either store.  On top of it sits
-    the columnar surface the batched kernel uses:
-    :meth:`record_block` updates every ring touched by a tick with
-    fancy-indexed writes, and :meth:`evict_idle` recycles the rows of
-    drives not seen since a cutoff hour.
+    ``snapshot``) matches exactly, so the monitor's per-sample path runs
+    unchanged on either store.  On top of it sits the columnar surface
+    the batched kernel uses: :meth:`record_block` updates every drive
+    touched by a tick with fancy-indexed writes, and :meth:`evict_idle`
+    recycles the rows of drives not seen since a cutoff hour.
 
     Layout
     ------
-    ``rings`` is one ``(capacity, history_hours, n_attributes)`` float64
-    array; row ``r`` is drive ``r``'s ring buffer, written circularly at
-    cursor ``pos[r]``.  ``counts[r]`` is how many records the ring
-    retains, ``levels[r]`` the last severity code, ``last_hours[r]`` the
-    maximum hour observed (the eviction clock).  ``serial -> row`` lives
-    in one dict; evicted rows go to a free list and are handed to new
-    drives before the arrays grow (by doubling).
+    Row ``r`` is one drive: ``levels[r]`` its last severity code,
+    ``last_hours[r]`` the maximum hour observed (the eviction clock) and
+    ``counts[r]`` how many records it has retained, capped at
+    ``history_hours``.  No verdict reads record values back, so the
+    store keeps none — a drive costs a few bytes, not a window of
+    float64 records.  ``serial -> row`` lives in one dict; evicted rows
+    go to a free list and are handed to new drives before the arrays
+    grow (by doubling).
 
     The store is a passive container — it never computes a verdict — so
     any partitioning of drives across stores leaves every verdict
@@ -81,13 +82,8 @@ class ColumnStateStore:
         self._history_hours = int(history_hours)
         self._initial_rows = int(initial_rows)
         self._n_attributes: int | None = None
-        self._rings: np.ndarray | None = None
-        self._pos: np.ndarray | None = None
-        self._counts: np.ndarray | None = None
-        self._levels: np.ndarray | None = None
-        self._last_hours: np.ndarray | None = None
+        self._allocate(0)
         self._rows: dict[str, int] = {}
-        self._row_serials: list[str | None] = []
         self._free: list[int] = []
         self._drives_evicted = 0
 
@@ -95,12 +91,12 @@ class ColumnStateStore:
 
     @property
     def history_hours(self) -> int:
-        """Ring-buffer capacity retained per drive."""
+        """Records retained per drive (the cap on ``retained``)."""
         return self._history_hours
 
     @property
     def n_tracked(self) -> int:
-        """Drives with live ring-buffer state (O(1))."""
+        """Drives with live state (O(1))."""
         return len(self._rows)
 
     @property
@@ -110,21 +106,14 @@ class ColumnStateStore:
 
     @property
     def capacity(self) -> int:
-        """Allocated ring rows (grows by doubling, never shrinks)."""
-        return len(self._row_serials)
+        """Allocated rows (grows by doubling, never shrinks)."""
+        return len(self._counts)
 
     def record(self, serial: str, normalized: np.ndarray,
                level: "AlertLevel", hour: int | None = None) -> None:
-        """Append one normalized record and set the drive's level."""
+        """Count one normalized record and set the drive's level."""
         normalized = np.asarray(normalized, dtype=np.float64).ravel()
-        self._ensure_layout(normalized.shape[0])
         row = self._row_for(serial, normalized.shape[0])
-        assert (self._rings is not None and self._pos is not None
-                and self._counts is not None and self._levels is not None
-                and self._last_hours is not None)
-        position = self._pos[row]
-        self._rings[row, position] = normalized
-        self._pos[row] = (position + 1) % self._history_hours
         if self._counts[row] < self._history_hours:
             self._counts[row] += 1
         self._levels[row] = level.value
@@ -137,12 +126,10 @@ class ColumnStateStore:
         row = self._rows.get(serial)
         if row is None:
             return AlertLevel.HEALTHY
-        assert self._levels is not None
         return AlertLevel(int(self._levels[row]))
 
     def drives_at(self, level: "AlertLevel") -> list[str]:
         """Serials currently at exactly ``level``."""
-        assert self._levels is not None or not self._rows
         return sorted(serial for serial, row in self._rows.items()
                       if int(self._levels[row]) == level.value)
 
@@ -150,35 +137,16 @@ class ColumnStateStore:
         """All tracked serials, sorted."""
         return sorted(self._rows)
 
-    def history_of(self, serial: str) -> np.ndarray:
-        """Rolling window of normalized records for one drive.
-
-        Rows come back oldest-first, exactly as the deque-backed store
-        stacked them; the returned array is a fresh copy.
-        """
-        row = self._rows.get(serial)
-        if row is None:
-            raise ReproError(f"no observations for drive {serial!r}")
-        assert (self._rings is not None and self._pos is not None
-                and self._counts is not None)
-        count = int(self._counts[row])
-        position = int(self._pos[row])
-        if count < self._history_hours:
-            return self._rings[row, :count].copy()
-        return np.concatenate([self._rings[row, position:],
-                               self._rings[row, :position]])
-
     def snapshot(self) -> dict:
         """JSON-clean summary of every tracked drive, sorted by serial.
 
-        Field-compatible with the deque-backed store's snapshot, plus
+        Field-compatible with the dict-backed store's snapshot, plus
         the store's ``drives_evicted`` counter.
         """
         from repro.core.monitor import AlertLevel
         drives = {}
         for serial in sorted(self._rows):
             row = self._rows[serial]
-            assert self._levels is not None and self._counts is not None
             drives[serial] = {
                 "level": AlertLevel(int(self._levels[row])).name,
                 "retained": int(self._counts[row]),
@@ -195,30 +163,22 @@ class ColumnStateStore:
 
         Everything :meth:`restore` needs to rebuild an *operationally
         identical* store: layout, the serial→row map, the free-list
-        order, eviction counter, and per live drive its retained
-        window (oldest-first), level code and last-seen hour.  Floats
-        go through ``tolist()`` → ``repr``, which round-trips float64
-        exactly — unlike the canonical JSON helpers, which round.
-
-        Ring slots beyond a drive's retained count are scratch (never
-        read), so the dump stores the *window*, not raw ring rows, and
-        the cursor is normalized on restore: dumps of a store and of
-        its restored twin are identical, as is every subsequent verdict
-        and state transition.
+        order, eviction counter, and per live drive its row, level
+        code, last-seen hour and retained count (schema 2 — a few dozen
+        bytes per drive).  Dumps of a store and of its restored twin are
+        identical, as is every subsequent verdict and state transition.
         """
         drives = {}
         for serial in sorted(self._rows):
             row = self._rows[serial]
-            assert (self._levels is not None and self._counts is not None
-                    and self._last_hours is not None)
             drives[serial] = {
                 "row": row,
                 "level": int(self._levels[row]),
                 "last_hour": int(self._last_hours[row]),
-                "window": self.history_of(serial).tolist(),
+                "retained": int(self._counts[row]),
             }
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": "columnar",
             "history_hours": self._history_hours,
             "initial_rows": self._initial_rows,
@@ -233,12 +193,12 @@ class ColumnStateStore:
         """Rebuild this store in place from a :meth:`dump_state` payload.
 
         Discards all current state.  Restores the exact serial→row
-        mapping, free-list order and eviction counter, and rewrites
-        each drive's window at a normalized cursor position — the
-        restored store is indistinguishable from the dumped one through
-        every public method, including duplicate-serial
-        :meth:`record_block` behavior and future :meth:`evict_idle` /
-        row-recycling decisions.
+        mapping, free-list order and eviction counter, so the restored
+        store is indistinguishable from the dumped one through every
+        public method, including future :meth:`evict_idle` /
+        row-recycling decisions.  A schema-1 dump (which carried each
+        drive's record window) restores too: its window length is the
+        retained count.
         """
         try:
             if payload.get("kind") != "columnar":
@@ -263,35 +223,22 @@ class ColumnStateStore:
         self._rows = {}
         self._free = free
         self._n_attributes = None
-        self._rings = self._pos = self._counts = None
-        self._levels = self._last_hours = None
-        self._row_serials = []
+        self._allocate(0)
         if n_attributes is None:
             return
         self._n_attributes = int(n_attributes)
-        history = self._history_hours
-        self._rings = np.zeros((capacity, history, self._n_attributes),
-                               dtype=np.float64)
-        self._pos = np.zeros(capacity, dtype=np.int64)
-        self._counts = np.zeros(capacity, dtype=np.int64)
-        self._levels = np.zeros(capacity, dtype=np.int8)
-        self._last_hours = np.full(capacity, np.iinfo(np.int64).min,
-                                   dtype=np.int64)
-        self._row_serials = [None] * capacity
+        self._allocate(capacity)
         for serial, entry in drives.items():
             row = int(entry["row"])
-            window = np.asarray(entry["window"], dtype=np.float64)
-            count = window.shape[0]
-            if not 0 <= row < capacity or count > history:
+            retained = int(entry["retained"] if "retained" in entry
+                           else len(entry["window"]))
+            if not (0 <= row < capacity
+                    and 0 <= retained <= self._history_hours):
                 raise ReproError(
                     f"state dump drive {serial!r} has row {row} / "
-                    f"window {count} outside the dumped layout")
+                    f"retained {retained} outside the dumped layout")
             self._rows[serial] = row
-            self._row_serials[row] = serial
-            if count:
-                self._rings[row, :count] = window
-            self._counts[row] = count
-            self._pos[row] = count % history
+            self._counts[row] = retained
             self._levels[row] = int(entry["level"])
             self._last_hours[row] = int(entry["last_hour"])
 
@@ -315,92 +262,54 @@ class ColumnStateStore:
     def record_block(self, serials: Sequence[str], normalized: np.ndarray,
                      level_codes: np.ndarray,
                      hours: np.ndarray | Sequence[int]) -> None:
-        """Apply one tick of records to every touched ring at once.
+        """Apply one tick of records to every touched drive at once.
 
-        Row ``i`` of ``normalized`` is appended to ``serials[i]``'s ring
+        Row ``i`` of ``normalized`` is counted against ``serials[i]``
         and that drive's level/last-hour state updated — semantically
         identical to calling :meth:`record` once per row, in order,
-        including when a serial repeats within the block (later rows
-        overwrite earlier ring slots exactly as sequential appends
-        would).  The healthy fast path allocates nothing per drive: one
-        row-index gather, one fancy-indexed ring write, flat cursor
-        arithmetic.
+        including when a serial repeats within the block (the drive
+        keeps the level of its last row).  The healthy fast path
+        allocates nothing per drive: one row-index gather and a few
+        fancy-indexed writes.
         """
         normalized = np.asarray(normalized, dtype=np.float64)
         n = normalized.shape[0]
         if n == 0:
             return
         rows = self._rows_for_block(serials, normalized.shape[1])
-        assert (self._rings is not None and self._pos is not None
-                and self._counts is not None and self._levels is not None
-                and self._last_hours is not None)
-        hours = np.asarray(hours, dtype=np.int64)
-        level_codes = np.asarray(level_codes)
-        history = self._history_hours
-
-        # Occurrence index of each row within the block (stable order):
-        # the k-th sample of a drive lands k slots past its cursor.
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        starts[1:] = sorted_rows[1:] != sorted_rows[:-1]
-        group_start = np.maximum.accumulate(
-            np.where(starts, np.arange(n), 0))
-        occurrence = np.empty(n, dtype=np.int64)
-        occurrence[order] = np.arange(n) - group_start
-
-        group_ends = np.flatnonzero(
-            np.concatenate([starts[1:], np.ones(1, dtype=bool)]))
-        last_of_group = order[group_ends]          # last sample per drive
-        unique_rows = sorted_rows[group_ends]
-        per_row_total = occurrence[last_of_group] + 1
-
-        # Only the last ``history`` occurrences per drive survive a
-        # sequential append loop; dropping the overwritten ones keeps
-        # every (row, slot) write target unique, so the fancy write is
-        # order-independent.
-        slots = (self._pos[rows] + occurrence) % history
-        keep = occurrence >= (per_row_total[
-            np.searchsorted(unique_rows, rows)] - history)
-        self._rings[rows[keep], slots[keep]] = normalized[keep]
-
-        self._pos[unique_rows] = (
-            self._pos[unique_rows] + per_row_total) % history
+        # Each drive's last row in block order sets its level.
+        unique_rows, first_from_end, per_row_total = np.unique(
+            rows[::-1], return_index=True, return_counts=True)
+        last_of_row = n - 1 - first_from_end
         self._counts[unique_rows] = np.minimum(
-            self._counts[unique_rows] + per_row_total, history)
-        self._levels[unique_rows] = level_codes[last_of_group]
-        np.maximum.at(self._last_hours, rows, hours)
+            self._counts[unique_rows] + per_row_total, self._history_hours)
+        self._levels[unique_rows] = np.asarray(level_codes)[last_of_row]
+        np.maximum.at(self._last_hours, rows,
+                      np.asarray(hours, dtype=np.int64))
 
     def evict_idle(self, before_hour: int) -> int:
         """Recycle every drive last observed strictly before ``before_hour``.
 
         Evicted drives vanish from the tracked set (``level_of`` returns
-        HEALTHY again, ``history_of`` raises) and their rows go to the
-        free list for the next new serial — columnar row recycling makes
-        a churning fleet's memory proportional to the *live* drive
-        count, not the all-time serial count.  Returns how many drives
-        were evicted; the running total is :attr:`drives_evicted`.
+        HEALTHY again) and their rows go to the free list for the next
+        new serial — columnar row recycling makes a churning fleet's
+        memory proportional to the *live* drive count, not the all-time
+        serial count.  Returns how many drives were evicted; the running
+        total is :attr:`drives_evicted`.
         """
-        if not self._rows:
-            return 0
-        assert self._last_hours is not None and self._counts is not None
         evicted = [serial for serial, row in self._rows.items()
                    if self._last_hours[row] < before_hour]
         for serial in evicted:
             row = self._rows.pop(serial)
-            self._row_serials[row] = None
             self._counts[row] = 0
-            assert self._pos is not None and self._levels is not None
-            self._pos[row] = 0
             self._levels[row] = 0
-            self._last_hours[row] = np.iinfo(np.int64).min
+            self._last_hours[row] = _NO_HOUR
             self._free.append(row)
         self._drives_evicted += len(evicted)
         return len(evicted)
 
     def rows_of(self, serials: Sequence[str]) -> np.ndarray:
-        """Ring-row indices for ``serials`` (rows are assigned on demand).
+        """Row indices for ``serials`` (rows are assigned on demand).
 
         Exposed for tests and diagnostics; :meth:`record_block` resolves
         rows internally.
@@ -411,60 +320,44 @@ class ColumnStateStore:
 
     # -- internals --------------------------------------------------------
 
+    def _allocate(self, capacity: int) -> None:
+        """Replace every column array with ``capacity`` empty rows."""
+        self._counts = np.zeros(capacity, dtype=np.int64)
+        self._levels = np.zeros(capacity, dtype=np.int8)
+        self._last_hours = np.full(capacity, _NO_HOUR, dtype=np.int64)
+
     def _ensure_layout(self, n_attributes: int) -> None:
-        """Allocate (or validate) the column arrays for a record width."""
+        """Allocate on the first write; afterwards, validate the width."""
         if self._n_attributes is None:
             self._n_attributes = int(n_attributes)
-            capacity = self._initial_rows
-            self._rings = np.zeros(
-                (capacity, self._history_hours, n_attributes),
-                dtype=np.float64)
-            self._pos = np.zeros(capacity, dtype=np.int64)
-            self._counts = np.zeros(capacity, dtype=np.int64)
-            self._levels = np.zeros(capacity, dtype=np.int8)
-            self._last_hours = np.full(capacity, np.iinfo(np.int64).min,
-                                       dtype=np.int64)
-            self._row_serials = [None] * capacity
-            self._free = list(range(capacity - 1, -1, -1))
-            return
-        if n_attributes != self._n_attributes:
+            self._allocate(self._initial_rows)
+            self._free = list(range(self._initial_rows - 1, -1, -1))
+        elif n_attributes != self._n_attributes:
             raise ReproError(
                 f"record has {n_attributes} attributes, store was laid "
                 f"out for {self._n_attributes}")
 
     def _grow(self) -> None:
         """Double every column array, pushing new rows onto the free list."""
-        assert (self._rings is not None and self._pos is not None
-                and self._counts is not None and self._levels is not None
-                and self._last_hours is not None)
-        old = len(self._row_serials)
-        new = old * 2
-        rings = np.zeros((new,) + self._rings.shape[1:], dtype=np.float64)
-        rings[:old] = self._rings
-        self._rings = rings
-        self._pos = np.concatenate(
-            [self._pos, np.zeros(old, dtype=np.int64)])
-        self._counts = np.concatenate(
-            [self._counts, np.zeros(old, dtype=np.int64)])
-        self._levels = np.concatenate(
-            [self._levels, np.zeros(old, dtype=np.int8)])
-        self._last_hours = np.concatenate(
-            [self._last_hours,
-             np.full(old, np.iinfo(np.int64).min, dtype=np.int64)])
-        self._row_serials.extend([None] * old)
-        self._free.extend(range(new - 1, old - 1, -1))
+        old = self.capacity
+        counts, levels, last_hours = (self._counts, self._levels,
+                                      self._last_hours)
+        self._allocate(max(2 * old, 1))
+        self._counts[:old] = counts
+        self._levels[:old] = levels
+        self._last_hours[:old] = last_hours
+        self._free.extend(range(self.capacity - 1, old - 1, -1))
 
     def _row_for(self, serial: str, n_attributes: int) -> int:
-        """The (possibly new) ring row owning ``serial``."""
+        """The (possibly new) row owning ``serial``."""
+        self._ensure_layout(n_attributes)
         row = self._rows.get(serial)
         if row is not None:
             return row
-        self._ensure_layout(n_attributes)
         if not self._free:
             self._grow()
         row = self._free.pop()
         self._rows[serial] = row
-        self._row_serials[row] = serial
         return row
 
     def _rows_for_block(self, serials: Sequence[str],

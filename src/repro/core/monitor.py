@@ -4,7 +4,7 @@ Section VI's future work plans "a middleware software that will enhance
 storage reliability" on top of the degradation signatures.  This module
 is that middleware in library form: a :class:`DegradationMonitor` wraps
 the trained per-group regression trees and consumes hourly SMART records
-drive by drive, maintaining a rolling window per drive and emitting
+drive by drive, keeping each drive's last level and emitting
 :class:`DegradationAlert` events when a drive's estimated degradation
 stage crosses the configured thresholds.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,16 +70,16 @@ class DegradationAlert:
 
 
 class DriveStateStore:
-    """Keyed per-drive monitoring state: ring buffers plus last levels.
+    """Keyed per-drive monitoring state: last levels and retained counts.
 
     All mutable state a streaming scorer accumulates lives here, keyed
-    by drive serial: a bounded deque of the drive's last
-    ``history_hours`` normalized records and the drive's most recent
-    :class:`AlertLevel`.  Extracting it from the monitor makes the
-    state an explicit, snapshottable object — the sharding seam the
-    serving daemon partitions across worker processes (each shard owns
-    one store, and a drive's serial hashes to exactly one shard, so no
-    state is ever split or shared).
+    by drive serial: the drive's most recent :class:`AlertLevel`, its
+    last-seen hour (the eviction clock) and how many records it has
+    retained, capped at ``history_hours``.  Extracting it from the
+    monitor makes the state an explicit, snapshottable object — the
+    sharding seam the serving daemon partitions across worker processes
+    (each shard owns one store, and a drive's serial hashes to exactly
+    one shard, so no state is ever split or shared).
 
     The store is a passive container: it never computes a verdict, so
     any partitioning of drives across stores leaves every verdict
@@ -91,20 +90,20 @@ class DriveStateStore:
         if history_hours < 1:
             raise ReproError("history_hours must be positive")
         self._history_hours = history_hours
-        self._history: dict[str, deque[np.ndarray]] = {}
+        self._retained: dict[str, int] = {}
         self._levels: dict[str, AlertLevel] = {}
         self._last_hours: dict[str, int] = {}
         self._drives_evicted = 0
 
     @property
     def history_hours(self) -> int:
-        """Ring-buffer capacity retained per drive."""
+        """Records retained per drive (the cap on ``retained``)."""
         return self._history_hours
 
     @property
     def n_tracked(self) -> int:
-        """Drives with live ring-buffer state (O(1))."""
-        return len(self._history)
+        """Drives with live state (O(1))."""
+        return len(self._retained)
 
     @property
     def drives_evicted(self) -> int:
@@ -113,16 +112,14 @@ class DriveStateStore:
 
     def record(self, serial: str, normalized: np.ndarray,
                level: AlertLevel, hour: int | None = None) -> None:
-        """Append one normalized record and set the drive's level.
+        """Count one normalized record and set the drive's level.
 
         ``hour`` feeds the idle-eviction clock; omitting it leaves the
         drive's last-seen hour unchanged (such drives only age out
         relative to hours they did report).
         """
-        history = self._history.setdefault(
-            serial, deque(maxlen=self._history_hours)
-        )
-        history.append(normalized)
+        self._retained[serial] = min(self._retained.get(serial, 0) + 1,
+                                     self._history_hours)
         self._levels[serial] = level
         if hour is not None and hour > self._last_hours.get(
                 serial, -(2 ** 63)):
@@ -131,16 +128,16 @@ class DriveStateStore:
     def evict_idle(self, before_hour: int) -> int:
         """Drop every drive last observed strictly before ``before_hour``.
 
-        The deque-backed twin of
+        The dict-backed twin of
         :meth:`repro.core.columnar.ColumnStateStore.evict_idle`, kept
         semantically identical so the scalar and columnar paths stay
         interchangeable: evicted drives vanish from the tracked set and
-        a reappearing serial starts from a fresh, empty ring.
+        a reappearing serial starts from a fresh, empty count.
         """
-        evicted = [serial for serial in self._history
+        evicted = [serial for serial in self._retained
                    if self._last_hours.get(serial, -(2 ** 63)) < before_hour]
         for serial in evicted:
-            del self._history[serial]
+            del self._retained[serial]
             self._levels.pop(serial, None)
             self._last_hours.pop(serial, None)
         self._drives_evicted += len(evicted)
@@ -156,21 +153,14 @@ class DriveStateStore:
 
     def serials(self) -> list[str]:
         """All tracked serials, sorted."""
-        return sorted(self._history)
-
-    def history_of(self, serial: str) -> np.ndarray:
-        """Rolling window of normalized records for one drive."""
-        history = self._history.get(serial)
-        if not history:
-            raise ReproError(f"no observations for drive {serial!r}")
-        return np.vstack(list(history))
+        return sorted(self._retained)
 
     def snapshot(self) -> dict:
         """JSON-clean summary of every tracked drive, sorted by serial.
 
         The drain/shutdown artifact: per drive, the last severity level
-        and how many records the ring currently retains.  Deterministic
-        for a given state, so snapshots diff cleanly across runs.
+        and how many records it retains.  Deterministic for a given
+        state, so snapshots diff cleanly across runs.
         """
         return {
             "history_hours": self._history_hours,
@@ -179,24 +169,25 @@ class DriveStateStore:
             "drives": {
                 serial: {
                     "level": self._levels[serial].name,
-                    "retained": len(history),
+                    "retained": retained,
                 }
-                for serial, history in sorted(self._history.items())
+                for serial, retained in sorted(self._retained.items())
             },
         }
 
     def dump_state(self) -> dict:
         """Full, JSON-clean state for crash recovery (exact round-trip).
 
-        The deque-backed twin of
-        :meth:`repro.core.columnar.ColumnStateStore.dump_state`: per
-        drive the retained window (oldest-first), level code and
-        last-seen hour, plus the eviction counter.  Floats round-trip
-        float64 exactly via ``tolist()``.
+        The dict-backed twin of
+        :meth:`repro.core.columnar.ColumnStateStore.dump_state`
+        (schema 2): per drive the level code, last-seen hour and
+        retained count, plus the eviction counter.  The ``"deque"``
+        kind tag predates the dict layout and stays so older dumps
+        restore.
         """
         sentinel = -(2 ** 63)
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": "deque",
             "history_hours": self._history_hours,
             "drives_evicted": self._drives_evicted,
@@ -204,9 +195,9 @@ class DriveStateStore:
                 serial: {
                     "level": self._levels[serial].value,
                     "last_hour": self._last_hours.get(serial, sentinel),
-                    "window": [record.tolist() for record in history],
+                    "retained": retained,
                 }
-                for serial, history in sorted(self._history.items())
+                for serial, retained in sorted(self._retained.items())
             },
         }
 
@@ -214,7 +205,9 @@ class DriveStateStore:
         """Rebuild this store in place from a :meth:`dump_state` payload.
 
         Discards all current state; the restored store behaves
-        identically to the dumped one through every public method.
+        identically to the dumped one through every public method.  A
+        schema-1 dump restores too (its window length is the retained
+        count).
         """
         try:
             if payload.get("kind") != "deque":
@@ -231,16 +224,14 @@ class DriveStateStore:
                 f"malformed state dump for DriveStateStore: {error}"
             ) from error
         sentinel = -(2 ** 63)
-        self._history = {}
+        self._retained = {}
         self._levels = {}
         self._last_hours = {}
         self._drives_evicted = int(payload.get("drives_evicted", 0))
         for serial, entry in drives.items():
-            window = deque(
-                (np.asarray(record, dtype=np.float64)
-                 for record in entry["window"]),
-                maxlen=self._history_hours)
-            self._history[serial] = window
+            self._retained[serial] = int(
+                entry["retained"] if "retained" in entry
+                else len(entry["window"]))
             self._levels[serial] = AlertLevel(int(entry["level"]))
             last_hour = int(entry["last_hour"])
             if last_hour != sentinel:
@@ -275,15 +266,15 @@ class DegradationMonitor:
     watch_threshold / critical_threshold:
         Stage levels (in ``[-1, 1]``) triggering WATCH and CRITICAL.
     history_hours:
-        Rolling window retained per drive (available to callers for
-        trend inspection; the trees themselves act on single records).
+        Cap on the records counted as retained per drive (the trees act
+        on single records; no record values are kept).
     state:
-        Optional externally-owned state store — the deque-backed
+        Optional externally-owned state store — the dict-backed
         :class:`DriveStateStore` or the struct-of-arrays
         :class:`~repro.core.columnar.ColumnStateStore`; when given its
         ``history_hours`` must match.  The serving layer passes its own
         store so per-drive state can be snapshotted and sharded; by
-        default the monitor creates a private deque-backed one.
+        default the monitor creates a private dict-backed one.
     """
 
     def __init__(self, predictor: DegradationPredictor,
@@ -354,7 +345,7 @@ class DegradationMonitor:
         """Ingest a batch of ``(serial, hour, raw_record)`` samples.
 
         Semantically identical to calling :meth:`observe` once per
-        sample, in order — same alerts, same per-drive history and
+        sample, in order — same alerts, same per-drive retained-count and
         level state — but the normalization and the per-group tree
         evaluations run once over the whole batch instead of once per
         sample.  Every arithmetic step is element-wise, so the batched
@@ -401,9 +392,9 @@ class DegradationMonitor:
         whole batch (the rescue-clock inversion stays scalar, computed
         lazily per materialized alert so its libm rounding is exactly
         the per-sample path's), and the per-drive
-        ring state updates with one fancy-indexed write when the store
+        state updates with a few fancy-indexed writes when the store
         is a :class:`~repro.core.columnar.ColumnStateStore` (the scalar
-        per-sample loop remains only for legacy deque-backed stores).
+        per-sample loop remains only for dict-backed stores).
         Nothing is allocated per healthy drive; the returned
         :class:`~repro.core.columnar.AlertBlock` materializes
         :class:`DegradationAlert` objects lazily and bit-identically to
@@ -482,7 +473,7 @@ class DegradationMonitor:
 
     @property
     def history_hours(self) -> int:
-        """Ring-buffer capacity retained per drive."""
+        """Records retained per drive (the cap on ``retained``)."""
         return self._history_hours
 
     # -- fleet state --------------------------------------------------------
@@ -498,7 +489,7 @@ class DegradationMonitor:
 
     @property
     def n_tracked(self) -> int:
-        """Drives with live ring-buffer state (O(1))."""
+        """Drives with live state (O(1))."""
         return self._state.n_tracked
 
     def level_of(self, serial: str) -> AlertLevel:
@@ -508,10 +499,6 @@ class DegradationMonitor:
     def drives_at(self, level: AlertLevel) -> list[str]:
         """Serials currently at exactly ``level``."""
         return self._state.drives_at(level)
-
-    def history_of(self, serial: str) -> np.ndarray:
-        """Rolling window of normalized records for one drive."""
-        return self._state.history_of(serial)
 
     def _level_for(self, stage: float) -> AlertLevel:
         if stage <= self._critical:

@@ -119,10 +119,20 @@ def _default_health() -> dict[str, Any]:
 
 
 class _TelemetryRequestHandler(BaseHTTPRequestHandler):
-    """Routes GETs/POSTs to the telemetry endpoints; logs via repro.obs."""
+    """Routes GETs/POSTs to the telemetry endpoints; logs via repro.obs.
+
+    Replies are buffered (``wbufsize = -1``) and flushed once per request
+    by ``handle_one_request``, so status line, headers and body leave in
+    one write.  Written separately, the small body segment waits for the
+    client's delayed ACK under Nagle's algorithm — ~40 ms per keep-alive
+    request.  ``TCP_NODELAY`` keeps a large reply's tail from stalling
+    the same way.
+    """
 
     server_version = "repro-telemetry/1"
     protocol_version = "HTTP/1.1"
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 — http.server's contract
         server: "_BoundServer" = self.server  # type: ignore[assignment]
@@ -163,11 +173,13 @@ class _TelemetryRequestHandler(BaseHTTPRequestHandler):
             "telemetry_requests",
             labels={"endpoint": endpoint.lstrip("/") or "other"},
         ).inc()
+        # Read the body even for a 404, or its bytes would prefix the
+        # next request line on a keep-alive connection.
+        length = int(self.headers.get("Content-Length", "0") or "0")
+        body = self.rfile.read(length) if length > 0 else b""
         if handler is None:
             self._reply_json(404, {"error": "not found", "path": path})
             return
-        length = int(self.headers.get("Content-Length", "0") or "0")
-        body = self.rfile.read(length) if length > 0 else b""
         query = dict(parse_qsl(raw_query))
         try:
             reply = handler(body, query)

@@ -20,7 +20,7 @@ milliseconds, and *refused* when stale or corrupt.
   prediction window ``d``);
 * the fitted :class:`~repro.ml.tree.RegressionTree` per failure group
   (exact round trip via ``to_dict``/``from_dict``);
-* the monitor thresholds (WATCH / CRITICAL stages, ring-buffer hours).
+* the monitor thresholds (WATCH / CRITICAL stages, history hours).
 
 :func:`save_bundle` writes the bundle as a single JSON file carrying a
 schema version and a sha256 content hash; :func:`load_bundle` refuses

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -63,24 +63,40 @@ DEFAULT_RETRY_AFTER_S = 1.0
 
 
 def _columns_from(serials: list[str], hours: list[int],
-                  flat: list[float], width: int) -> tuple[
+                  flat: list[float], width: int,
+                  where: Callable[[int], str]) -> tuple[
                       list[str], list[int], np.ndarray]:
     """Shape flat parsed values into the columnar ``(serials, hours, matrix)``.
 
     One reshape instead of one list object per sample — the parsers
     append every value to a single flat buffer and this helper turns it
-    into the 2-D record matrix the shard plane consumes.
+    into the 2-D record matrix the shard plane consumes.  ``json.loads``
+    accepts ``NaN`` and ``Infinity``, so this is also where a non-finite
+    value is refused (one ``isfinite`` pass per batch); ``where`` names
+    the offending sample for the 400 reply.
     """
     matrix = np.asarray(flat, dtype=np.float64).reshape(len(serials), width)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ServeError(
+            f"{where(int(np.argmin(finite)))}: non-finite value")
     return serials, hours, matrix
 
 
-def _parse_json_batch(body: bytes) -> tuple[list[str], list[int], np.ndarray]:
-    """Decode the JSON document ingest form straight into column arrays."""
-    document = json.loads(body.decode("utf-8"))
+def _parse_json_batch(body: bytes) -> tuple[
+        list[str], list[int], np.ndarray] | None:
+    """Decode the JSON document ingest form straight into column arrays.
+
+    Returns ``None`` when the body is not a ``{"samples": ...}``
+    document at all (the caller then tries JSONL — a JSONL body is
+    never such a document, so the fallback is unambiguous).
+    """
+    try:
+        document = json.loads(body.decode("utf-8"))
+    except ValueError:
+        return None
     if not isinstance(document, dict) or "samples" not in document:
-        raise ServeError(
-            'expected {"samples": [[serial, hour, values], ...]}')
+        return None
     serials: list[str] = []
     hours: list[int] = []
     flat: list[float] = []
@@ -96,7 +112,8 @@ def _parse_json_batch(body: bytes) -> tuple[list[str], list[int], np.ndarray]:
         serials.append(str(serial))
         hours.append(int(hour))
         flat.extend(float(value) for value in values)
-    return _columns_from(serials, hours, flat, max(width, 0))
+    return _columns_from(serials, hours, flat, max(width, 0),
+                         lambda index: f"sample {index}")
 
 
 def _parse_jsonl_batch(body: bytes) -> tuple[list[str], list[int], np.ndarray]:
@@ -105,7 +122,8 @@ def _parse_jsonl_batch(body: bytes) -> tuple[list[str], list[int], np.ndarray]:
     hours: list[int] = []
     flat: list[float] = []
     width = -1
-    for line_number, line in enumerate(body.decode("utf-8").splitlines(), 1):
+    lines = body.decode("utf-8").splitlines()
+    for line_number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
@@ -125,7 +143,12 @@ def _parse_jsonl_batch(body: bytes) -> tuple[list[str], list[int], np.ndarray]:
             raise ServeError(
                 f"line {line_number}: expected keys serial/hour/values "
                 f"({error})") from error
-    return _columns_from(serials, hours, flat, max(width, 0))
+
+    def where(index: int) -> str:
+        numbers = [n for n, line in enumerate(lines, 1) if line.strip()]
+        return f"line {numbers[index]}"
+
+    return _columns_from(serials, hours, flat, max(width, 0), where)
 
 
 class ServingDaemon:
@@ -339,18 +362,16 @@ class ServingDaemon:
         """``POST /ingest``: decode, admit, score, reply.
 
         ``?format=jsonl`` forces the line-oriented form; otherwise the
-        body is parsed as the JSON document form first and as JSONL if
-        that fails (a JSONL body is never a single valid JSON document
-        with a ``samples`` key, so the fallback is unambiguous).
+        body is parsed as the JSON document form if it is one and as
+        JSONL if not.  A malformed batch — including any non-finite
+        value — answers 400 naming the first offending sample or line,
+        and nothing of it is scored.
         """
         try:
-            if query.get("format") == "jsonl":
-                serials, hours, rows = _parse_jsonl_batch(body)
-            else:
-                try:
-                    serials, hours, rows = _parse_json_batch(body)
-                except (ServeError, ValueError):
-                    serials, hours, rows = _parse_jsonl_batch(body)
+            parsed = (None if query.get("format") == "jsonl"
+                      else _parse_json_batch(body))
+            serials, hours, rows = (parsed if parsed is not None
+                                    else _parse_jsonl_batch(body))
         except (ServeError, ValueError, TypeError) as error:
             self._count_ingest("bad_request")
             return HttpReply.json(400, {"error": f"malformed batch: {error}"})

@@ -6,11 +6,11 @@ training-time models, and consumes SMART samples incrementally —
 ``push(serial, hour, record)`` for one sample, ``push_many`` for a
 batch, ``score_block`` for the columnar hot path.  Per-drive state
 lives in a struct-of-arrays
-:class:`~repro.core.columnar.ColumnStateStore` (one preallocated ring
-buffer for the whole scorer — drives x history_hours x attributes —
-with recycled rows and doubling growth), so memory stays
-O(live drives x history_hours) no matter how long the stream runs and
-the healthy path allocates nothing per drive.  ``score_block`` returns
+:class:`~repro.core.columnar.ColumnStateStore` (flat per-drive level,
+last-hour and retained-count columns with recycled rows and doubling
+growth), so memory stays O(live drives) — a few bytes each — no matter
+how long the stream runs, and the healthy path allocates nothing per
+drive.  ``score_block`` returns
 a :class:`VerdictBlock`: verdict columns, not verdict objects —
 :class:`MonitorVerdict` materialization is deferred to the rare
 alerting rows (or to callers that explicitly ask for all of them).
@@ -33,6 +33,7 @@ any job count returns the same verdict lists in the same order.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -320,7 +321,7 @@ class StreamScorer:
         """Score a columnar batch as one set of batched array ops.
 
         The streaming hot path: one normalizer pass, one tree
-        evaluation per failure group, one fancy-indexed ring update for
+        evaluation per failure group, one fancy-indexed state update for
         every drive in the batch — no per-sample Python objects.  The
         returned :class:`VerdictBlock` carries verdict columns;
         materializing it reproduces :meth:`push` byte for byte (the
@@ -351,8 +352,8 @@ class StreamScorer:
         """Recycle state of drives last observed before ``before_hour``.
 
         Bounds a churning fleet's memory: evicted serials free their
-        ring row (columnar store) or deque (legacy store) and start
-        fresh if they reappear.  Returns the evicted count and bumps
+        row (columnar store) or dict entries (dict-backed store) and
+        start fresh if they reappear.  Returns the evicted count and bumps
         the ``drives_evicted`` counter.
         """
         evicted = self._state.evict_idle(int(before_hour))
@@ -396,14 +397,14 @@ class StreamScorer:
 
     @property
     def drives_tracked(self) -> int:
-        """Drives with live ring-buffer state."""
+        """Drives with live state."""
         return self._monitor.n_tracked
 
     def dump_state(self) -> dict[str, Any]:
         """Everything crash recovery needs to resume this scorer.
 
         The scorer's counters plus the state store's full
-        ``dump_state()`` payload (exact float64 round-trip).  Feeding
+        ``dump_state()`` payload (exact round-trip).  Feeding
         the dump to :meth:`restore_state` on a scorer built from the
         same bundle yields byte-identical future verdicts, counters and
         state snapshots — the WAL layer checkpoints exactly this
@@ -439,14 +440,14 @@ class StreamScorer:
         """Replace the scoring models in place, keeping all drive state.
 
         The promotion plane's seam: verdicts are per-sample stateless
-        functions of the current record (a drive's ring history never
-        feeds the trees), so swapping the models between blocks changes
-        *future* verdicts only — every sample scored after the swap is
+        functions of the current record (no drive history feeds the
+        trees), so swapping the models between blocks changes *future*
+        verdicts only — every sample scored after the swap is
         byte-identical to a fresh scorer of the new bundle fed the same
         stream.  The replacement must score the same feature space
-        (attribute ordering) and keep the ring-buffer depth, because
-        the live :class:`~repro.core.columnar.ColumnStateStore` is laid
-        out for both.
+        (attribute ordering) and keep ``history_hours``, because the
+        live :class:`~repro.core.columnar.ColumnStateStore` is laid out
+        for both.
         """
         if tuple(bundle.attributes) != tuple(self._bundle.attributes):
             raise ServeError(
@@ -524,7 +525,6 @@ class StreamScorer:
         return verdict
 
 
-@dataclass(slots=True)
 class _ReplayTask:
     """Picklable per-profile replay worker for the fleet fan-out.
 
@@ -534,22 +534,31 @@ class _ReplayTask:
     one scorer across a chunk only accumulates more per-drive state —
     verdicts are per-drive independent, so it never changes any output.
 
-    The scorer binds :func:`~repro.parallel.get_worker_observer` at
-    build time and rebuilds when the observer changes, so on the thread
-    backend (where one task object outlives a chunk) telemetry always
-    lands in the *current* chunk's capture registry.
+    On the thread backend one task object serves every pool thread, so
+    the scorer is cached per thread (a scorer's state store is not
+    thread-safe).  Each thread's scorer binds
+    :func:`~repro.parallel.get_worker_observer` at build time and
+    rebuilds when the observer changes, so telemetry always lands in
+    the *current* chunk's capture registry.
     """
 
-    payload: dict
-    _scorer: StreamScorer | None = None
+    __slots__ = ("payload", "_local")
+
+    def __init__(self, payload: dict) -> None:
+        self.payload = payload
+        self._local = threading.local()
+
+    def __reduce__(self):
+        """Pickle the payload only; a thread-local cannot cross processes."""
+        return (_ReplayTask, (self.payload,))
 
     def __call__(self, profile: HealthProfile) -> list[MonitorVerdict]:
         observer = get_worker_observer()
-        scorer = self._scorer
+        scorer = getattr(self._local, "scorer", None)
         if scorer is None or scorer._observer is not observer:
             scorer = StreamScorer(ModelBundle.from_payload(self.payload),
                                   observer=observer)
-            self._scorer = scorer
+            self._local.scorer = scorer
         return scorer.replay_profile(profile)
 
 

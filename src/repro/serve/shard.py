@@ -3,11 +3,11 @@
 The serving daemon's horizontal seam: a :class:`ShardSet` owns ``n``
 shard workers, each holding one :class:`~repro.serve.scorer.StreamScorer`
 (and therefore one keyed
-:class:`~repro.core.monitor.DriveStateStore`).  Drives map to shards by
+:class:`~repro.core.columnar.ColumnStateStore`).  Drives map to shards by
 consistent hash of their serial (:class:`HashRing` — sha256-based, so
 the mapping is stable across processes and Python hash seeds), which
-keeps every drive's ring-buffer history and last level whole inside
-exactly one shard no matter how batches arrive.
+keeps every drive's state (last level, last hour, retained count) whole
+inside exactly one shard no matter how batches arrive.
 
 Sharding is a pure performance knob: verdicts are per-sample functions
 of the record (and per-drive state keys on the serial), so a

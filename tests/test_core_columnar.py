@@ -1,7 +1,7 @@
 """Tests for the struct-of-arrays drive state store and block scoring.
 
 Two contracts are pinned here.  First, :class:`ColumnStateStore` is a
-drop-in for the deque-backed :class:`DriveStateStore`: every scalar
+drop-in for the dict-backed :class:`DriveStateStore`: every scalar
 surface matches, ``record_block`` is semantically identical to a
 sequential ``record`` loop (including duplicate serials within one
 block), rows are recycled on eviction and the arrays grow by doubling.
@@ -24,6 +24,13 @@ from repro.core.prediction import DegradationPredictor
 from repro.core.rescue import rescue_estimate
 from repro.core.taxonomy import FailureType
 from repro.errors import ReproError
+
+
+def _drive_state(store, serial):
+    """``(level, retained, last_hour)`` — all the state a verdict or a
+    snapshot reads back for one drive."""
+    entry = store.dump_state()["drives"][serial]
+    return entry["level"], entry["retained"], entry["last_hour"]
 
 
 def _filled_stores(history=4, n_attributes=3, n_drives=6, records=9, seed=3):
@@ -51,28 +58,21 @@ def test_scalar_surface_matches_deque_store():
         assert column_store.drives_at(level) == deque_store.drives_at(level)
     for serial in deque_store.serials():
         assert column_store.level_of(serial) is deque_store.level_of(serial)
-        assert np.array_equal(column_store.history_of(serial),
-                              deque_store.history_of(serial))
+        assert (_drive_state(column_store, serial)
+                == _drive_state(deque_store, serial))
     assert column_store.snapshot() == deque_store.snapshot()
 
 
-def test_ring_wraparound_matches_deque():
+def test_retained_count_caps_at_history_like_deque():
     deque_store = DriveStateStore(3)
     column_store = ColumnStateStore(3)
     for step in range(7):
         vector = np.full(2, float(step))
         deque_store.record("d", vector, AlertLevel.HEALTHY, hour=step)
         column_store.record("d", vector, AlertLevel.HEALTHY, hour=step)
-    history = column_store.history_of("d")
-    assert np.array_equal(history, deque_store.history_of("d"))
-    # Oldest-first: records 4, 5, 6 survive in that order.
-    assert history[:, 0].tolist() == [4.0, 5.0, 6.0]
-
-
-def test_history_of_unknown_serial_raises():
-    store = ColumnStateStore(3)
-    with pytest.raises(ReproError, match="no observations"):
-        store.history_of("never-seen")
+        assert (_drive_state(column_store, "d")
+                == _drive_state(deque_store, "d")
+                == (0, min(step + 1, 3), step))
 
 
 def test_constructor_validation():
@@ -102,7 +102,7 @@ def test_capacity_grows_by_doubling():
     assert store.capacity == 8
     assert store.n_tracked == 5
     for drive in range(5):
-        assert store.history_of(f"d{drive}")[0, 0] == float(drive)
+        assert _drive_state(store, f"d{drive}") == (0, 1, drive)
 
 
 def test_evict_idle_recycles_rows():
@@ -115,8 +115,7 @@ def test_evict_idle_recycles_rows():
     assert store.drives_evicted == 2
     assert store.serials() == ["d2", "d3"]
     assert store.level_of("d0") is AlertLevel.HEALTHY
-    with pytest.raises(ReproError):
-        store.history_of("d0")
+    assert "d0" not in store.dump_state()["drives"]
     assert store.capacity == capacity_before
     # Freed rows are handed to new drives before any growth.
     store.record("d-new", np.ones(2), AlertLevel.HEALTHY, hour=9)
@@ -134,9 +133,7 @@ def test_reappearing_drive_gets_fresh_history():
     store.record("d", np.full(2, 2.0), AlertLevel.CRITICAL, hour=1)
     assert store.evict_idle(before_hour=5) == 1
     store.record("d", np.full(2, 7.0), AlertLevel.HEALTHY, hour=6)
-    history = store.history_of("d")
-    assert history.shape[0] == 1
-    assert history[0, 0] == 7.0
+    assert _drive_state(store, "d") == (0, 1, 6)
     assert store.level_of("d") is AlertLevel.HEALTHY
 
 
@@ -158,7 +155,7 @@ def test_record_block_matches_sequential_record(seed):
     history, n_attributes = 3, 2
     serial_pool = [f"d{i}" for i in range(5)]
     # Duplicate-heavy block: 40 samples over 5 drives, so most drives
-    # repeat far beyond the ring capacity within the single block.
+    # repeat far beyond the retained cap within the single block.
     serials = [serial_pool[i] for i in rng.integers(0, 5, size=40)]
     normalized = rng.normal(size=(40, n_attributes))
     level_codes = rng.integers(0, 3, size=40).astype(np.int8)
@@ -174,9 +171,7 @@ def test_record_block_matches_sequential_record(seed):
 
     assert blocked.serials() == sequential.serials()
     assert blocked.snapshot() == sequential.snapshot()
-    for serial in sequential.serials():
-        assert np.array_equal(blocked.history_of(serial),
-                              sequential.history_of(serial))
+    assert blocked.dump_state() == sequential.dump_state()
     # The eviction clock advanced identically (max hour per drive).
     for cutoff in (0, 25, 51):
         assert (blocked.evict_idle(cutoff)
@@ -297,12 +292,12 @@ def test_duplicate_and_out_of_order_tick_parity(monitor_parts):
                    for _, _, r in samples]))
     _assert_alerts_equal(block.alerts(), expected)
 
-    # Post-tick drive state agrees too: levels and ring contents.
+    # Post-tick drive state agrees too: level, retained count, clock.
     assert columnar.state.serials() == scalar.state.serials()
     for serial in scalar.state.serials():
         assert columnar.level_of(serial) is scalar.level_of(serial)
-        assert np.array_equal(columnar.history_of(serial),
-                              scalar.history_of(serial))
+        assert (_drive_state(columnar.state, serial)
+                == _drive_state(scalar.state, serial))
 
 
 def test_reappearance_after_eviction_parity(monitor_parts):
@@ -327,8 +322,9 @@ def test_reappearance_after_eviction_parity(monitor_parts):
         np.vstack([np.asarray(r, dtype=np.float64).ravel()
                    for _, _, r in reappear]))
     _assert_alerts_equal(actual, expected)
-    assert np.array_equal(columnar.history_of(profile.serial),
-                          scalar.history_of(profile.serial))
+    assert (_drive_state(columnar.state, profile.serial)
+            == _drive_state(scalar.state, profile.serial))
+    assert _drive_state(columnar.state, profile.serial)[1] == 2
     assert columnar.state.drives_evicted == 1
 
 
@@ -367,8 +363,7 @@ def test_dump_state_round_trips_exactly():
     assert twin.drives_evicted == store.drives_evicted
     for serial in store.serials():
         assert twin.level_of(serial) is store.level_of(serial)
-        assert np.array_equal(twin.history_of(serial),
-                              store.history_of(serial))
+        assert _drive_state(twin, serial) == _drive_state(store, serial)
     # The twin's own dump is identical — dumps are a fixed point.
     assert json.dumps(twin.dump_state(), sort_keys=True) \
         == json.dumps(payload, sort_keys=True)
@@ -400,8 +395,7 @@ def test_restored_store_continues_identically_under_blocks():
     twin.record_block(serials, matrix, levels, hours)
     assert json.dumps(twin.dump_state(), sort_keys=True) \
         == json.dumps(store.dump_state(), sort_keys=True)
-    assert np.array_equal(twin.history_of("after"),
-                          store.history_of("after"))
+    assert _drive_state(twin, "after") == (int(levels[3]), 3, 11)
 
 
 def test_empty_store_round_trips():
@@ -422,12 +416,19 @@ def test_restore_rejects_malformed_payloads():
                        "drives": {}})
     with pytest.raises(ReproError, match="malformed state dump"):
         store.restore({"kind": "columnar"})
+    for row, retained in ((5, 1), (0, 4), (0, -1)):
+        with pytest.raises(ReproError, match="outside the dumped layout"):
+            store.restore({"kind": "columnar", "history_hours": 3,
+                           "capacity": 1, "n_attributes": 2, "free": [],
+                           "drives": {"d": {"row": row, "level": 0,
+                                            "last_hour": 0,
+                                            "retained": retained}}})
     with pytest.raises(ReproError, match="outside the dumped layout"):
         store.restore({"kind": "columnar", "history_hours": 3,
                        "capacity": 1, "n_attributes": 2, "free": [],
-                       "drives": {"d": {"row": 5, "level": 0,
+                       "drives": {"d": {"row": 0, "level": 0,
                                         "last_hour": 0,
-                                        "window": [[0.0, 0.0]]}}})
+                                        "window": [[0.0, 0.0]] * 4}}})
     with pytest.raises(ReproError, match="malformed state dump"):
         ColumnStateStore.from_snapshot({"kind": "columnar"})
 
@@ -439,9 +440,59 @@ def test_deque_store_round_trips_exactly():
     assert twin.serials() == deque_store.serials()
     for serial in deque_store.serials():
         assert twin.level_of(serial) is deque_store.level_of(serial)
-        assert np.array_equal(twin.history_of(serial),
-                              deque_store.history_of(serial))
+        assert _drive_state(twin, serial) == _drive_state(deque_store,
+                                                          serial)
     assert json.dumps(twin.dump_state(), sort_keys=True) \
         == json.dumps(payload, sort_keys=True)
     with pytest.raises(ReproError, match="'columnar'"):
         twin.restore({"kind": "columnar", "history_hours": 4})
+
+
+def test_dump_state_is_a_few_bytes_per_drive():
+    """Schema 2 carries no record values: each drive's JSON entry is
+    bounded whatever ``history_hours`` and the record width are."""
+    store = ColumnStateStore(48)
+    rng = np.random.default_rng(2)
+    serials = [f"ZA{index:08d}" for index in range(300)]
+    for hour in range(60):
+        store.record_block(serials, rng.normal(size=(300, 12)),
+                           rng.integers(0, 3, size=300).astype(np.int8),
+                           [10 ** 6 + hour] * 300)
+    payload = store.dump_state()
+    assert payload["schema"] == 2
+    for serial, entry in payload["drives"].items():
+        assert sorted(entry) == ["last_hour", "level", "retained", "row"]
+        assert entry["retained"] == 48
+        assert len(json.dumps({serial: entry})) < 128
+
+
+def _schema1_payload(kind):
+    """A dump as written before the record windows were dropped."""
+    window = [[0.25, -1.0], [0.5, 2.0]]
+    drive = {"level": 2, "last_hour": 41, "window": window}
+    payload = {"schema": 1, "kind": kind, "history_hours": 3,
+               "drives_evicted": 4,
+               "drives": {"old-a": dict(drive, row=1),
+                          "old-b": dict(drive, row=0, level=0,
+                                        window=window[:1])}}
+    if kind == "columnar":
+        payload.update(initial_rows=2, n_attributes=2, capacity=2, free=[])
+    else:
+        for entry in payload["drives"].values():
+            del entry["row"]
+    return payload
+
+
+@pytest.mark.parametrize("store_cls,kind", [(ColumnStateStore, "columnar"),
+                                            (DriveStateStore, "deque")])
+def test_schema1_dump_restores(store_cls, kind):
+    """A WAL snapshot written before schema 2 still recovers: each
+    drive's window length becomes its retained count."""
+    store = store_cls.from_snapshot(_schema1_payload(kind))
+    assert store.serials() == ["old-a", "old-b"]
+    assert _drive_state(store, "old-a") == (2, 2, 41)
+    assert _drive_state(store, "old-b") == (0, 1, 41)
+    assert store.drives_evicted == 4
+    assert store.dump_state()["schema"] == 2
+    store.record("old-a", np.zeros(2), AlertLevel.HEALTHY, hour=42)
+    assert _drive_state(store, "old-a") == (0, 3, 42)

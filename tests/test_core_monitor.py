@@ -72,9 +72,9 @@ def test_history_rolls(monitor_parts):
     profile = fleet.dataset.good_profiles[0]
     for hour, row in zip(profile.hours[:10], profile.matrix[:10]):
         monitor.observe(profile.serial, int(hour), row)
-    assert monitor.history_of(profile.serial).shape[0] == 5
-    with pytest.raises(ReproError):
-        monitor.history_of("never-seen")
+    drives = monitor.state.snapshot()["drives"]
+    assert drives == {profile.serial: {
+        "level": monitor.level_of(profile.serial).name, "retained": 5}}
 
 
 def test_untrained_predictor_rejected(monitor_parts):

@@ -1,13 +1,17 @@
 """Live tests for the telemetry HTTP server on an ephemeral port."""
 
+import http.client
 import json
+import socket
+import time
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
 import pytest
 
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE
-from repro.obs.http import HttpReply, ServerHandle, TelemetryHTTPServer
+from repro.obs.http import (HttpReply, ServerHandle, TelemetryHTTPServer,
+                            _TelemetryRequestHandler)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 
@@ -205,3 +209,80 @@ def test_post_requests_count_under_their_own_label(post_server):
     snapshot = registry.snapshot()
     assert snapshot['telemetry_requests{endpoint="echo"}']["value"] == 1
     assert snapshot['telemetry_requests{endpoint="other"}']["value"] == 1
+
+
+# -- reply transport ---------------------------------------------------------
+
+class _CountingSocket:
+    """Server-side socket proxy recording every ``send``/``sendall``."""
+
+    def __init__(self, sock, writes):
+        self._sock = sock
+        self._writes = writes
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def makefile(self, *args, **kwargs):
+        # socket.makefile wraps ``self``, so the file's writes come back
+        # through the counting send below.
+        return socket.socket.makefile(self, *args, **kwargs)
+
+    def send(self, data, *flags):
+        self._writes.append(bytes(data))
+        return self._sock.send(data, *flags)
+
+    def sendall(self, data, *flags):
+        self._writes.append(bytes(data))
+        return self._sock.sendall(data, *flags)
+
+
+def test_each_reply_is_one_socket_write(post_server, live_server,
+                                        monkeypatch):
+    """Status line, headers and body leave in one write: a separate
+    body write would wait out the client's delayed ACK under Nagle."""
+    writes = []
+    setup = _TelemetryRequestHandler.setup
+
+    def counting_setup(handler):
+        handler.request = _CountingSocket(handler.request, writes)
+        setup(handler)
+
+    monkeypatch.setattr(_TelemetryRequestHandler, "setup", counting_setup)
+    for server, method, path, status in (
+            (post_server[0], "POST", "/echo", 201),
+            (post_server[0], "POST", "/nope", 404),
+            (live_server[0], "GET", "/metrics", 200),
+            (live_server[0], "GET", "/health", 200)):
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=5)
+        for _ in range(3):  # keep-alive: one write per reply, every time
+            before = len(writes)
+            connection.request(method, path, body=b"x" if method == "POST"
+                               else None)
+            reply = connection.getresponse()
+            body = reply.read()
+            assert reply.status == status, (method, path)
+            assert len(writes) == before + 1, (method, path)
+            assert writes[-1].startswith(b"HTTP/1.1 ")
+            assert writes[-1].endswith(body)
+        connection.close()
+
+
+def test_keep_alive_posts_do_not_stall(post_server):
+    """50 keep-alive POSTs take milliseconds, not 50 delayed-ACK waits
+    (~40 ms each when a reply went out as headers, then body)."""
+    server, _registry, _calls = post_server
+    connection = http.client.HTTPConnection(server.host, server.port,
+                                            timeout=5)
+    connection.request("POST", "/echo", body=b"warm-up")
+    connection.getresponse().read()
+    started = time.perf_counter()
+    for index in range(50):
+        connection.request("POST", "/echo", body=str(index).encode())
+        reply = connection.getresponse()
+        assert reply.status == 201
+        reply.read()
+    elapsed = time.perf_counter() - started
+    connection.close()
+    assert elapsed < 1.0, f"50 keep-alive POSTs took {elapsed:.2f} s"

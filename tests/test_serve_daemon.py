@@ -147,6 +147,34 @@ def test_malformed_bodies_are_400(bundle):
                 in metrics)
 
 
+def test_non_finite_values_are_400_naming_the_sample(bundle, samples):
+    """``json.loads`` accepts NaN/Infinity; ingest refuses them with a
+    400 naming the first offending sample (JSON) or line (JSONL) and
+    scores nothing of the batch — refusal, not quarantine."""
+    batch = samples[:6]
+    rows = [[serial, hour, list(values)] for serial, hour, values in batch]
+    rows[2][2][1] = float("nan")
+    rows[4][2][0] = float("inf")
+    document = json.dumps({"samples": rows}).encode("utf-8")
+    jsonl = ("\n" + "".join(
+        json.dumps({"serial": serial, "hour": hour, "values": values}) + "\n"
+        for serial, hour, values in rows)).encode("utf-8")
+    assert b"NaN" in document and b"Infinity" in jsonl
+    cases = (("/ingest", document, "sample 2"),
+             ("/ingest?format=jsonl", jsonl, "line 4"),
+             ("/ingest", jsonl, "line 4"))
+    with ServingDaemon(bundle) as daemon:
+        for path, body, where in cases:
+            status, _headers, reply = _post(daemon.url + path, body)
+            assert status == 400, path
+            assert json.loads(reply)["error"] == (
+                f"malformed batch: {where}: non-finite value")
+        assert daemon.samples_accepted == 0
+        metrics = _get(daemon.url + "/metrics")[2]
+        assert ('repro_ingest_requests_total{outcome="bad_request"} 3'
+                in metrics)
+
+
 # -- backpressure -----------------------------------------------------------
 
 def test_saturated_shard_answers_429_with_retry_after(bundle, samples):

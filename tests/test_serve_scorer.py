@@ -1,5 +1,8 @@
 """Tests for the streaming scorer — the byte-identity golden contract."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,8 @@ from repro.core.prediction import DegradationPredictor
 from repro.errors import ServeError
 from repro.obs.observer import TelemetryObserver
 from repro.serve.bundle import build_bundle, load_bundle, save_bundle
-from repro.serve.scorer import MonitorVerdict, StreamScorer, replay_fleet
+from repro.serve.scorer import (MonitorVerdict, StreamScorer, _ReplayTask,
+                                replay_fleet)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +136,45 @@ def test_parallel_replay_is_byte_identical(loaded_bundle, stream_profiles,
     parallel = replay_fleet(loaded_bundle, stream_profiles,
                             n_jobs=n_jobs, backend=backend)
     assert [_lines(v) for v in serial] == [_lines(v) for v in parallel]
+
+
+def test_thread_replay_is_byte_identical_every_time(loaded_bundle,
+                                                   stream_profiles):
+    """Pool threads share one replay task but never one scorer: a
+    shared state store raced under the thread backend, so one lucky run
+    proved nothing.  Twenty in a row, with thread switches forced often,
+    must all match the serial replay."""
+    serial = [_lines(v) for v in replay_fleet(loaded_bundle, stream_profiles)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            parallel = replay_fleet(loaded_bundle, stream_profiles,
+                                    n_jobs=2, backend="thread")
+            assert [_lines(v) for v in parallel] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_replay_task_builds_one_scorer_per_thread(loaded_bundle,
+                                                  stream_profiles):
+    """The deterministic half of the race above: two threads calling
+    one task never share a scorer (or its state store)."""
+    task = _ReplayTask(loaded_bundle.to_payload())
+    scorers = []
+
+    def replay(profile):
+        task(profile)
+        scorers.append(task._local.scorer)
+
+    threads = [threading.Thread(target=replay, args=(profile,))
+               for profile in stream_profiles[:2]]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert len(scorers) == 2 and scorers[0] is not scorers[1]
 
 
 def test_replay_fleet_preserves_input_order(loaded_bundle, stream_profiles):
