@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Run every tier-2 perf bench, then the benchmark of record (perfbench/:
-# its own tests and one untraced fleet-tick run, whose report ends in one
-# JSON line), and diff the fresh recordings against the committed
-# baselines with scripts/compare_bench.py.
+# its own tests and one untraced run of each workload, fleet-tick and
+# offline, whose reports each end in one JSON line), and diff the fresh
+# recordings against the committed baselines with scripts/compare_bench.py.
 #
 # Usage, from the repository root:
 #
@@ -37,6 +37,7 @@ python -m pytest $PERF_BENCHES -q -m tier2
 
 python3 -m pytest perfbench/tests -q
 python3 perfbench/run.py --workload fleet-tick --trace 0
+python3 perfbench/run.py --workload offline --trace 0
 
 [ "${1:-}" = "--no-diff" ] && exit 0
 

@@ -285,7 +285,7 @@ def run(args: argparse.Namespace) -> int:
                 "--export-model needs the trained predictors; drop "
                 "--no-prediction"
             )
-        bundle = build_bundle(report, seed=args.seed)
+        bundle = build_bundle(report, predictor=report.predictor)
         save_bundle(bundle, args.export_model, observer=observer)
         print(f"model bundle written to {args.export_model}")
     if args.trace:

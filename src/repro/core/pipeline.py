@@ -70,6 +70,9 @@ class CharacterizationReport:
     signatures: dict[str, DegradationSignature]
     group_summaries: dict[FailureType, GroupSignatureSummary]
     predictions: dict[FailureType, PredictionReport] = field(default_factory=dict)
+    #: The fitted Table III trees behind ``predictions`` (``None`` when
+    #: the prediction stage is off); ``build_bundle`` exports them as is.
+    predictor: DegradationPredictor | None = None
 
     def signature_of(self, serial: str) -> DegradationSignature:
         try:
@@ -231,6 +234,7 @@ class CharacterizationPipeline:
                     )
 
             predictions: dict[FailureType, PredictionReport] = {}
+            predictor = None
             if self._run_prediction:
                 predictor = DegradationPredictor(seed=self._seed,
                                                  observer=obs)
@@ -247,6 +251,7 @@ class CharacterizationPipeline:
                 signatures=signatures,
                 group_summaries=summaries,
                 predictions=predictions,
+                predictor=predictor,
             )
 
     @contextmanager

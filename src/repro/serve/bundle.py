@@ -338,9 +338,10 @@ def build_bundle(report: CharacterizationReport,
         ``dataset`` must carry the fitted normalizer, as every report
         from a raw input does).
     predictor:
-        A trained :class:`DegradationPredictor`.  ``None`` trains one
-        here on the report's dataset and categorization — the same
-        protocol the pipeline's prediction stage runs.
+        A trained :class:`DegradationPredictor`, usually the pipeline's
+        own ``report.predictor``.  ``None`` trains one here on the
+        report's dataset and categorization — the same protocol the
+        pipeline's prediction stage runs.
     normalizer:
         Overrides the report dataset's scaler (required only when the
         pipeline consumed an already-normalized dataset, which carries

@@ -66,7 +66,7 @@ from repro.obs.observer import (
 from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder
 from repro.serve.bundle import content_hash, load_bundle
 from repro.serve.daemon import ServingDaemon
-from repro.serve.scorer import MonitorVerdict, StreamScorer, replay_fleet
+from repro.serve.scorer import StreamScorer, VerdictBlock, replay_fleet
 from repro.serve.shard import (DEFAULT_QUEUE_CAPACITY,
                                DEFAULT_SNAPSHOT_INTERVAL_BLOCKS)
 from repro.serve.sinks import parse_sink_spec, reprocess_dead_letter
@@ -75,9 +75,9 @@ from repro.serve.watch import WatchService
 from repro.sim.config import FleetConfig
 from repro.sim.fleet import simulate_fleet
 
-#: Samples scored per ``push_many`` batch on the ``score`` stream — one
-#: normalizer pass and one tree pass per group per batch, while keeping
-#: arrival-order latency bounded.
+#: Rows per column block on the ``score`` stream — one normalizer pass
+#: and one tree pass per group per block, while keeping arrival-order
+#: latency bounded.
 STREAM_BATCH_SIZE = 256
 
 
@@ -266,14 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_sample_stream(handle: IO[str], attributes: tuple[str, ...],
-                       ) -> Iterator[tuple[str, int, np.ndarray]]:
-    """Parse a ``serial,hour,<attributes>`` CSV stream into samples.
+def read_sample_blocks(handle: IO[str], attributes: tuple[str, ...],
+                       size: int = STREAM_BATCH_SIZE,
+                       ) -> Iterator[tuple[list[str], list[int], np.ndarray]]:
+    """Parse a ``serial,hour,<attributes>`` CSV stream into column blocks.
 
-    The header must name exactly the bundle's attribute columns, in
-    order — a scorer fed columns in another drive's convention would
-    silently produce garbage stages, so the mismatch is a hard
-    :class:`~repro.errors.ServeError` instead.
+    Yields ``(serials, hours, matrix)`` blocks of up to ``size`` rows
+    (a float64 ``(rows, attributes)`` matrix), ready for
+    :meth:`~repro.serve.scorer.StreamScorer.score_block`.  The header
+    must name exactly the bundle's attribute columns, in order — a
+    scorer fed columns in another drive's convention would silently
+    produce garbage stages, so the mismatch is a hard
+    :class:`~repro.errors.ServeError` instead.  So are a wrong field
+    count, an unparseable value and a non-finite one (``nan``/``inf``),
+    each naming its line; nothing of a refused block is scored.
     """
     reader = csv.reader(handle)
     try:
@@ -286,6 +292,22 @@ def read_sample_stream(handle: IO[str], attributes: tuple[str, ...],
             f"sample stream header {header!r} does not match the "
             f"bundle's feature space {expected!r}"
         )
+    serials: list[str] = []
+    hours: list[int] = []
+    values: list[list[float]] = []
+    line_numbers: list[int] = []
+
+    def block() -> tuple[list[str], list[int], np.ndarray]:
+        matrix = np.array(values, dtype=np.float64)
+        finite = np.isfinite(matrix)
+        if not finite.all():
+            row, column = np.argwhere(~finite)[0]
+            raise ServeError(
+                f"sample stream line {line_numbers[row]}: column "
+                f"{attributes[column]!r} is not finite "
+                f"({float(matrix[row, column])!r})")
+        return serials, hours, matrix
+
     for line_number, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -295,25 +317,32 @@ def read_sample_stream(handle: IO[str], attributes: tuple[str, ...],
                 f"expected {len(expected)}"
             )
         try:
-            hour = int(row[1])
-            values = np.asarray([float(v) for v in row[2:]],
-                                dtype=np.float64)
+            hours.append(int(row[1]))
+            values.append(list(map(float, row[2:])))
         except ValueError as error:
             raise ServeError(
                 f"sample stream line {line_number}: {error}") from error
-        yield row[0], hour, values
+        serials.append(row[0])
+        line_numbers.append(line_number)
+        if len(serials) >= size:
+            yield block()
+            serials, hours, values, line_numbers = [], [], [], []
+    if serials:
+        yield block()
 
 
-def _write_verdicts(verdicts: list[MonitorVerdict], sink: IO[str], *,
+def _write_verdicts(block: VerdictBlock, sink: IO[str], *,
                     alerts_only: bool) -> int:
-    """Emit verdicts as JSONL; returns the number of lines written."""
-    written = 0
-    for verdict in verdicts:
-        if alerts_only and not verdict.alerting:
-            continue
-        sink.write(verdict.to_json_line() + "\n")
-        written += 1
-    return written
+    """Emit a block's verdicts as JSONL; returns the number of lines written.
+
+    One columnar encode (:meth:`VerdictBlock.to_json_lines`) and one
+    write per block; ``alerts_only`` keeps the WATCH/CRITICAL rows.
+    """
+    lines = block.to_json_lines(block.alerting_rows() if alerts_only
+                                else None)
+    if lines:
+        sink.write("\n".join(lines) + "\n")
+    return len(lines)
 
 
 def run_score(args: argparse.Namespace,
@@ -324,16 +353,10 @@ def run_score(args: argparse.Namespace,
 
     def score_stream(source: IO[str], sink: IO[str]) -> int:
         lines = 0
-        batch: list[tuple[str, int, np.ndarray]] = []
         with observer.span("score-stream"):
-            for sample in read_sample_stream(source, bundle.attributes):
-                batch.append(sample)
-                if len(batch) >= STREAM_BATCH_SIZE:
-                    lines += _write_verdicts(scorer.push_many(batch), sink,
-                                             alerts_only=args.alerts_only)
-                    batch.clear()
-            lines += _write_verdicts(scorer.push_many(batch), sink,
-                                     alerts_only=args.alerts_only)
+            for columns in read_sample_blocks(source, bundle.attributes):
+                lines += _write_verdicts(scorer.score_block(*columns), sink,
+                                         alerts_only=args.alerts_only)
         return lines
 
     source = sys.stdin if args.input == "-" else open(args.input, newline="")
@@ -363,22 +386,14 @@ def run_watch(args: argparse.Namespace,
 
     def watch_stream(source: IO[str], sink: IO[str]) -> int:
         lines = 0
-        batch: list[tuple[str, int, np.ndarray]] = []
-
-        def flush() -> int:
-            verdicts = service.score_batch(batch)
-            batch.clear()
-            if args.throttle > 0:
-                time.sleep(args.throttle)
-            return _write_verdicts(verdicts, sink,
-                                   alerts_only=args.alerts_only)
-
         with observer.span("watch-stream"):
-            for sample in read_sample_stream(source, bundle.attributes):
-                batch.append(sample)
-                if len(batch) >= batch_size:
-                    lines += flush()
-            lines += flush()
+            for columns in read_sample_blocks(source, bundle.attributes,
+                                              batch_size):
+                block = service.score_batch(*columns)
+                if args.throttle > 0:
+                    time.sleep(args.throttle)
+                lines += _write_verdicts(block, sink,
+                                         alerts_only=args.alerts_only)
         return lines
 
     source = sys.stdin if args.input == "-" else open(args.input, newline="")
@@ -555,12 +570,13 @@ def run_replay(args: argparse.Namespace,
     n_alerts = sum(1 for verdicts in per_profile
                    for verdict in verdicts if verdict.alerting)
     if args.output:
+        written = 0
         with open(args.output, "w") as sink:
-            written = sum(
-                _write_verdicts(verdicts, sink,
-                                alerts_only=args.alerts_only)
-                for verdicts in per_profile
-            )
+            for verdicts in per_profile:
+                for verdict in verdicts:
+                    if verdict.alerting or not args.alerts_only:
+                        sink.write(verdict.to_json_line() + "\n")
+                        written += 1
         print(f"{written} verdicts written to {args.output}")
     throughput = n_samples / elapsed if elapsed > 0 else float("inf")
     print(f"replayed {n_samples} samples from {len(profiles)} drives "

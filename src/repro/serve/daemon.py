@@ -404,9 +404,8 @@ class ServingDaemon:
         self._observer.count("ingest_samples", len(block))
         wanted = query.get("verdicts")
         if wanted in ("all", "alerts"):
-            lines = (block.to_json_lines() if wanted == "all"
-                     else [block.verdict_at(int(row)).to_json_line()
-                           for row in block.alerting_rows()])
+            lines = block.to_json_lines(
+                None if wanted == "all" else block.alerting_rows())
             body_out = "".join(line + "\n" for line in lines).encode("utf-8")
             return HttpReply(200, body_out,
                              content_type="application/jsonl; charset=utf-8")

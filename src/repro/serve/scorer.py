@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ import numpy as np
 from repro.core.columnar import AlertBlock, ColumnStateStore
 from repro.core.monitor import (AlertLevel, DegradationAlert,
                                 DegradationMonitor, DriveStateStore)
+from repro.core.rescue import RescueEstimate, rescue_estimate
 from repro.core.serialize import canonical_json_line
 from repro.core.taxonomy import FailureType
 from repro.errors import ServeError
@@ -80,17 +82,8 @@ class MonitorVerdict:
     @classmethod
     def from_alert(cls, alert: DegradationAlert) -> "MonitorVerdict":
         """Wrap one monitor alert (the sole constructor used in serving)."""
-        return cls(
-            serial=alert.serial,
-            hour=alert.hour,
-            level=alert.level.name,
-            stage=alert.stage,
-            likely_type=alert.likely_type.name,
-            hours_remaining=alert.hours_remaining,
-            stages={t.name: e.stage for t, e in alert.estimates.items()},
-            remaining={t.name: e.hours_remaining
-                       for t, e in alert.estimates.items()},
-        )
+        return _verdict(alert.serial, alert.hour, alert.level,
+                        alert.likely_type, alert.estimates)
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "MonitorVerdict":
@@ -150,6 +143,50 @@ class MonitorVerdict:
         return canonical_json_line(self.to_dict())
 
 
+def _verdict(serial: str, hour: int, level: AlertLevel,
+             likely_type: FailureType,
+             estimates: dict[FailureType, RescueEstimate]) -> MonitorVerdict:
+    """A verdict from its parts; the likely type's estimate is the headline."""
+    likely = estimates[likely_type]
+    return MonitorVerdict(
+        serial=serial,
+        hour=hour,
+        level=level.name,
+        stage=likely.stage,
+        likely_type=likely_type.name,
+        hours_remaining=likely.hours_remaining,
+        stages={t.name: e.stage for t, e in estimates.items()},
+        remaining={t.name: e.hours_remaining for t, e in estimates.items()},
+    )
+
+
+#: Head of a canonical verdict line up to its hour value (``"hour"``
+#: sorts first among the verdict's keys).
+_LINE_HEAD = '{"hour":'
+#: The serial's key; ``"serial"`` sorts between ``"remaining"`` and
+#: ``"stage"``, so the line splits around its value.
+_SERIAL_KEY = '"serial":'
+
+
+def _line_fragments(stages: list[float], likely: int, code: int,
+                    types: tuple[FailureType, ...]) -> tuple[str, str]:
+    """The serial-free pieces of every line sharing one leaf combination.
+
+    Renders a verdict with hour 0 and an empty serial through the
+    canonical encoder and cuts it around those two values: the middle
+    runs from ``,"hours_remaining"`` up to ``"serial":``, the tail from
+    ``,"stage"`` to the closing brace.  The rescue inversion is the
+    scalar :func:`~repro.core.rescue.rescue_estimate`, as on every
+    other path.
+    """
+    estimates = {failure_type: rescue_estimate(stage, failure_type)
+                 for failure_type, stage in zip(types, stages)}
+    line = canonical_json_line(_verdict("", 0, AlertLevel(code),
+                                        types[likely], estimates).to_dict())
+    cut = line.index(_SERIAL_KEY + '""') + len(_SERIAL_KEY)
+    return line[len(_LINE_HEAD + "0"):cut], line[cut + len('""'):]
+
+
 @dataclass(frozen=True, slots=True)
 class VerdictBlock:
     """Struct-of-arrays verdicts for one scored columnar batch.
@@ -159,9 +196,9 @@ class VerdictBlock:
     instead of verdict objects.  Summary counts and alerting-row lookups are
     array ops; :class:`MonitorVerdict` objects are built only on demand
     — per alerting row for sink delivery, or for every row when a
-    caller explicitly materializes (``verdicts()`` /
-    ``to_json_lines()``, whose output is byte-identical to the
-    per-sample ``push`` path).
+    caller explicitly materializes (``verdicts()``).  ``to_json_lines()``
+    renders JSONL straight from the columns, byte-identical to the
+    per-sample ``push`` path, without building any.
     """
 
     block: AlertBlock
@@ -195,10 +232,48 @@ class VerdictBlock:
         """Materialize every row — the compatibility slow path."""
         return [self.verdict_at(row) for row in range(len(self.block))]
 
-    def to_json_lines(self) -> list[str]:
-        """Canonical JSON line per row, byte-identical to ``push``."""
-        return [self.verdict_at(row).to_json_line()
-                for row in range(len(self.block))]
+    def to_json_lines(self, rows: Sequence[int] | np.ndarray | None = None,
+                      ) -> list[str]:
+        """Canonical JSON line per row, byte-identical to ``push``.
+
+        ``rows`` selects and orders the rows (all of them by default).
+        The encoder is columnar: every field except ``hour`` and
+        ``serial`` depends only on the row's stage vector, likely type
+        and level, so each distinct combination is rendered once per
+        call (see :func:`_line_fragments`) and every line is the hour,
+        that combination's middle fragment, the JSON-escaped serial and
+        its tail.  Keys compare stage *bits*, so ``0.0`` and ``-0.0``
+        (equal as floats, different on the wire) never share a line.
+        """
+        block = self.block
+        if rows is None:
+            serials, hours = block.serials, block.hours
+            stages = block.stages
+            likely, codes = block.likely_indices, block.level_codes
+        else:
+            rows = np.asarray(rows, dtype=np.int64)
+            serials = [block.serials[row] for row in rows.tolist()]
+            hours = block.hours[rows]
+            stages = block.stages[:, rows]
+            likely, codes = block.likely_indices[rows], block.level_codes[rows]
+        if not serials:
+            return []
+        keys = np.column_stack((
+            np.ascontiguousarray(stages.T).view(np.uint64),
+            likely.astype(np.uint64), codes.astype(np.uint64)))
+        _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+        fragments = [
+            _line_fragments(stages[:, row].tolist(), int(likely[row]),
+                            int(codes[row]), block.types)
+            for row in first.tolist()
+        ]
+        return [
+            f"{_LINE_HEAD}{hour}{fragments[key][0]}"
+            f"{encode_basestring_ascii(serial)}{fragments[key][1]}"
+            for serial, hour, key in zip(serials, hours.tolist(),
+                                         inverse.reshape(-1).tolist())
+        ]
 
     @classmethod
     def empty(cls) -> "VerdictBlock":

@@ -24,7 +24,9 @@ service from the shell.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.errors import ServeError
 from repro.obs.http import TelemetryHTTPServer
@@ -32,7 +34,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import PipelineObserver, TelemetryObserver
 from repro.obs.recorder import FlightRecorder
 from repro.serve.bundle import BUNDLE_SCHEMA_VERSION, ModelBundle, content_hash
-from repro.serve.scorer import MonitorVerdict, Sample, StreamScorer
+from repro.serve.scorer import StreamScorer, VerdictBlock
 
 #: Recorder events shown inline in the ``/status`` payload; the full
 #: ring stays available at ``/recorder``.
@@ -99,27 +101,29 @@ class WatchService:
 
     # -- scoring ----------------------------------------------------------
 
-    def score_batch(self, samples: Iterable[Sample]) -> list[MonitorVerdict]:
-        """Score one batch and record its alerting verdicts.
+    def score_batch(self, serials: Sequence[str], hours: Sequence[int],
+                    matrix: np.ndarray) -> VerdictBlock:
+        """Score one column block and record its alerting verdicts.
 
-        Returns exactly :meth:`StreamScorer.push_many`'s verdicts —
-        the recorder and metrics are observers, never participants, so
-        a watched stream stays byte-identical to offline replay.
+        Returns exactly :meth:`StreamScorer.score_block`'s block — the
+        recorder and metrics are observers, never participants, so a
+        watched stream stays byte-identical to offline replay.  Only
+        the alerting rows are materialized (for the recorder).
         """
-        verdicts = self._scorer.push_many(samples)
-        for verdict in verdicts:
-            if verdict.alerting:
-                self.recorder.record(
-                    "alert",
-                    f"drive {verdict.serial} {verdict.level} "
-                    f"at hour {verdict.hour}",
-                    serial=verdict.serial,
-                    hour=verdict.hour,
-                    level=verdict.level,
-                    stage=verdict.stage,
-                    likely_type=verdict.likely_type,
-                )
-        return verdicts
+        block = self._scorer.score_block(serials, hours, matrix)
+        for row in block.alerting_rows().tolist():
+            verdict = block.verdict_at(row)
+            self.recorder.record(
+                "alert",
+                f"drive {verdict.serial} {verdict.level} "
+                f"at hour {verdict.hour}",
+                serial=verdict.serial,
+                hour=verdict.hour,
+                level=verdict.level,
+                stage=verdict.stage,
+                likely_type=verdict.likely_type,
+            )
+        return block
 
     # -- payloads ---------------------------------------------------------
 

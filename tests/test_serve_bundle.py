@@ -40,6 +40,15 @@ def test_bundle_captures_every_model_piece(bundle, mid_report):
         len(mid_report.dataset.failed_profiles)
 
 
+def test_pipeline_predictor_exports_the_same_bundle(bundle, mid_report):
+    """The pipeline's own fitted trees export byte-identically to a
+    bundle that refits them with the same seed."""
+    assert mid_report.predictor is not None
+    reused = build_bundle(mid_report, predictor=mid_report.predictor)
+    assert (content_hash(reused.to_payload())
+            == content_hash(bundle.to_payload()))
+
+
 def test_round_trip_is_exact(bundle, bundle_path, rng):
     loaded = load_bundle(bundle_path)
     assert loaded.to_payload() == bundle.to_payload()

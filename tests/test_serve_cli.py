@@ -72,21 +72,46 @@ def test_score_stream_to_jsonl(bundle_path, stream_csv, tmp_path, capsys):
         for profile in profiles
         for verdict in scorer.replay_profile(profile)
     ]
-    assert sorted(lines) == sorted(expected)
+    assert lines == expected
     first = json.loads(lines[0])
     assert {"serial", "hour", "level", "stage", "likely_type",
             "stages"} <= set(first)
 
 
 def test_score_alerts_only_filters(bundle_path, stream_csv, tmp_path):
-    path, _ = stream_csv
+    path, profiles = stream_csv
     out = tmp_path / "alerts.jsonl"
     assert serve_main(["score", "--bundle", str(bundle_path),
                        "--input", str(path), "--output", str(out),
                        "--alerts-only"]) == 0
-    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    lines = out.read_text().splitlines()
     assert lines   # the stream includes failed drives
-    assert all(line["level"] != "HEALTHY" for line in lines)
+    assert all(json.loads(line)["level"] != "HEALTHY" for line in lines)
+    # the oracle's alerting lines, in stream order
+    scorer = StreamScorer(load_bundle(bundle_path))
+    assert lines == [verdict.to_json_line()
+                     for profile in profiles
+                     for verdict in scorer.replay_profile(profile)
+                     if verdict.alerting]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_score_refuses_non_finite_values(bundle_path, value, tmp_path,
+                                         capsys):
+    bundle = load_bundle(bundle_path)
+    width = len(bundle.attributes)
+    bad = tmp_path / "non-finite.csv"
+    bad.write_text(
+        ",".join(["serial", "hour", *bundle.attributes]) + "\n"
+        + "D1,0," + ",".join(["0.5"] * width) + "\n"
+        + "D1,1," + ",".join(["0.5"] * (width - 1) + [value]) + "\n")
+    out = tmp_path / "verdicts.jsonl"
+    assert serve_main(["score", "--bundle", str(bundle_path),
+                       "--input", str(bad), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err
+    assert f"column {bundle.attributes[-1]!r} is not finite" in err
+    assert out.read_text() == ""
 
 
 def test_score_rejects_foreign_header(bundle_path, tmp_path, capsys):

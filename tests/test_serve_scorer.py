@@ -6,13 +6,15 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.columnar import AlertBlock
 from repro.core.monitor import AlertLevel, DegradationMonitor
 from repro.core.prediction import DegradationPredictor
+from repro.core.taxonomy import FailureType
 from repro.errors import ServeError
 from repro.obs.observer import TelemetryObserver
 from repro.serve.bundle import build_bundle, load_bundle, save_bundle
-from repro.serve.scorer import (MonitorVerdict, StreamScorer, _ReplayTask,
-                                replay_fleet)
+from repro.serve.scorer import (MonitorVerdict, StreamScorer, VerdictBlock,
+                                _ReplayTask, replay_fleet)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,59 @@ def test_score_block_matches_push_lazily(loaded_bundle, stream_profiles):
     for profile in stream_profiles:
         assert (columnar.level_of(profile.serial)
                 is one_by_one.level_of(profile.serial))
+
+
+def test_columnar_encoder_matches_scalar_oracle():
+    """``to_json_lines`` == per-row ``verdict_at(...).to_json_line()``.
+
+    A hand-built block covers every encoder edge: all three levels
+    (HEALTHY renders ``null`` remaining hours), a stage clipped below
+    -1, 0.0 and -0.0 side by side (equal floats, different bytes),
+    argmin ties resolved to different types, serials needing JSON
+    escapes, and repeated leaf combinations under different serials.
+    """
+    types = tuple(FailureType)
+    columns = [
+        # (serial, hour, per-type stages, likely index, level code)
+        ("plain", 0, (0.7, 0.2, 0.9), 1, 0),
+        ('quo"te', 1, (-0.3, 0.2, -0.1), 0, 1),
+        ("back\\slash", 2, (-1.7, -0.95, 0.4), 0, 2),
+        ("ctrl\x01\tchar", 3, (0.0, 0.5, 0.5), 0, 0),
+        ("non-ascii-\u00e9\u6f22", 4, (-0.0, 0.5, 0.5), 0, 0),
+        ("tie-first", 5, (-0.5, -0.5, 0.1), 0, 1),
+        ("tie-second", 6, (-0.5, -0.5, 0.1), 1, 1),
+        ("plain", 7, (-0.3, 0.2, -0.1), 0, 1),
+        ("other", 2**40, (1 / 3, -2 / 3, -1e-13), 1, 2),
+    ]
+    block = AlertBlock(
+        [serial for serial, *_ in columns],
+        np.array([hour for _, hour, *_ in columns], dtype=np.int64),
+        np.array([stages for _, _, stages, _, _ in columns],
+                 dtype=np.float64).T.copy(),
+        np.array([likely for *_, likely, _ in columns], dtype=np.int64),
+        np.array([code for *_, code in columns], dtype=np.int8),
+        types)
+    verdicts = VerdictBlock(block)
+
+    def oracle(rows):
+        return [verdicts.verdict_at(row).to_json_line() for row in rows]
+
+    everything = list(range(len(columns)))
+    lines = verdicts.to_json_lines()
+    assert lines == oracle(everything)
+    assert verdicts.to_json_lines(everything) == lines
+    assert verdicts.to_json_lines(np.array([8, 3, 4, 3])) == oracle(
+        [8, 3, 4, 3])
+    assert verdicts.to_json_lines(verdicts.alerting_rows()) == oracle(
+        verdicts.alerting_rows().tolist())
+    assert verdicts.to_json_lines([]) == []
+    assert VerdictBlock.empty().to_json_lines() == []
+    # the edges really are on the wire
+    assert '"hours_remaining":null' in lines[0]
+    assert '"LOGICAL":0.0' in lines[3] and '"LOGICAL":-0.0' in lines[4]
+    assert '"likely_type":"LOGICAL"' in lines[5]
+    assert '"likely_type":"BAD_SECTOR"' in lines[6]
+    assert '"serial":"non-ascii-\\u00e9\\u6f22"' in lines[4]
 
 
 def test_score_block_empty(loaded_bundle):

@@ -11,6 +11,7 @@ import csv
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import ServeError
@@ -59,7 +60,12 @@ def stream_samples(mid_fleet):
 
 
 def _batches(samples, size=64):
-    return [samples[i:i + size] for i in range(0, len(samples), size)]
+    """Column blocks ``(serials, hours, matrix)`` for ``score_batch``."""
+    return [([serial for serial, _, _ in batch],
+             [hour for _, hour, _ in batch],
+             np.vstack([row for _, _, row in batch]))
+            for batch in (samples[i:i + size]
+                          for i in range(0, len(samples), size))]
 
 
 def test_watch_verdicts_byte_identical_to_offline_replay(
@@ -70,10 +76,10 @@ def test_watch_verdicts_byte_identical_to_offline_replay(
                 for profile in profiles
                 for verdict in offline.replay_profile(profile)]
     with WatchService(loaded_bundle) as service:
-        watched = [verdict.to_json_line()
+        watched = [line
                    for batch in _batches(samples)
-                   for verdict in service.score_batch(batch)]
-    assert sorted(watched) == sorted(expected)
+                   for line in service.score_batch(*batch).to_json_lines()]
+    assert watched == expected
 
 
 def test_concurrent_scrapes_while_scoring(loaded_bundle, stream_samples):
@@ -92,7 +98,7 @@ def test_concurrent_scrapes_while_scoring(loaded_bundle, stream_samples):
         thread = threading.Thread(target=scraper, daemon=True)
         thread.start()
         for batch in _batches(samples):
-            service.score_batch(batch)
+            service.score_batch(*batch)
         stop.set()
         thread.join(timeout=10)
 
@@ -121,7 +127,7 @@ def test_flight_recorder_keeps_the_last_alerts(loaded_bundle,
     recorder = FlightRecorder(capacity=32)
     with WatchService(loaded_bundle, recorder=recorder) as service:
         for batch in _batches(samples):
-            service.score_batch(batch)
+            service.score_batch(*batch)
         alerts = recorder.events_of("alert")
         assert alerts
         assert alerts[-1].context.keys() == {
@@ -135,7 +141,7 @@ def test_status_tail_is_bounded(loaded_bundle, stream_samples):
     _profiles, samples = stream_samples
     with WatchService(loaded_bundle, status_tail=3) as service:
         for batch in _batches(samples):
-            service.score_batch(batch)
+            service.score_batch(*batch)
         payload = service.status_payload()
     assert len(payload["flight_recorder"]["tail"]) <= 3
 
@@ -193,6 +199,24 @@ def test_watch_cli_end_to_end(bundle_path, mid_fleet, loaded_bundle,
     metrics = json.loads(snapshot.read_text())["metrics"]
     n_samples = sum(len(profile.hours) for profile in profiles)
     assert metrics["samples_scored"]["value"] == n_samples
+
+
+def test_watch_cli_refuses_non_finite_values(bundle_path, loaded_bundle,
+                                            tmp_path, capsys):
+    """A NaN reading stops the stream with a typed refusal (exit 2)."""
+    attributes = loaded_bundle.attributes
+    bad = tmp_path / "non-finite.csv"
+    bad.write_text(
+        ",".join(["serial", "hour", *attributes]) + "\n"
+        + "D1,0," + ",".join(["nan"] + ["0.5"] * (len(attributes) - 1))
+        + "\n")
+    out = tmp_path / "watch.jsonl"
+    assert serve_main(["watch", "--bundle", str(bundle_path),
+                       "--input", str(bad), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"sample stream line 2: column {attributes[0]!r} is not "
+            f"finite (nan)") in err
+    assert out.read_text() == ""
 
 
 def test_replay_fleet_telemetry_matches_serial(loaded_bundle, mid_fleet):
