@@ -2,8 +2,8 @@
 
 The cheap tier pins the contract that makes the columnar path safe to
 ship: ``score_block`` over hour ticks serializes byte-identically to the
-per-sample ``push`` loop on the same stream.  ``test_perf_columnar_recorded``
-then measures the struct-of-arrays path — :meth:`StreamScorer.score_block`
+per-sample ``DegradationMonitor.observe`` oracle on the same stream.
+``test_perf_columnar_recorded`` then measures the struct-of-arrays path — :meth:`StreamScorer.score_block`
 with a :class:`~repro.core.columnar.ColumnStateStore`, no per-row verdict
 materialization — against the ``push_many`` baseline recorded by
 ``benchmarks/test_perf_serve.py`` on the same stream shape (200 drives,
@@ -23,6 +23,7 @@ from conftest import bench_environment
 from repro.core.serialize import canonical_json_dumps
 from repro.serve.bundle import build_bundle
 from repro.serve.scorer import StreamScorer
+from tests.oracle import oracle_lines
 
 
 def _best_of(fn, repeat=3):
@@ -93,10 +94,8 @@ def test_tick_blocks_cover_stream(columnar_stream, tick_blocks):
 
 def test_columnar_verdicts_match_push(columnar_bundle, columnar_stream,
                                       tick_blocks):
-    """Tick-batched ``score_block`` is byte-identical to ``push``."""
-    subset = columnar_stream[:2000]
-    sequential = StreamScorer(columnar_bundle)
-    expected = [sequential.push(*sample).to_json_line() for sample in subset]
+    """Tick-batched ``score_block`` is byte-identical to the oracle."""
+    expected = oracle_lines(columnar_bundle, columnar_stream[:2000])
     lines = _columnar_lines(columnar_bundle, tick_blocks,
                             len(columnar_stream))
     assert lines[:2000] == expected

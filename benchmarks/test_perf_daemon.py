@@ -2,8 +2,10 @@
 
 The cheap tier asserts the shard plane's byte-identity contract at
 bench scale.  ``test_perf_daemon_recorded`` measures columnar ingest
-throughput along the daemon's admission path — ``StreamScorer.push_block``
-as the unsharded baseline, :class:`~repro.serve.shard.ShardSet` at 1, 2
+throughput along the daemon's admission path — ``StreamScorer.score_block``
+with every verdict materialized as the unsharded baseline (recorded
+under the historical ``push_block`` keys),
+:class:`~repro.serve.shard.ShardSet` at 1, 2
 and 4 shards, and the full :class:`~repro.serve.daemon.ServingDaemon`
 ingest (sink fan-out and accounting included) — and writes the numbers
 to ``benchmarks/output/perf_daemon.json``.  On this 1-CPU container the
@@ -25,6 +27,7 @@ from repro.serve.bundle import build_bundle
 from repro.serve.daemon import ServingDaemon
 from repro.serve.scorer import StreamScorer
 from repro.serve.shard import ShardSet
+from tests.oracle import oracle_lines
 
 
 def _best_of(fn, repeat=3):
@@ -58,11 +61,11 @@ def columnar_stream(bench_fleet):
 def test_sharded_identity_at_bench_scale(daemon_bundle, columnar_stream):
     serials, hours, matrix = columnar_stream
     subset = slice(0, 2000)
-    expected = [v.to_json_line() for v in StreamScorer(daemon_bundle)
-                .push_block(serials[subset], hours[subset], matrix[subset])]
+    expected = oracle_lines(daemon_bundle, zip(
+        serials[subset], hours[subset], matrix[subset]))
     with ShardSet(daemon_bundle, n_shards=4) as shards:
-        actual = [v.to_json_line() for v in shards.submit(
-            serials[subset], hours[subset], matrix[subset])]
+        actual = [v.to_json_line() for v in shards.submit_block(
+            serials[subset], hours[subset], matrix[subset]).verdicts()]
     assert actual == expected
 
 
@@ -78,25 +81,25 @@ def test_perf_daemon_recorded(daemon_bundle, columnar_stream, artifact_dir):
     n_samples = len(serials)
 
     block_s = _best_of(
-        lambda: StreamScorer(daemon_bundle).push_block(serials, hours,
-                                                       matrix),
+        lambda: StreamScorer(daemon_bundle).score_block(
+            serials, hours, matrix).verdicts(),
         repeat=3)
 
     def sharded(n_shards):
         def run():
             with ShardSet(daemon_bundle, n_shards=n_shards) as shards:
-                shards.submit(serials, hours, matrix)
+                shards.submit_block(serials, hours, matrix).verdicts()
         return _best_of(run, repeat=3)
 
     shard_timings = {n: sharded(n) for n in (1, 2, 4)}
 
     def daemon_ingest():
         daemon = ServingDaemon(daemon_bundle, n_shards=4)
-        daemon.ingest(serials, hours, matrix)
+        daemon.ingest_block(serials, hours, matrix).verdicts()
         daemon.stop()
     daemon_s = _best_of(daemon_ingest, repeat=3)
 
-    # The shard plane rides on push_block; its tax is queue hops and
+    # The shard plane rides on score_block; its tax is queue hops and
     # verdict reassembly.  Keep it a bounded constant factor so a
     # regression in the hot path cannot hide behind "sharding is slow".
     overhead = shard_timings[4] / block_s

@@ -3,7 +3,9 @@
 The cheap tier runs on every invocation and asserts the serving layer's
 correctness contracts at bench scale.  ``test_perf_serve_recorded``
 additionally measures streaming-scorer throughput — batched
-``push_many`` against the per-sample ``push`` path, with byte-identical
+``push_many`` against the per-sample oracle loop
+(``DegradationMonitor.observe`` plus ``MonitorVerdict.from_alert``; its
+numbers keep the historical ``push_*`` keys), with byte-identical
 verdicts asserted before any timing counts — plus warm bundle-load
 latency, and writes the numbers to ``benchmarks/output/perf_serve.json``
 (the machine-relative ``speedup`` ratios are pinned by
@@ -21,6 +23,7 @@ from conftest import bench_environment
 from repro.core.serialize import canonical_json_dumps
 from repro.serve.bundle import build_bundle, load_bundle, save_bundle
 from repro.serve.scorer import StreamScorer, replay_fleet
+from tests.oracle import oracle_lines, oracle_monitor, oracle_verdicts
 
 
 def _best_of(fn, repeat=3):
@@ -61,10 +64,8 @@ def test_streamed_verdicts_match_at_bench_scale(serve_bundle_path,
                                                 stream_samples):
     _, samples = stream_samples
     bundle = load_bundle(serve_bundle_path)
-    sequential = StreamScorer(bundle)
     batched = StreamScorer(bundle)
-    expected = [sequential.push(*sample).to_json_line()
-                for sample in samples[:2000]]
+    expected = oracle_lines(bundle, samples[:2000])
     actual = [verdict.to_json_line()
               for verdict in batched.push_many(samples[:2000])]
     assert actual == expected
@@ -82,21 +83,17 @@ def test_perf_serve_recorded(serve_bundle_path, stream_samples,
     profiles, samples = stream_samples
     bundle = load_bundle(serve_bundle_path)
 
-    # 1) batched push_many vs the per-sample push loop — identical
+    # 1) batched push_many vs the per-sample oracle loop — identical
     #    verdicts first, then best-of timings on fresh scorers.
-    check_single = StreamScorer(bundle)
     check_batched = StreamScorer(bundle)
-    single_lines = [check_single.push(*sample).to_json_line()
-                    for sample in samples]
     batched_lines = [verdict.to_json_line()
                      for verdict in check_batched.push_many(samples)]
-    assert batched_lines == single_lines
+    assert batched_lines == oracle_lines(bundle, samples)
 
     def _push_loop():
-        # One fresh scorer per timed run (not per sample — constructing
-        # a scorer rebuilds its trees, which is not what "push" costs).
-        scorer = StreamScorer(bundle)
-        return [scorer.push(*sample) for sample in samples]
+        # One fresh monitor per timed run (not per sample — building
+        # one rebuilds its trees, which is not what a sample costs).
+        return oracle_verdicts(oracle_monitor(bundle), samples)
 
     push_s = _best_of(_push_loop, repeat=2)
     push_many_s = _best_of(

@@ -45,7 +45,7 @@ def main() -> None:
     for profile in live_fleet.dataset.profiles:
         first_watch = None
         first_critical = None
-        for alert in monitor.observe_profile(profile):
+        for alert in monitor.replay(profile):
             if first_watch is None and alert.level >= AlertLevel.WATCH:
                 first_watch = alert.hour
             if first_critical is None and alert.level is AlertLevel.CRITICAL:

@@ -1,11 +1,8 @@
 """Struct-of-arrays drive state and block verdicts for the hot path.
 
-The streaming monitor's original :class:`~repro.core.monitor.DriveStateStore`
-keeps per-drive state in Python dicts — clear, but every batch walks a
-Python loop.  At fleet scale (millions of drives, hourly ticks) the
-per-drive objects *are* the cost.
-
-This module is the columnar replacement:
+At fleet scale (millions of drives, hourly ticks) per-drive Python
+objects *are* the cost of streaming scoring, so the monitor's state and
+results are kept column-wise:
 
 * :class:`ColumnStateStore` — flat preallocated per-row arrays (level
   code, last hour, retained count) plus a serial→row map.  Rows are
@@ -20,11 +17,10 @@ This module is the columnar replacement:
   that only need counts (or only the rare alerting rows) never pay for
   per-sample Python objects.
 
-Both classes are byte-identity preserving: a
-:class:`~repro.core.monitor.DegradationMonitor` running on a
-:class:`ColumnStateStore` emits exactly the verdicts the dict-backed
-store produced, and ``AlertBlock.alerts()`` equals the scalar
-``observe`` loop bit for bit (pinned by ``tests/test_core_columnar.py``).
+Both classes are byte-identity preserving: ``record_block`` leaves the
+store exactly as the sequential ``record`` loop would, and
+``AlertBlock.alerts()`` equals the scalar ``observe`` loop bit for bit
+(pinned by ``tests/test_core_columnar.py``).
 """
 
 from __future__ import annotations
@@ -48,14 +44,13 @@ _NO_HOUR = np.iinfo(np.int64).min
 class ColumnStateStore:
     """Keyed per-drive monitoring state in struct-of-arrays layout.
 
-    A drop-in replacement for
-    :class:`~repro.core.monitor.DriveStateStore`: the scalar surface
-    (``record`` / ``level_of`` / ``drives_at`` / ``serials`` /
-    ``snapshot``) matches exactly, so the monitor's per-sample path runs
-    unchanged on either store.  On top of it sits the columnar surface
-    the batched kernel uses: :meth:`record_block` updates every drive
-    touched by a tick with fancy-indexed writes, and :meth:`evict_idle`
-    recycles the rows of drives not seen since a cutoff hour.
+    The scalar surface (``record`` / ``level_of`` / ``drives_at`` /
+    ``serials`` / ``snapshot``) serves the monitor's per-sample
+    reference path; ``record`` is also the sequential reference for the
+    columnar surface the batched kernel uses: :meth:`record_block`
+    updates every drive touched by a tick with fancy-indexed writes, and
+    :meth:`evict_idle` recycles the rows of drives not seen since a
+    cutoff hour.
 
     Layout
     ------
@@ -87,7 +82,7 @@ class ColumnStateStore:
         self._free: list[int] = []
         self._drives_evicted = 0
 
-    # -- scalar surface (DriveStateStore-compatible) ----------------------
+    # -- scalar surface ---------------------------------------------------
 
     @property
     def history_hours(self) -> int:
@@ -140,8 +135,10 @@ class ColumnStateStore:
     def snapshot(self) -> dict:
         """JSON-clean summary of every tracked drive, sorted by serial.
 
-        Field-compatible with the dict-backed store's snapshot, plus
-        the store's ``drives_evicted`` counter.
+        The drain/shutdown artifact: per drive, the last severity level
+        and how many records it retains, plus the store's
+        ``drives_evicted`` counter.  Deterministic for a given state, so
+        snapshots diff cleanly across runs.
         """
         from repro.core.monitor import AlertLevel
         drives = {}
@@ -199,7 +196,13 @@ class ColumnStateStore:
         row-recycling decisions.  A schema-1 dump (which carried each
         drive's record window) restores too: its window length is the
         retained count.
+
+        The dump is checked before anything is replaced: every live and
+        free row must lie inside the dumped capacity and belong to
+        exactly one owner, and every level must be an ``AlertLevel``
+        code, else :class:`~repro.errors.ReproError` names the row.
         """
+        from repro.core.monitor import AlertLevel
         try:
             if payload.get("kind") != "columnar":
                 raise ReproError(
@@ -209,38 +212,60 @@ class ColumnStateStore:
                 raise ReproError(
                     f"state dump retains {payload['history_hours']} hours, "
                     f"store was built for {self._history_hours}")
-            capacity = int(payload["capacity"])
             n_attributes = payload["n_attributes"]
+            if n_attributes is not None:
+                n_attributes = int(n_attributes)
+            capacity = 0 if n_attributes is None else int(payload["capacity"])
             free = [int(row) for row in payload["free"]]
-            drives = payload["drives"]
-        except (KeyError, TypeError, ValueError) as error:
+            initial_rows = int(payload.get("initial_rows",
+                                           self._initial_rows))
+            drives_evicted = int(payload.get("drives_evicted", 0))
+            drives = {
+                serial: (int(entry["row"]), int(entry["level"]),
+                         int(entry["last_hour"]),
+                         int(entry["retained"] if "retained" in entry
+                             else len(entry["window"])))
+                for serial, entry in payload["drives"].items()
+            }
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise ReproError(
                 f"malformed state dump for ColumnStateStore: {error}"
             ) from error
-        self._initial_rows = int(payload.get("initial_rows",
-                                             self._initial_rows))
-        self._drives_evicted = int(payload.get("drives_evicted", 0))
-        self._rows = {}
-        self._free = free
-        self._n_attributes = None
-        self._allocate(0)
-        if n_attributes is None:
-            return
-        self._n_attributes = int(n_attributes)
-        self._allocate(capacity)
-        for serial, entry in drives.items():
-            row = int(entry["row"])
-            retained = int(entry["retained"] if "retained" in entry
-                           else len(entry["window"]))
-            if not (0 <= row < capacity
-                    and 0 <= retained <= self._history_hours):
+        levels = {level.value for level in AlertLevel}
+        claims = [("the free list", row) for row in free]
+        claims += [(f"drive {serial!r}", entry[0])
+                   for serial, entry in drives.items()]
+        owners: dict[int, str] = {}
+        for owner, row in claims:
+            if not 0 <= row < capacity:
                 raise ReproError(
-                    f"state dump drive {serial!r} has row {row} / "
+                    f"state dump {owner} has row {row} outside the dumped "
+                    f"layout (capacity {capacity})")
+            if row in owners:
+                raise ReproError(
+                    f"state dump {owner} reuses row {row}, already held "
+                    f"by {owners[row]}")
+            owners[row] = owner
+        for serial, (row, level, _, retained) in drives.items():
+            if not 0 <= retained <= self._history_hours:
+                raise ReproError(
+                    f"state dump drive {serial!r} at row {row} has "
                     f"retained {retained} outside the dumped layout")
+            if level not in levels:
+                raise ReproError(
+                    f"state dump drive {serial!r} at row {row} has level "
+                    f"{level}, not an AlertLevel code")
+        self._initial_rows = initial_rows
+        self._drives_evicted = drives_evicted
+        self._n_attributes = n_attributes
+        self._allocate(capacity)
+        self._free = free
+        self._rows = {}
+        for serial, (row, level, last_hour, retained) in drives.items():
             self._rows[serial] = row
             self._counts[row] = retained
-            self._levels[row] = int(entry["level"])
-            self._last_hours[row] = int(entry["last_hour"])
+            self._levels[row] = level
+            self._last_hours[row] = last_hour
 
     @classmethod
     def from_snapshot(cls, payload: dict, *,

@@ -21,9 +21,7 @@ consumes the published artifact:
 * ``recover`` — offline crash-recovery tooling: replay a daemon's
   per-shard WAL directories (``--wal-dir``) the way a respawned worker
   would and print the recovered counters, and/or re-deliver a
-  dead-letter file (``--dead-letter``) through fresh sinks;
-* ``bench`` — measure bundle load latency and scoring throughput on a
-  synthetic stream, printing a JSON summary.
+  dead-letter file (``--dead-letter``) through fresh sinks.
 
 Examples::
 
@@ -36,7 +34,6 @@ Examples::
        --alert-sink jsonl:alerts.jsonl
    repro-serve recover --bundle fleet.bundle.json \\
        --wal-dir /var/lib/repro/wal
-   repro-serve bench --bundle fleet.bundle.json --rounds 5
 """
 
 from __future__ import annotations
@@ -82,7 +79,7 @@ STREAM_BATCH_SIZE = 256
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-serve`` argument grammar (``score``/``replay``/``bench``)."""
+    """The ``repro-serve`` argument grammar, one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="Score SMART telemetry streams against a trained "
@@ -251,18 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SPEC",
                          help="destination(s) for --dead-letter redelivery, "
                               "same grammar as the daemon flag")
-
-    bench = commands.add_parser(
-        "bench", help="measure bundle load latency and scoring throughput")
-    add_common(bench)
-    bench.add_argument("--simulate", type=int, default=200,
-                       metavar="N_DRIVES",
-                       help="synthetic fleet size for the throughput "
-                            "stream (default 200)")
-    bench.add_argument("--seed", type=int, default=42,
-                       help="seed for the synthetic fleet")
-    bench.add_argument("--rounds", type=int, default=3,
-                       help="timing rounds (best-of; default 3)")
     return parser
 
 
@@ -585,66 +570,6 @@ def run_replay(args: argparse.Namespace,
     return 0
 
 
-def run_bench(args: argparse.Namespace,
-              observer: PipelineObserver) -> int:
-    """``bench``: JSON latency/throughput summary on a synthetic stream."""
-    rounds = max(1, args.rounds)
-
-    load_times = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        bundle = load_bundle(args.bundle, observer=observer)
-        load_times.append(time.perf_counter() - start)
-
-    dataset = simulate_fleet(FleetConfig(n_drives=args.simulate,
-                                         seed=args.seed)).dataset
-    samples = [
-        (profile.serial, int(hour), row)
-        for profile in dataset.profiles
-        for hour, row in zip(profile.hours, profile.matrix)
-    ]
-
-    batched_times = []
-    for _ in range(rounds):
-        scorer = StreamScorer(bundle)
-        start = time.perf_counter()
-        scorer.push_many(samples)
-        batched_times.append(time.perf_counter() - start)
-
-    single_times = []
-    for _ in range(rounds):
-        scorer = StreamScorer(bundle)
-        start = time.perf_counter()
-        for serial, hour, record in samples:
-            scorer.push(serial, hour, record)
-        single_times.append(time.perf_counter() - start)
-
-    batched_s = min(batched_times)
-    single_s = min(single_times)
-    payload = {
-        "bundle": str(Path(args.bundle)),
-        "rounds": rounds,
-        "stream": {
-            "n_drives": len(dataset.profiles),
-            "n_samples": len(samples),
-            "seed": args.seed,
-        },
-        "bundle_load": {
-            "best_s": min(load_times),
-            "mean_s": sum(load_times) / len(load_times),
-        },
-        "throughput": {
-            "push_many_s": batched_s,
-            "push_many_samples_per_s": len(samples) / batched_s,
-            "push_s": single_s,
-            "push_samples_per_s": len(samples) / single_s,
-            "speedup": single_s / batched_s,
-        },
-    }
-    print(canonical_json_dumps(payload), end="")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point: any library or I/O failure exits 2 with one line."""
     parser = build_parser()
@@ -672,7 +597,7 @@ def run(args: argparse.Namespace) -> int:
 
     handlers = {"score": run_score, "replay": run_replay,
                 "watch": run_watch, "daemon": run_daemon,
-                "bench": run_bench, "recover": run_recover}
+                "recover": run_recover}
     status = handlers[args.command](args, observer)
 
     if args.trace:

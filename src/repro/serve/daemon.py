@@ -286,17 +286,6 @@ class ServingDaemon:
 
     # -- ingestion --------------------------------------------------------
 
-    def ingest(self, serials: Sequence[str], hours: Sequence[int],
-               matrix: Iterable[Iterable[float]]) -> list[MonitorVerdict]:
-        """Score one columnar batch and materialize every verdict.
-
-        :meth:`ingest_block` plus per-sample
-        :class:`~repro.serve.scorer.MonitorVerdict` objects, kept for
-        library callers; the HTTP endpoint consumes the columnar block
-        directly and only materializes what the reply needs.
-        """
-        return self.ingest_block(serials, hours, matrix).verdicts()
-
     def ingest_block(self, serials: Sequence[str], hours: Sequence[int],
                      matrix: Iterable[Iterable[float]],
                      block_id: str | None = None) -> VerdictBlock:
@@ -356,7 +345,7 @@ class ServingDaemon:
         scoring never waits on a slow or failing sink.
         """
         for pipeline in self._pipelines:
-            pipeline.submit(verdict)
+            pipeline.offer(verdict)
 
     def _handle_ingest(self, body: bytes, query: dict[str, str]) -> HttpReply:
         """``POST /ingest``: decode, admit, score, reply.

@@ -2,9 +2,9 @@
 
 :class:`StreamScorer` is the serving half of the paper's middleware: it
 loads a :class:`~repro.serve.bundle.ModelBundle`, reconstructs the exact
-training-time models, and consumes SMART samples incrementally —
-``push(serial, hour, record)`` for one sample, ``push_many`` for a
-batch, ``score_block`` for the columnar hot path.  Per-drive state
+training-time models, and consumes SMART samples incrementally through
+``score_block``, the columnar hot path (``push_many`` stacks a list of
+``(serial, hour, record)`` samples into one block).  Per-drive state
 lives in a struct-of-arrays
 :class:`~repro.core.columnar.ColumnStateStore` (flat per-drive level,
 last-hour and retained-count columns with recycled rows and doubling
@@ -16,13 +16,12 @@ a :class:`VerdictBlock`: verdict columns, not verdict objects —
 alerting rows (or to callers that explicitly ask for all of them).
 
 The contract that makes the scorer trustworthy is *byte-identity with
-offline replay*: feeding a profile's samples through ``push`` (or
-``push_many``, whose batched math is element-wise identical) emits
-verdicts whose canonical JSON serialization equals, byte for byte, the
-verdicts of :meth:`DegradationMonitor.replay
-<repro.core.monitor.DegradationMonitor.replay>` on the same profile with
-the same (in-memory, never serialized) models.  The golden tests pin
-this across a bundle save/load round trip.
+the scalar oracle*: feeding samples through ``score_block`` emits
+verdicts whose canonical JSON serialization equals, byte for byte,
+``MonitorVerdict.from_alert`` of :meth:`DegradationMonitor.observe
+<repro.core.monitor.DegradationMonitor.observe>` on the same samples
+with the same (in-memory, never serialized) models.  The golden tests
+pin this across a bundle save/load round trip.
 
 :func:`replay_fleet` replays whole datasets at maximum throughput,
 fanning profiles out over :func:`repro.parallel.map_drives` — verdicts
@@ -32,7 +31,6 @@ any job count returns the same verdict lists in the same order.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -42,11 +40,11 @@ import numpy as np
 
 from repro.core.columnar import AlertBlock, ColumnStateStore
 from repro.core.monitor import (AlertLevel, DegradationAlert,
-                                DegradationMonitor, DriveStateStore)
+                                DegradationMonitor)
 from repro.core.rescue import RescueEstimate, rescue_estimate
 from repro.core.serialize import canonical_json_line
 from repro.core.taxonomy import FailureType
-from repro.errors import ServeError
+from repro.errors import ReproError, ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import (NULL_OBSERVER, PipelineObserver,
                                 resolve_observer)
@@ -198,7 +196,7 @@ class VerdictBlock:
     — per alerting row for sink delivery, or for every row when a
     caller explicitly materializes (``verdicts()``).  ``to_json_lines()``
     renders JSONL straight from the columns, byte-identical to the
-    per-sample ``push`` path, without building any.
+    scalar oracle's lines, without building any.
     """
 
     block: AlertBlock
@@ -230,11 +228,12 @@ class VerdictBlock:
 
     def verdicts(self) -> list[MonitorVerdict]:
         """Materialize every row — the compatibility slow path."""
-        return [self.verdict_at(row) for row in range(len(self.block))]
+        return [MonitorVerdict.from_alert(alert)
+                for alert in self.block.alerts()]
 
     def to_json_lines(self, rows: Sequence[int] | np.ndarray | None = None,
                       ) -> list[str]:
-        """Canonical JSON line per row, byte-identical to ``push``.
+        """Canonical JSON line per row, byte-identical to the oracle's.
 
         ``rows`` selects and orders the rows (all of them by default).
         The encoder is columnar: every field except ``hour`` and
@@ -328,19 +327,16 @@ class StreamScorer:
         Telemetry sink: ``samples_scored`` / ``alerts_emitted``
         counters, a ``drives_tracked`` gauge, a ``verdict_stage``
         streaming histogram, and ``score-batch`` spans around each
-        ``push_many``.  Telemetry never changes a verdict — scoring
+        scored block.  Telemetry never changes a verdict — scoring
         with :data:`~repro.obs.observer.NULL_OBSERVER` and with a full
         registry emits byte-identical verdict streams.
     """
 
     def __init__(self, bundle: ModelBundle, *,
-                 observer: PipelineObserver | None = None,
-                 state: DriveStateStore | ColumnStateStore | None = None,
-                 ) -> None:
+                 observer: PipelineObserver | None = None) -> None:
         self._bundle = bundle
         self._observer = resolve_observer(observer)
-        self._state = state if state is not None \
-            else ColumnStateStore(bundle.history_hours)
+        self._state = ColumnStateStore(bundle.history_hours)
         self._monitor = DegradationMonitor(
             bundle.predictor(), bundle.normalizer(),
             watch_threshold=bundle.watch_threshold,
@@ -353,43 +349,26 @@ class StreamScorer:
 
     # -- streaming API ----------------------------------------------------
 
-    def push(self, serial: str, hour: int,
-             record: np.ndarray) -> MonitorVerdict:
-        """Score one raw SMART sample and return its verdict."""
-        record = self._check_record(serial, record)
-        alert = self._monitor.observe(serial, hour, record)
-        return self._account(alert)
-
     def push_many(self, samples: Iterable[Sample]) -> list[MonitorVerdict]:
         """Score a batch of ``(serial, hour, record)`` samples.
 
-        Verdicts are identical to per-sample :meth:`push` calls in the
-        same order — the batch path exists purely for throughput (one
-        normalizer pass and one tree evaluation per failure group for
-        the whole batch; see
-        :meth:`~repro.core.monitor.DegradationMonitor.observe_many`).
+        Stacks the samples into one block for :meth:`score_block` and
+        materializes every verdict, in sample order.  Records that do
+        not stack, or whose width is not the bundle's, are refused with
+        :class:`~repro.errors.ServeError`.
         """
-        checked = [
-            (serial, int(hour), self._check_record(serial, record))
-            for serial, hour, record in samples
-        ]
-        if not checked:
+        samples = list(samples)
+        if not samples:
             return []
-        with self._observer.span("score-batch", n_samples=len(checked)):
-            alerts = self._monitor.observe_many(checked)
-        return [self._account(alert) for alert in alerts]
-
-    def push_block(self, serials: Sequence[str], hours: Sequence[int],
-                   matrix: np.ndarray) -> list[MonitorVerdict]:
-        """Score a columnar batch and materialize every verdict.
-
-        Row ``i`` of ``matrix`` is the raw record for ``serials[i]`` at
-        ``hours[i]``.  Verdicts equal per-sample :meth:`push` calls in
-        row order.  This is :meth:`score_block` plus full
-        materialization — callers that can consume the columnar
-        :class:`VerdictBlock` should, and skip the per-sample objects.
-        """
-        return self.score_block(serials, hours, matrix).verdicts()
+        try:
+            matrix = np.vstack([np.asarray(record, dtype=np.float64).ravel()
+                                for _, _, record in samples])
+        except ValueError as error:
+            raise ServeError(
+                f"cannot stack the batch's records: {error}") from error
+        return self.score_block([serial for serial, _, _ in samples],
+                                [int(hour) for _, hour, _ in samples],
+                                matrix).verdicts()
 
     def score_block(self, serials: Sequence[str], hours: Sequence[int],
                     matrix: np.ndarray) -> VerdictBlock:
@@ -399,9 +378,10 @@ class StreamScorer:
         evaluation per failure group, one fancy-indexed state update for
         every drive in the batch — no per-sample Python objects.  The
         returned :class:`VerdictBlock` carries verdict columns;
-        materializing it reproduces :meth:`push` byte for byte (the
-        golden tests pin this offline, across shard counts and over
-        live HTTP ingest).
+        materializing it reproduces the scalar
+        :meth:`~repro.core.monitor.DegradationMonitor.observe` oracle
+        byte for byte (the golden tests pin this offline, across shard
+        counts and over live HTTP ingest).
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != self._bundle.n_attributes:
@@ -427,9 +407,8 @@ class StreamScorer:
         """Recycle state of drives last observed before ``before_hour``.
 
         Bounds a churning fleet's memory: evicted serials free their
-        row (columnar store) or dict entries (dict-backed store) and
-        start fresh if they reappear.  Returns the evicted count and bumps
-        the ``drives_evicted`` counter.
+        row and start fresh if they reappear.  Returns the evicted count
+        and bumps the ``drives_evicted`` counter.
         """
         evicted = self._state.evict_idle(int(before_hour))
         if evicted:
@@ -439,10 +418,8 @@ class StreamScorer:
 
     def replay_profile(self, profile: HealthProfile) -> list[MonitorVerdict]:
         """Stream one profile's samples through the scorer, in order."""
-        return self.push_many(
-            (profile.serial, int(hour), row)
-            for hour, row in zip(profile.hours, profile.matrix)
-        )
+        return self.score_block([profile.serial] * len(profile.hours),
+                                profile.hours, profile.matrix).verdicts()
 
     # -- fleet state ------------------------------------------------------
 
@@ -452,7 +429,7 @@ class StreamScorer:
         return self._bundle
 
     @property
-    def state(self) -> DriveStateStore | ColumnStateStore:
+    def state(self) -> ColumnStateStore:
         """The keyed per-drive state store (the sharding seam).
 
         A daemon shard snapshots or relocates a scorer's fleet state
@@ -498,7 +475,9 @@ class StreamScorer:
         Restores in place (the monitor keeps its reference to the same
         state store), so a recovering shard worker constructs its
         scorer normally and then applies the last snapshot before
-        replaying the WAL suffix.
+        replaying the WAL suffix.  A dump the state store refuses is
+        re-raised as :class:`~repro.errors.ServeError`, the error a
+        recovering shard reports as ``failed``.
         """
         try:
             samples_scored = int(payload["samples_scored"])
@@ -507,7 +486,10 @@ class StreamScorer:
         except (KeyError, TypeError, ValueError) as error:
             raise ServeError(
                 f"malformed scorer state dump: {error}") from error
-        self._state.restore(state)
+        try:
+            self._state.restore(state)
+        except ReproError as error:
+            raise ServeError(str(error)) from error
         self._samples_scored = samples_scored
         self._alerts_emitted = alerts_emitted
 
@@ -555,23 +537,13 @@ class StreamScorer:
 
     # -- internals --------------------------------------------------------
 
-    def _check_record(self, serial: str, record: np.ndarray) -> np.ndarray:
-        """Validate one raw record against the bundle's feature space."""
-        record = np.asarray(record, dtype=np.float64).ravel()
-        if record.shape[0] != self._bundle.n_attributes:
-            raise ServeError(
-                f"drive {serial!r}: record has {record.shape[0]} "
-                f"attributes, bundle expects {self._bundle.n_attributes} "
-                f"({', '.join(self._bundle.attributes)})"
-            )
-        return record
-
     def _account_block(self, block: AlertBlock) -> None:
         """Block-wise telemetry: same totals as per-verdict accounting.
 
         The healthy fast path (no observer) costs two integer adds; a
-        real observer sees exactly the counter increments, histogram
-        observations and final gauge value the scalar path emits.
+        real observer sees the sample and alert totals, one
+        ``verdict_stage`` observation per finite stage and the final
+        ``drives_tracked`` gauge.
         """
         n_samples = len(block)
         n_alerting = block.n_alerting
@@ -585,19 +557,6 @@ class StreamScorer:
         for stage in block.finite_stages():
             self._observer.observe("verdict_stage", float(stage))
         self._observer.gauge("drives_tracked", self.drives_tracked)
-
-    def _account(self, alert: DegradationAlert) -> MonitorVerdict:
-        """Convert an alert and update the scorer's telemetry."""
-        verdict = MonitorVerdict.from_alert(alert)
-        self._samples_scored += 1
-        self._observer.count("samples_scored")
-        if verdict.alerting:
-            self._alerts_emitted += 1
-            self._observer.count("alerts_emitted")
-        if math.isfinite(verdict.stage):
-            self._observer.observe("verdict_stage", verdict.stage)
-        self._observer.gauge("drives_tracked", self.drives_tracked)
-        return verdict
 
 
 class _ReplayTask:

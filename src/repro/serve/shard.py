@@ -11,7 +11,7 @@ inside exactly one shard no matter how batches arrive.
 
 Sharding is a pure performance knob: verdicts are per-sample functions
 of the record (and per-drive state keys on the serial), so a
-:meth:`ShardSet.submit` returns byte-identical verdicts for any shard
+:meth:`ShardSet.submit_block` returns byte-identical verdicts for any shard
 count — the daemon's golden tests pin shard counts 1, 2 and 4 against
 offline ``repro-serve score``.
 
@@ -65,7 +65,7 @@ from repro.errors import (BackpressureError, ServeError,
 from repro.obs.observer import NULL_OBSERVER, PipelineObserver, resolve_observer
 from repro.parallel import validate_backend
 from repro.serve.bundle import ModelBundle, content_hash
-from repro.serve.scorer import MonitorVerdict, StreamScorer, VerdictBlock
+from repro.serve.scorer import StreamScorer, VerdictBlock
 from repro.serve.wal import (DEFAULT_FSYNC_EVERY, DEFAULT_SEGMENT_MAX_BYTES,
                              ShardWal, decode_block, encode_block)
 
@@ -388,7 +388,7 @@ class _PendingRequest:
 
 
 class ShardSet:
-    """A fleet of shard workers behind one synchronous ``submit`` API.
+    """A fleet of shard workers behind one synchronous ``submit_block`` API.
 
     Parameters
     ----------
@@ -402,7 +402,7 @@ class ShardSet:
         parallelism for the scoring math).  Validated by
         :func:`repro.parallel.validate_backend`.
     queue_capacity:
-        Batches in flight per shard before :meth:`submit` rejects with
+        Batches in flight per shard before :meth:`submit_block` rejects with
         :class:`~repro.errors.BackpressureError`.
     observer:
         Parent-side telemetry sink; workers themselves are silent.
@@ -615,16 +615,6 @@ class ShardSet:
             worker.join(timeout=10.0)
         else:
             self._tasks[shard].put(_CRASH)
-
-    def submit(self, serials: Sequence[str], hours: Sequence[int],
-               matrix: np.ndarray) -> list[MonitorVerdict]:
-        """Score one columnar batch; verdicts return in input row order.
-
-        :meth:`submit_block` plus full verdict materialization, kept
-        for callers that want per-sample objects; the daemon's hot path
-        consumes the columnar block directly.
-        """
-        return self.submit_block(serials, hours, matrix).verdicts()
 
     def submit_block(self, serials: Sequence[str], hours: Sequence[int],
                      matrix: np.ndarray,

@@ -377,7 +377,7 @@ class DeliveryPipeline:
         """The wrapped sink's identity."""
         return self._sink.describe()
 
-    def submit(self, verdict: MonitorVerdict) -> bool:
+    def offer(self, verdict: MonitorVerdict) -> bool:
         """Enqueue one alert; never blocks the scoring path.
 
         Returns ``False`` when the queue is full — the alert then goes

@@ -1,12 +1,11 @@
 """Tests for the struct-of-arrays drive state store and block scoring.
 
-Two contracts are pinned here.  First, :class:`ColumnStateStore` is a
-drop-in for the dict-backed :class:`DriveStateStore`: every scalar
-surface matches, ``record_block`` is semantically identical to a
-sequential ``record`` loop (including duplicate serials within one
-block), rows are recycled on eviction and the arrays grow by doubling.
-Second, the vectorized scoring path is *bit-identical* to the scalar
-one: a monitor on a columnar store emits exactly the alerts the
+Two contracts are pinned here.  First, :class:`ColumnStateStore`'s
+``record_block`` is semantically identical to a sequential ``record``
+loop (including duplicate serials within one block), rows are recycled
+on eviction, the arrays grow by doubling and state dumps round-trip
+exactly.  Second, the vectorized scoring path is *bit-identical* to the
+scalar oracle: ``observe_columns`` emits exactly the alerts the
 per-sample ``observe`` loop produces — for empty blocks, duplicate
 serials in one tick, out-of-order hours, and drives reappearing after
 eviction — and materialized rescue estimates go through the scalar
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.columnar import AlertBlock, ColumnStateStore
-from repro.core.monitor import AlertLevel, DegradationMonitor, DriveStateStore
+from repro.core.monitor import AlertLevel, DegradationMonitor
 from repro.core.prediction import DegradationPredictor
 from repro.core.rescue import rescue_estimate
 from repro.core.taxonomy import FailureType
@@ -33,46 +32,14 @@ def _drive_state(store, serial):
     return entry["level"], entry["retained"], entry["last_hour"]
 
 
-def _filled_stores(history=4, n_attributes=3, n_drives=6, records=9, seed=3):
-    """The same random stream recorded into both store flavors."""
-    rng = np.random.default_rng(seed)
-    deque_store = DriveStateStore(history)
-    column_store = ColumnStateStore(history, initial_rows=2)
-    for step in range(records):
-        for drive in range(n_drives):
-            serial = f"drive-{drive}"
-            vector = rng.normal(size=n_attributes)
-            level = AlertLevel(int(rng.integers(0, 3)))
-            for store in (deque_store, column_store):
-                store.record(serial, vector, level, hour=step)
-    return deque_store, column_store
-
-
-# -- scalar surface parity ---------------------------------------------------
-
-def test_scalar_surface_matches_deque_store():
-    deque_store, column_store = _filled_stores()
-    assert column_store.serials() == deque_store.serials()
-    assert column_store.n_tracked == deque_store.n_tracked
-    for level in AlertLevel:
-        assert column_store.drives_at(level) == deque_store.drives_at(level)
-    for serial in deque_store.serials():
-        assert column_store.level_of(serial) is deque_store.level_of(serial)
-        assert (_drive_state(column_store, serial)
-                == _drive_state(deque_store, serial))
-    assert column_store.snapshot() == deque_store.snapshot()
-
+# -- scalar surface ----------------------------------------------------------
 
 def test_retained_count_caps_at_history_like_deque():
-    deque_store = DriveStateStore(3)
-    column_store = ColumnStateStore(3)
+    store = ColumnStateStore(3)
     for step in range(7):
-        vector = np.full(2, float(step))
-        deque_store.record("d", vector, AlertLevel.HEALTHY, hour=step)
-        column_store.record("d", vector, AlertLevel.HEALTHY, hour=step)
-        assert (_drive_state(column_store, "d")
-                == _drive_state(deque_store, "d")
-                == (0, min(step + 1, 3), step))
+        store.record("d", np.full(2, float(step)), AlertLevel.HEALTHY,
+                     hour=step)
+        assert _drive_state(store, "d") == (0, min(step + 1, 3), step)
 
 
 def test_constructor_validation():
@@ -135,16 +102,6 @@ def test_reappearing_drive_gets_fresh_history():
     store.record("d", np.full(2, 7.0), AlertLevel.HEALTHY, hour=6)
     assert _drive_state(store, "d") == (0, 1, 6)
     assert store.level_of("d") is AlertLevel.HEALTHY
-
-
-def test_deque_store_evicts_too():
-    store = DriveStateStore(4)
-    store.record("a", np.zeros(2), AlertLevel.WATCH, hour=0)
-    store.record("b", np.zeros(2), AlertLevel.WATCH, hour=5)
-    assert store.evict_idle(before_hour=3) == 1
-    assert store.drives_evicted == 1
-    assert store.serials() == ["b"]
-    assert store.snapshot()["drives_evicted"] == 1
 
 
 # -- record_block vs sequential record ---------------------------------------
@@ -219,7 +176,7 @@ def test_alert_estimates_use_scalar_rescue_math():
             assert alert.estimates[failure_type] == expected
 
 
-# -- monitor parity: scalar vs columnar --------------------------------------
+# -- monitor parity: scalar oracle vs columnar kernel ------------------------
 
 @pytest.fixture(scope="module")
 def monitor_parts(mid_fleet, mid_report):
@@ -230,13 +187,11 @@ def monitor_parts(mid_fleet, mid_report):
 
 
 def _monitor_pair(monitor_parts, history_hours=24):
+    """Two fresh monitors: one fed ``observe``, one ``observe_columns``."""
     predictor, normalizer, _ = monitor_parts
-    scalar = DegradationMonitor(predictor, normalizer,
-                                history_hours=history_hours)
-    columnar = DegradationMonitor(
-        predictor, normalizer, history_hours=history_hours,
-        state=ColumnStateStore(history_hours))
-    return scalar, columnar
+    return tuple(DegradationMonitor(predictor, normalizer,
+                                    history_hours=history_hours)
+                 for _ in range(2))
 
 
 def _assert_alerts_equal(actual, expected):
@@ -317,11 +272,11 @@ def test_reappearance_after_eviction_parity(monitor_parts):
                 for hour, row in zip(profile.hours[4:6],
                                      profile.matrix[4:6])]
     expected = [scalar.observe(*sample) for sample in reappear]
-    actual = columnar.observe_block(
+    actual = columnar.observe_columns(
         [s for s, _, _ in reappear], [h for _, h, _ in reappear],
         np.vstack([np.asarray(r, dtype=np.float64).ravel()
                    for _, _, r in reappear]))
-    _assert_alerts_equal(actual, expected)
+    _assert_alerts_equal(actual.alerts(), expected)
     assert (_drive_state(columnar.state, profile.serial)
             == _drive_state(scalar.state, profile.serial))
     assert _drive_state(columnar.state, profile.serial)[1] == 2
@@ -331,9 +286,9 @@ def test_reappearance_after_eviction_parity(monitor_parts):
 def test_block_shape_validation(monitor_parts):
     _, columnar = _monitor_pair(monitor_parts)
     with pytest.raises(ReproError, match="2-D"):
-        columnar.observe_block(["d"], [0], np.zeros(3))
+        columnar.observe_columns(["d"], [0], np.zeros(3))
     with pytest.raises(ReproError, match="lengths disagree"):
-        columnar.observe_block(["d"], [0, 1], np.zeros((1, 4)))
+        columnar.observe_columns(["d"], [0, 1], np.zeros((1, 4)))
 
 
 # -- crash-recovery state dumps ----------------------------------------------
@@ -429,23 +384,24 @@ def test_restore_rejects_malformed_payloads():
                        "drives": {"d": {"row": 0, "level": 0,
                                         "last_hour": 0,
                                         "window": [[0.0, 0.0]] * 4}}})
+
+    def drive(row, level=0):
+        return {"row": row, "level": level, "last_hour": 0, "retained": 1}
+
+    # Rows outside the layout, rows with two owners, unknown levels.
+    for free, drives, message in (
+            ([2], {}, "free list has row 2 outside"),
+            ([-1], {}, "row -1 outside"),
+            ([1, 1], {}, "reuses row 1"),
+            ([0], {"d": drive(0)}, "drive 'd' reuses row 0"),
+            ([], {"d": drive(1), "e": drive(1)}, "drive 'e' reuses row 1"),
+            ([], {"d": drive(1, level=7)}, "row 1 has level 7")):
+        with pytest.raises(ReproError, match=message):
+            store.restore({"kind": "columnar", "history_hours": 3,
+                           "capacity": 2, "n_attributes": 2, "free": free,
+                           "drives": drives})
     with pytest.raises(ReproError, match="malformed state dump"):
         ColumnStateStore.from_snapshot({"kind": "columnar"})
-
-
-def test_deque_store_round_trips_exactly():
-    deque_store, _ = _filled_stores()
-    payload = json.loads(json.dumps(deque_store.dump_state()))
-    twin = DriveStateStore.from_snapshot(payload)
-    assert twin.serials() == deque_store.serials()
-    for serial in deque_store.serials():
-        assert twin.level_of(serial) is deque_store.level_of(serial)
-        assert _drive_state(twin, serial) == _drive_state(deque_store,
-                                                          serial)
-    assert json.dumps(twin.dump_state(), sort_keys=True) \
-        == json.dumps(payload, sort_keys=True)
-    with pytest.raises(ReproError, match="'columnar'"):
-        twin.restore({"kind": "columnar", "history_hours": 4})
 
 
 def test_dump_state_is_a_few_bytes_per_drive():
@@ -470,21 +426,15 @@ def _schema1_payload(kind):
     """A dump as written before the record windows were dropped."""
     window = [[0.25, -1.0], [0.5, 2.0]]
     drive = {"level": 2, "last_hour": 41, "window": window}
-    payload = {"schema": 1, "kind": kind, "history_hours": 3,
-               "drives_evicted": 4,
-               "drives": {"old-a": dict(drive, row=1),
-                          "old-b": dict(drive, row=0, level=0,
-                                        window=window[:1])}}
-    if kind == "columnar":
-        payload.update(initial_rows=2, n_attributes=2, capacity=2, free=[])
-    else:
-        for entry in payload["drives"].values():
-            del entry["row"]
-    return payload
+    return {"schema": 1, "kind": kind, "history_hours": 3,
+            "drives_evicted": 4, "initial_rows": 2, "n_attributes": 2,
+            "capacity": 2, "free": [],
+            "drives": {"old-a": dict(drive, row=1),
+                       "old-b": dict(drive, row=0, level=0,
+                                     window=window[:1])}}
 
 
-@pytest.mark.parametrize("store_cls,kind", [(ColumnStateStore, "columnar"),
-                                            (DriveStateStore, "deque")])
+@pytest.mark.parametrize("store_cls,kind", [(ColumnStateStore, "columnar")])
 def test_schema1_dump_restores(store_cls, kind):
     """A WAL snapshot written before schema 2 still recovers: each
     drive's window length becomes its retained count."""

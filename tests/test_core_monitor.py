@@ -27,7 +27,7 @@ def monitor(monitor_parts):
 def test_good_drive_stays_healthy(monitor, monitor_parts):
     *_, fleet = monitor_parts
     profile = fleet.dataset.good_profiles[0]
-    alerts = monitor.observe_profile(profile)
+    alerts = monitor.replay(profile)
     levels = {alert.level for alert in alerts}
     assert levels == {AlertLevel.HEALTHY}
     assert monitor.level_of(profile.serial) is AlertLevel.HEALTHY
@@ -38,7 +38,7 @@ def test_failed_drive_escalates_to_critical(monitor, monitor_parts):
     from repro.sim.failure_modes import FailureMode
     serial = fleet.failed_serials(FailureMode.BAD_SECTOR)[0]
     profile = fleet.dataset.get(serial)
-    alerts = monitor.observe_profile(profile)
+    alerts = monitor.replay(profile)
     assert alerts[-1].level is AlertLevel.CRITICAL
     # Severity never matters before degradation: the first verdicts sit
     # below CRITICAL for a long-window failure observed from the start.

@@ -69,7 +69,8 @@ def test_serve_subcommands_are_collected():
     assert "score" in names
     assert "watch" in names
     assert "daemon" in names
-    assert "bench" in names
+    assert "replay" in names
+    assert "recover" in names
 
 
 def test_documented_subcommands_are_not_flagged(tmp_path):

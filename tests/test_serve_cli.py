@@ -138,16 +138,6 @@ def test_replay_with_jobs(bundle_path, tmp_path, capsys):
     assert out.read_text().count("\n") > 0
 
 
-def test_bench_reports_throughput(bundle_path, capsys):
-    assert serve_main(["bench", "--bundle", str(bundle_path),
-                       "--simulate", "20", "--seed", "3",
-                       "--rounds", "1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["throughput"]["push_many_samples_per_s"] > 0
-    assert payload["throughput"]["speedup"] > 0
-    assert payload["bundle_load"]["best_s"] > 0
-
-
 def test_serve_telemetry_artifacts(bundle_path, stream_csv, tmp_path):
     path, _ = stream_csv
     trace = tmp_path / "trace.json"

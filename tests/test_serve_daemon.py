@@ -21,6 +21,7 @@ from repro.serve.cli import main as serve_main
 from repro.serve.daemon import ServingDaemon
 from repro.serve.sinks import CallbackAlertSink, JsonlAlertSink
 
+from tests.oracle import oracle_lines
 from tests.test_obs_http import _get, _post
 
 
@@ -85,7 +86,8 @@ def test_http_verdicts_byte_identical_to_score_cli(bundle, samples,
                                                    score_reference,
                                                    n_shards):
     """The golden contract: POST /ingest?verdicts=all replies, batch by
-    batch, concatenate to exactly the offline score output."""
+    batch, concatenate to exactly the offline score output — and both
+    are the per-sample oracle's lines."""
     collected = b""
     with ServingDaemon(bundle, n_shards=n_shards) as daemon:
         for batch in _batches(samples):
@@ -95,7 +97,8 @@ def test_http_verdicts_byte_identical_to_score_cli(bundle, samples,
             assert headers["Content-Type"].startswith("application/jsonl")
             collected += body.encode("utf-8")
         assert daemon.samples_accepted == len(samples)
-    assert collected == score_reference
+    oracle = "".join(line + "\n" for line in oracle_lines(bundle, samples))
+    assert collected == score_reference == oracle.encode("utf-8")
 
 
 def test_verdicts_alerts_filter_returns_only_alerting(bundle, samples):
@@ -272,12 +275,14 @@ def test_alerting_verdicts_fan_out_to_sinks(bundle, samples, tmp_path):
     seen = []
     daemon = ServingDaemon(
         bundle, sinks=[JsonlAlertSink(path), CallbackAlertSink(seen.append)])
-    verdicts = daemon.ingest(*_columnar(samples))
+    block = daemon.ingest_block(*_columnar(samples))
     daemon.stop()
-    alerting = [v for v in verdicts if v.alerting]
+    alerting = [block.verdict_at(int(row)) for row in block.alerting_rows()]
     assert alerting
-    assert path.read_text().splitlines() \
-        == [v.to_json_line() for v in alerting]
+    expected = [line for line in oracle_lines(bundle, samples)
+                if '"level":"HEALTHY"' not in line]
+    assert [v.to_json_line() for v in alerting] == expected
+    assert path.read_text().splitlines() == expected
     assert seen == alerting
     assert (daemon.registry.counter("alert_sink_emits").value
             == 2 * len(alerting))
@@ -289,9 +294,9 @@ def test_sink_failures_are_counted_never_raised(bundle, samples):
         raise RuntimeError("pager down")
 
     daemon = ServingDaemon(bundle, sinks=[CallbackAlertSink(explode)])
-    verdicts = daemon.ingest(*_columnar(samples))
+    block = daemon.ingest_block(*_columnar(samples))
     daemon.stop()
-    assert [v for v in verdicts if v.alerting]  # scoring was unaffected
+    assert block.n_alerting  # scoring was unaffected
     assert (daemon.registry.counter("alert_sink_errors").value
             == daemon.alerts_emitted > 0)
     errors = daemon.recorder.events_of("sink-error")
@@ -314,7 +319,7 @@ def test_daemon_requires_metrics_observer(bundle):
 
 def test_stop_is_idempotent(bundle, samples):
     daemon = ServingDaemon(bundle).start()
-    daemon.ingest(*_columnar(samples[:50]))
+    daemon.ingest_block(*_columnar(samples[:50]))
     assert daemon.stop() == daemon.stop()
 
 

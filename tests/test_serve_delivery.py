@@ -65,7 +65,7 @@ def test_pipeline_delivers_in_fifo_order(tmp_path):
     pipeline = DeliveryPipeline(JsonlAlertSink(path), policy=_fast_policy())
     verdicts = [_verdict(serial=f"Z{i}") for i in range(5)]
     for verdict in verdicts:
-        assert pipeline.submit(verdict) is True
+        assert pipeline.offer(verdict) is True
     pipeline.close()
     assert pipeline.delivered == 5
     assert pipeline.failed == 0
@@ -84,7 +84,7 @@ def test_transient_failures_are_retried(tmp_path):
     observer = TelemetryObserver()
     pipeline = DeliveryPipeline(CallbackAlertSink(flaky),
                                 policy=_fast_policy(), observer=observer)
-    pipeline.submit(_verdict())
+    pipeline.offer(_verdict())
     pipeline.close()
     assert calls == ["ZA1"] * 3
     assert pipeline.delivered == 1
@@ -103,7 +103,7 @@ def test_exhausted_attempts_go_to_the_dead_letter(tmp_path):
         dead_letter=dead_letter, observer=observer, recorder=recorder)
     verdicts = [_verdict(serial="ZX1"), _verdict(serial="ZX2")]
     for verdict in verdicts:
-        pipeline.submit(verdict)
+        pipeline.offer(verdict)
     pipeline.close()
     assert pipeline.delivered == 0
     assert pipeline.failed == 2
@@ -126,7 +126,7 @@ def test_circuit_breaker_fast_fails_while_open(tmp_path):
                                   breaker_cooldown_s=60.0),
         dead_letter=dead_letter)
     for serial in ("ZB1", "ZB2", "ZB3", "ZB4"):
-        pipeline.submit(_verdict(serial=serial))
+        pipeline.offer(_verdict(serial=serial))
     pipeline.close()
     # Two final failures trip the breaker; the last two alerts never
     # touch the sink but still land in the dead letter.
@@ -146,12 +146,12 @@ def test_full_queue_diverts_to_dead_letter_without_blocking(tmp_path):
     pipeline = DeliveryPipeline(
         CallbackAlertSink(slow), policy=_fast_policy(queue_capacity=1),
         dead_letter=dead_letter)
-    pipeline.submit(_verdict(serial="ZQ0"))  # worker picks this up
+    pipeline.offer(_verdict(serial="ZQ0"))  # worker picks this up
     time.sleep(0.05)
-    assert pipeline.submit(_verdict(serial="ZQ1")) is True  # fills the queue
+    assert pipeline.offer(_verdict(serial="ZQ1")) is True  # fills the queue
     overflow = _verdict(serial="ZQ2")
     started = time.monotonic()
-    assert pipeline.submit(overflow) is False  # diverted, not blocked
+    assert pipeline.offer(overflow) is False  # diverted, not blocked
     assert time.monotonic() - started < 1.0
     release.set()
     pipeline.close()
@@ -165,7 +165,7 @@ def test_submit_after_close_is_sink_error(tmp_path):
     pipeline.close()
     pipeline.close()  # idempotent
     with pytest.raises(SinkError, match="closed"):
-        pipeline.submit(_verdict())
+        pipeline.offer(_verdict())
 
 
 # -- Retry-After ------------------------------------------------------------
@@ -230,7 +230,7 @@ def test_pipeline_prefers_server_hint_over_backoff(throttling_server):
                               backoff_cap_s=30.0, breaker_threshold=9,
                               breaker_cooldown_s=60.0, queue_capacity=4))
     started = time.monotonic()
-    pipeline.submit(_verdict())
+    pipeline.offer(_verdict())
     pipeline.close()
     assert time.monotonic() - started < 10.0
     assert pipeline.failed == 1

@@ -32,6 +32,7 @@ from repro.serve.daemon import ServingDaemon
 from repro.serve.scorer import StreamScorer
 from repro.serve.shard import ShardSet
 
+from tests.oracle import oracle_lines
 from tests.test_obs_http import _get, _post
 
 
@@ -60,11 +61,16 @@ def blocks(mid_fleet):
 
 @pytest.fixture(scope="module")
 def reference_lines(bundle, blocks):
-    """The uninterrupted verdict stream every drill must reproduce."""
+    """The uninterrupted verdict stream every drill must reproduce: the
+    per-sample oracle's, which one unsharded scorer also reproduces."""
+    expected = oracle_lines(bundle, [
+        sample for serials, hours, matrix in blocks
+        for sample in zip(serials, hours, matrix)])
     scorer = StreamScorer(bundle)
-    return verdict_lines(
+    assert verdict_lines(
         [scorer.score_block(serials, hours, matrix)
-         for serials, hours, matrix in blocks])
+         for serials, hours, matrix in blocks]) == expected
+    return expected
 
 
 # -- the kill plan itself ---------------------------------------------------
@@ -224,6 +230,32 @@ def test_submit_to_failed_shard_is_serve_error(bundle, blocks, tmp_path):
         assert shards.shard_status()[0].startswith("failed")
         with pytest.raises(ServeError, match="failed"):
             shards.submit_block(*blocks[0])
+    finally:
+        shards.stop()
+
+
+def test_malformed_snapshot_fails_the_shard_promptly(bundle, blocks,
+                                                     tmp_path):
+    """A snapshot the state store refuses marks the shard failed (and
+    names the bad row) instead of leaving it recovering forever."""
+    wal_dir = tmp_path / "wal"
+    with ShardSet(bundle, n_shards=1, wal_dir=wal_dir) as shards:
+        for block in blocks[:3]:
+            shards.submit_block(*block)
+    snapshot = sorted((wal_dir / "shard-000").glob("snapshot-*.json"))[-1]
+    document = json.loads(snapshot.read_text())
+    drives = document["state"]["state"]["drives"]
+    drives[sorted(drives)[0]]["row"] = 5000
+    snapshot.write_text(json.dumps(document))
+
+    shards = ShardSet(bundle, n_shards=1, wal_dir=wal_dir, supervise=False)
+    try:
+        start = time.monotonic()
+        assert shards.wait_ready(timeout=10.0)
+        assert time.monotonic() - start < 5.0
+        status = shards.shard_status()[0]
+        assert status.startswith("failed:")
+        assert "row 5000" in status
     finally:
         shards.stop()
 

@@ -15,6 +15,7 @@ from repro.obs.observer import TelemetryObserver
 from repro.serve.bundle import build_bundle, load_bundle, save_bundle
 from repro.serve.scorer import (MonitorVerdict, StreamScorer, VerdictBlock,
                                 _ReplayTask, replay_fleet)
+from tests.oracle import oracle_monitor, oracle_verdicts
 
 
 @pytest.fixture(scope="module")
@@ -56,19 +57,23 @@ def test_scorer_matches_offline_replay_byte_for_byte(
         assert streamed == offline
 
 
-def test_push_many_equals_push(loaded_bundle, stream_profiles):
-    samples = [
+def _samples(profiles):
+    return [
         (profile.serial, int(hour), row)
-        for profile in stream_profiles
+        for profile in profiles
         for hour, row in zip(profile.hours, profile.matrix)
     ]
-    one_by_one = StreamScorer(loaded_bundle)
+
+
+def test_push_many_equals_push(loaded_bundle, stream_profiles):
+    """``push_many`` == the per-sample ``observe`` oracle, in order."""
+    samples = _samples(stream_profiles)
+    sequential = oracle_verdicts(oracle_monitor(loaded_bundle), samples)
     batched = StreamScorer(loaded_bundle)
-    sequential = [one_by_one.push(*sample) for sample in samples]
     batch = batched.push_many(samples)
     assert _lines(batch) == _lines(sequential)
-    assert one_by_one.samples_scored == batched.samples_scored
-    assert one_by_one.alerts_emitted == batched.alerts_emitted
+    assert batched.samples_scored == len(samples)
+    assert batched.alerts_emitted == sum(v.alerting for v in sequential)
 
 
 def test_push_many_empty_is_noop(loaded_bundle):
@@ -78,32 +83,29 @@ def test_push_many_empty_is_noop(loaded_bundle):
 
 
 def test_score_block_matches_push_lazily(loaded_bundle, stream_profiles):
-    """The columnar surface: lazy block == per-sample push, byte for byte."""
-    samples = [
-        (profile.serial, int(hour), row)
-        for profile in stream_profiles
-        for hour, row in zip(profile.hours, profile.matrix)
-    ]
-    one_by_one = StreamScorer(loaded_bundle)
+    """The columnar surface: lazy block == per-sample oracle, byte for byte."""
+    samples = _samples(stream_profiles)
+    monitor = oracle_monitor(loaded_bundle)
+    sequential = oracle_verdicts(monitor, samples)
+    expected = _lines(sequential)
     columnar = StreamScorer(loaded_bundle)
-    expected = [one_by_one.push(*sample).to_json_line()
-                for sample in samples]
     block = columnar.score_block(
         [s for s, _, _ in samples], [h for _, h, _ in samples],
         np.vstack([np.asarray(r, dtype=np.float64).ravel()
                    for _, _, r in samples]))
     assert block.to_json_lines() == expected
+    assert _lines(block.verdicts()) == expected
     assert len(block) == len(samples)
-    assert block.n_alerting == one_by_one.alerts_emitted
-    assert columnar.samples_scored == one_by_one.samples_scored
+    assert block.n_alerting == sum(v.alerting for v in sequential)
+    assert columnar.samples_scored == len(samples)
     # Alerting rows materialize individually to the same verdicts.
     for row in block.alerting_rows():
         assert block.verdict_at(int(row)).to_json_line() == expected[row]
-    # Per-drive state agrees with the scalar path afterwards.
-    assert columnar.drives_tracked == one_by_one.drives_tracked
+    # Per-drive state agrees with the oracle afterwards.
+    assert columnar.drives_tracked == monitor.n_tracked
     for profile in stream_profiles:
         assert (columnar.level_of(profile.serial)
-                is one_by_one.level_of(profile.serial))
+                is monitor.level_of(profile.serial))
 
 
 def test_columnar_encoder_matches_scalar_oracle():
@@ -172,8 +174,8 @@ def test_scorer_evicts_idle_drives(loaded_bundle, stream_profiles):
     observer = TelemetryObserver()
     scorer = StreamScorer(loaded_bundle, observer=observer)
     early, late = stream_profiles[0], stream_profiles[1]
-    scorer.push(early.serial, 10, early.matrix[0])
-    scorer.push(late.serial, 500, late.matrix[0])
+    scorer.score_block([early.serial], [10], early.matrix[:1])
+    scorer.score_block([late.serial], [500], late.matrix[:1])
     assert scorer.evict_idle(before_hour=100) == 1
     assert scorer.drives_tracked == 1
     assert scorer.level_of(early.serial) is AlertLevel.HEALTHY
@@ -253,8 +255,15 @@ def test_failed_drive_alerts_and_state_tracks(loaded_bundle, mid_fleet):
 
 def test_record_width_mismatch_is_typed(loaded_bundle):
     scorer = StreamScorer(loaded_bundle)
-    with pytest.raises(ServeError, match="attributes"):
-        scorer.push("D1", 0, np.zeros(loaded_bundle.n_attributes + 1))
+    width = loaded_bundle.n_attributes
+    with pytest.raises(ServeError, match="cannot stack"):
+        scorer.push_many([("D1", 0, np.zeros(width)),
+                          ("D2", 0, np.zeros(width + 1))])
+    with pytest.raises(ServeError, match="bundle expects"):
+        scorer.push_many([("D1", 0, np.zeros(width + 1))])
+    with pytest.raises(ServeError, match="bundle expects"):
+        scorer.score_block(["D1"], [0], np.zeros((1, width + 1)))
+    assert scorer.samples_scored == 0
 
 
 def test_verdict_json_is_canonical(loaded_bundle, stream_profiles):

@@ -19,6 +19,7 @@ from repro.obs.observer import TelemetryObserver
 from repro.serve.bundle import build_bundle
 from repro.serve.scorer import StreamScorer
 from repro.serve.shard import HashRing, ShardSet
+from tests.oracle import oracle_lines
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,13 @@ def columnar_samples(mid_fleet):
             hours.append(int(hour))
             rows.append(np.asarray(row, dtype=np.float64).ravel())
     return serials, hours, np.vstack(rows)
+
+
+@pytest.fixture(scope="module")
+def expected_lines(bundle, columnar_samples):
+    """The per-sample oracle's lines for the whole batch."""
+    serials, hours, matrix = columnar_samples
+    return oracle_lines(bundle, zip(serials, hours, matrix))
 
 
 # -- hash ring --------------------------------------------------------------
@@ -76,24 +84,21 @@ def test_ring_rejects_bad_parameters():
 # -- byte identity ----------------------------------------------------------
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
-def test_sharded_verdicts_byte_identical(bundle, columnar_samples, n_shards):
+def test_sharded_verdicts_byte_identical(bundle, columnar_samples,
+                                         expected_lines, n_shards):
     serials, hours, matrix = columnar_samples
-    reference = StreamScorer(bundle)
-    expected = [v.to_json_line()
-                for v in reference.push_block(serials, hours, matrix)]
     with ShardSet(bundle, n_shards=n_shards) as shards:
-        got = [v.to_json_line()
-               for v in shards.submit(serials, hours, matrix)]
-    assert got == expected
+        got = [v.to_json_line() for v in
+               shards.submit_block(serials, hours, matrix).verdicts()]
+    assert got == expected_lines
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
-def test_submit_block_byte_identical(bundle, columnar_samples, n_shards):
-    """The lazy block surface matches per-sample push at any shard count."""
+def test_submit_block_byte_identical(bundle, columnar_samples,
+                                     expected_lines, n_shards):
+    """The lazy block surface matches the oracle at any shard count."""
     serials, hours, matrix = columnar_samples
-    reference = StreamScorer(bundle)
-    expected = [reference.push(serial, hour, row).to_json_line()
-                for serial, hour, row in zip(serials, hours, matrix)]
+    expected = expected_lines
     with ShardSet(bundle, n_shards=n_shards) as shards:
         block = shards.submit_block(serials, hours, matrix)
         assert block.to_json_lines() == expected
@@ -105,23 +110,21 @@ def test_submit_block_byte_identical(bundle, columnar_samples, n_shards):
                     == expected[row])
 
 
-def test_process_backend_byte_identical(bundle, columnar_samples):
+def test_process_backend_byte_identical(bundle, columnar_samples,
+                                        expected_lines):
     serials, hours, matrix = columnar_samples
-    reference = StreamScorer(bundle)
-    expected = [v.to_json_line()
-                for v in reference.push_block(serials, hours, matrix)]
     with ShardSet(bundle, n_shards=2, backend="process") as shards:
-        got = [v.to_json_line()
-               for v in shards.submit(serials, hours, matrix)]
-    assert got == expected
+        got = [v.to_json_line() for v in
+               shards.submit_block(serials, hours, matrix).verdicts()]
+    assert got == expected_lines
 
 
 def test_multiple_submits_keep_per_drive_state_whole(bundle,
                                                      columnar_samples):
     serials, hours, matrix = columnar_samples
     with ShardSet(bundle, n_shards=3) as shards:
-        shards.submit(serials, hours, matrix)
-        shards.submit(serials, hours, matrix)
+        shards.submit_block(serials, hours, matrix)
+        shards.submit_block(serials, hours, matrix)
         snapshots = shards.stop()
     tracked = sum(s["drives_tracked"] for s in snapshots)
     assert tracked == len(set(serials))
@@ -133,9 +136,9 @@ def test_multiple_submits_keep_per_drive_state_whole(bundle,
 def test_parent_telemetry_matches_unsharded(bundle, columnar_samples):
     serials, hours, matrix = columnar_samples
     plain, sharded = TelemetryObserver(), TelemetryObserver()
-    StreamScorer(bundle, observer=plain).push_block(serials, hours, matrix)
+    StreamScorer(bundle, observer=plain).score_block(serials, hours, matrix)
     with ShardSet(bundle, n_shards=4, observer=sharded) as shards:
-        shards.submit(serials, hours, matrix)
+        shards.submit_block(serials, hours, matrix)
     for name in ("samples_scored", "alerts_emitted"):
         assert (plain.metrics.counter(name).value
                 == sharded.metrics.counter(name).value > 0)
@@ -157,8 +160,8 @@ def test_saturated_shard_rejects_whole_batch(bundle, columnar_samples):
     def submitter():
         barrier.wait()
         try:
-            verdicts = shards.submit(serials, hours, matrix)
-            outcomes.append(("ok", len(verdicts)))
+            block = shards.submit_block(serials, hours, matrix)
+            outcomes.append(("ok", len(block)))
         except BackpressureError as error:
             outcomes.append(("rejected", error))
 
@@ -187,7 +190,7 @@ def test_stopped_shardset_refuses_new_batches(bundle, columnar_samples):
     shards = ShardSet(bundle, n_shards=1)
     shards.stop()
     with pytest.raises(ServeError, match="stopped"):
-        shards.submit(serials, hours, matrix)
+        shards.submit_block(serials, hours, matrix)
 
 
 # -- drain ------------------------------------------------------------------
@@ -200,7 +203,7 @@ def test_stop_drains_in_flight_batches(bundle, columnar_samples):
     result = {}
 
     def submitter():
-        result["verdicts"] = shards.submit(serials, hours, matrix)
+        result["block"] = shards.submit_block(serials, hours, matrix)
 
     thread = threading.Thread(target=submitter)
     thread.start()
@@ -213,7 +216,7 @@ def test_stop_drains_in_flight_batches(bundle, columnar_samples):
     snapshots = shards.stop()
     thread.join(timeout=30)
 
-    assert len(result["verdicts"]) == len(serials)
+    assert len(result["block"]) == len(serials)
     assert sum(s["samples_scored"] for s in snapshots) == len(serials)
     assert {s["shard"] for s in snapshots} == {0, 1}
 
@@ -221,7 +224,7 @@ def test_stop_drains_in_flight_batches(bundle, columnar_samples):
 def test_stop_is_idempotent(bundle, columnar_samples):
     serials, hours, matrix = columnar_samples
     shards = ShardSet(bundle, n_shards=2)
-    shards.submit(serials, hours, matrix)
+    shards.submit_block(serials, hours, matrix)
     first = shards.stop()
     second = shards.stop()
     assert first == second
@@ -239,7 +242,7 @@ def test_shardset_validates_configuration(bundle):
 def test_submit_validates_columns(bundle):
     with ShardSet(bundle) as shards:
         with pytest.raises(ServeError, match="2-D"):
-            shards.submit(["a"], [1], np.zeros(4))
+            shards.submit_block(["a"], [1], np.zeros(4))
         with pytest.raises(ServeError, match="disagree"):
-            shards.submit(["a", "b"], [1], np.zeros((1, 4)))
-        assert shards.submit([], [], np.zeros((0, 4))) == []
+            shards.submit_block(["a", "b"], [1], np.zeros((1, 4)))
+        assert len(shards.submit_block([], [], np.zeros((0, 4)))) == 0
