@@ -387,16 +387,21 @@ class ColumnStateStore:
 
     def _rows_for_block(self, serials: Sequence[str],
                         n_attributes: int) -> np.ndarray:
-        """Row index per sample, assigning rows to unseen serials."""
+        """Row index per sample, assigning rows to unseen serials.
+
+        One dict lookup per sample, in C; unseen serials take rows in
+        order of first appearance, exactly as a per-sample loop would
+        assign them.
+        """
         self._ensure_layout(n_attributes)
-        rows = np.empty(len(serials), dtype=np.int64)
-        lookup = self._rows
-        for index, serial in enumerate(serials):
-            row = lookup.get(serial)
-            if row is None:
-                row = self._row_for(serial, n_attributes)
-            rows[index] = row
-        return rows
+        rows = list(map(self._rows.get, serials))
+        if None in rows:
+            for serial in dict.fromkeys(
+                    [serial for serial, row in zip(serials, rows)
+                     if row is None]):
+                self._row_for(serial, n_attributes)
+            rows = list(map(self._rows.__getitem__, serials))
+        return np.asarray(rows, dtype=np.int64)
 
 
 class AlertBlock:

@@ -43,10 +43,14 @@ every fan-out.
 from __future__ import annotations
 
 import bisect
+import collections
+import functools
+import itertools
 import json
 import math
+import operator
 import re
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ObservabilityError
 
@@ -234,6 +238,59 @@ class Histogram:
         self._skip = self._stride - 1
         if len(self._values) >= self._retention:
             self._compact()
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record ``values`` in order, in one call per batch.
+
+        Leaves exactly the state a loop of :meth:`observe` leaves —
+        count, sequential sum, min/max, buckets and the reservoir with
+        its stride and skip across compactions — without a Python-level
+        step per value.  A batch holding a non-finite (or non-numeric)
+        value goes through that loop instead, so it records the same
+        prefix and raises the same error.
+        """
+        values = list(values)
+        try:
+            floats = list(map(float, values))
+        except (TypeError, ValueError):
+            floats = []
+        if len(floats) != len(values) or not all(map(math.isfinite, floats)):
+            for value in values:
+                self.observe(value)
+            return
+        if not floats:
+            return
+        self._count += len(floats)
+        self._sum = functools.reduce(operator.add, floats, self._sum)
+        low, high = min(floats), max(floats)
+        if low < self._min:
+            self._min = low
+        if high > self._max:
+            self._max = high
+        hits = collections.Counter(map(
+            bisect.bisect_left, itertools.repeat(BUCKET_BOUNDS), floats))
+        for index, count in hits.items():
+            self._buckets[index] += count
+        if self._retention is None:
+            self._values.extend(floats)
+            return
+        start, end = 0, len(floats)
+        while start < end:
+            if self._skip:
+                skipped = min(self._skip, end - start)
+                self._skip -= skipped
+                start += skipped
+                continue
+            # Keep every stride-th value until the reservoir fills (a
+            # compaction then doubles the stride) or the batch ends.
+            stride = self._stride
+            kept = floats[start:end:stride][:self._retention
+                                             - len(self._values)]
+            self._values.extend(kept)
+            start += (len(kept) - 1) * stride + 1
+            self._skip = stride - 1
+            if len(self._values) >= self._retention:
+                self._compact()
 
     def _compact(self) -> None:
         """Halve the reservoir and double the keep stride."""

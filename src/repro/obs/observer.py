@@ -2,12 +2,12 @@
 
 Pipeline stages never talk to a tracer or a metrics registry directly;
 they call the tiny :class:`PipelineObserver` surface — ``span``,
-``count``, ``gauge``, ``observe``, ``event`` — and callers decide what
-backs it.  The default is :data:`NULL_OBSERVER`, whose every operation
-is a no-op cheap enough to leave in hot paths, so uninstrumented runs
-behave exactly as before.  :class:`TelemetryObserver` is the real
-implementation bundling a :class:`~repro.obs.tracing.Tracer`, a
-:class:`~repro.obs.metrics.MetricsRegistry` and a logger.
+``count``, ``gauge``, ``observe``, ``observe_many``, ``event`` — and
+callers decide what backs it.  The default is :data:`NULL_OBSERVER`,
+whose every operation is a no-op cheap enough to leave in hot paths, so
+uninstrumented runs behave exactly as before.  :class:`TelemetryObserver`
+is the real implementation bundling a :class:`~repro.obs.tracing.Tracer`,
+a :class:`~repro.obs.metrics.MetricsRegistry` and a logger.
 
 The :func:`instrumented` decorator wraps a function or method in a span
 named after it, resolving the observer from an ``observer`` keyword
@@ -17,7 +17,8 @@ argument or from the bound instance's ``_observer`` attribute.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, ContextManager, Protocol, TypeVar, runtime_checkable
+from typing import (Any, Callable, ContextManager, Iterable, Protocol, TypeVar,
+                    runtime_checkable)
 
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -41,6 +42,13 @@ class PipelineObserver(Protocol):
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into the named histogram."""
+
+    def observe_many(self, name: str, values: Iterable[float]) -> None:
+        """Record a batch of observations, in order, into one histogram.
+
+        Same end state as calling :meth:`observe` once per value, at
+        one registry lookup per batch.
+        """
 
     def event(self, message: str, **fields: Any) -> None:
         """Emit a progress event (a structured log line)."""
@@ -78,6 +86,9 @@ class NoopObserver:
     def observe(self, name: str, value: float) -> None:
         pass
 
+    def observe_many(self, name: str, values: Iterable[float]) -> None:
+        pass
+
     def event(self, message: str, **fields: Any) -> None:
         pass
 
@@ -113,6 +124,9 @@ class TelemetryObserver:
 
     def observe(self, name: str, value: float) -> None:
         self.metrics.histogram(name).observe(value)
+
+    def observe_many(self, name: str, values: Iterable[float]) -> None:
+        self.metrics.histogram(name).observe_many(values)
 
     def event(self, message: str, **fields: Any) -> None:
         self.logger.info(message, extra={"fields": fields})

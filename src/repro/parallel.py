@@ -241,6 +241,9 @@ class _WorkerTelemetry(NoopObserver):
     def observe(self, name: str, value: float) -> None:
         self.metrics.histogram(name).observe(value)
 
+    def observe_many(self, name: str, values: Iterable[float]) -> None:
+        self.metrics.histogram(name).observe_many(values)
+
 
 def get_worker_observer() -> PipelineObserver:
     """The observer a mapped function should emit telemetry through.

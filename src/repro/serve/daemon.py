@@ -20,7 +20,7 @@ The default reply is a JSON summary ``{"accepted": n, "alerts": m}``;
 ``?verdicts=all`` (or ``=alerts``) returns the canonical verdict JSON
 lines instead — byte-identical to offline ``repro-serve score`` output
 for the same samples, for any shard count.  A malformed body answers
-400; a saturated shard answers **429 with a ``Retry-After`` header**,
+400 naming its first bad line or sample; a saturated shard answers **429 with a ``Retry-After`` header**,
 and the rejected batch is never partially scored (all-or-nothing
 admission, see :mod:`repro.serve.shard`).
 
@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import json
 import threading
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,93 +64,197 @@ DEFAULT_STATUS_TAIL = 20
 DEFAULT_RETRY_AFTER_S = 1.0
 
 
-def _columns_from(serials: list[str], hours: list[int],
-                  flat: list[float], width: int,
-                  where: Callable[[int], str]) -> tuple[
-                      list[str], list[int], np.ndarray]:
-    """Shape flat parsed values into the columnar ``(serials, hours, matrix)``.
+#: Column triple every ingest decoder returns: serials, hours, and the
+#: ``(n, width)`` float64 record matrix.
+_Columns = tuple[list[str], list[int], np.ndarray]
 
-    One reshape instead of one list object per sample — the parsers
-    append every value to a single flat buffer and this helper turns it
-    into the 2-D record matrix the shard plane consumes.  ``json.loads``
-    accepts ``NaN`` and ``Infinity``, so this is also where a non-finite
-    value is refused (one ``isfinite`` pass per batch); ``where`` names
-    the offending sample for the 400 reply.
+#: Names of the JSON value types, for refusal messages.
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
+
+#: The stdlib's C JSON scanner: ``scan(text, 0)`` parses the value at
+#: the start of ``text`` and returns it with its end offset.
+_SCAN_JSON = json.JSONDecoder().scan_once
+
+
+def _reference_columns(samples: Iterable[tuple[str, Any, Any, Any]],
+                       noun: str) -> _Columns:
+    """Per-sample decode of ``(where, serial, hour, values)`` rows.
+
+    The reference every fast path must match: it converts one sample at
+    a time — ``str`` serial, ``int`` hour, ``float`` per value — and
+    refuses the first bad sample with a :class:`~repro.errors.ServeError`
+    that starts with its ``where`` (``line N`` or ``sample i``).
+    ``noun`` names the earlier rows in the width-mismatch message.
+    ``json.loads`` accepts ``NaN`` and ``Infinity``, so a non-finite
+    value is refused here too, after the whole batch has converted.
     """
-    matrix = np.asarray(flat, dtype=np.float64).reshape(len(serials), width)
+    serials: list[str] = []
+    hours: list[int] = []
+    flat: list[float] = []
+    places: list[str] = []
+    width = -1
+    for where, serial, hour, values in samples:
+        if type(values) is not list:
+            raise ServeError(f'{where}: "values" must be an array, got '
+                             f"{_JSON_TYPES.get(type(values), 'a value')}")
+        if width < 0:
+            width = len(values)
+        elif len(values) != width:
+            raise ServeError(f"{where}: {len(values)} values where earlier "
+                             f"{noun} had {width}")
+        try:
+            serials.append(str(serial))
+            hours.append(int(hour))
+            flat.extend(map(float, values))
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ServeError(f"{where}: {error}") from error
+        places.append(where)
+    matrix = np.asarray(flat, dtype=np.float64).reshape(len(serials),
+                                                        max(width, 0))
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise ServeError(
-            f"{where(int(np.argmin(finite)))}: non-finite value")
+            f"{places[int(np.argmin(finite))]}: non-finite value")
     return serials, hours, matrix
 
 
-def _parse_json_batch(body: bytes) -> tuple[
-        list[str], list[int], np.ndarray] | None:
+def _fast_columns(serials: Sequence[Any], hours: Sequence[Any],
+                  values: Sequence[Any]) -> _Columns | None:
+    """The columnar decode: no Python-level step per sample.
+
+    Returns exactly what :func:`_reference_columns` returns for the
+    same fields — ``map(str)``, ``map(int)`` and ``np.fromiter`` apply
+    the same conversions one C loop each — or ``None`` whenever the
+    reference could refuse (a non-array or ragged ``values``, a bad
+    hour or value, a non-finite value), so the caller can rerun the
+    reference for its exact refusal.
+    """
+    if set(map(type, values)) != {list}:
+        return None
+    widths = set(map(len, values))
+    if len(widths) != 1:
+        return None
+    (width,) = widths
+    try:
+        serial_column = list(map(str, serials))
+        hour_column = list(map(int, hours))
+        flat = np.fromiter(chain.from_iterable(values), np.float64,
+                           len(values) * width)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    # ``fromiter`` reads None as NaN; the reference refuses both.
+    if not np.isfinite(flat).all():
+        return None
+    return serial_column, hour_column, flat.reshape(len(values), width)
+
+
+def _sample_rows(samples: list[Any]) -> Iterator[tuple[str, Any, Any, Any]]:
+    """``(where, serial, hour, values)`` per document-form sample."""
+    for index, entry in enumerate(samples):
+        if type(entry) is not list or len(entry) != 3:
+            raise ServeError(f"sample {index}: expected [serial, hour, "
+                             f"values], got {json.dumps(entry)[:80]}")
+        yield (f"sample {index}", *entry)
+
+
+def _parse_json_batch(body: bytes) -> _Columns | None:
     """Decode the JSON document ingest form straight into column arrays.
 
     Returns ``None`` when the body is not a ``{"samples": ...}``
     document at all (the caller then tries JSONL — a JSONL body is
-    never such a document, so the fallback is unambiguous).
+    never such a document, so the fallback is unambiguous).  The
+    document is parsed once; a batch of well-formed samples converts
+    without a per-sample loop, anything else goes to the per-sample
+    reference for its ``sample i:`` refusal.
     """
     try:
         document = json.loads(body.decode("utf-8"))
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     if not isinstance(document, dict) or "samples" not in document:
         return None
-    serials: list[str] = []
-    hours: list[int] = []
-    flat: list[float] = []
-    width = -1
-    for entry in document["samples"]:
-        serial, hour, values = entry
-        if width < 0:
-            width = len(values)
-        elif len(values) != width:
-            raise ServeError(
-                f"sample {len(serials)}: {len(values)} values where "
-                f"earlier samples had {width}")
-        serials.append(str(serial))
-        hours.append(int(hour))
-        flat.extend(float(value) for value in values)
-    return _columns_from(serials, hours, flat, max(width, 0),
-                         lambda index: f"sample {index}")
+    samples = document["samples"]
+    if type(samples) is not list:
+        raise ServeError('"samples" must be an array, got '
+                         f"{_JSON_TYPES.get(type(samples), 'a value')}")
+    if (samples and set(map(type, samples)) == {list}
+            and set(map(len, samples)) == {3}):
+        serials, hours, values = zip(*samples)
+        columns = _fast_columns(serials, hours, values)
+        if columns is not None:
+            return columns
+    return _reference_columns(_sample_rows(samples), "samples")
 
 
-def _parse_jsonl_batch(body: bytes) -> tuple[list[str], list[int], np.ndarray]:
-    """Decode the JSONL ingest form straight into column arrays."""
-    serials: list[str] = []
-    hours: list[int] = []
-    flat: list[float] = []
-    width = -1
-    lines = body.decode("utf-8").splitlines()
-    for line_number, line in enumerate(lines, 1):
+def _jsonl_rows(lines: list[str]) -> Iterator[tuple[str, Any, Any, Any]]:
+    """``(where, serial, hour, values)`` per non-empty JSONL line."""
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
+        where = f"line {number}"
         try:
-            values = record["values"]
-            if width < 0:
-                width = len(values)
-            elif len(values) != width:
-                raise ServeError(
-                    f"line {line_number}: {len(values)} values where "
-                    f"earlier lines had {width}")
-            serials.append(str(record["serial"]))
-            hours.append(int(record["hour"]))
-            flat.extend(float(value) for value in values)
-        except (KeyError, TypeError) as error:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as error:
+            raise ServeError(f"{where}: {error}") from error
+        if type(record) is not dict:
             raise ServeError(
-                f"line {line_number}: expected keys serial/hour/values "
-                f"({error})") from error
+                f"{where}: expected an object with keys serial/hour/values, "
+                f"got {_JSON_TYPES.get(type(record), 'a value')}")
+        try:
+            fields = (record["serial"], record["hour"], record["values"])
+        except KeyError as error:
+            raise ServeError(f"{where}: expected keys serial/hour/values "
+                             f"(missing {error})") from error
+        yield (where, *fields)
 
-    def where(index: int) -> str:
-        numbers = [n for n, line in enumerate(lines, 1) if line.strip()]
-        return f"line {numbers[index]}"
 
-    return _columns_from(serials, hours, flat, max(width, 0), where)
+def _fast_jsonl(lines: list[str]) -> _Columns | None:
+    """One C-level pass over the lines, or ``None`` to use the reference.
+
+    Each stripped non-empty line goes through the C JSON scanner on its
+    own (``map``, no Python frame per line), and must parse to one
+    object spanning the whole line — the exact condition under which
+    the reference's ``json.loads(line)`` returns that object.  Joining
+    the lines into one ``[...]`` document would be a little cheaper but
+    is not equivalent: an array split across two lines plus two objects
+    on a third line still parse to one object per line there, while the
+    reference refuses the split line.
+    """
+    lines = list(filter(None, map(str.strip, lines)))
+    if not lines:
+        return None
+    try:
+        # A line the scanner cannot start on raises StopIteration, which
+        # ends the map early; the offset check below then fails.
+        parsed = list(map(_SCAN_JSON, lines, repeat(0)))
+    except (ValueError, RecursionError):
+        return None
+    records, ends = zip(*parsed) if parsed else ((), ())
+    if (list(ends) != list(map(len, lines))
+            or set(map(type, records)) != {dict}):
+        return None
+    try:
+        fields = [list(map(itemgetter(key), records))
+                  for key in ("serial", "hour", "values")]
+    except KeyError:
+        return None
+    return _fast_columns(*fields)
+
+
+def _parse_jsonl_batch(body: bytes) -> _Columns:
+    """Decode the JSONL ingest form straight into column arrays."""
+    try:
+        lines = body.decode("utf-8").splitlines()
+    except UnicodeDecodeError as error:
+        before = body[:error.start].decode("utf-8")
+        line = len((before + "_").splitlines())
+        raise ServeError(f"line {line}: not UTF-8 ({error.reason})") from error
+    columns = _fast_jsonl(lines)
+    if columns is not None:
+        return columns
+    return _reference_columns(_jsonl_rows(lines), "lines")
 
 
 class ServingDaemon:
@@ -352,16 +458,18 @@ class ServingDaemon:
 
         ``?format=jsonl`` forces the line-oriented form; otherwise the
         body is parsed as the JSON document form if it is one and as
-        JSONL if not.  A malformed batch — including any non-finite
-        value — answers 400 naming the first offending sample or line,
-        and nothing of it is scored.
+        JSONL if not.  A malformed batch — a syntax error, a missing
+        key, a bad hour or value, a ``values`` that is not an array, or
+        any non-finite value — answers 400 whose error starts with the
+        first offending ``line N`` or ``sample i``, and nothing of it
+        is scored.
         """
         try:
             parsed = (None if query.get("format") == "jsonl"
                       else _parse_json_batch(body))
             serials, hours, rows = (parsed if parsed is not None
                                     else _parse_jsonl_batch(body))
-        except (ServeError, ValueError, TypeError) as error:
+        except ServeError as error:
             self._count_ingest("bad_request")
             return HttpReply.json(400, {"error": f"malformed batch: {error}"})
         if not serials:

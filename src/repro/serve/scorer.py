@@ -541,8 +541,8 @@ class StreamScorer:
         """Block-wise telemetry: same totals as per-verdict accounting.
 
         The healthy fast path (no observer) costs two integer adds; a
-        real observer sees the sample and alert totals, one
-        ``verdict_stage`` observation per finite stage and the final
+        real observer sees the sample and alert totals, the finite
+        stages as one ``verdict_stage`` batch observation and the final
         ``drives_tracked`` gauge.
         """
         n_samples = len(block)
@@ -554,8 +554,8 @@ class StreamScorer:
         self._observer.count("samples_scored", n_samples)
         if n_alerting:
             self._observer.count("alerts_emitted", n_alerting)
-        for stage in block.finite_stages():
-            self._observer.observe("verdict_stage", float(stage))
+        self._observer.observe_many("verdict_stage",
+                                    block.finite_stages().tolist())
         self._observer.gauge("drives_tracked", self.drives_tracked)
 
 

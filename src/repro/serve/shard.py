@@ -469,7 +469,7 @@ class ShardSet:
         self._pending: dict[int, _PendingRequest] = {}
         self._next_request = 0
         self._stopped = False
-        self._seen: set[str] = set()
+        self._placement: dict[str, int] = {}
         self._snapshots: list[dict[str, Any] | None] = [None] * n_shards
         self._all_snapshots = threading.Event()
         self._status = ["serving"] * n_shards
@@ -649,13 +649,41 @@ class ShardSet:
         if matrix.shape[0] == 0:
             return VerdictBlock.empty()
 
-        by_shard: dict[int, list[int]] = {}
-        for row, serial in enumerate(serials):
-            by_shard.setdefault(self._ring.shard_of(serial), []).append(row)
+        try:
+            hour_column = np.asarray(hours, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError) as error:
+            raise ServeError(f"hours must be integers: {error}") from error
+        # Placement is one dict lookup per row: the ring's sha256 runs
+        # once per drive, for serials never admitted before.  New
+        # serials join the cache only once their batch is admitted, so
+        # a refused batch adds no drive.
+        shards = list(map(self._placement.get, serials))
+        fresh: dict[str, int] = {}
+        if None in shards:
+            fresh = {serial: self._ring.shard_of(serial)
+                     for serial in set(serials).difference(self._placement)}
+            # fresh.get(serial, cached): the new shard, else the cached one.
+            shards = list(map(fresh.get, serials, shards))
+        shard_column = np.asarray(shards, dtype=np.int64)
+        present, first_rows = np.unique(shard_column, return_index=True)
+        by_shard = {int(shard): np.flatnonzero(shard_column == shard)
+                    for shard in present[np.argsort(first_rows)]}
+        serial_column = np.asarray(serials, dtype=object)
+        parts = {shard: (serial_column[rows].tolist(),
+                         hour_column[rows].tolist(), matrix[rows])
+                 for shard, rows in by_shard.items()}
 
         with self._lock:
             if self._stopped:
                 raise ServeError("ShardSet is stopped; no new batches")
+            attributes = self._bundle.attributes
+            if matrix.shape[1] != len(attributes):
+                # Refused before admission: a batch no shard could score
+                # is neither logged nor counted as tracked drives.
+                raise ServeError(
+                    f"record matrix has shape {matrix.shape}, bundle "
+                    f"expects (n, {len(attributes)}) "
+                    f"({', '.join(attributes)})")
             for shard in by_shard:
                 if self._status[shard] == "recovering":
                     raise ShardRecoveringError(shard, self._retry_after_s)
@@ -676,19 +704,17 @@ class ShardSet:
             self._pending[request_id] = pending
             for shard in by_shard:
                 self._inflight[shard] += 1
-            self._seen.update(serials)
+            self._placement.update(fresh)
             # Enqueue under the same lock: stop() appends its sentinels
             # under this lock too, so an admitted batch's tasks always
             # sit ahead of the stop sentinel — drain can never skip an
             # admitted batch.  The queues are unbounded, so these puts
             # cannot block while the lock is held.
-            for shard, rows in by_shard.items():
+            for shard, (sub_serials, sub_hours, sub_matrix) in parts.items():
                 self._tasks[shard].put((
                     request_id,
                     f"{block_id}/{shard}" if len(by_shard) > 1 else block_id,
-                    [serials[row] for row in rows],
-                    [int(hours[row]) for row in rows],
-                    matrix[rows],
+                    sub_serials, sub_hours, sub_matrix,
                 ))
         if self._wal_dir is not None:
             self._observer.count("wal_appends", len(by_shard))
@@ -704,8 +730,7 @@ class ShardSet:
                 f"shard scoring failed: {'; '.join(pending.errors)}")
 
         block = VerdictBlock.gather(
-            [str(serial) for serial in serials],
-            [int(hour) for hour in hours],
+            list(map(str, serials)), hour_column,
             [(rows, pending.results[shard])
              for shard, rows in by_shard.items()])
         self._account(block)
@@ -774,7 +799,7 @@ class ShardSet:
     def drives_tracked(self) -> int:
         """Distinct drives admitted so far (sum of all shards' state)."""
         with self._lock:
-            return len(self._seen)
+            return len(self._placement)
 
     def stop(self) -> list[dict[str, Any]]:
         """Drain every shard and return their final snapshots.
@@ -943,8 +968,8 @@ class ShardSet:
         alerting = block.n_alerting
         if alerting:
             self._observer.count("alerts_emitted", alerting)
-        for stage in block.finite_stages():
-            self._observer.observe("verdict_stage", float(stage))
+        self._observer.observe_many("verdict_stage",
+                                    block.finite_stages().tolist())
         self._observer.gauge("drives_tracked", self.drives_tracked())
 
     def _next_reply(self) -> tuple[Any, ...]:
@@ -1022,10 +1047,12 @@ class ShardSet:
                     finished += 1
                 continue
             if kind == "ready":
+                recovered = {serial: self._ring.shard_of(serial)
+                             for serial in body.get("serials", ())}
                 with self._lock:
                     self._status[shard] = "serving"
                     self._last_activity[shard] = time.monotonic()
-                    self._seen.update(body.get("serials", ()))
+                    self._placement.update(recovered)
                     self._ready_events[shard].set()
                 replayed = body.get("replayed_blocks", 0)
                 if replayed:

@@ -2,6 +2,8 @@
 bounded streaming state, labels and cross-process merging."""
 
 import json
+import math
+import random
 import sys
 
 import pytest
@@ -160,6 +162,50 @@ def test_histogram_compaction_is_deterministic():
         b.observe(float(i % 977))
     assert a._values == b._values
     assert a.quantile(0.5) == b.quantile(0.5)
+
+
+def _histogram_state(histogram):
+    """Every slot, as text — so ``0.0`` and ``-0.0`` differ."""
+    return repr({slot: getattr(histogram, slot)
+                 for slot in Histogram.__slots__})
+
+
+@pytest.mark.parametrize("retention", [2, 3, 8, 64, None])
+def test_observe_many_equals_a_loop_of_observe(retention):
+    """Same count, sequential sum, min/max, buckets and reservoir (values,
+    stride, skip) as one ``observe`` per value, across compactions."""
+    rng = random.Random(retention or 0)
+    for _ in range(40):
+        looped = Histogram("h", retention=retention)
+        batched = Histogram("h", retention=retention)
+        for _ in range(rng.randint(1, 8)):
+            batch = [rng.choice([rng.uniform(-20.0, 20.0), 0.0, -0.0,
+                                 rng.randint(-3, 3), 1e7, -2.5e-3])
+                     for _ in range(rng.randint(0, 50))]
+            for value in batch:
+                looped.observe(value)
+            batched.observe_many(iter(batch))
+            assert _histogram_state(batched) == _histogram_state(looped)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x"])
+def test_observe_many_refuses_like_the_loop(bad):
+    """A bad value raises the loop's error and leaves the loop's state:
+    everything before it recorded, nothing after it."""
+    batch = [1.0, -2.0, 3.5, bad, 4.0]
+    looped, batched = Histogram("h", retention=2), Histogram("h", retention=2)
+    looped.observe_many([0.5, 0.25])
+    batched.observe_many([0.5, 0.25])
+    errors = []
+    for histogram, record in ((looped, lambda: [looped.observe(v)
+                                                for v in batch]),
+                              (batched, lambda: batched.observe_many(batch))):
+        with pytest.raises((ObservabilityError, ValueError)) as caught:
+            record()
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert batched.count == 5
+    assert _histogram_state(batched) == _histogram_state(looped)
 
 
 def test_histogram_cumulative_buckets_end_at_inf():

@@ -25,6 +25,7 @@ def test_noop_observer_accepts_everything():
         obs.count("c")
         obs.gauge("g", 1.0)
         obs.observe("h", 2.0)
+        obs.observe_many("h", [2.0, 3.0])
         obs.event("message", detail="x")
 
 
@@ -59,6 +60,21 @@ def test_telemetry_observer_routes_to_tracer_and_metrics():
     assert obs.metrics.counter("events").value == 2
     assert obs.metrics.gauge("level").value == 7.5
     assert obs.metrics.histogram("sizes").count == 1
+
+
+def test_observe_many_routes_one_batch_into_the_histogram():
+    """Telemetry and worker-capture observers both record a batch into
+    the named histogram exactly as one ``observe`` per value would."""
+    from repro.parallel import _WorkerTelemetry
+
+    values = [-1.5, 0.0, 2.25, -0.0, 7.0]
+    for observer in (TelemetryObserver(), _WorkerTelemetry()):
+        reference = MetricsRegistry()
+        for value in values:
+            reference.histogram("verdict_stage").observe(value)
+        observer.observe_many("verdict_stage", values)
+        assert (observer.metrics.histogram("verdict_stage").state_dict()
+                == reference.histogram("verdict_stage").state_dict())
 
 
 def test_telemetry_observer_accepts_injected_backends():

@@ -178,6 +178,50 @@ def test_non_finite_values_are_400_naming_the_sample(bundle, samples):
                 in metrics)
 
 
+def test_every_jsonl_refusal_names_its_line(bundle, samples):
+    """Syntax errors, bad hours and bad values answer 400 naming the line
+    they sit on; a non-array ``values`` (a digit string or an object of
+    the right length, which used to be scored character by character or
+    key by key) is refused too.  Nothing of a refused batch is scored."""
+    width = len(bundle.attributes)
+    good = [json.dumps({"serial": serial, "hour": hour, "values": values})
+            for serial, hour, values in samples[:3]]
+    cases = (
+        (good + ['{"serial": "X", "hour": 1 "values": []}'],
+         "line 4: Expecting ',' delimiter: line 1 column 27 (char 26)"),
+        (good[:1] + [json.dumps({"serial": "X", "hour": "1h",
+                                 "values": samples[0][2]})],
+         "line 2: invalid literal for int() with base 10: '1h'"),
+        (good[:2] + [json.dumps({"serial": "X", "hour": 1,
+                                 "values": ["q"] * width})],
+         "line 3: could not convert string to float: 'q'"),
+        (good[:1] + [json.dumps({"serial": "X", "hour": 1,
+                                 "values": "7" * width})],
+         'line 2: "values" must be an array, got string'),
+        ([json.dumps({"serial": "X", "hour": 1,
+                      "values": {str(i): i for i in range(width)}})],
+         'line 1: "values" must be an array, got object'),
+    )
+    with ServingDaemon(bundle) as daemon:
+        for lines, expected in cases:
+            body = ("\n".join(lines) + "\n").encode("utf-8")
+            for path in ("/ingest?format=jsonl", "/ingest"):
+                status, _headers, reply = _post(daemon.url + path, body)
+                assert status == 400, (path, expected)
+                assert json.loads(reply)["error"] == (
+                    f"malformed batch: {expected}")
+        document = json.dumps({"samples": [
+            [samples[0][0], 1, samples[0][2]], ["X", 2, "7" * width]]})
+        status, _headers, reply = _post(daemon.url + "/ingest",
+                                        document.encode("utf-8"))
+        assert status == 400
+        assert json.loads(reply)["error"] == (
+            'malformed batch: sample 1: "values" must be an array, '
+            'got string')
+        assert daemon.samples_accepted == 0
+        assert daemon.shards.drives_tracked() == 0
+
+
 # -- backpressure -----------------------------------------------------------
 
 def test_saturated_shard_answers_429_with_retry_after(bundle, samples):

@@ -201,6 +201,32 @@ def test_fresh_shard_set_resumes_from_wal(bundle, blocks, reference_lines,
     assert observer.metrics.counter("wal_replayed_blocks").value >= half
 
 
+def test_drives_tracked_is_right_after_wal_recovery(bundle, blocks,
+                                                   tmp_path):
+    """The parent's drive census is reseeded from each shard's replayed
+    state: a fresh ShardSet on an old WAL, and a respawned shard, both
+    report every drive admitted before — and re-admitting them adds
+    none."""
+    wal_dir = tmp_path / "wal"
+    admitted = {serial for serials, _hours, _matrix in blocks[:4]
+                for serial in serials}
+    with ShardSet(bundle, n_shards=2, wal_dir=wal_dir) as veteran:
+        for index, block in enumerate(blocks[:4]):
+            veteran.submit_block(*block, block_id=f"census-{index}")
+    with ShardSet(bundle, n_shards=2, wal_dir=wal_dir) as successor:
+        assert successor.wait_ready(timeout=30.0)
+        assert successor.drives_tracked() == len(admitted)
+        successor.kill_shard(0)
+        deadline = time.monotonic() + 30.0
+        while ((successor.shard_restarts()[0] == 0
+                or successor.shard_status()[0] != "serving")
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert successor.shard_status()[0] == "serving"
+        successor.submit_block(*blocks[0], block_id="census-again")
+        assert successor.drives_tracked() == len(admitted)
+
+
 def test_killed_unsupervised_set_still_stops(bundle, blocks, tmp_path):
     """``stop()`` must not hang on a shard that died with nobody
     watching; dead shards contribute synthesized empty snapshots."""

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from repro.errors import BackpressureError, ParallelError, ServeError
+from repro.obs.export import render_prometheus
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import TelemetryObserver
 from repro.serve.bundle import build_bundle
 from repro.serve.scorer import StreamScorer
@@ -146,6 +148,32 @@ def test_parent_telemetry_matches_unsharded(bundle, columnar_samples):
             == sharded.metrics.histogram("verdict_stage").bucket_counts())
 
 
+def test_stage_histogram_exposition_equals_the_observe_loop(
+        bundle, columnar_samples):
+    """The parent records each batch's stages with one ``observe_many``;
+    the ``/metrics`` text must equal one ``observe`` per stage."""
+    serials, hours, matrix = columnar_samples
+    observer = TelemetryObserver()
+    reference = MetricsRegistry()
+    scorer = StreamScorer(bundle)
+    with ShardSet(bundle, n_shards=2, observer=observer) as shards:
+        for start in range(0, len(serials), 50):
+            window = slice(start, start + 50)
+            shards.submit_block(serials[window], hours[window],
+                                matrix[window])
+            block = scorer.score_block(serials[window], hours[window],
+                                       matrix[window])
+            for stage in block.finite_stages():
+                reference.histogram("verdict_stage").observe(float(stage))
+
+    def stage_lines(registry):
+        return [line for line in render_prometheus(registry).splitlines()
+                if "verdict_stage" in line]
+
+    assert len(stage_lines(reference)) > 3
+    assert stage_lines(observer.metrics) == stage_lines(reference)
+
+
 # -- backpressure -----------------------------------------------------------
 
 def test_saturated_shard_rejects_whole_batch(bundle, columnar_samples):
@@ -183,6 +211,36 @@ def test_saturated_shard_rejects_whole_batch(bundle, columnar_samples):
     # scored — a rejected batch contributed zero samples.
     scored = sum(s["samples_scored"] for s in snapshots)
     assert scored == sum(accepted)
+
+
+def test_refused_batches_add_no_tracked_drives(bundle, columnar_samples):
+    """A batch refused with 429 (backpressure) or as malformed leaves
+    ``drives_tracked`` where it was; an admitted one adds its drives."""
+    serials, hours, matrix = columnar_samples
+    shards = ShardSet(bundle, n_shards=1, queue_capacity=1, throttle_s=0.4)
+    try:
+        held = threading.Thread(target=shards.submit_block,
+                                args=(serials[:20], hours[:20], matrix[:20]))
+        held.start()
+        deadline = time.monotonic() + 10.0
+        while shards.inflight() != [1] and time.monotonic() < deadline:
+            time.sleep(0.005)
+        tracked = shards.drives_tracked()
+        assert tracked == len(set(serials[:20]))
+        fresh = [f"new-{index}" for index in range(5)]
+        with pytest.raises(BackpressureError):
+            shards.submit_block(fresh, hours[:5], matrix[:5])
+        assert shards.drives_tracked() == tracked
+        held.join(timeout=30)
+        with pytest.raises(ServeError, match="bundle expects"):
+            shards.submit_block(fresh, hours[:5], matrix[:5, :3])
+        with pytest.raises(ServeError, match="hours must be integers"):
+            shards.submit_block(fresh, [10**30] * 5, matrix[:5])
+        assert shards.drives_tracked() == tracked
+        shards.submit_block(fresh, hours[:5], matrix[:5])
+        assert shards.drives_tracked() == tracked + len(fresh)
+    finally:
+        shards.stop()
 
 
 def test_stopped_shardset_refuses_new_batches(bundle, columnar_samples):
