@@ -105,9 +105,9 @@ def test_perf_serve_recorded(serve_bundle_path, stream_samples,
     load_bundle(serve_bundle_path)
     warm_load_s = _best_of(lambda: load_bundle(serve_bundle_path), repeat=5)
 
-    # 3) fleet replay throughput (serial), for samples/sec context.
+    # 3) fleet replay throughput (one scorer), for samples/sec context.
     replay_s = _best_of(
-        lambda: replay_fleet(bundle, profiles, n_jobs=1), repeat=2)
+        lambda: replay_fleet(bundle, profiles), repeat=2)
 
     payload = {
         "recorded_by": "benchmarks/test_perf_serve.py"

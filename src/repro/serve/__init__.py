@@ -5,20 +5,19 @@ service: :func:`build_bundle` freezes them into a versioned, hashed
 :class:`ModelBundle`; :func:`save_bundle` / :func:`load_bundle`
 round-trip the artifact on disk with typed corruption/staleness
 detection; :class:`StreamScorer` consumes live SMART samples against a
-loaded bundle, byte-identical to offline replay; :class:`WatchService`
-(:mod:`repro.serve.watch`) keeps a scorer up behind live ``/metrics`` /
-``/health`` / ``/status`` HTTP surfaces with a flight recorder of
-recent alerts; :class:`ServingDaemon` (:mod:`repro.serve.daemon`) is
-the fleet-scale always-on form — per-drive state sharded by consistent
-hash across workers (:mod:`repro.serve.shard`), HTTP ingestion with
-explicit backpressure, and pluggable alert sinks
-(:mod:`repro.serve.sinks`).  Crash safety is layered in by
-:mod:`repro.serve.wal` (per-shard write-ahead logs with
-snapshot-bounded replay), a supervisor inside :class:`ShardSet` that
-respawns dead workers back to byte-identical state, and
-:class:`DeliveryPipeline` retry/dead-letter delivery for alerts.  The
-``repro-serve`` CLI (:mod:`repro.serve.cli`) fronts all of it from the
-shell, including offline ``recover`` tooling.
+loaded bundle, byte-identical to offline replay; :class:`ServingDaemon`
+(:mod:`repro.serve.daemon`) is the always-on form — per-drive state
+sharded by consistent hash across workers (:mod:`repro.serve.shard`),
+HTTP ingestion with explicit backpressure, live ``/metrics`` /
+``/health`` / ``/status`` surfaces with a flight recorder of recent
+alerts, and pluggable alert sinks (:mod:`repro.serve.sinks`).  Crash
+safety is layered in by :mod:`repro.serve.wal` (per-shard write-ahead
+logs with snapshot-bounded replay), a supervisor inside
+:class:`ShardSet` that respawns dead workers back to byte-identical
+state, and :class:`DeliveryPipeline` retry/dead-letter delivery for
+alerts.  The ``repro-serve`` CLI (:mod:`repro.serve.cli`) fronts all
+of it from the shell: its ``watch`` verb is a one-shard daemon fed from
+a CSV stream, and ``recover`` is the offline crash-recovery tooling.
 """
 
 from repro.serve.bundle import (
@@ -52,7 +51,6 @@ from repro.serve.sinks import (
     reprocess_dead_letter,
 )
 from repro.serve.wal import ShardWal, WalRecord, WalRecovery
-from repro.serve.watch import WatchService
 
 __all__ = [
     "AlertSink",
@@ -73,7 +71,6 @@ __all__ = [
     "WalRecord",
     "WalRecovery",
     "WalSettings",
-    "WatchService",
     "WebhookAlertSink",
     "build_bundle",
     "bundle_from_document",

@@ -7,12 +7,13 @@ consumes the published artifact:
 * ``score`` — read a sample stream (CSV rows of ``serial,hour,<Table I
   attributes>``, stdin by default) and emit one canonical JSON verdict
   line per sample;
-* ``replay`` — push a whole dataset through the scorer at maximum
-  throughput, fanning drives out over ``--jobs`` workers;
-* ``watch`` — ``score`` with the live telemetry plane attached: while
-  the stream scores, ``/metrics`` (Prometheus), ``/health`` and
-  ``/status`` answer on an HTTP port and a flight recorder keeps the
-  recent alerts (see :mod:`repro.serve.watch`);
+* ``replay`` — push a whole dataset through one scorer at maximum
+  throughput;
+* ``watch`` — the ``daemon`` below with one shard, fed from a CSV
+  stream instead of ``POST /ingest``: verdicts come out exactly as
+  ``score`` writes them, while the daemon's HTTP surface answers
+  (``/metrics``, ``/health``, ``/status``, ``/recorder`` and its POST
+  routes) and a flight recorder keeps the recent alerts;
 * ``daemon`` — the fleet-scale serving process: samples arrive over
   HTTP (``POST /ingest``), score on ``--shards`` consistent-hash
   shards with bounded queues and explicit 429 backpressure, and alerts
@@ -27,7 +28,7 @@ Examples::
 
    repro-characterize --simulate 2000 --export-model fleet.bundle.json
    repro-serve score --bundle fleet.bundle.json < stream.csv
-   repro-serve replay --bundle fleet.bundle.json --simulate 500 --jobs 4
+   repro-serve replay --bundle fleet.bundle.json --simulate 500
    repro-serve watch --bundle fleet.bundle.json --port 9100 < stream.csv
    repro-serve daemon --bundle fleet.bundle.json --shards 4 --port 9200 \\
        --wal-dir /var/lib/repro/wal --dead-letter dead-letters.jsonl \\
@@ -68,7 +69,6 @@ from repro.serve.shard import (DEFAULT_QUEUE_CAPACITY,
                                DEFAULT_SNAPSHOT_INTERVAL_BLOCKS)
 from repro.serve.sinks import parse_sink_spec, reprocess_dead_letter
 from repro.serve.wal import ShardWal, decode_block
-from repro.serve.watch import WatchService
 from repro.sim.config import FleetConfig
 from repro.sim.fleet import simulate_fleet
 
@@ -124,9 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulate a fleet of this size instead")
     replay.add_argument("--seed", type=int, default=42,
                         help="seed for --simulate")
-    replay.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="replay workers (1 = serial, 0 = all CPUs); "
-                             "any value emits identical verdicts")
     replay.add_argument("--output", metavar="PATH", default=None,
                         help="write JSONL verdicts here (default: "
                              "summary only)")
@@ -134,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write only WATCH/CRITICAL verdicts")
 
     watch = commands.add_parser(
-        "watch", help="score a stream while serving /metrics, /health "
-                      "and /status over HTTP")
+        "watch", help="score a CSV stream through a one-shard daemon "
+                      "while its HTTP surface answers")
     add_common(watch)
     watch.add_argument("--input", metavar="PATH", default="-",
                        help="sample stream: CSV with a "
@@ -362,11 +359,16 @@ def run_score(args: argparse.Namespace,
 
 def run_watch(args: argparse.Namespace,
               observer: PipelineObserver) -> int:
-    """``watch``: score a stream while the telemetry plane answers HTTP."""
+    """``watch``: a one-shard :class:`ServingDaemon` fed from a CSV stream.
+
+    Every block of the stream goes through
+    :meth:`ServingDaemon.ingest_block` and its verdicts are written
+    exactly as ``score`` writes them, while the daemon's HTTP surface
+    (``/metrics``, ``/health``, ``/status``, ``/recorder`` and the POST
+    routes) answers.  A ``POST /drain`` stops reading the stream.
+    """
     bundle = load_bundle(args.bundle, observer=observer)
     recorder = FlightRecorder(capacity=args.recorder_capacity)
-    service = WatchService(bundle, observer=observer, recorder=recorder,
-                           host=args.host, port=args.port)
     batch_size = max(1, args.batch_size)
 
     def watch_stream(source: IO[str], sink: IO[str]) -> int:
@@ -374,7 +376,9 @@ def run_watch(args: argparse.Namespace,
         with observer.span("watch-stream"):
             for columns in read_sample_blocks(source, bundle.attributes,
                                               batch_size):
-                block = service.score_batch(*columns)
+                if daemon.draining:
+                    break
+                block = daemon.ingest_block(*columns)
                 if args.throttle > 0:
                     time.sleep(args.throttle)
                 lines += _write_verdicts(block, sink,
@@ -382,16 +386,21 @@ def run_watch(args: argparse.Namespace,
         return lines
 
     source = sys.stdin if args.input == "-" else open(args.input, newline="")
-    snapshotter = (PeriodicSnapshotWriter(service.registry, args.snapshot,
+    # Built after the input opens: a missing file must not leave shard
+    # threads and a bound socket behind.
+    daemon = ServingDaemon(bundle, n_shards=1, observer=observer,
+                           recorder=recorder, host=args.host, port=args.port)
+    snapshotter = (PeriodicSnapshotWriter(daemon.registry, args.snapshot,
                                           args.snapshot_interval)
                    if args.snapshot else None)
     dump_cm = (recorder.guard(args.recorder_dump) if args.recorder_dump
                else contextlib.nullcontext())
-    with service:
+    with daemon:
         if args.port_file:
-            service.handle.write_port_file(args.port_file)
-        print(f"telemetry listening on {service.url} "
-              f"(/metrics /health /status /recorder)", file=sys.stderr)
+            daemon.handle.write_port_file(args.port_file)
+        print(f"telemetry listening on {daemon.url} "
+              f"(GET /metrics /health /status /recorder; "
+              f"POST /ingest /promote /drain)", file=sys.stderr)
         if snapshotter is not None:
             snapshotter.start()
         try:
@@ -412,10 +421,10 @@ def run_watch(args: argparse.Namespace,
         recorder.dump_jsonl(args.recorder_dump)
         print(f"flight recorder dumped to {args.recorder_dump}",
               file=sys.stderr)
-    scorer = service.scorer
-    print(f"watched {scorer.samples_scored} samples from "
-          f"{scorer.drives_tracked} drives: {scorer.alerts_emitted} "
-          f"alerts, {lines} verdicts written", file=sys.stderr)
+    print(f"watched {daemon.samples_accepted} samples from "
+          f"{daemon.shards.drives_tracked()} drives: "
+          f"{daemon.alerts_emitted} alerts, {lines} verdicts written",
+          file=sys.stderr)
     return 0
 
 
@@ -547,8 +556,7 @@ def run_replay(args: argparse.Namespace,
     profiles = dataset.profiles
 
     start = time.perf_counter()
-    per_profile = replay_fleet(bundle, profiles, n_jobs=args.jobs,
-                               observer=observer)
+    per_profile = replay_fleet(bundle, profiles, observer=observer)
     elapsed = time.perf_counter() - start
 
     n_samples = sum(len(verdicts) for verdicts in per_profile)
@@ -566,7 +574,7 @@ def run_replay(args: argparse.Namespace,
     throughput = n_samples / elapsed if elapsed > 0 else float("inf")
     print(f"replayed {n_samples} samples from {len(profiles)} drives "
           f"in {elapsed:.2f}s ({throughput:,.0f} samples/s, "
-          f"{n_alerts} alerts, jobs={args.jobs})")
+          f"{n_alerts} alerts)")
     return 0
 
 

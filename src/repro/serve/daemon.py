@@ -28,6 +28,10 @@ admission, see :mod:`repro.serve.shard`).
 every shard emits its state snapshot, the optional final-snapshot file
 is written atomically, and :meth:`serve_forever` returns.  The CLI
 wires SIGTERM/SIGINT to the same path.
+
+``repro-serve watch`` is this daemon with one shard and no WAL, fed
+from a CSV stream through :meth:`ServingDaemon.ingest_block` instead of
+``POST /ingest`` (see :mod:`repro.serve.cli`).
 """
 
 from __future__ import annotations
@@ -280,8 +284,6 @@ class ServingDaemon:
     host / port:
         HTTP bind address; ``port=0`` picks an ephemeral port (read it
         from :attr:`handle`).
-    status_tail:
-        Recorder events embedded in each ``/status`` payload.
     final_snapshot:
         Optional path; on shutdown the daemon writes a JSON document
         with per-shard state snapshots and totals there (atomically —
@@ -317,7 +319,6 @@ class ServingDaemon:
                  observer: PipelineObserver | None = None,
                  recorder: FlightRecorder | None = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 status_tail: int = DEFAULT_STATUS_TAIL,
                  throttle_s: float = 0.0,
                  retry_after_s: float = DEFAULT_RETRY_AFTER_S,
                  final_snapshot: str | Path | None = None,
@@ -342,7 +343,6 @@ class ServingDaemon:
         self._bundle_sha256 = content_hash(bundle.to_payload())
         self._sinks = list(sinks)
         self.recorder = recorder if recorder is not None else FlightRecorder()
-        self._status_tail = status_tail
         self._retry_after_s = float(retry_after_s)
         self._final_snapshot = (Path(final_snapshot)
                                 if final_snapshot is not None else None)
@@ -690,7 +690,7 @@ class ServingDaemon:
             "flight_recorder": {
                 "total_recorded": self.recorder.total_recorded,
                 "dropped": self.recorder.dropped,
-                "tail": self.recorder.to_dicts(self._status_tail),
+                "tail": self.recorder.to_dicts(DEFAULT_STATUS_TAIL),
             },
         }
 
@@ -732,6 +732,11 @@ class ServingDaemon:
         """Verdicts above HEALTHY since start."""
         with self._lock:
             return self._alerts_emitted
+
+    @property
+    def draining(self) -> bool:
+        """Whether a stop was requested (``POST /drain``, a signal)."""
+        return self._stop_requested.is_set()
 
     @property
     def final_snapshots(self) -> list[dict[str, Any]]:

@@ -23,15 +23,12 @@ verdicts whose canonical JSON serialization equals, byte for byte,
 with the same (in-memory, never serialized) models.  The golden tests
 pin this across a bundle save/load round trip.
 
-:func:`replay_fleet` replays whole datasets at maximum throughput,
-fanning profiles out over :func:`repro.parallel.map_drives` — verdicts
-are per-drive independent (each drive's state keys on its serial), so
-any job count returns the same verdict lists in the same order.
+:func:`replay_fleet` replays whole datasets through one scorer, one
+profile after another.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Sequence
@@ -45,10 +42,8 @@ from repro.core.rescue import RescueEstimate, rescue_estimate
 from repro.core.serialize import canonical_json_line
 from repro.core.taxonomy import FailureType
 from repro.errors import ReproError, ServeError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import (NULL_OBSERVER, PipelineObserver,
                                 resolve_observer)
-from repro.parallel import ParallelConfig, get_worker_observer, map_drives
 from repro.serve.bundle import ModelBundle
 from repro.smart.profile import HealthProfile
 
@@ -156,6 +151,22 @@ def _verdict(serial: str, hour: int, level: AlertLevel,
         stages={t.name: e.stage for t, e in estimates.items()},
         remaining={t.name: e.hours_remaining for t, e in estimates.items()},
     )
+
+
+def check_finite(matrix: np.ndarray, attributes: Sequence[str]) -> None:
+    """Refuse a ``(rows, attributes)`` record matrix holding NaN or ±Inf.
+
+    A tree routes a NaN as "not below the threshold" at every split, so
+    scoring one would emit a verdict no model chose.  The
+    :class:`~repro.errors.ServeError` names the first bad cell by row,
+    column and attribute.
+    """
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0]
+        raise ServeError(
+            f"record row {row}, column {column} ({attributes[column]!r}) "
+            f"is not finite ({float(matrix[row, column])!r})")
 
 
 #: Head of a canonical verdict line up to its hour value (``"hour"``
@@ -354,7 +365,8 @@ class StreamScorer:
 
         Stacks the samples into one block for :meth:`score_block` and
         materializes every verdict, in sample order.  Records that do
-        not stack, or whose width is not the bundle's, are refused with
+        not stack, whose width is not the bundle's or that hold a
+        non-finite value are refused with
         :class:`~repro.errors.ServeError`.
         """
         samples = list(samples)
@@ -381,7 +393,9 @@ class StreamScorer:
         materializing it reproduces the scalar
         :meth:`~repro.core.monitor.DegradationMonitor.observe` oracle
         byte for byte (the golden tests pin this offline, across shard
-        counts and over live HTTP ingest).
+        counts and over live HTTP ingest).  A NaN or ±Inf anywhere in
+        the batch is refused (:func:`check_finite`) before any drive's
+        state changes.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != self._bundle.n_attributes:
@@ -397,6 +411,7 @@ class StreamScorer:
             )
         if matrix.shape[0] == 0:
             return VerdictBlock(self._monitor.observe_columns([], [], matrix))
+        check_finite(matrix, self._bundle.attributes)
         with self._observer.span("score-batch", n_samples=matrix.shape[0]):
             block = self._monitor.observe_columns(
                 list(serials), hours, matrix)
@@ -559,72 +574,20 @@ class StreamScorer:
         self._observer.gauge("drives_tracked", self.drives_tracked)
 
 
-class _ReplayTask:
-    """Picklable per-profile replay worker for the fleet fan-out.
-
-    The task ships the bundle's plain payload (cheap to pickle) and
-    lazily builds its scorer on first call, so each worker pays the
-    model reconstruction once per chunk, not once per profile.  Sharing
-    one scorer across a chunk only accumulates more per-drive state —
-    verdicts are per-drive independent, so it never changes any output.
-
-    On the thread backend one task object serves every pool thread, so
-    the scorer is cached per thread (a scorer's state store is not
-    thread-safe).  Each thread's scorer binds
-    :func:`~repro.parallel.get_worker_observer` at build time and
-    rebuilds when the observer changes, so telemetry always lands in
-    the *current* chunk's capture registry.
-    """
-
-    __slots__ = ("payload", "_local")
-
-    def __init__(self, payload: dict) -> None:
-        self.payload = payload
-        self._local = threading.local()
-
-    def __reduce__(self):
-        """Pickle the payload only; a thread-local cannot cross processes."""
-        return (_ReplayTask, (self.payload,))
-
-    def __call__(self, profile: HealthProfile) -> list[MonitorVerdict]:
-        observer = get_worker_observer()
-        scorer = getattr(self._local, "scorer", None)
-        if scorer is None or scorer._observer is not observer:
-            scorer = StreamScorer(ModelBundle.from_payload(self.payload),
-                                  observer=observer)
-            self._local.scorer = scorer
-        return scorer.replay_profile(profile)
-
-
 def replay_fleet(bundle: ModelBundle,
                  profiles: Sequence[HealthProfile], *,
-                 n_jobs: int = 1, backend: str = "process",
                  observer: PipelineObserver | None = None,
                  ) -> list[list[MonitorVerdict]]:
-    """Replay every profile through the bundle at maximum throughput.
+    """Replay every profile through one scorer, in input order.
 
-    Returns one verdict list per profile, in input order, for any
-    ``n_jobs``/``backend`` — per-drive state keys on the serial, so
-    profiles score independently and the fan-out is a pure performance
-    knob.  The caller's observer sees a ``fleet-replay`` span plus the
-    true scorer counters: workers emit through their own capture
-    registries and :func:`~repro.parallel.map_drives` merges the deltas
-    back, so ``n_jobs=4`` reports exactly the serial totals.  (An
-    observer without a mergeable registry falls back to parent-side
-    recounting from the returned verdicts.)
+    Returns one verdict list per profile.  Verdicts are a per-sample
+    function of the record and per-drive state keys on the serial, so
+    each list equals a fresh scorer's replay of that profile alone.
+    The observer sees a ``fleet-replay`` span around the scorer's own
+    telemetry (``samples_scored``, ``alerts_emitted``,
+    ``verdict_stage``, ``drives_tracked``).
     """
     obs = resolve_observer(observer)
-    config = ParallelConfig(n_jobs=n_jobs, backend=backend)
-    task = _ReplayTask(bundle.to_payload())
-    with obs.span("fleet-replay", n_profiles=len(profiles), n_jobs=n_jobs):
-        results = map_drives(task, list(profiles), config,
-                             observer=obs, label="replay-fanout")
-    if not isinstance(getattr(obs, "metrics", None), MetricsRegistry):
-        # No registry to merge worker deltas into (custom observer):
-        # reconstruct the counters from the verdicts themselves.
-        for verdicts in results:
-            obs.count("samples_scored", len(verdicts))
-            obs.count("alerts_emitted",
-                      sum(1 for verdict in verdicts if verdict.alerting))
-    obs.gauge("drives_tracked", len(results))
-    return results
+    scorer = StreamScorer(bundle, observer=obs)
+    with obs.span("fleet-replay", n_profiles=len(profiles)):
+        return [scorer.replay_profile(profile) for profile in profiles]

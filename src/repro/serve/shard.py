@@ -25,11 +25,11 @@ Crash safety is opt-in via ``wal_dir``: each worker then appends every
 admitted block to its own :class:`~repro.serve.wal.ShardWal` *before*
 scoring and checkpoints its scorer state every
 ``snapshot_interval_blocks``.  A built-in supervisor thread watches the
-workers; when one dies (process SIGKILL, thread crash, or a heartbeat
-timeout on the process backend) it fails that shard's in-flight
-batches with :class:`~repro.errors.ShardRecoveringError`, respawns the
-worker, and the replacement replays snapshot + WAL suffix back to
-byte-identical state.  Replayed (and recently scored) blocks are
+workers; when one dies (process SIGKILL or thread crash) it fails
+that shard's in-flight batches with
+:class:`~repro.errors.ShardRecoveringError`, respawns the worker, and
+the replacement replays snapshot + WAL suffix back to byte-identical
+state.  Replayed (and recently scored) blocks are
 remembered by their caller-supplied ``block_id``, so a client retrying
 a batch that died in the ack gap — appended to the WAL but never
 answered — gets the cached verdicts instead of double-scoring.
@@ -65,7 +65,7 @@ from repro.errors import (BackpressureError, ServeError,
 from repro.obs.observer import NULL_OBSERVER, PipelineObserver, resolve_observer
 from repro.parallel import validate_backend
 from repro.serve.bundle import ModelBundle, content_hash
-from repro.serve.scorer import StreamScorer, VerdictBlock
+from repro.serve.scorer import StreamScorer, VerdictBlock, check_finite
 from repro.serve.wal import (DEFAULT_FSYNC_EVERY, DEFAULT_SEGMENT_MAX_BYTES,
                              ShardWal, decode_block, encode_block)
 
@@ -419,16 +419,11 @@ class ShardSet:
         ``wal_dir/shard-<k>``; an existing WAL is replayed on startup,
         so a restarted ShardSet resumes exactly where the previous one
         died.
-    snapshot_interval_blocks / wal_fsync_every / wal_segment_max_bytes:
+    snapshot_interval_blocks / wal_fsync_every:
         WAL tuning, see :mod:`repro.serve.wal`.
     supervise:
         Run the dead-worker supervisor thread (default on; the chaos
         tests rely on it, production should never turn it off).
-    heartbeat_timeout_s:
-        Process backend only: a shard with batches in flight but no
-        reply for this long is presumed hung and SIGKILLed (the WAL
-        fences its state), then respawned like any dead worker.
-        ``None`` disables the heartbeat.
     crash_after_seq:
         Chaos hook, per shard: ``{shard: seq}`` makes that worker die
         right after appending WAL record ``seq`` (see
@@ -445,9 +440,7 @@ class ShardSet:
                  snapshot_interval_blocks: int =
                  DEFAULT_SNAPSHOT_INTERVAL_BLOCKS,
                  wal_fsync_every: int = DEFAULT_FSYNC_EVERY,
-                 wal_segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
                  supervise: bool = True,
-                 heartbeat_timeout_s: float | None = None,
                  crash_after_seq: Mapping[int, int] | None = None) -> None:
         if queue_capacity < 1:
             raise ServeError(
@@ -475,8 +468,6 @@ class ShardSet:
         self._status = ["serving"] * n_shards
         self._ready_events = [threading.Event() for _ in range(n_shards)]
         self._restarts = [0] * n_shards
-        self._last_activity = [time.monotonic()] * n_shards
-        self._heartbeat_timeout_s = heartbeat_timeout_s
         self._payload = bundle.to_payload()
 
         self._wal_dir = Path(wal_dir) if wal_dir is not None else None
@@ -488,7 +479,6 @@ class ShardSet:
                 self._wal_settings[shard] = WalSettings(
                     directory=str(self._wal_dir / f"shard-{shard:03d}"),
                     bundle_sha256=bundle_sha,
-                    segment_max_bytes=wal_segment_max_bytes,
                     fsync_every=wal_fsync_every,
                     snapshot_interval_blocks=snapshot_interval_blocks,
                     crash_after_seq=crash_after_seq.get(shard),
@@ -630,7 +620,9 @@ class ShardSet:
         :class:`~repro.errors.BackpressureError`, and if any involved
         shard is replaying after a crash it is rejected with
         :class:`~repro.errors.ShardRecoveringError`; either way no
-        sample of it is enqueued.
+        sample of it is enqueued.  A malformed batch — wrong width,
+        non-integer hours, a NaN or ±Inf value — is refused with
+        :class:`~repro.errors.ServeError` before admission too.
 
         ``block_id`` names the batch for crash-safe retries: with the
         WAL enabled, resubmitting the same id after a worker died
@@ -677,13 +669,15 @@ class ShardSet:
             if self._stopped:
                 raise ServeError("ShardSet is stopped; no new batches")
             attributes = self._bundle.attributes
+            # Refused before admission: a batch no shard could score
+            # (wrong width, or a NaN/±Inf value) is neither logged nor
+            # counted as tracked drives.
             if matrix.shape[1] != len(attributes):
-                # Refused before admission: a batch no shard could score
-                # is neither logged nor counted as tracked drives.
                 raise ServeError(
                     f"record matrix has shape {matrix.shape}, bundle "
                     f"expects (n, {len(attributes)}) "
                     f"({', '.join(attributes)})")
+            check_finite(matrix, attributes)
             for shard in by_shard:
                 if self._status[shard] == "recovering":
                     raise ShardRecoveringError(shard, self._retry_after_s)
@@ -921,7 +915,6 @@ class ShardSet:
                     if not pending.outstanding:
                         pending.done.set()
             self._inflight[shard] = 0
-            self._last_activity[shard] = time.monotonic()
             self._tasks[shard] = self._new_task_queue()
             worker = self._spawn_worker(shard)
             self._workers[shard] = worker
@@ -939,19 +932,8 @@ class ShardSet:
                     worker = self._workers[shard]
                     status = self._status[shard]
                     snapshotted = self._snapshots[shard] is not None
-                    inflight = self._inflight[shard]
-                    last_activity = self._last_activity[shard]
-                if status.startswith("failed") or snapshotted:
-                    continue
-                if worker.is_alive():
-                    if (self._heartbeat_timeout_s is not None
-                            and self._backend == "process"
-                            and inflight > 0
-                            and time.monotonic() - last_activity
-                            > self._heartbeat_timeout_s):
-                        # Presumed hung: SIGKILL fences its WAL writes;
-                        # the next poll sees the death and respawns.
-                        self.kill_shard(shard)
+                if (status.startswith("failed") or snapshotted
+                        or worker.is_alive()):
                     continue
                 self._respawn(shard)
 
@@ -1051,7 +1033,6 @@ class ShardSet:
                              for serial in body.get("serials", ())}
                 with self._lock:
                     self._status[shard] = "serving"
-                    self._last_activity[shard] = time.monotonic()
                     self._placement.update(recovered)
                     self._ready_events[shard].set()
                 replayed = body.get("replayed_blocks", 0)
@@ -1070,7 +1051,6 @@ class ShardSet:
                                 pending.done.set()
                 continue
             with self._lock:
-                self._last_activity[shard] = time.monotonic()
                 pending = self._pending.get(request_id)
                 if pending is None or shard not in pending.outstanding:
                     continue

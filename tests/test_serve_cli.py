@@ -128,14 +128,18 @@ def test_score_missing_bundle_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_replay_with_jobs(bundle_path, tmp_path, capsys):
+def test_replay_writes_verdicts(bundle_path, tmp_path, capsys):
     out = tmp_path / "replay.jsonl"
     assert serve_main(["replay", "--bundle", str(bundle_path),
                        "--simulate", "80", "--seed", "7",
-                       "--jobs", "2", "--output", str(out)]) == 0
+                       "--output", str(out)]) == 0
     console = capsys.readouterr().out
     assert "replayed" in console and "samples/s" in console
     assert out.read_text().count("\n") > 0
+    with pytest.raises(SystemExit) as refused:  # the fan-out is gone
+        serve_main(["replay", "--bundle", str(bundle_path),
+                    "--simulate", "80", "--jobs", "2"])
+    assert refused.value.code == 2
 
 
 def test_serve_telemetry_artifacts(bundle_path, stream_csv, tmp_path):

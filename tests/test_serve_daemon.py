@@ -16,10 +16,11 @@ import pytest
 
 from repro.errors import ServeError
 from repro.obs.observer import NULL_OBSERVER
-from repro.serve.bundle import build_bundle, save_bundle
+from repro.serve.bundle import build_bundle, content_hash, save_bundle
 from repro.serve.cli import main as serve_main
 from repro.serve.daemon import ServingDaemon
 from repro.serve.sinks import CallbackAlertSink, JsonlAlertSink
+from repro.serve.wal import ShardWal
 
 from tests.oracle import oracle_lines
 from tests.test_obs_http import _get, _post
@@ -352,6 +353,36 @@ def _columnar(rows):
     hours = [hour for _serial, hour, _values in rows]
     matrix = [values for _serial, _hour, values in rows]
     return serials, hours, matrix
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_ingest_block_refuses_non_finite_before_the_wal(bundle, samples,
+                                                        tmp_path, bad):
+    """A NaN/±Inf batch is refused before admission: no WAL record is
+    written, no drive starts being tracked, and the shard keeps serving."""
+    wal_dir = tmp_path / "wal"
+    with ServingDaemon(bundle, wal_dir=wal_dir) as daemon:
+        daemon.ingest_block(*_columnar(samples[:20]))
+        tracked = daemon.shards.drives_tracked()
+        appends = daemon.registry.counter("wal_appends").value
+        _serials, hours, matrix = _columnar(samples[20:40])
+        serials = [f"fresh-{index}" for index in range(len(hours))]
+        matrix = [list(values) for values in matrix]
+        matrix[3][1] = bad
+        with pytest.raises(ServeError) as refused:
+            daemon.ingest_block(serials, hours, matrix)
+        assert str(refused.value) == (
+            f"record row 3, column 1 ({bundle.attributes[1]!r}) is not "
+            f"finite ({bad!r})")
+        assert daemon.shards.drives_tracked() == tracked
+        assert daemon.registry.counter("wal_appends").value == appends == 1
+        assert daemon.samples_accepted == 20
+        assert daemon.shards.shard_status() == ["serving"]
+    with ShardWal(wal_dir / "shard-000",
+                  bundle_sha256=content_hash(bundle.to_payload()),
+                  generation=bundle.generation) as wal:
+        wal.open()
+        assert wal.last_seq == 1
 
 
 # -- configuration ----------------------------------------------------------

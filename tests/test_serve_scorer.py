@@ -1,8 +1,5 @@
 """Tests for the streaming scorer — the byte-identity golden contract."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -14,7 +11,7 @@ from repro.errors import ServeError
 from repro.obs.observer import TelemetryObserver
 from repro.serve.bundle import build_bundle, load_bundle, save_bundle
 from repro.serve.scorer import (MonitorVerdict, StreamScorer, VerdictBlock,
-                                _ReplayTask, replay_fleet)
+                                replay_fleet)
 from tests.oracle import oracle_monitor, oracle_verdicts
 
 
@@ -186,56 +183,8 @@ def test_scorer_evicts_idle_drives(loaded_bundle, stream_profiles):
     assert scorer.evict_idle(before_hour=100) == 0
 
 
-@pytest.mark.parametrize("n_jobs,backend", [(2, "process"), (2, "thread")])
-def test_parallel_replay_is_byte_identical(loaded_bundle, stream_profiles,
-                                           n_jobs, backend):
-    serial = replay_fleet(loaded_bundle, stream_profiles, n_jobs=1)
-    parallel = replay_fleet(loaded_bundle, stream_profiles,
-                            n_jobs=n_jobs, backend=backend)
-    assert [_lines(v) for v in serial] == [_lines(v) for v in parallel]
-
-
-def test_thread_replay_is_byte_identical_every_time(loaded_bundle,
-                                                   stream_profiles):
-    """Pool threads share one replay task but never one scorer: a
-    shared state store raced under the thread backend, so one lucky run
-    proved nothing.  Twenty in a row, with thread switches forced often,
-    must all match the serial replay."""
-    serial = [_lines(v) for v in replay_fleet(loaded_bundle, stream_profiles)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            parallel = replay_fleet(loaded_bundle, stream_profiles,
-                                    n_jobs=2, backend="thread")
-            assert [_lines(v) for v in parallel] == serial
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_replay_task_builds_one_scorer_per_thread(loaded_bundle,
-                                                  stream_profiles):
-    """The deterministic half of the race above: two threads calling
-    one task never share a scorer (or its state store)."""
-    task = _ReplayTask(loaded_bundle.to_payload())
-    scorers = []
-
-    def replay(profile):
-        task(profile)
-        scorers.append(task._local.scorer)
-
-    threads = [threading.Thread(target=replay, args=(profile,))
-               for profile in stream_profiles[:2]]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-    assert len(scorers) == 2 and scorers[0] is not scorers[1]
-
-
 def test_replay_fleet_preserves_input_order(loaded_bundle, stream_profiles):
-    results = replay_fleet(loaded_bundle, stream_profiles, n_jobs=2)
+    results = replay_fleet(loaded_bundle, stream_profiles)
     assert len(results) == len(stream_profiles)
     for profile, verdicts in zip(stream_profiles, results):
         assert len(verdicts) == len(profile.hours)
@@ -264,6 +213,34 @@ def test_record_width_mismatch_is_typed(loaded_bundle):
     with pytest.raises(ServeError, match="bundle expects"):
         scorer.score_block(["D1"], [0], np.zeros((1, width + 1)))
     assert scorer.samples_scored == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_values_are_refused_before_scoring(loaded_bundle,
+                                                      stream_profiles, bad):
+    """``score_block`` and ``push_many`` refuse NaN/±Inf naming the first
+    bad cell, and the refused batch changes no counter and no drive."""
+    scorer = StreamScorer(loaded_bundle)
+    profile = stream_profiles[0]
+    scorer.replay_profile(profile)
+    scored, alerts = scorer.samples_scored, scorer.alerts_emitted
+    tracked, level = scorer.drives_tracked, scorer.level_of(profile.serial)
+    serials = [profile.serial, "fresh-1", "fresh-2"]
+    hours = [10**6, 1, 2]
+    matrix = np.array(profile.matrix[:3], dtype=np.float64)
+    matrix[1, 2] = bad
+    matrix[2, 0] = bad
+    message = (f"record row 1, column 2 ({loaded_bundle.attributes[2]!r}) "
+               f"is not finite ({bad!r})")
+    with pytest.raises(ServeError) as refused:
+        scorer.score_block(serials, hours, matrix)
+    assert str(refused.value) == message
+    with pytest.raises(ServeError) as refused:
+        scorer.push_many(zip(serials, hours, matrix))
+    assert str(refused.value) == message
+    assert (scorer.samples_scored, scorer.alerts_emitted) == (scored, alerts)
+    assert scorer.drives_tracked == tracked
+    assert scorer.level_of(profile.serial) is level
 
 
 def test_verdict_json_is_canonical(loaded_bundle, stream_profiles):

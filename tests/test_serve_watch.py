@@ -1,34 +1,37 @@
-"""Tests for watch mode: the live telemetry plane around the scorer.
+"""Tests for watch mode: the serving daemon fed from a CSV stream.
 
-The acceptance criteria of the telemetry plane live here: a concurrent
-HTTP client scrapes ``/metrics``, ``/health`` and ``/status`` *while*
-the service scores; the flight recorder retains the last alerts; and
-watched verdicts stay byte-identical to an offline replay of the same
-samples — telemetry observes scoring, it never participates.
+``repro-serve watch`` is a one-shard :class:`ServingDaemon` whose
+batches come from a file instead of ``POST /ingest``.  Pinned here: a
+concurrent HTTP client scrapes ``/metrics``, ``/health`` and
+``/status`` *while* the stream scores; the flight recorder retains the
+last alerts; watched verdicts are byte-identical to the scalar oracle
+and to ``repro-serve score`` — telemetry observes scoring, it never
+participates.
 """
 
 import csv
 import json
+import re
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.errors import ServeError
-from repro.obs.observer import NULL_OBSERVER, TelemetryObserver
+from repro.obs.observer import TelemetryObserver
 from repro.obs.recorder import FlightRecorder
 from repro.serve.bundle import (
-    BUNDLE_SCHEMA_VERSION,
     build_bundle,
     content_hash,
     load_bundle,
     save_bundle,
 )
 from repro.serve.cli import main as serve_main
-from repro.serve.scorer import StreamScorer
-from repro.serve.watch import WatchService
+from repro.serve.daemon import DEFAULT_STATUS_TAIL, ServingDaemon
+from repro.serve.scorer import StreamScorer, replay_fleet
 
-from tests.test_obs_http import _get
+from tests.oracle import oracle_lines
+from tests.test_obs_http import _get, _post
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +62,21 @@ def stream_samples(mid_fleet):
     return profiles, samples
 
 
+@pytest.fixture(scope="module")
+def stream_csv(loaded_bundle, stream_samples, tmp_path_factory):
+    """The stream samples as a ``serial,hour,<attributes>`` CSV."""
+    _profiles, samples = stream_samples
+    path = tmp_path_factory.mktemp("watch-stream") / "stream.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["serial", "hour", *loaded_bundle.attributes])
+        for serial, hour, row in samples:
+            writer.writerow([serial, hour, *(repr(float(v)) for v in row)])
+    return path
+
+
 def _batches(samples, size=64):
-    """Column blocks ``(serials, hours, matrix)`` for ``score_batch``."""
+    """Column blocks ``(serials, hours, matrix)`` for ``ingest_block``."""
     return [([serial for serial, _, _ in batch],
              [hour for _, hour, _ in batch],
              np.vstack([row for _, _, row in batch]))
@@ -69,88 +85,145 @@ def _batches(samples, size=64):
 
 
 def test_watch_verdicts_byte_identical_to_offline_replay(
-        loaded_bundle, stream_samples):
-    profiles, samples = stream_samples
-    offline = StreamScorer(loaded_bundle)
-    expected = [verdict.to_json_line()
-                for profile in profiles
-                for verdict in offline.replay_profile(profile)]
-    with WatchService(loaded_bundle) as service:
-        watched = [line
-                   for batch in _batches(samples)
-                   for line in service.score_batch(*batch).to_json_lines()]
-    assert watched == expected
-
-
-def test_concurrent_scrapes_while_scoring(loaded_bundle, stream_samples):
-    """The acceptance scenario: scrape all three endpoints from another
-    thread while batches stream through the scorer."""
+        loaded_bundle, bundle_path, stream_samples, stream_csv, tmp_path):
+    """Watch output equals the per-sample oracle, whatever the batch size."""
     _profiles, samples = stream_samples
+    expected = "".join(line + "\n"
+                       for line in oracle_lines(loaded_bundle, samples))
+    for batch_size in ("1", "64", "5000"):
+        out = tmp_path / f"watch-{batch_size}.jsonl"
+        assert serve_main(["watch", "--bundle", str(bundle_path),
+                           "--input", str(stream_csv),
+                           "--output", str(out),
+                           "--batch-size", batch_size]) == 0
+        assert out.read_text() == expected
+
+
+def test_concurrent_scrapes_while_scoring(loaded_bundle, bundle_path,
+                                          stream_samples, stream_csv,
+                                          tmp_path):
+    """The acceptance scenario: scrape all three endpoints from another
+    thread while ``repro-serve watch`` streams a file."""
+    _profiles, samples = stream_samples
+    port_file = tmp_path / "port.txt"
+    outcome = {}
+
+    def watch():
+        outcome["status"] = serve_main([
+            "watch", "--bundle", str(bundle_path),
+            "--input", str(stream_csv),
+            "--output", str(tmp_path / "watch.jsonl"),
+            "--port-file", str(port_file),
+            "--batch-size", "64", "--throttle", "0.03", "--linger", "1"])
+
+    thread = threading.Thread(target=watch, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 30.0
+    while not port_file.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    url = f"http://127.0.0.1:{int(port_file.read_text())}"
+
     scrapes = []
-    stop = threading.Event()
+    scored = []
+    accepted = []
+    while thread.is_alive():
+        try:
+            replies = {endpoint: _get(url + endpoint)
+                       for endpoint in ("/metrics", "/health", "/status")}
+        except OSError:
+            break  # the linger ended between the liveness check and a GET
+        scrapes.append(replies)
+        match = re.search(r"^repro_samples_scored_total (\d+)$",
+                          replies["/metrics"][2], re.MULTILINE)
+        if match:
+            scored.append(int(match.group(1)))
+        accepted.append(json.loads(replies["/status"][2])
+                        ["samples_accepted"])
+    thread.join(timeout=30)
+    assert not thread.is_alive()
 
-    with WatchService(loaded_bundle) as service:
-        def scraper():
-            while not stop.is_set():
-                for endpoint in ("/metrics", "/health", "/status"):
-                    scrapes.append((endpoint, _get(service.url + endpoint)))
+    assert outcome["status"] == 0
+    assert len(scrapes) >= 3
+    assert all(status == 200
+               for replies in scrapes for status, _c, _b in replies.values())
+    health = json.loads(scrapes[-1]["/health"][2])
+    assert health["status"] == "ok"
+    assert health["bundle_sha256"] == content_hash(loaded_bundle.to_payload())
+    assert health["shards"] == ["serving"]
+    # Live: some scrape landed mid-stream, and the count only grew.
+    assert any(0 < count < len(samples) for count in accepted)
+    assert scored == sorted(scored) and scored[-1] == len(samples)
+    final_status = json.loads(scrapes[-1]["/status"][2])
+    assert final_status["n_shards"] == 1
+    assert final_status["samples_accepted"] == len(samples)
+    assert final_status["alerts_emitted"] > 0
+    assert final_status["flight_recorder"]["total_recorded"] > 0
+    metrics_text = scrapes[-1]["/metrics"][2]
+    assert "repro_verdict_stage_bucket" in metrics_text
+    assert "repro_telemetry_requests_total" in metrics_text
 
-        thread = threading.Thread(target=scraper, daemon=True)
-        thread.start()
-        for batch in _batches(samples):
-            service.score_batch(*batch)
-        stop.set()
-        thread.join(timeout=10)
 
-        assert len(scrapes) >= 3
-        assert all(status == 200 for _e, (status, _c, _b) in scrapes)
-        health = json.loads(
-            _get(service.url + "/health")[2])
-        assert health == {
-            "status": "ok",
-            "bundle_sha256": content_hash(loaded_bundle.to_payload()),
-            "schema_version": BUNDLE_SCHEMA_VERSION,
-        }
-        final_status = json.loads(_get(service.url + "/status")[2])
-        assert final_status["samples_scored"] == len(samples)
-        assert final_status["alerts_emitted"] > 0
-        assert final_status["flight_recorder"]["total_recorded"] > 0
-        metrics_text = _get(service.url + "/metrics")[2]
-        assert f"repro_samples_scored_total {len(samples)}" in metrics_text
-        assert "repro_verdict_stage_bucket" in metrics_text
-        assert "repro_telemetry_requests_total" in metrics_text
+def test_drain_ends_the_watch_stream_early(loaded_bundle, bundle_path,
+                                          stream_samples, stream_csv,
+                                          tmp_path):
+    """Watch inherits the daemon's POST routes: ``POST /drain`` stops the
+    stream after the block in flight, exit 0, output a prefix of the
+    full run's."""
+    port_file = tmp_path / "port.txt"
+    out = tmp_path / "drained.jsonl"
+    outcome = {}
+
+    def watch():
+        outcome["status"] = serve_main([
+            "watch", "--bundle", str(bundle_path),
+            "--input", str(stream_csv), "--output", str(out),
+            "--port-file", str(port_file),
+            "--batch-size", "16", "--throttle", "0.05"])
+
+    thread = threading.Thread(target=watch, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 30.0
+    while not port_file.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    url = f"http://127.0.0.1:{int(port_file.read_text())}"
+    status, _headers, body = _post(url + "/drain")
+    assert (status, json.loads(body)) == (202, {"status": "draining"})
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+    assert outcome["status"] == 0
+    _profiles, samples = stream_samples
+    full = "".join(line + "\n"
+                   for line in oracle_lines(loaded_bundle, samples))
+    drained = out.read_text()
+    assert len(drained) < len(full) and full.startswith(drained)
 
 
 def test_flight_recorder_keeps_the_last_alerts(loaded_bundle,
                                                stream_samples):
     _profiles, samples = stream_samples
     recorder = FlightRecorder(capacity=32)
-    with WatchService(loaded_bundle, recorder=recorder) as service:
+    with ServingDaemon(loaded_bundle, recorder=recorder) as daemon:
         for batch in _batches(samples):
-            service.score_batch(*batch)
+            daemon.ingest_block(*batch)
         alerts = recorder.events_of("alert")
         assert alerts
         assert alerts[-1].context.keys() == {
             "serial", "hour", "level", "stage", "likely_type"}
-        assert service.scorer.alerts_emitted >= len(alerts)
+        assert daemon.alerts_emitted >= len(alerts)
     kinds = [event.kind for event in recorder.tail()]
     assert kinds[-1] == "lifecycle"  # the stop event
 
 
 def test_status_tail_is_bounded(loaded_bundle, stream_samples):
     _profiles, samples = stream_samples
-    with WatchService(loaded_bundle, status_tail=3) as service:
+    with ServingDaemon(loaded_bundle) as daemon:
         for batch in _batches(samples):
-            service.score_batch(*batch)
-        payload = service.status_payload()
-    assert len(payload["flight_recorder"]["tail"]) <= 3
-
-
-def test_watch_service_requires_metrics_observer(loaded_bundle):
-    with pytest.raises(ServeError, match="metrics registry"):
-        WatchService(loaded_bundle, observer=NULL_OBSERVER)
-    with pytest.raises(ServeError, match="status_tail"):
-        WatchService(loaded_bundle, status_tail=-1)
+            daemon.ingest_block(*batch)
+        payload = daemon.status_payload()
+    recorder = payload["flight_recorder"]
+    assert recorder["total_recorded"] > DEFAULT_STATUS_TAIL
+    assert len(recorder["tail"]) == DEFAULT_STATUS_TAIL
 
 
 def test_watch_cli_end_to_end(bundle_path, mid_fleet, loaded_bundle,
@@ -220,21 +293,28 @@ def test_watch_cli_refuses_non_finite_values(bundle_path, loaded_bundle,
 
 
 def test_replay_fleet_telemetry_matches_serial(loaded_bundle, mid_fleet):
-    """`--jobs` stays a pure performance knob for serving telemetry."""
-    from repro.serve.scorer import replay_fleet
-
+    """``replay_fleet`` is one scorer over the profiles: each profile's
+    verdicts equal the oracle's, and its telemetry equals a plain
+    ``StreamScorer`` loop's."""
     dataset = mid_fleet.dataset
     profiles = dataset.failed_profiles[:4] + dataset.good_profiles[:4]
-    serial, parallel = TelemetryObserver(), TelemetryObserver()
-    a = replay_fleet(loaded_bundle, profiles, n_jobs=1, observer=serial)
-    b = replay_fleet(loaded_bundle, profiles, n_jobs=2, backend="thread",
-                     observer=parallel)
-    assert [[v.to_json_line() for v in vs] for vs in a] \
-        == [[v.to_json_line() for v in vs] for vs in b]
+    replayed, looped = TelemetryObserver(), TelemetryObserver()
+    results = replay_fleet(loaded_bundle, profiles, observer=replayed)
+    scorer = StreamScorer(loaded_bundle, observer=looped)
+    for profile in profiles:
+        scorer.score_block([profile.serial] * len(profile.hours),
+                           profile.hours, profile.matrix)
+
+    assert len(results) == len(profiles)
+    for profile, verdicts in zip(profiles, results):
+        assert [v.to_json_line() for v in verdicts] == oracle_lines(
+            loaded_bundle, zip([profile.serial] * len(profile.hours),
+                               profile.hours, profile.matrix))
     for name in ("samples_scored", "alerts_emitted"):
-        assert (serial.metrics.counter(name).value
-                == parallel.metrics.counter(name).value > 0)
-    assert (serial.metrics.histogram("verdict_stage").bucket_counts()
-            == parallel.metrics.histogram("verdict_stage").bucket_counts())
-    assert (serial.metrics.gauge("drives_tracked").value
-            == parallel.metrics.gauge("drives_tracked").value == 8.0)
+        assert (replayed.metrics.counter(name).value
+                == looped.metrics.counter(name).value > 0)
+    assert (replayed.metrics.histogram("verdict_stage").bucket_counts()
+            == looped.metrics.histogram("verdict_stage").bucket_counts())
+    assert (replayed.metrics.gauge("drives_tracked").value
+            == looped.metrics.gauge("drives_tracked").value == 8.0)
+    assert [span.name for span in replayed.tracer.roots] == ["fleet-replay"]
