@@ -43,7 +43,6 @@ from repro.faults import ChaosConfig, inject_dataset, parse_chaos_spec
 from repro.parallel import (
     ParallelConfig,
     RetryPolicy,
-    get_worker_observer,
     map_drives,
 )
 from repro.serve import (
@@ -90,7 +89,6 @@ __all__ = [
     "parse_chaos_spec",
     "ParallelConfig",
     "RetryPolicy",
-    "get_worker_observer",
     "map_drives",
     "ModelBundle",
     "MonitorVerdict",

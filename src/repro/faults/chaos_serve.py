@@ -1,16 +1,15 @@
 """Serving-plane chaos: seeded crash drills for the WAL recovery path.
 
 Where :mod:`repro.faults.injectors` corrupts *data*, this module kills
-*processes*: it drives a :class:`~repro.serve.shard.ShardSet` through a
+*workers*: it drives a :class:`~repro.serve.shard.ShardSet` through a
 scripted ingest stream while killing shard workers at seeded points,
 then lets the caller compare the surviving verdict stream byte for byte
 against an uninterrupted run.  The paper's serving claim — crash
 recovery reproduces the exact pre-crash state — is only testable by
 actually crashing, so the drill is a library function rather than a
-shell script: deterministic (a seed fully fixes the kill schedule),
-backend-agnostic (thread kills via the crash sentinel, process kills
-via SIGKILL), and assertion-friendly (it returns the verdict lines in
-stream order).
+shell script: deterministic (a seed fully fixes the kill schedule,
+and each kill is the worker's crash sentinel) and assertion-friendly
+(it returns the verdict lines in stream order).
 
 :class:`BlackholeSink` is the delivery-plane counterpart: an alert sink
 that refuses every emit, for drills that pin the dead-letter file's
@@ -75,10 +74,9 @@ def run_chaos_stream(shards: ShardSet,
     block whose worker died in the ack gap — WAL-appended but
     unanswered — is recovered through the dedup cache rather than
     double-scored.  Before submitting block ``i``, every plan entry
-    ``(i, shard)`` kills that shard abruptly (SIGKILL on the process
-    backend).  Returns every verdict as its canonical JSON line, in
-    stream order — byte-comparable against an uninterrupted run of the
-    same blocks.
+    ``(i, shard)`` kills that shard abruptly.  Returns every verdict as
+    its canonical JSON line, in stream order — byte-comparable against
+    an uninterrupted run of the same blocks.
 
     Raises :class:`~repro.errors.FaultInjectionError` when a shard
     fails to recover within ``recovery_timeout_s`` — the drill's way of

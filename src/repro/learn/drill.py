@@ -247,8 +247,7 @@ class DriftDrill:
 
     # -- the serving half -------------------------------------------------
 
-    def run(self, n_shards: int, *, backend: str = "thread",
-            wal_dir: Any = None) -> dict[str, Any]:
+    def run(self, n_shards: int, *, wal_dir: Any = None) -> dict[str, Any]:
         """Serve the drifted stream with a live mid-stream promotion.
 
         Feeds the first half of the blocks to a fresh
@@ -264,7 +263,7 @@ class DriftDrill:
         assert self.champion is not None and self.challenger is not None
         digest = hashlib.sha256()
         receipts: list[dict[str, Any]] = []
-        with ShardSet(self.champion, n_shards=n_shards, backend=backend,
+        with ShardSet(self.champion, n_shards=n_shards,
                       wal_dir=wal_dir) as shards:
             for index, (serials, hours, matrix) in enumerate(self.blocks):
                 if index == self.promote_at:
@@ -281,7 +280,6 @@ class DriftDrill:
                 f"n_shards={n_shards}")
         return {
             "n_shards": n_shards,
-            "backend": backend,
             "verdict_sha256": served,
             "matches_offline": True,
             "promotion_receipts": receipts,

@@ -36,8 +36,7 @@ and :meth:`MetricsRegistry.merge_state`: a worker process dumps its
 registry to plain JSON-clean types, ships it home with its results, and
 the parent merges deltas deterministically (counters add, gauges take
 the later write, histograms combine aggregates, buckets and
-reservoirs).  :func:`repro.parallel.map_drives` does exactly this for
-every fan-out.
+reservoirs).
 """
 
 from __future__ import annotations

@@ -24,16 +24,11 @@ and suits NumPy-heavy callables that release the GIL, or tests that need
 cheap concurrency.
 
 Observers hold loggers and locks that must not cross process
-boundaries, so the caller's observer itself never ships to workers.
-Instead each worker exposes a process-local observer through
-:func:`get_worker_observer`: mapped functions emit counters, gauges and
-histogram observations into it, the worker returns its registry *delta*
-alongside each chunk's results, and the parent merges the deltas into
-the caller's registry in chunk-index order.  Serial and parallel runs
-therefore report identical metric totals — ``n_jobs`` stays a pure
-performance knob even for telemetry.  The caller's observer also sees
-one span per fan-out with the chunk geometry in its attributes, plus
-the ``parallel_chunks`` counter and ``parallel_jobs`` gauge.
+boundaries, so the caller's observer never ships to workers and mapped
+functions emit no telemetry of their own; callers count what comes
+back.  The caller's observer sees one span per fan-out with the chunk
+geometry in its attributes, plus the ``parallel_chunks`` counter and
+``parallel_jobs`` gauge.
 
 Resilience
 ----------
@@ -51,23 +46,15 @@ nothing and keeps the original fail-fast semantics.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import ParallelError, WorkerCrashError, WorkerTimeoutError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import (
-    NULL_OBSERVER,
-    NoopObserver,
-    PipelineObserver,
-    resolve_observer,
-)
+from repro.obs.observer import PipelineObserver, resolve_observer
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -212,83 +199,10 @@ def chunked(items: Sequence[_T], chunk_size: int) -> list[list[_T]]:
     ]
 
 
-#: Per-thread slot holding the observer :func:`get_worker_observer`
-#: hands out.  ``threading.local`` isolates thread-backend workers from
-#: each other exactly as process isolation does for process workers.
-_WORKER_TELEMETRY = threading.local()
-
-
-class _WorkerTelemetry(NoopObserver):
-    """Metrics-only observer capturing a worker's registry delta.
-
-    Spans and events stay no-ops (they would need loggers and tracers
-    that cannot cross the process boundary); counters, gauges and
-    histogram observations land in a private registry whose
-    ``dump_state()`` rides home with the chunk results.
-    """
-
-    __slots__ = ("metrics",)
-
-    def __init__(self) -> None:
-        self.metrics = MetricsRegistry()
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        self.metrics.counter(name).inc(amount)
-
-    def gauge(self, name: str, value: float) -> None:
-        self.metrics.gauge(name).set(value)
-
-    def observe(self, name: str, value: float) -> None:
-        self.metrics.histogram(name).observe(value)
-
-    def observe_many(self, name: str, values: Iterable[float]) -> None:
-        self.metrics.histogram(name).observe_many(values)
-
-
-def get_worker_observer() -> PipelineObserver:
-    """The observer a mapped function should emit telemetry through.
-
-    Inside a :func:`map_drives` worker this is the chunk's capture
-    observer (or the caller's own observer on the serial path), so
-    counters survive the process boundary; anywhere else it is
-    :data:`~repro.obs.observer.NULL_OBSERVER`, so mapped functions can
-    call it unconditionally.
-    """
-    return getattr(_WORKER_TELEMETRY, "observer", NULL_OBSERVER)
-
-
-@contextmanager
-def _install_worker_observer(observer: PipelineObserver) -> Iterator[None]:
-    """Install ``observer`` as this thread's worker observer."""
-    previous = getattr(_WORKER_TELEMETRY, "observer", None)
-    _WORKER_TELEMETRY.observer = observer
-    try:
-        yield
-    finally:
-        if previous is None:
-            del _WORKER_TELEMETRY.observer
-        else:
-            _WORKER_TELEMETRY.observer = previous
-
-
-def _run_chunk(fn: Callable[[_T], _R], chunk: list[_T],
-               capture: bool = False,
-               ) -> tuple[list[_R], dict[str, Any] | None]:
+def _run_chunk(fn: Callable[[_T], _R], chunk: list[_T]) -> list[_R]:
     """Worker body: apply ``fn`` to one chunk (module-level so process
-    backends can pickle it).
-
-    With ``capture`` a fresh :class:`_WorkerTelemetry` observer is
-    installed for the chunk and its registry state returned alongside
-    the results; without it the results ride with ``None`` and whatever
-    observer is already installed (the caller's own, on serial paths)
-    receives the emissions directly.
-    """
-    if not capture:
-        return [fn(item) for item in chunk], None
-    telemetry = _WorkerTelemetry()
-    with _install_worker_observer(telemetry):
-        results = [fn(item) for item in chunk]
-    return results, telemetry.metrics.dump_state()
+    backends can pickle it)."""
+    return [fn(item) for item in chunk]
 
 
 def map_drives(fn: Callable[[_T], _R], items: Iterable[_T],
@@ -307,11 +221,7 @@ def map_drives(fn: Callable[[_T], _R], items: Iterable[_T],
     ``initializer(*initargs)`` runs once in every worker before any
     chunk (and once inline on the serial path), so callers can replicate
     process-wide state — e.g. the experiment harness re-applies its
-    fleet scale in each worker.  ``fn`` may emit metrics through
-    :func:`get_worker_observer`; worker registry deltas merge back into
-    ``observer``'s registry in chunk-index order, so serial and parallel
-    runs report identical totals.  ``observer`` also receives a
-    ``label`` span wrapping the whole fan-out with ``n_items`` /
+    fleet scale in each worker.  ``observer`` receives a ``label`` span wrapping the whole fan-out with ``n_items`` /
     ``n_jobs`` / ``backend`` / ``n_chunks`` attributes.
     """
     cfg = config if config is not None else ParallelConfig()
@@ -324,7 +234,7 @@ def map_drives(fn: Callable[[_T], _R], items: Iterable[_T],
         if initializer is not None:
             initializer(*initargs)
         with obs.span(label, n_items=len(materialized), n_jobs=1,
-                      backend="inline"), _install_worker_observer(obs):
+                      backend="inline"):
             return [fn(item) for item in materialized]
 
     chunk_size = (cfg.chunk_size if cfg.chunk_size is not None
@@ -332,36 +242,23 @@ def map_drives(fn: Callable[[_T], _R], items: Iterable[_T],
     chunks = chunked(materialized, chunk_size)
     executor_cls: Any = (ProcessPoolExecutor if cfg.backend == "process"
                          else ThreadPoolExecutor)
-    registry = getattr(obs, "metrics", None)
-    capture = isinstance(registry, MetricsRegistry)
     with obs.span(label, n_items=len(materialized), n_jobs=jobs,
                   backend=cfg.backend, n_chunks=len(chunks),
                   chunk_size=chunk_size):
-        payloads = _execute_chunks(fn, chunks, executor_cls, jobs,
-                                   cfg.retry, obs, capture=capture,
-                                   initializer=initializer,
-                                   initargs=initargs)
-    if capture:
-        # Chunk-index order makes the merge deterministic: counter sums
-        # are order-free, but last-write-wins gauges need a fixed order.
-        for _chunk_results, state in payloads:
-            if state is not None:
-                registry.merge_state(state)
+        chunk_results = _execute_chunks(fn, chunks, executor_cls, jobs,
+                                        cfg.retry, obs,
+                                        initializer=initializer,
+                                        initargs=initargs)
     obs.count("parallel_chunks", len(chunks))
     obs.gauge("parallel_jobs", jobs)
-    return [result
-            for chunk_results, _state in payloads
-            for result in chunk_results]
-
-
-_ChunkPayload = tuple[list[Any], "dict[str, Any] | None"]
+    return [result for results in chunk_results for result in results]
 
 
 def _execute_chunks(fn: Callable[[_T], _R], chunks: list[list[_T]],
                     executor_cls: Any, jobs: int, policy: RetryPolicy,
-                    obs: PipelineObserver, *, capture: bool,
+                    obs: PipelineObserver, *,
                     initializer: Callable[..., None] | None,
-                    initargs: tuple[Any, ...]) -> list[_ChunkPayload]:
+                    initargs: tuple[Any, ...]) -> list[list[_R]]:
     """Run every chunk through worker pools, retrying per ``policy``.
 
     Round 0 dispatches everything; each later round re-dispatches only
@@ -371,7 +268,7 @@ def _execute_chunks(fn: Callable[[_T], _R], chunks: list[list[_T]],
     (``serial_fallback``) or raise a typed error.  The per-chunk result
     slots keep the input-order merge intact whatever the retry history.
     """
-    results: list[_ChunkPayload | None] = [None] * len(chunks)
+    results: list[list[_R] | None] = [None] * len(chunks)
     pending = list(range(len(chunks)))
     last_error: BaseException | None = None
     for round_no in range(policy.max_retries + 1):
@@ -383,7 +280,7 @@ def _execute_chunks(fn: Callable[[_T], _R], chunks: list[list[_T]],
                 time.sleep(policy.backoff_s * 2 ** (round_no - 1))
         pending, last_error = _pool_round(
             fn, chunks, results, pending, executor_cls, jobs, policy, obs,
-            capture=capture, initializer=initializer, initargs=initargs,
+            initializer=initializer, initargs=initargs,
         )
         if not pending:
             return results  # type: ignore[return-value]
@@ -397,11 +294,8 @@ def _execute_chunks(fn: Callable[[_T], _R], chunks: list[list[_T]],
                   chunks=len(pending))
         if initializer is not None:
             initializer(*initargs)
-        # Fallback chunks run in-process with the caller's observer
-        # installed, so their telemetry lands directly (no capture).
-        with _install_worker_observer(obs):
-            for index in pending:
-                results[index] = _run_chunk(fn, chunks[index])
+        for index in pending:
+            results[index] = _run_chunk(fn, chunks[index])
         return results  # type: ignore[return-value]
     assert last_error is not None
     if isinstance(last_error, FuturesTimeoutError):
@@ -418,9 +312,9 @@ def _execute_chunks(fn: Callable[[_T], _R], chunks: list[list[_T]],
 
 
 def _pool_round(fn: Callable[[_T], _R], chunks: list[list[_T]],
-                results: list[_ChunkPayload | None], pending: list[int],
+                results: list[list[_R] | None], pending: list[int],
                 executor_cls: Any, jobs: int, policy: RetryPolicy,
-                obs: PipelineObserver, *, capture: bool,
+                obs: PipelineObserver, *,
                 initializer: Callable[..., None] | None,
                 initargs: tuple[Any, ...],
                 ) -> tuple[list[int], BaseException | None]:
@@ -431,7 +325,7 @@ def _pool_round(fn: Callable[[_T], _R], chunks: list[list[_T]],
                         initializer=initializer, initargs=initargs)
     abandoned = False
     try:
-        futures = {index: pool.submit(_run_chunk, fn, chunks[index], capture)
+        futures = {index: pool.submit(_run_chunk, fn, chunks[index])
                    for index in pending}
         for index in pending:
             if abandoned:

@@ -181,9 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument("--shards", type=int, default=1, metavar="N",
                         help="shard workers; drives spread by consistent "
                              "hash of serial (default 1)")
-    daemon.add_argument("--backend", default="thread",
-                        choices=("thread", "process"),
-                        help="shard worker backend (default thread)")
+    daemon.add_argument("--backend", default="thread", choices=("thread",),
+                        help="shard workers are always threads; accepted "
+                             "because perfbench/workloads.py still passes "
+                             "it")
     daemon.add_argument("--queue-capacity", type=int,
                         default=DEFAULT_QUEUE_CAPACITY, metavar="N",
                         help="batches in flight per shard before 429 "
@@ -441,7 +442,7 @@ def run_daemon(args: argparse.Namespace,
     sinks = [parse_sink_spec(spec) for spec in args.alert_sink]
     recorder = FlightRecorder(capacity=args.recorder_capacity)
     daemon = ServingDaemon(
-        bundle, n_shards=args.shards, backend=args.backend,
+        bundle, n_shards=args.shards,
         queue_capacity=args.queue_capacity, sinks=sinks,
         observer=observer, recorder=recorder,
         host=args.host, port=args.port,
@@ -460,7 +461,7 @@ def run_daemon(args: argparse.Namespace,
     if args.port_file:
         daemon.handle.write_port_file(args.port_file)
     print(f"serving daemon on {daemon.url} "
-          f"({args.shards} shard(s), {args.backend} backend; "
+          f"({args.shards} shard(s); "
           f"POST /ingest, /promote, /drain; "
           f"GET /metrics /health /status /recorder)",
           file=sys.stderr)

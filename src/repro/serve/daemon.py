@@ -269,7 +269,7 @@ class ServingDaemon:
     bundle:
         The model bundle to serve; its content hash and schema version
         are the ``/health`` identity.
-    n_shards / backend / queue_capacity / throttle_s / retry_after_s:
+    n_shards / queue_capacity / throttle_s / retry_after_s:
         Shard-plane knobs, passed to :class:`~repro.serve.shard.ShardSet`.
     sinks:
         Alert sinks notified of every WATCH/CRITICAL verdict after
@@ -313,7 +313,6 @@ class ServingDaemon:
     """
 
     def __init__(self, bundle: ModelBundle, *, n_shards: int = 1,
-                 backend: str = "thread",
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  sinks: Sequence[AlertSink] = (),
                  observer: PipelineObserver | None = None,
@@ -356,7 +355,7 @@ class ServingDaemon:
             for sink in self._sinks
         ]
         self._shards = ShardSet(
-            bundle, n_shards=n_shards, backend=backend,
+            bundle, n_shards=n_shards,
             queue_capacity=queue_capacity, observer=self._observer,
             throttle_s=throttle_s, retry_after_s=retry_after_s,
             wal_dir=wal_dir,
@@ -660,7 +659,6 @@ class ServingDaemon:
             alerts = self._alerts_emitted
         return {
             "n_shards": self._shards.n_shards,
-            "backend": self._shards.backend,
             "queue_capacity": self._shards.queue_capacity,
             "inflight": self._shards.inflight(),
             "drives_tracked": self._shards.drives_tracked(),
@@ -751,7 +749,7 @@ class ServingDaemon:
         self.recorder.record(
             "lifecycle", "serving daemon started",
             url=self.url, bundle_sha256=self._bundle_sha256,
-            n_shards=self._shards.n_shards, backend=self._shards.backend)
+            n_shards=self._shards.n_shards)
         return self
 
     def request_stop(self) -> None:
@@ -802,7 +800,6 @@ class ServingDaemon:
             "bundle_sha256": self._bundle_sha256,
             "schema_version": BUNDLE_SCHEMA_VERSION,
             "n_shards": self._shards.n_shards,
-            "backend": self._shards.backend,
             "samples_accepted": self._samples_accepted,
             "alerts_emitted": self._alerts_emitted,
             "shards": self._snapshots,

@@ -1,8 +1,8 @@
 """Consistent-hash sharding of per-drive scoring state across workers.
 
 The serving daemon's horizontal seam: a :class:`ShardSet` owns ``n``
-shard workers, each holding one :class:`~repro.serve.scorer.StreamScorer`
-(and therefore one keyed
+shard worker threads, each holding one
+:class:`~repro.serve.scorer.StreamScorer` (and therefore one keyed
 :class:`~repro.core.columnar.ColumnStateStore`).  Drives map to shards by
 consistent hash of their serial (:class:`HashRing` — sha256-based, so
 the mapping is stable across processes and Python hash seeds), which
@@ -13,7 +13,10 @@ Sharding is a pure performance knob: verdicts are per-sample functions
 of the record (and per-drive state keys on the serial), so a
 :meth:`ShardSet.submit_block` returns byte-identical verdicts for any shard
 count — the daemon's golden tests pin shard counts 1, 2 and 4 against
-offline ``repro-serve score``.
+offline ``repro-serve score``.  Workers are threads: a shard is a place
+to keep per-drive state, not a unit of parallel maths.  Each worker
+completes its caller's request itself, with a direct call under the
+set's lock.
 
 Backpressure is explicit and all-or-nothing: the parent tracks batches
 in flight per shard, and a batch whose target shard is at capacity is
@@ -25,14 +28,15 @@ Crash safety is opt-in via ``wal_dir``: each worker then appends every
 admitted block to its own :class:`~repro.serve.wal.ShardWal` *before*
 scoring and checkpoints its scorer state every
 ``snapshot_interval_blocks``.  A built-in supervisor thread watches the
-workers; when one dies (process SIGKILL or thread crash) it fails
-that shard's in-flight batches with
+workers; when one dies (the chaos crash sentinel, or an unexpected
+exception) it fails that shard's in-flight batches with
 :class:`~repro.errors.ShardRecoveringError`, respawns the worker, and
 the replacement replays snapshot + WAL suffix back to byte-identical
-state.  Replayed (and recently scored) blocks are
-remembered by their caller-supplied ``block_id``, so a client retrying
-a batch that died in the ack gap — appended to the WAL but never
-answered — gets the cached verdicts instead of double-scoring.
+state.  A whole-process kill is recovered the same way by the next
+:class:`ShardSet` on the same directory.  Replayed (and recently scored)
+blocks are remembered by their caller-supplied ``block_id``, so a client
+retrying a batch that died in the ack gap — appended to the WAL but
+never answered — gets the cached verdicts instead of double-scoring.
 
 Workers run with the null observer; the parent re-accounts
 ``samples_scored`` / ``alerts_emitted`` / ``verdict_stage`` /
@@ -45,25 +49,22 @@ exactly.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import multiprocessing.connection
 import os
 import queue
-import signal
 import threading
 import time
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import (BackpressureError, ServeError,
                           ShardRecoveringError, WalError)
 from repro.obs.observer import NULL_OBSERVER, PipelineObserver, resolve_observer
-from repro.parallel import validate_backend
 from repro.serve.bundle import ModelBundle, content_hash
 from repro.serve.scorer import StreamScorer, VerdictBlock, check_finite
 from repro.serve.wal import (DEFAULT_FSYNC_EVERY, DEFAULT_SEGMENT_MAX_BYTES,
@@ -89,7 +90,8 @@ DEFAULT_SUPERVISE_POLL_S = 0.05
 _STOP = None
 
 #: Sentinel task making a worker die abruptly — no snapshot, no reply.
-#: The chaos harness's thread-backend stand-in for SIGKILL.
+#: The chaos harness's stand-in for a kill (a thread cannot be killed
+#: from outside).
 _CRASH = "__repro_crash__"
 
 #: Marker heading a promotion task ``(_PROMOTE, request_id, payload,
@@ -103,7 +105,7 @@ def _point(key: str) -> int:
     """Map a string to a stable 64-bit ring position (sha256 prefix).
 
     Never Python's ``hash()`` — that is salted per process, and shard
-    placement must agree between the parent and forked workers.
+    placement must agree with the WAL a previous process left behind.
     """
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -149,7 +151,7 @@ class HashRing:
 
 @dataclass(frozen=True, slots=True)
 class WalSettings:
-    """Per-shard WAL configuration shipped to a worker (picklable).
+    """Per-shard WAL configuration handed to a worker.
 
     ``crash_after_seq`` is a chaos hook: the worker dies abruptly right
     after appending the record with that sequence number — inside the
@@ -166,45 +168,6 @@ class WalSettings:
     generation: int = 0
 
 
-def _worker_die() -> None:
-    """Die the way a crash would: no cleanup, no snapshot, no reply.
-
-    In a child process ``os._exit`` skips every handler (the closest
-    in-process stand-in for SIGKILL); in a thread the caller returns
-    instead — a thread cannot exit the interpreter without taking the
-    parent with it.
-    """
-    if multiprocessing.parent_process() is not None:
-        os._exit(1)
-
-
-class _PipeReply:
-    """Worker-side reply endpoint over a private one-way pipe.
-
-    Process-backend workers must not share a reply queue: an
-    ``mp.Queue`` guards its pipe with a cross-process write semaphore,
-    and a worker SIGKILLed while its feeder thread holds it (the window
-    is every reply send) leaves the semaphore acquired forever —
-    wedging every later writer, including the respawned worker's
-    ``ready`` announcement.  A private pipe per worker generation makes
-    the blast radius of a crash exactly the channel that died with it;
-    the parent just drops the broken reader and moves on.
-
-    Quacks like ``queue.Queue.put`` so the worker body stays
-    backend-agnostic (thread workers still share a plain queue — they
-    cannot be killed mid-send).
-    """
-
-    __slots__ = ("_conn",)
-
-    def __init__(self, conn: Any) -> None:
-        self._conn = conn
-
-    def put(self, item: Any) -> None:
-        """Send one reply (synchronous — delivered before returning)."""
-        self._conn.send(item)
-
-
 def _remember(dedup: "OrderedDict[str, Any]", block_id: str, value: Any,
               limit: int) -> None:
     """Cache one block's outcome for duplicate-delivery detection."""
@@ -213,18 +176,22 @@ def _remember(dedup: "OrderedDict[str, Any]", block_id: str, value: Any,
         dedup.popitem(last=False)
 
 
-def _shard_worker(shard: int, payload: dict, tasks: Any, results: Any,
+def _shard_worker(shard: int, payload: dict, tasks: queue.Queue,
+                  reply: Callable[[str, int, Any], None],
                   throttle_s: float,
                   wal_settings: WalSettings | None = None) -> None:
-    """One shard's scoring loop (runs in a thread or a child process).
+    """One shard's scoring loop (the body of a worker thread).
+
+    Every outcome goes through ``reply(kind, request_id, body)``, which
+    completes the caller's request on this thread.
 
     Startup: build the scorer; with WAL enabled, open the shard's
     :class:`~repro.serve.wal.ShardWal`, restore the last scorer
     checkpoint, replay the WAL suffix (caching each replayed block's
-    verdicts under its ``block_id``), then announce
-    ``("ready", -1, shard, info)``.  An unusable WAL announces
-    ``("wal_failed", -1, shard, message)`` and exits instead — serving
-    blindly without the log it was asked to keep would be worse.
+    verdicts under its ``block_id``), then announce ``("ready", -1,
+    info)``.  An unusable WAL announces ``("wal_failed", -1, message)``
+    and exits instead — serving blindly without the log it was asked to
+    keep would be worse.
 
     Main loop: consume ``(request_id, block_id, serials, hours,
     matrix)`` tasks.  A ``block_id`` seen before (replayed from the
@@ -232,17 +199,17 @@ def _shard_worker(shard: int, payload: dict, tasks: Any, results: Any,
     re-scoring — the exactly-once half of crash recovery.  Otherwise
     the block is appended to the WAL *before* scoring, scored *as one
     columnar block* on a private :class:`StreamScorer` (null observer —
-    the parent re-accounts telemetry), and answered
-    ``("verdicts", request_id, shard, block)`` with the
-    struct-of-arrays :class:`~repro.serve.scorer.VerdictBlock`.  A
-    scoring failure replies ``("error", ...)`` with the message instead
-    of killing the worker.  Every ``snapshot_interval_blocks`` scored
-    blocks the scorer state is checkpointed, bounding replay time.
+    the parent re-accounts telemetry), and answered ``("verdicts",
+    request_id, block)`` with the struct-of-arrays
+    :class:`~repro.serve.scorer.VerdictBlock`.  A scoring failure
+    replies ``("error", ...)`` with the message instead of killing the
+    worker.  Every ``snapshot_interval_blocks`` scored blocks the scorer
+    state is checkpointed, bounding replay time.
 
-    The ``_STOP`` sentinel makes the worker checkpoint (WAL on), emit a
-    final ``("snapshot", ...)`` with its counters and state snapshot,
-    then exit; the ``_CRASH`` sentinel (chaos only) makes it die with
-    none of that.
+    The ``_STOP`` sentinel makes the worker checkpoint (WAL on), reply
+    a final ``("snapshot", ...)`` with its counters and state snapshot,
+    then exit; the ``_CRASH`` sentinel (chaos only) makes it return
+    with none of that.
     """
     scorer = StreamScorer(ModelBundle.from_payload(payload),
                           observer=NULL_OBSERVER)
@@ -283,33 +250,31 @@ def _shard_worker(shard: int, payload: dict, tasks: Any, results: Any,
                 "serials": scorer.state.serials(),
             }
         except (WalError, ServeError) as error:
-            results.put(("wal_failed", -1, shard,
-                         f"{type(error).__name__}: {error}"))
+            reply("wal_failed", -1, f"{type(error).__name__}: {error}")
             return
-    results.put(("ready", -1, shard, ready_info))
+    reply("ready", -1, ready_info)
 
     blocks_since_snapshot = 0
     while True:
         task = tasks.get()
-        if task is _STOP or task is None:
+        if task is _STOP:
             if wal is not None:
                 try:
                     wal.write_snapshot(scorer.dump_state())
                     wal.close()
                 except WalError:
                     pass  # a failed final checkpoint only lengthens replay
-            results.put(("snapshot", -1, shard, {
+            reply("snapshot", -1, {
                 "shard": shard,
                 "samples_scored": scorer.samples_scored,
                 "alerts_emitted": scorer.alerts_emitted,
                 "drives_tracked": scorer.drives_tracked,
                 "state": scorer.state.snapshot(),
-            }))
+            })
             return
         if task == _CRASH:
-            _worker_die()
             return
-        if isinstance(task, tuple) and task and task[0] == _PROMOTE:
+        if task[0] == _PROMOTE:
             _marker, request_id, new_payload, generation = task
             try:
                 scorer.swap_bundle(ModelBundle.from_payload(new_payload))
@@ -322,14 +287,14 @@ def _shard_worker(shard: int, payload: dict, tasks: Any, results: Any,
                     wal.write_snapshot(scorer.dump_state())
                     blocks_since_snapshot = 0
             except (ServeError, WalError) as error:
-                results.put(("error", request_id, shard,
-                             f"{type(error).__name__}: {error}"))
+                reply("error", request_id,
+                      f"{type(error).__name__}: {error}")
                 continue
-            results.put(("promoted", request_id, shard, {
+            reply("promoted", request_id, {
                 "shard": shard,
                 "generation": int(generation),
                 "snapshot_seq": wal.last_seq if wal is not None else 0,
-            }))
+            })
             continue
         request_id, block_id, serials, hours, matrix = task
         if throttle_s > 0.0:
@@ -337,21 +302,19 @@ def _shard_worker(shard: int, payload: dict, tasks: Any, results: Any,
         cached = dedup.get(block_id)
         if cached is not None:
             kind = "error" if isinstance(cached, str) else "verdicts"
-            results.put((kind, request_id, shard, cached))
+            reply(kind, request_id, cached)
             continue
         if wal is not None:
             try:
                 seq = wal.append(encode_block(block_id, list(serials),
                                               list(hours), matrix))
             except WalError as error:
-                results.put(("error", request_id, shard,
-                             f"WalError: {error}"))
+                reply("error", request_id, f"WalError: {error}")
                 continue
             if (wal_settings is not None
                     and wal_settings.crash_after_seq is not None
                     and seq == wal_settings.crash_after_seq):
                 wal.sync()
-                _worker_die()
                 return
         try:
             block = scorer.score_block(serials, hours, matrix)
@@ -359,11 +322,11 @@ def _shard_worker(shard: int, payload: dict, tasks: Any, results: Any,
             message = f"{type(error).__name__}: {error}"
             if wal is not None:
                 _remember(dedup, block_id, message, dedup_limit)
-            results.put(("error", request_id, shard, message))
+            reply("error", request_id, message)
             continue
         if wal is not None:
             _remember(dedup, block_id, block, dedup_limit)
-        results.put(("verdicts", request_id, shard, block))
+        reply("verdicts", request_id, block)
         if wal is not None and wal_settings is not None:
             blocks_since_snapshot += 1
             if blocks_since_snapshot >= wal_settings.snapshot_interval_blocks:
@@ -372,6 +335,12 @@ def _shard_worker(shard: int, payload: dict, tasks: Any, results: Any,
                 except WalError:
                     pass  # next interval retries; replay just stays longer
                 blocks_since_snapshot = 0
+
+
+def _empty_snapshot(shard: int) -> dict[str, Any]:
+    """The final snapshot of a shard whose worker is gone."""
+    return {"shard": shard, "samples_scored": 0, "alerts_emitted": 0,
+            "drives_tracked": 0, "state": None}
 
 
 class _PendingRequest:
@@ -395,12 +364,8 @@ class ShardSet:
     bundle:
         The model bundle every shard scores with.
     n_shards:
-        Worker count; drives spread across them by consistent hash.
-    backend:
-        ``"thread"`` (workers are threads, zero serialization cost) or
-        ``"process"`` (workers are child processes — real CPU
-        parallelism for the scoring math).  Validated by
-        :func:`repro.parallel.validate_backend`.
+        Worker thread count; drives spread across them by consistent
+        hash.
     queue_capacity:
         Batches in flight per shard before :meth:`submit_block` rejects with
         :class:`~repro.errors.BackpressureError`.
@@ -431,7 +396,6 @@ class ShardSet:
     """
 
     def __init__(self, bundle: ModelBundle, *, n_shards: int = 1,
-                 backend: str = "thread",
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  observer: PipelineObserver | None = None,
                  throttle_s: float = 0.0,
@@ -449,9 +413,7 @@ class ShardSet:
             raise ServeError(
                 f"snapshot_interval_blocks must be >= 1, got "
                 f"{snapshot_interval_blocks}")
-        validate_backend(backend)
         self._bundle = bundle
-        self._backend = backend
         self._capacity = queue_capacity
         self._observer = resolve_observer(observer)
         self._throttle_s = float(throttle_s)
@@ -468,6 +430,7 @@ class ShardSet:
         self._status = ["serving"] * n_shards
         self._ready_events = [threading.Event() for _ in range(n_shards)]
         self._restarts = [0] * n_shards
+        self._exited = [False] * n_shards
         self._payload = bundle.to_payload()
 
         self._wal_dir = Path(wal_dir) if wal_dir is not None else None
@@ -485,36 +448,12 @@ class ShardSet:
                     generation=bundle.generation,
                 )
 
-        if backend == "process":
-            # Workers are (re)spawned from a process that already runs
-            # supervisor/collector/delivery threads; fork() from a
-            # multi-threaded parent can deadlock the child on inherited
-            # locks.  The forkserver forks from a clean single-threaded
-            # helper instead, which makes mid-stream respawns safe.
-            try:
-                self._context = multiprocessing.get_context("forkserver")
-            except ValueError:  # platform without forkserver
-                self._context = multiprocessing.get_context()
-            self._results: Any = None  # replies ride per-worker pipes
-        else:
-            self._context = None
-            self._results = queue.Queue()
-        # Parent-side lifecycle injections (synthesized snapshots for
-        # failed shards) merge into the reply stream through here.
-        self._injected: queue.Queue = queue.Queue()
-        self._reply_readers: list[Any] = [None] * n_shards
-        self._reply_writers: list[Any] = [None] * n_shards
-        self._retired_readers: list[Any] = []
-        self._tasks: list[Any] = [self._new_task_queue()
-                                  for _ in range(n_shards)]
-        self._workers: list[Any] = [self._spawn_worker(shard)
-                                    for shard in range(n_shards)]
-        for shard, worker in enumerate(self._workers):
+        self._tasks: list[queue.Queue] = [queue.Queue()
+                                          for _ in range(n_shards)]
+        self._workers = [self._spawn_worker(shard)
+                         for shard in range(n_shards)]
+        for worker in self._workers:
             worker.start()
-            self._close_reply_writer(shard)
-        self._collector = threading.Thread(
-            target=self._collect, name="repro-shard-collector", daemon=True)
-        self._collector.start()
         self._supervisor_stop = threading.Event()
         self._supervisor: threading.Thread | None = None
         if supervise:
@@ -529,11 +468,6 @@ class ShardSet:
     def n_shards(self) -> int:
         """Number of shard workers."""
         return self._ring.n_shards
-
-    @property
-    def backend(self) -> str:
-        """Worker backend ("thread" or "process")."""
-        return self._backend
 
     @property
     def queue_capacity(self) -> int:
@@ -587,24 +521,15 @@ class ShardSet:
     def kill_shard(self, shard: int) -> None:
         """Kill one worker abruptly — the chaos harness's entry point.
 
-        Process backend: SIGKILL, exactly the failure mode a kernel OOM
-        kill or node reboot produces.  Thread backend: a crash sentinel
-        that makes the worker abandon its loop with no snapshot and no
-        reply (a thread cannot be killed from outside).  The supervisor
-        detects the death and respawns the shard.
+        Queues a crash sentinel that makes the worker abandon its loop
+        with no snapshot and no reply (a thread cannot be killed from
+        outside).  The supervisor detects the death and respawns the
+        shard.  Killing the whole process is recovered by the next
+        :class:`ShardSet` on the same WAL directory.
         """
         if not 0 <= shard < self.n_shards:
             raise ServeError(f"no such shard: {shard}")
-        worker = self._workers[shard]
-        if self._backend == "process":
-            if worker.pid is not None:
-                try:
-                    os.kill(worker.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            worker.join(timeout=10.0)
-        else:
-            self._tasks[shard].put(_CRASH)
+        self._tasks[shard].put(_CRASH)
 
     def submit_block(self, serials: Sequence[str], hours: Sequence[int],
                      matrix: np.ndarray,
@@ -801,95 +726,115 @@ class ShardSet:
         Sends the stop sentinel behind all queued work, so every
         admitted batch is scored before its worker exits (graceful
         drain).  The supervisor halts first — a worker exiting after
-        its final snapshot is not a crash.  Idempotent: repeated calls
+        its final snapshot is not a crash.  A shard whose worker is
+        gone (failed, or killed with nobody left to respawn it) gets a
+        synthesized empty snapshot instead.  Idempotent: repeated calls
         return the same snapshots.
         """
         self._supervisor_stop.set()
         if self._supervisor is not None:
             self._supervisor.join(timeout=10.0)
         with self._lock:
-            already = self._stopped
-            self._stopped = True
-            if not already:
+            if not self._stopped:
+                self._stopped = True
                 for shard, shard_queue in enumerate(self._tasks):
-                    if self._status[shard].startswith("failed"):
-                        # Nobody is consuming this queue; synthesize an
-                        # empty snapshot so the drain can complete.
-                        self._injected.put(("snapshot", -1, shard, {
-                            "shard": shard, "samples_scored": 0,
-                            "alerts_emitted": 0, "drives_tracked": 0,
-                            "state": None,
-                        }))
-                        continue
-                    shard_queue.put(_STOP)
+                    if self._exited[shard]:
+                        self._store_snapshot(shard, _empty_snapshot(shard))
+                    else:
+                        shard_queue.put(_STOP)
         self._all_snapshots.wait(timeout=60.0)
         for worker in self._workers:
             worker.join(timeout=30.0)
-        self._collector.join(timeout=30.0)
-        if not self._collector.is_alive():
-            with self._lock:
-                leftovers = ([conn for conn in self._reply_readers
-                              if conn is not None] + self._retired_readers)
-                self._reply_readers = [None] * self.n_shards
-                self._retired_readers = []
-            for conn in leftovers:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
         return [dict(snapshot) for snapshot in self._snapshots
                 if snapshot is not None]
 
     # -- internals --------------------------------------------------------
 
-    def _new_task_queue(self) -> Any:
-        """A fresh task queue for one worker (backend-appropriate)."""
-        if self._context is not None:
-            return self._context.Queue()
-        return queue.Queue()
-
-    def _spawn_worker(self, shard: int) -> Any:
-        """Build (not start) the worker for one shard.
-
-        Process backend: each worker generation gets a fresh private
-        reply pipe (see :class:`_PipeReply` for why sharing one queue
-        across killable processes deadlocks); the previous generation's
-        reader is retired for the collector to close.
-        """
-        if self._context is not None:
-            reader, writer = self._context.Pipe(duplex=False)
-            old = self._reply_readers[shard]
-            if old is not None:
-                self._retired_readers.append(old)
-            self._reply_readers[shard] = reader
-            self._reply_writers[shard] = writer
-            args = (shard, self._payload, self._tasks[shard],
-                    _PipeReply(writer), self._throttle_s,
-                    self._wal_settings[shard])
-            return self._context.Process(
-                target=_shard_worker, args=args,
-                name=f"repro-shard-{shard}", daemon=True)
-        args = (shard, self._payload, self._tasks[shard], self._results,
-                self._throttle_s, self._wal_settings[shard])
+    def _spawn_worker(self, shard: int) -> threading.Thread:
+        """Build (not start) the worker thread for one shard."""
         return threading.Thread(
-            target=_shard_worker, args=args,
+            target=self._run_worker,
+            args=(shard, self._payload, self._tasks[shard],
+                  self._wal_settings[shard]),
             name=f"repro-shard-{shard}", daemon=True)
 
-    def _close_reply_writer(self, shard: int) -> None:
-        """Drop the parent's copy of a worker's reply-pipe write end.
+    def _run_worker(self, shard: int, payload: dict, tasks: queue.Queue,
+                    wal_settings: WalSettings | None) -> None:
+        """Worker thread body: the shard loop, then note the exit.
 
-        Must happen after ``worker.start()`` (the child dups the handle
-        during spawn); once only the worker holds the write end, the
-        worker's death — clean or SIGKILL — turns into prompt EOF on
-        the parent's reader instead of a silent forever-empty pipe.
+        A worker that exits without a final snapshot while the set is
+        stopping — it crashed just before :meth:`stop`, which halts the
+        supervisor that would have respawned it — gets the synthesized
+        empty snapshot, so the drain never waits on it.
         """
-        writer = self._reply_writers[shard]
-        if writer is not None:
-            self._reply_writers[shard] = None
-            try:
-                writer.close()
-            except OSError:
-                pass
+        try:
+            _shard_worker(shard, payload, tasks, partial(self._reply, shard),
+                          self._throttle_s, wal_settings)
+        finally:
+            with self._lock:
+                self._exited[shard] = True
+                if self._stopped:
+                    self._store_snapshot(shard, _empty_snapshot(shard))
+
+    def _reply(self, shard: int, kind: str, request_id: int,
+               body: Any) -> None:
+        """Complete one worker message, on the worker's own thread.
+
+        ``ready`` flips a shard back to ``serving`` (reseeding the
+        parent's drive census from the replayed state), ``wal_failed``
+        marks it failed, and ``snapshot`` counts toward drain
+        completion.  Everything else answers one waiting request: a
+        worker replies once per task and only while it lives, and a
+        request is failed out only after its worker is gone.
+        """
+        if kind == "ready":
+            if body["replayed_blocks"]:
+                self._observer.count("wal_replayed_blocks",
+                                     body["replayed_blocks"])
+            recovered = {serial: self._ring.shard_of(serial)
+                         for serial in body["serials"]}
+            with self._lock:
+                self._status[shard] = "serving"
+                self._placement.update(recovered)
+                self._ready_events[shard].set()
+            return
+        with self._lock:
+            if kind == "snapshot":
+                self._store_snapshot(shard, body)
+                return
+            if kind == "wal_failed":
+                self._status[shard] = f"failed: {body}"
+                self._ready_events[shard].set()
+                self._fail_pending(shard, body)
+                return
+            pending = self._pending[request_id]
+            self._inflight[shard] -= 1
+            pending.outstanding.discard(shard)
+            if kind == "error":
+                pending.errors.append(f"shard {shard}: {body}")
+            else:
+                pending.results[shard] = body
+            if not pending.outstanding:
+                pending.done.set()
+
+    def _store_snapshot(self, shard: int, body: dict[str, Any]) -> None:
+        """Record a shard's final snapshot (lock held); first one wins."""
+        if self._snapshots[shard] is None:
+            self._snapshots[shard] = body
+            if all(snapshot is not None for snapshot in self._snapshots):
+                self._all_snapshots.set()
+
+    def _fail_pending(self, shard: int, message: str, *,
+                      died: bool = False) -> None:
+        """Fail every request still waiting on ``shard`` (lock held)."""
+        for pending in self._pending.values():
+            if shard in pending.outstanding:
+                pending.outstanding.discard(shard)
+                if died:
+                    pending.died_shard = shard
+                pending.errors.append(f"shard {shard}: {message}")
+                if not pending.outstanding:
+                    pending.done.set()
 
     def _respawn(self, shard: int) -> None:
         """Replace a dead worker: fail its in-flight batches, restart.
@@ -906,20 +851,13 @@ class ShardSet:
             self._status[shard] = "recovering"
             self._ready_events[shard].clear()
             self._restarts[shard] += 1
-            for pending in self._pending.values():
-                if shard in pending.outstanding:
-                    pending.outstanding.discard(shard)
-                    pending.died_shard = shard
-                    pending.errors.append(
-                        f"shard {shard}: worker died mid-batch")
-                    if not pending.outstanding:
-                        pending.done.set()
+            self._fail_pending(shard, "worker died mid-batch", died=True)
             self._inflight[shard] = 0
-            self._tasks[shard] = self._new_task_queue()
+            self._exited[shard] = False
+            self._tasks[shard] = queue.Queue()
             worker = self._spawn_worker(shard)
             self._workers[shard] = worker
         worker.start()
-        self._close_reply_writer(shard)
         self._observer.count("shard_restarts")
 
     def _supervise(self) -> None:
@@ -929,13 +867,10 @@ class ShardSet:
                 with self._lock:
                     if self._stopped:
                         return
-                    worker = self._workers[shard]
-                    status = self._status[shard]
-                    snapshotted = self._snapshots[shard] is not None
-                if (status.startswith("failed") or snapshotted
-                        or worker.is_alive()):
-                    continue
-                self._respawn(shard)
+                    dead = (self._exited[shard]
+                            and not self._status[shard].startswith("failed"))
+                if dead:
+                    self._respawn(shard)
 
     def _account(self, block: VerdictBlock) -> None:
         """Parent-side telemetry for one scored batch (block-wise).
@@ -953,116 +888,6 @@ class ShardSet:
         self._observer.observe_many("verdict_stage",
                                     block.finite_stages().tolist())
         self._observer.gauge("drives_tracked", self.drives_tracked())
-
-    def _next_reply(self) -> tuple[Any, ...]:
-        """Block until one worker reply (or injected message) arrives.
-
-        Thread backend: poll the shared reply queue.  Process backend:
-        ``multiprocessing.connection.wait`` across every live worker's
-        private reply pipe — a reader that hits EOF (its worker died,
-        possibly mid-send) is closed and dropped; the supervisor
-        handles the respawn, which installs a fresh pipe.  Retired
-        readers from replaced generations are closed here too: the
-        collector is the only thread that ever reads or closes a
-        reply pipe, so there is no close-during-wait race.
-        """
-        while True:
-            try:
-                return self._injected.get_nowait()
-            except queue.Empty:
-                pass
-            if self._backend != "process":
-                try:
-                    return self._results.get(timeout=0.1)
-                except queue.Empty:
-                    continue
-            with self._lock:
-                retired = self._retired_readers
-                self._retired_readers = []
-                active = {conn: shard
-                          for shard, conn in enumerate(self._reply_readers)
-                          if conn is not None}
-            for conn in retired:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            if not active:
-                time.sleep(DEFAULT_SUPERVISE_POLL_S)
-                continue
-            for conn in multiprocessing.connection.wait(
-                    list(active), timeout=0.1):
-                try:
-                    return conn.recv()
-                except (EOFError, OSError):
-                    # Worker died (possibly mid-send, truncating the
-                    # frame).  Drop the channel; its in-flight batches
-                    # are failed by the supervisor's respawn.
-                    shard = active[conn]
-                    with self._lock:
-                        if self._reply_readers[shard] is conn:
-                            self._reply_readers[shard] = None
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-
-    def _collect(self) -> None:
-        """Collector loop: route worker replies to waiting submitters.
-
-        Also absorbs the lifecycle messages: ``ready`` flips a shard
-        back to ``serving`` (reseeding the parent's drive census from
-        the replayed state), ``wal_failed`` marks it failed, and
-        ``snapshot`` counts toward drain completion.  Replies from a
-        worker generation that was failed out (a crashed worker's last
-        gasp, or a task the supervisor already answered with an error)
-        are dropped — their inflight accounting was reset at respawn.
-        """
-        finished = 0
-        while finished < self._ring.n_shards:
-            kind, request_id, shard, body = self._next_reply()
-            if kind == "snapshot":
-                with self._lock:
-                    fresh = self._snapshots[shard] is None
-                    self._snapshots[shard] = body
-                if fresh:
-                    finished += 1
-                continue
-            if kind == "ready":
-                recovered = {serial: self._ring.shard_of(serial)
-                             for serial in body.get("serials", ())}
-                with self._lock:
-                    self._status[shard] = "serving"
-                    self._placement.update(recovered)
-                    self._ready_events[shard].set()
-                replayed = body.get("replayed_blocks", 0)
-                if replayed:
-                    self._observer.count("wal_replayed_blocks", replayed)
-                continue
-            if kind == "wal_failed":
-                with self._lock:
-                    self._status[shard] = f"failed: {body}"
-                    self._ready_events[shard].set()
-                    for pending in self._pending.values():
-                        if shard in pending.outstanding:
-                            pending.outstanding.discard(shard)
-                            pending.errors.append(f"shard {shard}: {body}")
-                            if not pending.outstanding:
-                                pending.done.set()
-                continue
-            with self._lock:
-                pending = self._pending.get(request_id)
-                if pending is None or shard not in pending.outstanding:
-                    continue
-                self._inflight[shard] -= 1
-                pending.outstanding.discard(shard)
-                if kind == "error":
-                    pending.errors.append(f"shard {shard}: {body}")
-                else:
-                    pending.results[shard] = body
-                if not pending.outstanding:
-                    pending.done.set()
-        self._all_snapshots.set()
 
     def __enter__(self) -> "ShardSet":
         return self

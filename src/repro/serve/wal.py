@@ -26,9 +26,9 @@ anywhere else means real corruption and raises
 silently diverge from the pre-crash state.
 
 Durability is batched: ``fsync`` runs every ``fsync_every`` appends
-(and always at snapshot/close).  A SIGKILL'd *process* loses nothing
-from batching — written pages survive in the OS cache — so crash
-recovery is exact even between fsyncs; only whole-machine power loss
+(and always at snapshot/close).  A process killed outright
+(``kill -9``) loses nothing from batching — written pages survive in
+the OS cache — so crash recovery is exact even between fsyncs; only whole-machine power loss
 can drop the last unsynced appends.  Set ``fsync_every=1`` for strict
 power-loss durability.
 

@@ -83,6 +83,8 @@ def test_core_payload_is_byte_identical_across_prepares(drill):
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_served_stream_matches_offline_for_any_shard_count(drill, n_shards):
     result = drill.run(n_shards)
+    assert sorted(result) == ["matches_offline", "n_shards",
+                              "promotion_receipts", "verdict_sha256"]
     assert result["matches_offline"] is True
     assert result["verdict_sha256"] == drill.core_payload()["verdict_sha256"]
     assert len(result["promotion_receipts"]) == n_shards

@@ -63,18 +63,16 @@ def test_telemetry_observer_routes_to_tracer_and_metrics():
 
 
 def test_observe_many_routes_one_batch_into_the_histogram():
-    """Telemetry and worker-capture observers both record a batch into
-    the named histogram exactly as one ``observe`` per value would."""
-    from repro.parallel import _WorkerTelemetry
-
+    """The telemetry observer records a batch into the named histogram
+    exactly as one ``observe`` per value would."""
     values = [-1.5, 0.0, 2.25, -0.0, 7.0]
-    for observer in (TelemetryObserver(), _WorkerTelemetry()):
-        reference = MetricsRegistry()
-        for value in values:
-            reference.histogram("verdict_stage").observe(value)
-        observer.observe_many("verdict_stage", values)
-        assert (observer.metrics.histogram("verdict_stage").state_dict()
-                == reference.histogram("verdict_stage").state_dict())
+    observer = TelemetryObserver()
+    reference = MetricsRegistry()
+    for value in values:
+        reference.histogram("verdict_stage").observe(value)
+    observer.observe_many("verdict_stage", values)
+    assert (observer.metrics.histogram("verdict_stage").state_dict()
+            == reference.histogram("verdict_stage").state_dict())
 
 
 def test_telemetry_observer_accepts_injected_backends():

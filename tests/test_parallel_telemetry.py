@@ -1,33 +1,21 @@
-"""Worker telemetry capture: metric deltas cross the pool boundary and
-merge so serial and parallel runs report identical totals.
+"""Fan-out telemetry: ``n_jobs`` must not change what a run reports.
 
-The end-to-end pin lives at the bottom: a ``CharacterizationPipeline``
-run with ``n_jobs=4`` reports the same ``signatures_skipped`` and
-``cache_hits`` counters as a serial run — the regression the worker
-telemetry seam exists to prevent.
+Mapped functions emit no telemetry of their own; the caller's observer
+sees the fan-out bookkeeping (``parallel_chunks``, fallbacks).  The
+end-to-end pin lives at the bottom: a ``CharacterizationPipeline`` run
+with ``n_jobs=4`` reports the same ``signatures_skipped`` and
+``cache_hits`` counters as a serial run.
 """
 
 import threading
 
-import pytest
-
 from repro.core.pipeline import CharacterizationPipeline
 from repro.data.cache import DatasetCache
-from repro.obs.observer import NULL_OBSERVER, TelemetryObserver
-from repro.parallel import (
-    ParallelConfig,
-    RetryPolicy,
-    get_worker_observer,
-    map_drives,
-)
+from repro.obs.observer import TelemetryObserver
+from repro.parallel import ParallelConfig, RetryPolicy, map_drives
 
 
-def _instrumented(x: int) -> int:
-    """Module-level so the process backend can pickle it."""
-    obs = get_worker_observer()
-    obs.count("items_seen")
-    obs.observe("item_value", float(x))
-    obs.gauge("last_item", float(x))
+def _square(x: int) -> int:
     return x * x
 
 
@@ -35,7 +23,6 @@ def _fails_in_worker_threads(x: int) -> int:
     """Fails in pool threads, succeeds in the main-thread fallback."""
     if threading.current_thread() is not threading.main_thread():
         raise RuntimeError("worker refused")
-    get_worker_observer().count("items_seen")
     return x
 
 
@@ -45,45 +32,8 @@ def _counter_values(observer):
             if body["kind"] == "counter"}
 
 
-def test_worker_observer_is_null_outside_map_drives():
-    assert get_worker_observer() is NULL_OBSERVER
-
-
-def test_serial_path_installs_callers_observer():
-    observer = TelemetryObserver()
-    results = map_drives(_instrumented, range(10),
-                         ParallelConfig(n_jobs=1), observer=observer)
-    assert results == [x * x for x in range(10)]
-    assert observer.metrics.counter("items_seen").value == 10
-    assert observer.metrics.histogram("item_value").count == 10
-    assert get_worker_observer() is NULL_OBSERVER  # uninstalled after
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_parallel_totals_equal_serial(backend):
-    serial = TelemetryObserver()
-    map_drives(_instrumented, range(37), ParallelConfig(n_jobs=1),
-               observer=serial)
-    parallel = TelemetryObserver()
-    map_drives(_instrumented, range(37),
-               ParallelConfig(n_jobs=4, backend=backend, chunk_size=5),
-               observer=parallel)
-
-    assert (parallel.metrics.counter("items_seen").value
-            == serial.metrics.counter("items_seen").value == 37)
-    a = parallel.metrics.histogram("item_value")
-    b = serial.metrics.histogram("item_value")
-    assert a.count == b.count
-    assert a.sum == b.sum
-    assert a.bucket_counts() == b.bucket_counts()
-    # gauges merge in chunk-index order: the last chunk's write wins,
-    # which is exactly the value the serial loop ends on
-    assert (parallel.metrics.gauge("last_item").value
-            == serial.metrics.gauge("last_item").value == 36.0)
-
-
 def test_null_observer_parallel_path_skips_capture():
-    results = map_drives(_instrumented, range(8),
+    results = map_drives(_square, range(8),
                          ParallelConfig(n_jobs=2, backend="thread"))
     assert results == [x * x for x in range(8)]
 
@@ -98,7 +48,8 @@ def test_serial_fallback_still_reports_telemetry():
     results = map_drives(_fails_in_worker_threads, range(6), config,
                          observer=observer)
     assert results == list(range(6))
-    assert observer.metrics.counter("items_seen").value == 6
+    assert observer.metrics.counter("parallel_chunks").value == 3
+    assert observer.metrics.counter("parallel_serial_fallbacks").value == 3
 
 
 # -- the end-to-end pipeline pin -------------------------------------------

@@ -281,6 +281,7 @@ def test_drain_endpoint_stops_serve_forever(bundle, samples, tmp_path):
     document = json.loads(snapshot_path.read_text())
     assert document["samples_accepted"] == 300
     assert document["n_shards"] == 2
+    assert "backend" not in document
     assert document["bundle_sha256"] == daemon.health_payload()["bundle_sha256"]
     assert sum(s["samples_scored"] for s in document["shards"]) == 300
     assert daemon.final_snapshots == document["shards"]
@@ -306,7 +307,7 @@ def test_status_payload_describes_the_shard_plane(bundle, samples, tmp_path):
         _post(daemon.url + "/ingest", _json_doc(samples[:100]))
         payload = json.loads(_get(daemon.url + "/status")[2])
     assert payload["n_shards"] == 2
-    assert payload["backend"] == "thread"
+    assert "backend" not in payload
     assert payload["samples_accepted"] == 100
     assert payload["sinks"] == [f"jsonl:{tmp_path / 'alerts.jsonl'}"]
     assert payload["draining"] is False

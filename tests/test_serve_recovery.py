@@ -1,20 +1,26 @@
 """Crash-recovery tests: kill workers, replay the WAL, compare bytes.
 
 The robustness acceptance criteria live here: a shard worker killed at
-seeded points (SIGKILL on the process backend, the crash sentinel on
-threads) is respawned by the supervisor, replays snapshot + WAL suffix
-into byte-identical state, and the surviving verdict stream matches an
-uninterrupted run exactly — at shard counts 1, 2 and 4, including the
-ack gap (WAL-appended but unanswered) via the ``crash_after_seq`` chaos
-hook.  A fresh :class:`~repro.serve.shard.ShardSet` on an abandoned WAL
-directory resumes the stream, serving retried block ids from the dedup
-cache.  Over HTTP, a recovering shard's drives answer 503 with
+seeded points (the crash sentinel) is respawned by the supervisor,
+replays snapshot + WAL suffix into byte-identical state, and the
+surviving verdict stream matches an uninterrupted run exactly — at
+shard counts 1, 2 and 4, including the ack gap (WAL-appended but
+unanswered) via the ``crash_after_seq`` chaos hook.  A fresh
+:class:`~repro.serve.shard.ShardSet` on an abandoned WAL directory —
+including one left by a SIGKILLed child process — resumes the stream,
+serving retried block ids from the dedup cache.  Over HTTP, a recovering shard's drives answer 503 with
 ``Retry-After`` while ``/health`` reports ``degraded``, and both return
 to normal once replay finishes.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +33,7 @@ from repro.faults.chaos_serve import (
     verdict_lines,
 )
 from repro.obs.observer import TelemetryObserver
-from repro.serve.bundle import build_bundle
+from repro.serve.bundle import build_bundle, save_bundle
 from repro.serve.daemon import ServingDaemon
 from repro.serve.scorer import StreamScorer
 from repro.serve.shard import ShardSet
@@ -123,17 +129,6 @@ def test_seeded_kills_keep_stream_byte_identical(bundle, blocks,
     assert observer.metrics.counter("wal_replayed_blocks").value > 0
 
 
-def test_process_backend_sigkill_byte_identical(bundle, blocks,
-                                                reference_lines, tmp_path):
-    """Real SIGKILL on child processes, not the cooperative sentinel."""
-    plan = kill_plan(len(blocks), 2, 2, seed=5)
-    with ShardSet(bundle, n_shards=2, backend="process",
-                  wal_dir=tmp_path / "wal", wal_fsync_every=1) as shards:
-        lines = run_chaos_stream(shards, blocks, plan,
-                                 block_id_prefix="sigkill")
-    assert lines == reference_lines
-
-
 def test_ack_gap_crash_is_exactly_once(bundle, blocks, reference_lines,
                                        tmp_path):
     """Die *after* the WAL append but *before* the reply.
@@ -142,9 +137,8 @@ def test_ack_gap_crash_is_exactly_once(bundle, blocks, reference_lines,
     retry must be served from the replayed dedup cache — scored once,
     answered once, bytes identical.
     """
-    with ShardSet(bundle, n_shards=1, backend="process",
-                  wal_dir=tmp_path / "wal", wal_fsync_every=1,
-                  crash_after_seq={0: 3}) as shards:
+    with ShardSet(bundle, n_shards=1, wal_dir=tmp_path / "wal",
+                  wal_fsync_every=1, crash_after_seq={0: 3}) as shards:
         lines = run_chaos_stream(shards, blocks, block_id_prefix="gap")
         assert shards.shard_restarts() == [1]
     assert lines == reference_lines
@@ -167,15 +161,15 @@ def test_no_wal_shard_set_still_recovers_workers(bundle, blocks):
 
 def test_fresh_shard_set_resumes_from_wal(bundle, blocks, reference_lines,
                                           tmp_path):
-    """A daemon crash, modeled honestly: the first ShardSet's workers
-    are SIGKILLed with no drain and no final snapshot; a second
-    ShardSet on the same WAL directory replays to the exact state,
-    answers a retried block id from cache, and finishes the stream."""
+    """The first ShardSet's workers die with no drain and no final
+    snapshot; a second ShardSet on the same WAL directory replays to
+    the exact state, answers a retried block id from cache, and
+    finishes the stream."""
     wal_dir = tmp_path / "wal"
     half = len(blocks) // 2
     first_lines: list[str] = []
-    veteran = ShardSet(bundle, n_shards=2, backend="process",
-                       wal_dir=wal_dir, wal_fsync_every=1, supervise=False)
+    veteran = ShardSet(bundle, n_shards=2, wal_dir=wal_dir,
+                       wal_fsync_every=1, supervise=False)
     try:
         for index in range(half):
             block = veteran.submit_block(*blocks[index],
@@ -185,7 +179,7 @@ def test_fresh_shard_set_resumes_from_wal(bundle, blocks, reference_lines,
         for shard in range(2):
             veteran.kill_shard(shard)
     observer = TelemetryObserver()
-    with ShardSet(bundle, n_shards=2, backend="process", wal_dir=wal_dir,
+    with ShardSet(bundle, n_shards=2, wal_dir=wal_dir,
                   wal_fsync_every=1, observer=observer) as successor:
         assert successor.wait_ready(timeout=30.0)
         # The retried last block is deduplicated, not double-scored.
@@ -199,6 +193,87 @@ def test_fresh_shard_set_resumes_from_wal(bundle, blocks, reference_lines,
             first_lines.extend(block.to_json_lines())
     assert first_lines == reference_lines
     assert observer.metrics.counter("wal_replayed_blocks").value >= half
+
+
+#: Child process owning a WAL-backed ShardSet: scores the blocks in its
+#: input file, prints each block's verdict lines, then waits to be killed.
+_CHILD_SCRIPT = """
+import json, sys, time
+import numpy as np
+from repro.serve.bundle import load_bundle
+from repro.serve.shard import ShardSet
+bundle_path, blocks_path, wal_dir = sys.argv[1:4]
+shards = ShardSet(load_bundle(bundle_path), n_shards=2, wal_dir=wal_dir,
+                  wal_fsync_every=1)
+with open(blocks_path) as handle:
+    blocks = json.load(handle)
+for index, (serials, hours, rows) in enumerate(blocks):
+    block = shards.submit_block(serials, hours,
+                                np.asarray(rows, dtype=np.float64),
+                                block_id=f"sigkill-{index}")
+    sys.stdout.write("".join(line + "\\n" for line in block.to_json_lines()))
+sys.stdout.write("scored\\n")
+sys.stdout.flush()
+time.sleep(600)
+"""
+
+
+def test_sigkilled_child_process_resumes_byte_identical(
+        bundle, blocks, reference_lines, tmp_path):
+    """A real SIGKILL: a child Python process owning a WAL-backed
+    ShardSet is killed mid-stream with no drain and no final snapshot.
+    A fresh ShardSet on its WAL directory answers the retried last
+    block from dedup (scored once), finishes the stream, and the bytes
+    equal the uninterrupted run."""
+    wal_dir = tmp_path / "wal"
+    half = len(blocks) // 2
+    bundle_path = tmp_path / "bundle.json"
+    save_bundle(bundle, bundle_path)
+    blocks_path = tmp_path / "blocks.json"
+    blocks_path.write_text(json.dumps([
+        [list(serials), [int(hour) for hour in hours], matrix.tolist()]
+        for serials, hours, matrix in blocks[:half]]))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _CHILD_SCRIPT, str(bundle_path),
+         str(blocks_path), str(wal_dir)],
+        stdout=subprocess.PIPE, text=True, env=env)
+    watchdog = threading.Timer(120.0, child.kill)
+    watchdog.start()
+    try:
+        first_lines = []
+        for line in child.stdout:
+            if line == "scored\n":
+                break
+            first_lines.append(line.rstrip("\n"))
+        os.kill(child.pid, signal.SIGKILL)
+        assert child.wait(timeout=30.0) == -signal.SIGKILL
+    finally:
+        watchdog.cancel()
+        child.kill()
+        child.stdout.close()
+    assert first_lines == reference_lines[:len(first_lines)]
+
+    with ShardSet(bundle, n_shards=2, wal_dir=wal_dir,
+                  wal_fsync_every=1) as successor:
+        assert successor.wait_ready(timeout=30.0)
+        retried = successor.submit_block(*blocks[half - 1],
+                                         block_id=f"sigkill-{half - 1}")
+        assert (retried.to_json_lines()
+                == first_lines[-len(blocks[half - 1][0]):])
+        for index in range(half, len(blocks)):
+            block = successor.submit_block(*blocks[index],
+                                           block_id=f"sigkill-{index}")
+            first_lines.extend(block.to_json_lines())
+        snapshots = successor.stop()
+    assert first_lines == reference_lines
+    # Scored once: the WAL replay plus the rest of the stream, with the
+    # retried block answered from dedup rather than scored again.
+    assert (sum(snapshot["samples_scored"] for snapshot in snapshots)
+            == len(reference_lines))
 
 
 def test_drives_tracked_is_right_after_wal_recovery(bundle, blocks,
@@ -238,6 +313,19 @@ def test_killed_unsupervised_set_still_stops(bundle, blocks, tmp_path):
            and time.monotonic() < deadline):
         time.sleep(0.01)
     snapshots = shards.stop()
+    assert len(snapshots) == 2
+
+
+def test_stop_right_after_a_kill_does_not_hang(bundle, blocks, tmp_path):
+    """A worker that dies just before ``stop()`` halts the supervisor
+    is never respawned; it still contributes a synthesized snapshot
+    instead of stalling the drain."""
+    shards = ShardSet(bundle, n_shards=2, wal_dir=tmp_path / "wal")
+    shards.submit_block(*blocks[0])
+    start = time.monotonic()
+    shards.kill_shard(0)
+    snapshots = shards.stop()
+    assert time.monotonic() - start < 5.0
     assert len(snapshots) == 2
 
 

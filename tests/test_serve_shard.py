@@ -2,10 +2,10 @@
 
 The sharding contracts pinned here: consistent-hash placement is
 deterministic and balanced; a :class:`ShardSet` returns byte-identical
-verdicts for any shard count and backend; a saturated shard rejects
-whole batches (all-or-nothing — a rejected batch is never partially
-scored); and ``stop()`` drains every admitted batch before workers
-snapshot and exit.
+verdicts for any shard count; a saturated shard rejects whole batches
+(all-or-nothing — a rejected batch is never partially scored); and
+``stop()`` drains every admitted batch before workers snapshot and
+exit.
 """
 
 import threading
@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import BackpressureError, ParallelError, ServeError
+from repro.errors import BackpressureError, ServeError
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import TelemetryObserver
@@ -110,15 +110,6 @@ def test_submit_block_byte_identical(bundle, columnar_samples,
         for row in block.alerting_rows():
             assert (block.verdict_at(int(row)).to_json_line()
                     == expected[row])
-
-
-def test_process_backend_byte_identical(bundle, columnar_samples,
-                                        expected_lines):
-    serials, hours, matrix = columnar_samples
-    with ShardSet(bundle, n_shards=2, backend="process") as shards:
-        got = [v.to_json_line() for v in
-               shards.submit_block(serials, hours, matrix).verdicts()]
-    assert got == expected_lines
 
 
 def test_multiple_submits_keep_per_drive_state_whole(bundle,
@@ -288,13 +279,23 @@ def test_stop_is_idempotent(bundle, columnar_samples):
     assert first == second
 
 
+def test_running_set_owns_one_thread_per_shard_plus_supervisor(bundle):
+    """Workers answer their callers directly: no collector thread."""
+    before = set(threading.enumerate())
+    with ShardSet(bundle, n_shards=3) as shards:
+        assert shards.wait_ready(timeout=10.0)
+        started = set(threading.enumerate()) - before
+    assert sorted(thread.name for thread in started) == [
+        "repro-shard-0", "repro-shard-1", "repro-shard-2",
+        "repro-shard-supervisor"]
+    assert not any(thread.is_alive() for thread in started)
+
+
 # -- validation -------------------------------------------------------------
 
 def test_shardset_validates_configuration(bundle):
     with pytest.raises(ServeError, match="queue_capacity"):
         ShardSet(bundle, queue_capacity=0)
-    with pytest.raises(ParallelError, match="backend"):
-        ShardSet(bundle, backend="fiber")
 
 
 def test_submit_validates_columns(bundle):
