@@ -120,11 +120,11 @@ class WalError(ServeError):
 
 
 class ShardRecoveringError(ServeError):
-    """A batch targeted a shard that is being respawned after a crash.
+    """A batch targeted a shard that is being rebuilt after a crash.
 
     The serving daemon maps this to HTTP 503 with a ``Retry-After``
     header.  Like backpressure, admission is all-or-nothing: no sample
-    of the rejected batch was enqueued, so the caller can retry the
+    of the rejected batch was admitted, so the caller can retry the
     whole batch once the shard has replayed its snapshot + WAL suffix.
 
     Attributes

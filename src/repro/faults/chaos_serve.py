@@ -1,15 +1,16 @@
 """Serving-plane chaos: seeded crash drills for the WAL recovery path.
 
 Where :mod:`repro.faults.injectors` corrupts *data*, this module kills
-*workers*: it drives a :class:`~repro.serve.shard.ShardSet` through a
-scripted ingest stream while killing shard workers at seeded points,
+*shards*: it drives a :class:`~repro.serve.shard.ShardSet` through a
+scripted ingest stream while crashing shards at seeded points,
 then lets the caller compare the surviving verdict stream byte for byte
 against an uninterrupted run.  The paper's serving claim — crash
 recovery reproduces the exact pre-crash state — is only testable by
 actually crashing, so the drill is a library function rather than a
 shell script: deterministic (a seed fully fixes the kill schedule,
-and each kill is the worker's crash sentinel) and assertion-friendly
-(it returns the verdict lines in stream order).
+and each kill is :meth:`~repro.serve.shard.ShardSet.kill_shard`, which
+drops the shard's in-memory state and replays it from its WAL) and
+assertion-friendly (it returns the verdict lines in stream order).
 
 :class:`BlackholeSink` is the delivery-plane counterpart: an alert sink
 that refuses every emit, for drills that pin the dead-letter file's
@@ -29,7 +30,7 @@ from repro.serve.shard import ShardSet
 from repro.serve.sinks import AlertSink
 
 #: How long one drill waits for a killed shard to finish recovering
-#: before declaring the supervisor broken.
+#: before declaring its replay broken.
 DEFAULT_RECOVERY_TIMEOUT_S = 60.0
 
 
@@ -66,12 +67,12 @@ def run_chaos_stream(shards: ShardSet,
                      block_id_prefix: str = "chaos",
                      recovery_timeout_s: float = DEFAULT_RECOVERY_TIMEOUT_S,
                      ) -> list[str]:
-    """Drive ``blocks`` through ``shards``, killing workers per ``plan``.
+    """Drive ``blocks`` through ``shards``, killing shards per ``plan``.
 
     Each block is submitted with a stable ``block_id``
     (``<prefix>-<index>``) and retried on
     :class:`~repro.errors.ShardRecoveringError` until it scores, so a
-    block whose worker died in the ack gap — WAL-appended but
+    block whose shard crashed in the ack gap — WAL-appended but
     unanswered — is recovered through the dedup cache rather than
     double-scored.  Before submitting block ``i``, every plan entry
     ``(i, shard)`` kills that shard abruptly.  Returns every verdict as
@@ -80,7 +81,7 @@ def run_chaos_stream(shards: ShardSet,
 
     Raises :class:`~repro.errors.FaultInjectionError` when a shard
     fails to recover within ``recovery_timeout_s`` — the drill's way of
-    reporting a broken supervisor instead of hanging the suite.
+    reporting a broken replay instead of hanging the suite.
     """
     schedule: dict[int, list[int]] = {}
     for position, shard in plan:

@@ -30,13 +30,6 @@ pairs — turning a name into a family of time series (one per label
 set), the way Prometheus models dimensions::
 
     registry.counter("telemetry_requests", labels={"endpoint": "metrics"})
-
-Cross-process aggregation goes through :meth:`MetricsRegistry.dump_state`
-and :meth:`MetricsRegistry.merge_state`: a worker process dumps its
-registry to plain JSON-clean types, ships it home with its results, and
-the parent merges deltas deterministically (counters add, gauges take
-the later write, histograms combine aggregates, buckets and
-reservoirs).
 """
 
 from __future__ import annotations
@@ -146,11 +139,6 @@ class Counter:
     def snapshot(self) -> dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
 
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-clean state for cross-process merging."""
-        return {"name": self.name, "labels": [list(l) for l in self.labels],
-                "value": self.value}
-
 
 class Gauge:
     """Last-write-wins instantaneous value."""
@@ -169,11 +157,6 @@ class Gauge:
 
     def snapshot(self) -> dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
-
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-clean state for cross-process merging."""
-        return {"name": self.name, "labels": [list(l) for l in self.labels],
-                "value": self.value}
 
 
 class Histogram:
@@ -375,7 +358,7 @@ class Histogram:
         return payload
 
     def state_dict(self) -> dict[str, Any]:
-        """JSON-clean state for cross-process merging."""
+        """Full JSON-clean state: aggregates, buckets and reservoir."""
         return {
             "name": self.name,
             "labels": [list(l) for l in self.labels],
@@ -388,48 +371,6 @@ class Histogram:
             "values": list(self._values),
             "stride": self._stride,
         }
-
-    def merge_state(self, state: dict[str, Any]) -> None:
-        """Fold another histogram's :meth:`state_dict` into this one.
-
-        Aggregates and bucket counts add exactly; the reservoirs
-        concatenate and re-compact under the receiver's retention, with
-        the stride taken as the max of both sides — deterministic for a
-        fixed merge order.
-        """
-        try:
-            buckets = list(state["buckets"])
-            count = int(state["count"])
-            total = float(state["sum"])
-            values = [float(v) for v in state["values"]]
-            stride = int(state["stride"])
-            low, high = state["min"], state["max"]
-        except (KeyError, TypeError, ValueError) as error:
-            raise ObservabilityError(
-                f"histogram {self.name!r}: malformed merge state: {error}"
-            ) from error
-        if len(buckets) != len(self._buckets):
-            raise ObservabilityError(
-                f"histogram {self.name!r}: bucket layout mismatch "
-                f"({len(buckets)} != {len(self._buckets)})"
-            )
-        self._count += count
-        self._sum += total
-        if low is not None and float(low) < self._min:
-            self._min = float(low)
-        if high is not None and float(high) > self._max:
-            self._max = float(high)
-        for index, bucket_count in enumerate(buckets):
-            self._buckets[index] += int(bucket_count)
-        self._values.extend(values)
-        self._stride = max(self._stride, stride)
-        if self._retention is not None:
-            while len(self._values) >= self._retention:
-                self._compact()
-
-
-#: The three metric kinds, by their ``kind`` attribute.
-_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
 
 #: Registry key: (name, normalized label tuple).
 _MetricKey = tuple[str, tuple[tuple[str, str], ...]]
@@ -526,57 +467,6 @@ class MetricsRegistry:
     def to_json(self) -> str:
         """The snapshot as indented, key-sorted JSON text."""
         return json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n"
-
-    def dump_state(self) -> dict[str, Any]:
-        """Full registry state as JSON-clean plain types.
-
-        The shippable twin of :meth:`snapshot`: where snapshots are
-        summaries for humans, the state dump is lossless enough for
-        :meth:`merge_state` to aggregate registries across process
-        boundaries (counter values, gauge values, full histogram
-        bucket/reservoir state).
-        """
-        counters, gauges, histograms = [], [], []
-        for (name, _labels), metric in sorted(
-                self._metrics.items(),
-                key=lambda item: (item[0][0],
-                                  render_label_suffix(item[0][1]))):
-            if isinstance(metric, Counter):
-                counters.append(metric.state_dict())
-            elif isinstance(metric, Gauge):
-                gauges.append(metric.state_dict())
-            else:
-                histograms.append(metric.state_dict())
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
-
-    def merge_state(self, state: dict[str, Any]) -> None:
-        """Fold a :meth:`dump_state` payload into this registry.
-
-        Counters add, gauges take the incoming value (last write wins,
-        so merge order decides ties), histograms merge exactly on
-        aggregates/buckets and deterministically on reservoirs.  Merging
-        is the parent-side half of cross-process metric aggregation —
-        see :func:`repro.parallel.map_drives`.
-        """
-        try:
-            counter_states = state["counters"]
-            gauge_states = state["gauges"]
-            histogram_states = state["histograms"]
-        except (KeyError, TypeError) as error:
-            raise ObservabilityError(
-                f"malformed registry state: {error}") from error
-        for entry in counter_states:
-            labels = dict(tuple(pair) for pair in entry["labels"])
-            self.counter(entry["name"], labels).inc(float(entry["value"]))
-        for entry in gauge_states:
-            labels = dict(tuple(pair) for pair in entry["labels"])
-            self.gauge(entry["name"], labels).set(float(entry["value"]))
-        for entry in histogram_states:
-            labels = dict(tuple(pair) for pair in entry["labels"])
-            histogram = self.histogram(entry["name"], labels,
-                                       retention=entry.get("retention"))
-            histogram.merge_state(entry)
 
     def render_text(self) -> str:
         """Aligned one-line-per-metric text block for terminals."""

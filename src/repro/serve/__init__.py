@@ -7,15 +7,14 @@ round-trip the artifact on disk with typed corruption/staleness
 detection; :class:`StreamScorer` consumes live SMART samples against a
 loaded bundle, byte-identical to offline replay; :class:`ServingDaemon`
 (:mod:`repro.serve.daemon`) is the always-on form — per-drive state
-sharded by consistent hash across workers (:mod:`repro.serve.shard`),
+sharded by consistent hash (:mod:`repro.serve.shard`),
 HTTP ingestion with explicit backpressure, live ``/metrics`` /
 ``/health`` / ``/status`` surfaces with a flight recorder of recent
 alerts, and pluggable alert sinks (:mod:`repro.serve.sinks`).  Crash
 safety is layered in by :mod:`repro.serve.wal` (per-shard write-ahead
-logs with snapshot-bounded replay), a supervisor inside
-:class:`ShardSet` that respawns dead workers back to byte-identical
-state, and :class:`DeliveryPipeline` retry/dead-letter delivery for
-alerts.  The ``repro-serve`` CLI (:mod:`repro.serve.cli`) fronts all
+logs with snapshot-bounded replay, which rebuild a :class:`ShardSet`
+shard back to byte-identical state), and :class:`DeliveryPipeline`
+retry/dead-letter delivery for alerts.  The ``repro-serve`` CLI (:mod:`repro.serve.cli`) fronts all
 of it from the shell: its ``watch`` verb is a one-shard daemon fed from
 a CSV stream, and ``recover`` is the offline crash-recovery tooling.
 """
@@ -37,7 +36,7 @@ from repro.serve.scorer import (
     StreamScorer,
     replay_fleet,
 )
-from repro.serve.shard import HashRing, ShardSet, WalSettings
+from repro.serve.shard import HashRing, ShardSet
 from repro.serve.sinks import (
     AlertSink,
     CallbackAlertSink,
@@ -70,7 +69,6 @@ __all__ = [
     "StreamScorer",
     "WalRecord",
     "WalRecovery",
-    "WalSettings",
     "WebhookAlertSink",
     "build_bundle",
     "bundle_from_document",

@@ -20,7 +20,7 @@ consumes the published artifact:
   fan out to ``--alert-sink`` destinations; SIGTERM drains gracefully
   (see :mod:`repro.serve.daemon` and ``docs/operations.md``);
 * ``recover`` — offline crash-recovery tooling: replay a daemon's
-  per-shard WAL directories (``--wal-dir``) the way a respawned worker
+  per-shard WAL directories (``--wal-dir``) the way a restarted shard
   would and print the recovered counters, and/or re-deliver a
   dead-letter file (``--dead-letter``) through fresh sinks.
 
@@ -179,12 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "queues, alert sinks, graceful drain")
     add_common(daemon)
     daemon.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="shard workers; drives spread by consistent "
-                             "hash of serial (default 1)")
+                        help="shards; drives spread by consistent hash of "
+                             "serial (default 1)")
     daemon.add_argument("--backend", default="thread", choices=("thread",),
-                        help="shard workers are always threads; accepted "
-                             "because perfbench/workloads.py still passes "
-                             "it")
+                        help="changes nothing (shards score on the "
+                             "request thread); kept only because "
+                             "perfbench/workloads.py passes it")
     daemon.add_argument("--queue-capacity", type=int,
                         default=DEFAULT_QUEUE_CAPACITY, metavar="N",
                         help="batches in flight per shard before 429 "
@@ -476,7 +476,7 @@ def run_recover(args: argparse.Namespace,
     """``recover``: offline WAL replay and dead-letter redelivery.
 
     With ``--wal-dir``, every ``shard-*`` subdirectory is replayed
-    through a fresh scorer exactly the way a respawned shard worker
+    through a fresh scorer exactly the way a restarted shard
     would (last snapshot, then the WAL suffix) and the resulting
     counters are printed as a JSON summary — the kill -9 drill's
     verification step, and a way to audit what state a restarted

@@ -765,9 +765,9 @@ class ServingDaemon:
     def stop(self) -> list[dict[str, Any]]:
         """Drain shards, write the final snapshot, stop HTTP (idempotent).
 
-        Every admitted batch finishes scoring before workers exit; the
-        returned (and stored) snapshots carry each shard's counters and
-        keyed drive state.
+        Every admitted batch finishes scoring before the shards
+        checkpoint; the returned (and stored) snapshots carry each
+        shard's counters and keyed drive state.
         """
         with self._lock:
             if self._stopped:

@@ -3,7 +3,7 @@
 The crash-safety backbone of the serving daemon (`docs/robustness.md`):
 every admitted ingest block is appended to its shard's WAL *before*
 scoring, and the shard's full scorer state is checkpointed to an atomic
-snapshot every N blocks — so a killed worker recovers by loading the
+snapshot every N blocks — so a killed shard recovers by loading the
 last snapshot and replaying only the WAL suffix past it, reproducing
 its pre-crash state byte for byte.
 
@@ -148,9 +148,10 @@ class WalRecovery:
 class ShardWal:
     """Append-only framed log + atomic snapshots for one shard.
 
-    Single-writer by construction: exactly one shard worker owns a WAL
-    directory at a time (the supervisor never starts a replacement
-    before the incumbent is dead).  Not thread-safe.
+    Single-writer by construction: exactly one shard owns a WAL
+    directory at a time, and only under that shard's lock (a crashed
+    shard's handle is closed before its replacement opens the
+    directory).  Not thread-safe.
 
     Parameters
     ----------
@@ -382,8 +383,8 @@ class ShardWal:
         """Re-identify an open WAL to a newly promoted bundle.
 
         Atomically rewrites the identity file with the new sha256 and
-        generation; the caller (a shard worker applying a promotion)
-        must snapshot immediately after, so the replayable suffix never
+        generation; the caller (a shard applying a promotion) must
+        snapshot immediately after, so the replayable suffix never
         crosses a bundle boundary — everything past the post-promote
         snapshot was logged, and will be replayed, under the new
         models.

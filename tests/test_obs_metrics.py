@@ -255,52 +255,3 @@ def test_kind_clash_enforced_across_label_sets():
 def test_metric_names_must_be_snake_case():
     with pytest.raises(ObservabilityError, match="snake_case"):
         MetricsRegistry().counter("Bad-Name")
-
-
-# -- cross-process state merging ------------------------------------------
-
-
-def test_merge_state_adds_counters_and_merges_histograms():
-    worker = MetricsRegistry()
-    worker.counter("samples_scored").inc(10)
-    worker.gauge("drives_tracked").set(4)
-    for value in (1.0, 2.0, 3.0):
-        worker.histogram("verdict_stage").observe(value)
-
-    parent = MetricsRegistry()
-    parent.counter("samples_scored").inc(5)
-    parent.merge_state(worker.dump_state())
-    parent.merge_state(worker.dump_state())
-
-    assert parent.counter("samples_scored").value == 25.0
-    assert parent.gauge("drives_tracked").value == 4.0
-    merged = parent.histogram("verdict_stage")
-    assert merged.count == 6
-    assert merged.sum == pytest.approx(12.0)
-    assert merged.min == 1.0 and merged.max == 3.0
-
-
-def test_merge_preserves_labels():
-    worker = MetricsRegistry()
-    worker.counter("telemetry_requests", labels={"endpoint": "metrics"}).inc(3)
-    parent = MetricsRegistry()
-    parent.merge_state(worker.dump_state())
-    key = 'telemetry_requests{endpoint="metrics"}'
-    assert parent.snapshot()[key]["value"] == 3.0
-
-
-def test_merged_equals_single_stream():
-    """Splitting a stream across registries and merging equals one
-    registry that saw everything — the serial==parallel contract."""
-    whole = MetricsRegistry()
-    parts = [MetricsRegistry() for _ in range(4)]
-    for i in range(4000):
-        whole.histogram("h").observe(float(i))
-        parts[i % 4].histogram("h").observe(float(i))
-    merged = MetricsRegistry()
-    for part in parts:
-        merged.merge_state(part.dump_state())
-    a, b = merged.histogram("h"), whole.histogram("h")
-    assert a.count == b.count
-    assert a.sum == b.sum
-    assert a.bucket_counts() == b.bucket_counts()

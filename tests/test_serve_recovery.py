@@ -1,8 +1,8 @@
-"""Crash-recovery tests: kill workers, replay the WAL, compare bytes.
+"""Crash-recovery tests: kill shards, replay the WAL, compare bytes.
 
-The robustness acceptance criteria live here: a shard worker killed at
-seeded points (the crash sentinel) is respawned by the supervisor,
-replays snapshot + WAL suffix into byte-identical state, and the
+The robustness acceptance criteria live here: a shard killed at seeded
+points (:meth:`~repro.serve.shard.ShardSet.kill_shard`) is rebuilt
+from snapshot + WAL suffix into byte-identical state, and the
 surviving verdict stream matches an uninterrupted run exactly — at
 shard counts 1, 2 and 4, including the ack gap (WAL-appended but
 unanswered) via the ``crash_after_seq`` chaos hook.  A fresh
@@ -125,7 +125,7 @@ def test_seeded_kills_keep_stream_byte_identical(bundle, blocks,
     assert lines == reference_lines
     assert sum(restarts) == len(plan)
     assert observer.metrics.counter("shard_restarts").value == len(plan)
-    # Replay actually happened: the respawned workers re-read the log.
+    # Replay actually happened: the rebuilt shards re-read the log.
     assert observer.metrics.counter("wal_replayed_blocks").value > 0
 
 
@@ -145,8 +145,8 @@ def test_ack_gap_crash_is_exactly_once(bundle, blocks, reference_lines,
 
 
 def test_no_wal_shard_set_still_recovers_workers(bundle, blocks):
-    """Without a WAL the supervisor still respawns — state resets, the
-    plane keeps serving (fresh-state verdicts, not an outage)."""
+    """Without a WAL a killed shard is still rebuilt — state resets,
+    the plane keeps serving (fresh-state verdicts, not an outage)."""
     with ShardSet(bundle, n_shards=1) as shards:
         assert not shards.wal_enabled
         first = shards.submit_block(*blocks[0])
@@ -161,7 +161,7 @@ def test_no_wal_shard_set_still_recovers_workers(bundle, blocks):
 
 def test_fresh_shard_set_resumes_from_wal(bundle, blocks, reference_lines,
                                           tmp_path):
-    """The first ShardSet's workers die with no drain and no final
+    """The first ShardSet's shards die with no drain and no final
     snapshot; a second ShardSet on the same WAL directory replays to
     the exact state, answers a retried block id from cache, and
     finishes the stream."""
@@ -169,7 +169,7 @@ def test_fresh_shard_set_resumes_from_wal(bundle, blocks, reference_lines,
     half = len(blocks) // 2
     first_lines: list[str] = []
     veteran = ShardSet(bundle, n_shards=2, wal_dir=wal_dir,
-                       wal_fsync_every=1, supervise=False)
+                       wal_fsync_every=1)
     try:
         for index in range(half):
             block = veteran.submit_block(*blocks[index],
@@ -278,8 +278,8 @@ def test_sigkilled_child_process_resumes_byte_identical(
 
 def test_drives_tracked_is_right_after_wal_recovery(bundle, blocks,
                                                    tmp_path):
-    """The parent's drive census is reseeded from each shard's replayed
-    state: a fresh ShardSet on an old WAL, and a respawned shard, both
+    """The set's drive census is reseeded from each shard's replayed
+    state: a fresh ShardSet on an old WAL, and a rebuilt shard, both
     report every drive admitted before — and re-admitting them adds
     none."""
     wal_dir = tmp_path / "wal"
@@ -302,24 +302,48 @@ def test_drives_tracked_is_right_after_wal_recovery(bundle, blocks,
         assert successor.drives_tracked() == len(admitted)
 
 
-def test_killed_unsupervised_set_still_stops(bundle, blocks, tmp_path):
-    """``stop()`` must not hang on a shard that died with nobody
-    watching; dead shards contribute synthesized empty snapshots."""
+def test_stop_after_a_kill_returns_every_snapshot(bundle, blocks,
+                                                  tmp_path):
+    """A kill reports ``recovering`` at once; ``stop()`` waits out the
+    replay and snapshots the rebuilt shard, state included."""
     shards = ShardSet(bundle, n_shards=2, wal_dir=tmp_path / "wal")
     shards.submit_block(*blocks[0])
     shards.kill_shard(0)
-    deadline = time.monotonic() + 10.0
-    while (shards.shard_status()[0] == "serving"
-           and time.monotonic() < deadline):
-        time.sleep(0.01)
+    assert shards.shard_status()[0] == "recovering"
+    start = time.monotonic()
     snapshots = shards.stop()
+    assert time.monotonic() - start < 5.0
     assert len(snapshots) == 2
+    assert (sum(snapshot["samples_scored"] for snapshot in snapshots)
+            == len(blocks[0][0]))
+
+
+def test_kill_replay_thread_is_gone_once_serving(bundle, blocks, tmp_path,
+                                                 monkeypatch):
+    """A kill's replay runs on one short-lived thread, which ends with
+    the replay; outside a kill the set starts no thread."""
+    started = []
+    start_thread = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start_thread(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    with ShardSet(bundle, n_shards=2, wal_dir=tmp_path / "wal") as shards:
+        shards.submit_block(*blocks[0])
+        assert started == []
+        shards.kill_shard(1)
+        assert shards.wait_ready(timeout=30.0)
+        assert shards.shard_status() == ["serving", "serving"]
+        assert [thread.name for thread in started] == ["repro-shard-1-replay"]
+        started[0].join(timeout=5.0)
+        assert not started[0].is_alive()
 
 
 def test_stop_right_after_a_kill_does_not_hang(bundle, blocks, tmp_path):
-    """A worker that dies just before ``stop()`` halts the supervisor
-    is never respawned; it still contributes a synthesized snapshot
-    instead of stalling the drain."""
+    """A shard killed just before ``stop()`` is still drained: the
+    stop waits for its replay instead of stalling."""
     shards = ShardSet(bundle, n_shards=2, wal_dir=tmp_path / "wal")
     shards.submit_block(*blocks[0])
     start = time.monotonic()
@@ -335,7 +359,7 @@ def test_submit_to_failed_shard_is_serve_error(bundle, blocks, tmp_path):
     wal_dir = tmp_path / "wal"
     (wal_dir / "shard-000").mkdir(parents=True)
     (wal_dir / "shard-000" / "wal.json").write_text("{not json")
-    shards = ShardSet(bundle, n_shards=1, wal_dir=wal_dir, supervise=False)
+    shards = ShardSet(bundle, n_shards=1, wal_dir=wal_dir)
     try:
         deadline = time.monotonic() + 10.0
         while (not shards.shard_status()[0].startswith("failed")
@@ -362,7 +386,7 @@ def test_malformed_snapshot_fails_the_shard_promptly(bundle, blocks,
     drives[sorted(drives)[0]]["row"] = 5000
     snapshot.write_text(json.dumps(document))
 
-    shards = ShardSet(bundle, n_shards=1, wal_dir=wal_dir, supervise=False)
+    shards = ShardSet(bundle, n_shards=1, wal_dir=wal_dir)
     try:
         start = time.monotonic()
         assert shards.wait_ready(timeout=10.0)
@@ -401,8 +425,8 @@ def test_recovering_shard_answers_503_and_degraded_health(bundle, blocks,
         target = 0
         body = _shard_batch(daemon, blocks, target)
         daemon.shards.kill_shard(target)
-        # The killed worker's queue is abandoned, so this batch lands in
-        # the ack-less void and must come back 503, never hang or score.
+        # The killed shard reports recovering at once, so this batch
+        # must come back 503, never hang or score.
         status, headers, _text = _post(
             daemon.url + "/ingest?batch=retry-me", body)
         assert status == 503

@@ -10,6 +10,7 @@ exit.
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from repro.errors import BackpressureError, ServeError
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import TelemetryObserver
-from repro.serve.bundle import build_bundle
+from repro.serve.bundle import build_bundle, stamp_lineage
 from repro.serve.scorer import StreamScorer
 from repro.serve.shard import HashRing, ShardSet
 from tests.oracle import oracle_lines
@@ -279,16 +280,98 @@ def test_stop_is_idempotent(bundle, columnar_samples):
     assert first == second
 
 
-def test_running_set_owns_one_thread_per_shard_plus_supervisor(bundle):
-    """Workers answer their callers directly: no collector thread."""
-    before = set(threading.enumerate())
-    with ShardSet(bundle, n_shards=3) as shards:
-        assert shards.wait_ready(timeout=10.0)
-        started = set(threading.enumerate()) - before
-    assert sorted(thread.name for thread in started) == [
-        "repro-shard-0", "repro-shard-1", "repro-shard-2",
-        "repro-shard-supervisor"]
-    assert not any(thread.is_alive() for thread in started)
+def test_shard_set_starts_no_thread(bundle, columnar_samples, tmp_path,
+                                    monkeypatch):
+    """Shards score on the caller's thread: construction (WAL replay
+    included), submits, a promotion and the drain start no thread."""
+    serials, hours, matrix = columnar_samples
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", started.append)
+    with ShardSet(bundle, n_shards=3, wal_dir=tmp_path / "wal") as shards:
+        shards.submit_block(serials, hours, matrix)
+    shards = ShardSet(bundle, n_shards=3, wal_dir=tmp_path / "wal")
+    shards.submit_block(serials, hours, matrix)
+    shards.promote(stamp_lineage(bundle, bundle))
+    shards.submit_block(serials, hours, matrix)
+    assert len(shards.stop()) == 3
+    assert started == []
+
+
+# -- promotion fence --------------------------------------------------------
+
+def test_promote_is_a_clean_fence_for_concurrent_batches(
+        bundle, columnar_samples, monkeypatch):
+    """Throttled 2-shard batches race a promotion: each batch scores
+    wholly under the champion or wholly under the challenger, and no
+    two batches interleave their sub-batches (a batch holds every shard
+    lock it needs until its last sub-batch is scored)."""
+    serials, hours, matrix = columnar_samples
+    # Thresholds that relabel nearly every row, so a batch scored partly
+    # under each bundle differs from both oracles.
+    challenger = replace(stamp_lineage(bundle, bundle), watch_threshold=2.0,
+                         critical_threshold=bundle.watch_threshold)
+    batches = [(serials[start::8], hours[start::8], matrix[start::8])
+               for start in range(8)]
+    expected = [(oracle_lines(bundle, zip(*batch)),
+                 oracle_lines(challenger, zip(*batch)))
+                for batch in batches]
+    shards = ShardSet(bundle, n_shards=2, throttle_s=0.03)
+    for (batch_serials, _hours, _matrix), (old, new) in zip(batches,
+                                                            expected):
+        for shard in (0, 1):
+            rows = [row for row, serial in enumerate(batch_serials)
+                    if shards.shard_of(serial) == shard]
+            assert [old[row] for row in rows] != [new[row] for row in rows]
+
+    current = threading.local()
+    calls = []  # (batch, start, end) of every sub-batch scored
+    score_block = StreamScorer.score_block
+
+    def timed_score_block(scorer, *args):
+        start = time.monotonic()
+        try:
+            return score_block(scorer, *args)
+        finally:
+            # Long enough that a batch letting go of one shard's lock
+            # before its last sub-batch would overlap the next batch.
+            time.sleep(0.02)
+            calls.append((current.index, start, time.monotonic()))
+
+    monkeypatch.setattr(StreamScorer, "score_block", timed_score_block)
+    results = {}
+
+    def submitter(indices):
+        for index in indices:
+            current.index = index
+            results[index] = shards.submit_block(
+                *batches[index]).to_json_lines()
+
+    threads = [threading.Thread(target=submitter, args=(range(k, 8, 2),))
+               for k in (0, 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 30.0
+        while not results and time.monotonic() < deadline:
+            time.sleep(0.002)
+        shards.promote(challenger)
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        shards.stop()
+
+    assert sorted(results) == list(range(8))
+    bundles_seen = {(lines == old, lines == new)
+                    for lines, (old, new) in zip(
+                        (results[index] for index in range(8)), expected)}
+    assert bundles_seen == {(True, False), (False, True)}
+    spans = {}
+    for index, start, end in calls:
+        first, last = spans.get(index, (start, end))
+        spans[index] = (min(first, start), max(last, end))
+    for index, start, _end in calls:
+        for other, (first, last) in spans.items():
+            assert other == index or not first < start < last
 
 
 # -- validation -------------------------------------------------------------
