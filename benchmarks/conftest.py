@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.parallel
 from repro.core.serialize import canonical_json_dumps
 from repro.experiments.common import (
     default_fleet,
@@ -67,7 +66,7 @@ def bench_environment() -> dict:
     environment matches.
     """
     return {
-        "cpus_available": repro.parallel.available_cpus(),
+        "cpus_available": len(os.sched_getaffinity(0)),
         "os_cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -3,8 +3,8 @@
 Crash safety has a price — every admitted block is framed, hashed and
 appended (with batched fsync) before it scores.  The pinned contract:
 with the default fsync batching, WAL-on ingest stays within **2x** of
-WAL-off ingest on the same blocked stream, and WAL-off *is* the PR 8
-baseline (the ``--no-wal`` path adds no work at all).  Both throughputs
+WAL off ingest on the same blocked stream; WAL off (a daemon started
+without ``--wal-dir``) adds no work at all.  Both throughputs
 land in ``benchmarks/output/perf_wal.json``, where
 ``scripts/compare_bench.py`` pins them against the committed baseline
 via its ``*samples_per_s`` rule.
@@ -123,9 +123,9 @@ def test_perf_wal_recorded(wal_bundle, blocked_stream, artifact_dir):
             "wal_on_s": on_s,
             "wal_on_samples_per_s": n_samples / on_s,
             "wal_overhead_vs_off": overhead,
-            "note": "2-shard blocked ingest; WAL-off is the --no-wal "
-                    "daemon path (PR 8 baseline), WAL-on uses default "
-                    "fsync batching",
+            "note": "2-shard blocked ingest; WAL off is a daemon "
+                    "without --wal-dir, WAL-on uses default fsync "
+                    "batching",
         },
     }
     path = artifact_dir / "perf_wal.json"

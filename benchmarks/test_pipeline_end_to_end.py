@@ -7,8 +7,8 @@ bench runs with a live observer so its per-stage span timings land in
 ``benchmarks/output/telemetry.json``.
 
 ``test_perf_baseline_recorded`` additionally measures the performance
-layer (vectorized signature math, the ``n_jobs`` fan-out, and the
-dataset cache) against reference implementations and records the
+layer (vectorized signature math and the dataset cache) against
+reference implementations and records the
 numbers in ``benchmarks/output/perf_baseline.json`` — the table quoted
 by ``docs/performance.md``.
 """
@@ -24,12 +24,10 @@ from repro.core.pipeline import CharacterizationPipeline
 from repro.core.serialize import canonical_json_dumps
 from repro.core.signatures import (
     WindowParams,
-    derive_signature,
     distance_to_failure,
     extract_degradation_window,
 )
 from repro.data.cache import DatasetCache
-from repro.parallel import ParallelConfig, map_drives
 from repro.sim.config import FleetConfig
 from repro.sim.fleet import simulate_fleet
 
@@ -74,11 +72,6 @@ def test_full_pipeline_1000_drives_instrumented(benchmark, bench_observer):
 _PARAMS = WindowParams()
 
 
-def _derive(profile):
-    """Module-level so the process backend can pickle it."""
-    return derive_signature(profile, params=_PARAMS)
-
-
 def _loop_distance(profile):
     """Per-record reference for the vectorized distance series."""
     reference = profile.failure_record()
@@ -119,12 +112,9 @@ def _best_of(fn, repeat=3):
 def test_perf_baseline_recorded(artifact_dir):
     """Measure the performance layer and record the honest numbers.
 
-    Three comparisons: the vectorized signature math against a
-    per-record reference loop, the ``n_jobs=4`` signature fan-out
-    against the serial path (identical results required), and a cached
-    pipeline re-run against the cold run.  The fan-out speedup is
-    bounded by the CPUs the container actually exposes, so it is
-    recorded alongside the CPU count rather than asserted.
+    Two comparisons: the vectorized signature math against a
+    per-record reference loop, and a cached pipeline re-run against the
+    cold run.
     """
     fleet = simulate_fleet(FleetConfig(n_drives=1000, seed=13))
     normalized = fleet.dataset.normalize()
@@ -154,21 +144,7 @@ def test_perf_baseline_recorded(artifact_dir):
     # loop reference omits).
     assert vector_speedup >= 2.0
 
-    # 2) signature fan-out: serial vs n_jobs=4, byte-identical results.
-    serial = map_drives(_derive, failed, ParallelConfig(n_jobs=1))
-    parallel = map_drives(_derive, failed,
-                          ParallelConfig(n_jobs=4, backend="process"))
-    assert [s.window_size for s in serial] == \
-        [s.window_size for s in parallel]
-    assert [s.best_fit.rmse for s in serial] == \
-        [s.best_fit.rmse for s in parallel]
-    serial_s = _best_of(
-        lambda: map_drives(_derive, failed, ParallelConfig(n_jobs=1)))
-    jobs4_s = _best_of(
-        lambda: map_drives(_derive, failed,
-                           ParallelConfig(n_jobs=4, backend="process")))
-
-    # 3) dataset cache: cold vs warm pipeline run (prediction off, so
+    # 2) dataset cache: cold vs warm pipeline run (prediction off, so
     # the prepare stage the cache accelerates dominates the run).
     with tempfile.TemporaryDirectory() as cache_home:
         cache = DatasetCache(cache_home)
@@ -194,13 +170,6 @@ def test_perf_baseline_recorded(artifact_dir):
             "vectorized_s": vector_s,
             "speedup": vector_speedup,
             "rounds": rounds,
-        },
-        "signature_fanout": {
-            "serial_s": serial_s,
-            "jobs4_process_s": jobs4_s,
-            "speedup": serial_s / jobs4_s,
-            "note": "fan-out speedup is bounded by available CPUs; "
-                    "see environment.cpus_available",
         },
         "dataset_cache": {
             "cold_s": cold_s,

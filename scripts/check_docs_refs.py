@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint: the docs must track the code — modules, subcommands, flags, links.
 
-Four checks:
+Five checks:
 
 1. Walks ``src/repro`` and collects the dotted name of every public
    module — packages (directories with an ``__init__.py``) and
@@ -20,6 +20,11 @@ Four checks:
 4. Resolves every relative ``](...)`` link inside ``docs/*.md`` (and
    ``README.md``) against the file that contains it, so a renamed or
    deleted target cannot leave a dead link behind.
+5. Reads every ``$ repro-characterize``, ``$ repro-serve`` and
+   ``$ repro-learn`` console line in ``docs/*.md`` and ``README.md``,
+   with its indented continuation lines, and checks that each
+   ``--flag`` on it is registered by that program's parser — so a
+   removed flag cannot live on in an example.
 
 Run from the repository root::
 
@@ -53,6 +58,9 @@ CLI_MODULES: tuple[tuple[str, Path], ...] = (
 #: Markdown inline link targets: ``[text](target)``.  Good enough for
 #: these docs — no reference-style links are used.
 _LINK_PATTERN = re.compile(r"\]\(([^)\s]+)\)")
+
+#: A long option on a console line (not the tail of ``a--b``).
+_FLAG_PATTERN = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def public_modules(src_root: Path = SRC_ROOT) -> list[str]:
@@ -139,13 +147,26 @@ def cli_flags(cli_modules: tuple[tuple[str, Path], ...] = CLI_MODULES,
     return sorted(flags)
 
 
-def _docs_corpus(docs_root: Path = DOCS_ROOT) -> str:
-    """All documentation text the flag check searches, concatenated."""
-    parts = [path.read_text() for path in sorted(docs_root.glob("*.md"))]
+def _doc_pages(docs_root: Path = DOCS_ROOT) -> list[Path]:
+    """``docs/*.md`` plus the repository ``README.md`` when present."""
+    pages = sorted(docs_root.glob("*.md"))
     readme = docs_root.parent / "README.md"
     if readme.exists():
-        parts.append(readme.read_text())
-    return "\n".join(parts)
+        pages.append(readme)
+    return pages
+
+
+def _shown(page: Path) -> str:
+    """A page's name for reports: repo-relative when inside the repo."""
+    try:
+        return str(page.relative_to(REPO_ROOT))
+    except ValueError:  # a docs tree outside the repo (tests)
+        return str(page)
+
+
+def _docs_corpus(docs_root: Path = DOCS_ROOT) -> str:
+    """All documentation text the flag check searches, concatenated."""
+    return "\n".join(page.read_text() for page in _doc_pages(docs_root))
 
 
 def undocumented_flags(docs_root: Path = DOCS_ROOT,
@@ -166,11 +187,7 @@ def broken_doc_links(docs_root: Path = DOCS_ROOT) -> list[tuple[str, str]]:
     is checked by path only.
     """
     broken: list[tuple[str, str]] = []
-    pages = sorted(docs_root.glob("*.md"))
-    readme = docs_root.parent / "README.md"
-    if readme.exists():
-        pages.append(readme)
-    for page in pages:
+    for page in _doc_pages(docs_root):
         for target in _LINK_PATTERN.findall(page.read_text()):
             if target.startswith(("http://", "https://", "mailto:", "#")):
                 continue
@@ -178,12 +195,38 @@ def broken_doc_links(docs_root: Path = DOCS_ROOT) -> list[tuple[str, str]]:
             if not path:
                 continue
             if not (page.parent / path).exists():
-                try:
-                    shown = str(page.relative_to(REPO_ROOT))
-                except ValueError:  # a docs tree outside the repo (tests)
-                    shown = str(page)
-                broken.append((shown, target))
+                broken.append((_shown(page), target))
     return broken
+
+
+def unknown_console_flags(docs_root: Path = DOCS_ROOT,
+                          cli_modules: tuple[tuple[str, Path], ...]
+                          = CLI_MODULES) -> list[tuple[str, str, str]]:
+    """Flags on documented console lines that the program does not
+    register, as (page, program, flag).
+
+    A console line starts with ``$ <program>``; the indented lines right
+    after it continue it.  Text after `` #`` is a comment and skipped.
+    """
+    known = set(cli_flags(cli_modules))
+    console = re.compile(r"^\$ (%s)(?=\s|$)(.*)$" % "|".join(
+        re.escape(program) for program, _ in cli_modules))
+    unknown: list[tuple[str, str, str]] = []
+    for page in _doc_pages(docs_root):
+        program = None
+        for line in page.read_text().splitlines():
+            match = console.match(line)
+            if match:
+                program, text = match.group(1), match.group(2)
+            elif program is not None and line[:1].isspace():
+                text = line
+            else:
+                program = None
+                continue
+            for flag in _FLAG_PATTERN.findall(text.split(" #", 1)[0]):
+                if flag != "--help" and (program, flag) not in known:
+                    unknown.append((_shown(page), program, flag))
+    return unknown
 
 
 def main() -> int:
@@ -207,6 +250,13 @@ def main() -> int:
               file=sys.stderr)
         for program, flag in flags:
             print(f"  {program} {flag}", file=sys.stderr)
+        status = 1
+    stale = unknown_console_flags()
+    if stale:
+        print("console examples pass flags their program does not "
+              "register:", file=sys.stderr)
+        for page, program, flag in stale:
+            print(f"  {page}: {program} {flag}", file=sys.stderr)
         status = 1
     links = broken_doc_links()
     if links:

@@ -40,11 +40,6 @@ from repro.data import (
     save_csv,
 )
 from repro.faults import ChaosConfig, inject_dataset, parse_chaos_spec
-from repro.parallel import (
-    ParallelConfig,
-    RetryPolicy,
-    map_drives,
-)
 from repro.serve import (
     ModelBundle,
     MonitorVerdict,
@@ -87,9 +82,6 @@ __all__ = [
     "ChaosConfig",
     "inject_dataset",
     "parse_chaos_spec",
-    "ParallelConfig",
-    "RetryPolicy",
-    "map_drives",
     "ModelBundle",
     "MonitorVerdict",
     "StreamScorer",

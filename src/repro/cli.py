@@ -12,8 +12,8 @@ Examples::
    repro-characterize --csv fleet.csv --json report.json
    repro-characterize --backblaze 'data_Q1_2015/*.csv' --model ST4000DM000
    repro-characterize --simulate 500 -v --trace trace.json --metrics metrics.json
-   repro-characterize --csv fleet.csv --jobs 4 --cache-dir /tmp/repro-cache
-   repro-characterize --csv dirty.csv --lenient --retries 2
+   repro-characterize --csv fleet.csv --cache-dir /tmp/repro-cache
+   repro-characterize --csv dirty.csv --lenient
    repro-characterize --simulate 2000 --inject-faults 'drop=0.1,nan=0.05,seed=7'
 """
 
@@ -41,7 +41,6 @@ from repro.obs.observer import (
     PipelineObserver,
     TelemetryObserver,
 )
-from repro.parallel import RetryPolicy
 from repro.reporting.tables import ascii_table
 from repro.serve.bundle import build_bundle, save_bundle
 from repro.sim.config import FleetConfig
@@ -77,10 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "taxonomy, normalization, monitor thresholds) "
                              "here for 'repro-serve'")
     performance = parser.add_argument_group("performance")
-    performance.add_argument("--jobs", type=int, default=1, metavar="N",
-                             help="workers for per-drive stages "
-                                  "(1 = serial, 0 = all CPUs); any value "
-                                  "produces byte-identical reports")
     performance.add_argument("--no-cache", action="store_true",
                              help="skip the on-disk dataset cache")
     performance.add_argument("--cache-dir", metavar="PATH", default=None,
@@ -96,16 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "dataset first (chaos testing), e.g. "
                                  "'drop=0.1,nan=0.05,seed=7'; implies "
                                  "--lenient")
-    robustness.add_argument("--retries", type=int, default=0, metavar="N",
-                            help="retry rounds for crashed or hung "
-                                 "parallel workers (default 0: fail fast); "
-                                 "any value produces byte-identical "
-                                 "reports")
-    robustness.add_argument("--chunk-timeout", type=float, default=None,
-                            metavar="S",
-                            help="per-chunk worker deadline in seconds "
-                                 "(requires --retries semantics: timed-out "
-                                 "chunks are retried, then re-run serially)")
     telemetry = parser.add_argument_group("telemetry")
     telemetry.add_argument("-v", "--verbose", action="count", default=0,
                            help="log pipeline progress (-vv for debug)")
@@ -134,8 +119,7 @@ def load_dataset(args: argparse.Namespace, observer: PipelineObserver,
     if args.simulate is not None:
         fleet = simulate_fleet(FleetConfig(n_drives=args.simulate,
                                            seed=args.seed),
-                               observer=observer,
-                               n_jobs=getattr(args, "jobs", 1))
+                               observer=observer)
         return fleet.dataset, None
     if args.csv is not None:
         if lenient:
@@ -248,10 +232,6 @@ def run(args: argparse.Namespace) -> int:
     if summary.n_failed < 3:
         raise ReproError("need at least 3 failed drives to categorize")
 
-    retry_policy = None
-    if args.retries or args.chunk_timeout is not None:
-        retry_policy = RetryPolicy.resilient(max_retries=args.retries,
-                                             timeout_s=args.chunk_timeout)
     cache = None
     if not args.no_cache:
         cache = DatasetCache(args.cache_dir, observer=observer)
@@ -259,8 +239,6 @@ def run(args: argparse.Namespace) -> int:
         n_clusters=args.clusters if args.clusters > 0 else None,
         run_prediction=not args.no_prediction,
         seed=args.seed,
-        n_jobs=args.jobs,
-        retry_policy=retry_policy,
         cache=cache,
         observer=observer,
     )

@@ -38,8 +38,6 @@ from repro.data.cache import DatasetCache
 from repro.data.dataset import DiskDataset
 from repro.errors import PipelineStageError, ReproError, SignatureError
 from repro.obs.observer import PipelineObserver, resolve_observer
-from repro.parallel import ParallelConfig, RetryPolicy, map_drives
-from repro.smart.profile import HealthProfile
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,25 +82,6 @@ class CharacterizationReport:
         return self.categorization.type_of_serial(serial)
 
 
-@dataclass(frozen=True, slots=True)
-class _SignatureTask:
-    """Picklable per-drive worker of the signature fan-out.
-
-    Runs uninstrumented (observers do not cross process boundaries); the
-    pipeline replays the per-signature metrics when results merge back.
-    Returns ``None`` for degenerate profiles instead of raising, so one
-    drive's bad telemetry never aborts a whole chunk.
-    """
-
-    params: WindowParams
-
-    def __call__(self, profile: HealthProfile) -> DegradationSignature | None:
-        try:
-            return derive_signature(profile, params=self.params)
-        except SignatureError:
-            return None
-
-
 class CharacterizationPipeline:
     """Configure and run the full analysis.
 
@@ -117,17 +96,6 @@ class CharacterizationPipeline:
         stage; disable for categorization-only runs).
     seed:
         Seed shared by clustering, sampling and splitting.
-    n_jobs:
-        Workers for the per-drive signature fan-out (``1`` = serial,
-        ``0`` = one per available CPU).  A pure performance knob: any
-        job count produces byte-identical reports.
-    parallel_backend:
-        ``"process"`` (default; sidesteps the GIL) or ``"thread"``.
-    retry_policy:
-        Worker-failure policy for the signature fan-out
-        (:class:`~repro.parallel.RetryPolicy`).  The default retries
-        nothing; :meth:`RetryPolicy.resilient` survives crashed or hung
-        workers with byte-identical results.
     cache:
         Optional :class:`~repro.data.cache.DatasetCache` memoizing the
         normalized dataset and failure-record matrix between runs.
@@ -144,9 +112,6 @@ class CharacterizationPipeline:
                  run_prediction: bool = True,
                  clustering_method: str = "kmeans",
                  seed: int = 0,
-                 n_jobs: int = 1,
-                 parallel_backend: str = "process",
-                 retry_policy: RetryPolicy | None = None,
                  cache: DatasetCache | None = None,
                  observer: PipelineObserver | None = None) -> None:
         self._observer = resolve_observer(observer)
@@ -157,10 +122,6 @@ class CharacterizationPipeline:
         self._window_params = window_params or WindowParams()
         self._run_prediction = run_prediction
         self._seed = seed
-        self._parallel = ParallelConfig(
-            n_jobs=n_jobs, backend=parallel_backend,
-            retry=retry_policy if retry_policy is not None else RetryPolicy(),
-        )
         self._cache = cache
 
     def run(self, dataset: DiskDataset) -> CharacterizationReport:
@@ -196,13 +157,11 @@ class CharacterizationPipeline:
             signatures: dict[str, DegradationSignature] = {}
             with self._boundary("signatures", completed, partial):
                 with obs.span("signatures", n_failed=len(failed_profiles)):
-                    derived = map_drives(
-                        _SignatureTask(self._window_params), failed_profiles,
-                        self._parallel, observer=obs,
-                        label="signature-fanout",
-                    )
-                    for profile, signature in zip(failed_profiles, derived):
-                        if signature is None:
+                    for profile in failed_profiles:
+                        try:
+                            signature = derive_signature(
+                                profile, params=self._window_params)
+                        except SignatureError:
                             # Degenerate profiles (e.g. two records) carry
                             # no signature; they stay categorized but
                             # unsigned.

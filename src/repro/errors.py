@@ -55,18 +55,6 @@ class ObservabilityError(ReproError):
     """The instrumentation layer was misused (e.g. metric kind clash)."""
 
 
-class ParallelError(ReproError):
-    """The fan-out layer was misconfigured (bad job count or backend)."""
-
-
-class WorkerCrashError(ParallelError):
-    """A pool worker died (or its pool broke) and retries were exhausted."""
-
-
-class WorkerTimeoutError(ParallelError):
-    """A dispatched chunk exceeded its deadline and retries were exhausted."""
-
-
 class CacheError(ReproError):
     """The on-disk dataset cache was misused or its directory is unusable."""
 

@@ -10,7 +10,7 @@ any subset of the paper's experiments and prints their renderings:
    $ repro-experiments --all --jobs 4
 
 ``--jobs N`` fans the selected experiments out across N worker
-processes through :func:`repro.parallel.map_drives`.  The parent
+processes of a :class:`~concurrent.futures.ProcessPoolExecutor`.  The parent
 pre-warms the memoized default fleet and pipeline report before the
 pool starts, so (on fork-based platforms) every worker inherits the
 shared dataset instead of rebuilding it; results are merged back in
@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable
 
@@ -205,7 +207,6 @@ def run_many(ids: list[str], *, jobs: int = 1,
         default_report,
         get_pipeline_observer,
     )
-    from repro.parallel import ParallelConfig, effective_jobs, map_drives
 
     unknown = [experiment_id for experiment_id in ids
                if experiment_id not in EXPERIMENTS]
@@ -214,6 +215,8 @@ def run_many(ids: list[str], *, jobs: int = 1,
             f"unknown experiment {unknown[0]!r}; known: "
             f"{', '.join(EXPERIMENTS)}"
         )
+    if jobs < 0:
+        raise ExperimentError(f"jobs must be >= 0, got {jobs}")
     if resume and checkpoint_dir is None:
         raise CheckpointError("resume requires a checkpoint directory")
     observer = get_pipeline_observer()
@@ -237,26 +240,25 @@ def run_many(ids: list[str], *, jobs: int = 1,
               if experiment_id not in restored]
     computed: dict[str, tuple[ExperimentResult | ExperimentFailure, float]] = {}
     if to_run:
-        resolved_jobs = min(effective_jobs(jobs), len(to_run))
-        if resolved_jobs > 1:
-            # Build the memoized fleet + report once in the parent so
-            # fork-started workers inherit the shared dataset cache
-            # instead of simulating their own copy per process.
-            with observer.span("experiments-prewarm"):
-                default_report()
+        resolved_jobs = min(jobs or len(os.sched_getaffinity(0)),
+                            len(to_run))
         worker = functools.partial(
             _execute_one,
             checkpoint_spec=(str(store.directory), n_drives, seed)
             if store is not None else None,
             keep_going=keep_going,
         )
-        pairs = map_drives(
-            worker, to_run,
-            ParallelConfig(n_jobs=resolved_jobs, backend="process",
-                           chunk_size=1),
-            observer=observer, label="experiments-fanout",
-            initializer=_worker_init, initargs=(n_drives, seed),
-        )
+        if resolved_jobs > 1:
+            # Build the memoized fleet + report once in the parent so
+            # fork-started workers inherit the shared dataset cache
+            # instead of simulating their own copy per process.
+            with observer.span("experiments-prewarm"):
+                default_report()
+            with ProcessPoolExecutor(resolved_jobs, initializer=_worker_init,
+                                     initargs=(n_drives, seed)) as pool:
+                pairs = list(pool.map(worker, to_run))
+        else:
+            pairs = [worker(experiment_id) for experiment_id in to_run]
         observer.gauge("parallel_jobs", resolved_jobs)
         computed = dict(zip(to_run, pairs))
 

@@ -173,7 +173,7 @@ class SlidingWindow:
 
 
 def refit_challenger(dataset: DiskDataset, champion: ModelBundle, *,
-                     seed: int = 0, n_clusters: int = 3, n_jobs: int = 1,
+                     seed: int = 0, n_clusters: int = 3,
                      observer: PipelineObserver | None = None,
                      ) -> ModelBundle:
     """Retrain the paper's models on ``dataset``; return a challenger.
@@ -196,7 +196,7 @@ def refit_challenger(dataset: DiskDataset, champion: ModelBundle, *,
     with obs.span("learn-refit", n_drives=dataset.summary().n_drives,
                   seed=seed):
         pipeline = CharacterizationPipeline(
-            n_clusters=n_clusters, seed=seed, n_jobs=n_jobs, observer=obs)
+            n_clusters=n_clusters, seed=seed, observer=obs)
         report = pipeline.run(dataset)
         challenger = build_bundle(
             report,

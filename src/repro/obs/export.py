@@ -126,7 +126,7 @@ def trace_jsonl(tracer: Tracer) -> str:
     """One JSON object per span, depth-first, with slash-joined paths.
 
     Flattening the span tree to lines keeps huge traces streamable and
-    greppable (``"path": "pipeline/signatures/signature-fanout"``)
+    greppable (``"path": "pipeline/predict/predict-group"``)
     while the nesting stays recoverable from the paths.
     """
     lines = []

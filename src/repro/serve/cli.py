@@ -219,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="blocks scored between WAL state checkpoints "
                              f"(default {DEFAULT_SNAPSHOT_INTERVAL_BLOCKS})")
-    daemon.add_argument("--no-wal", action="store_true",
-                        help="serve without a WAL even if --wal-dir is set "
-                             "(restores the pre-crash-safety fast path)")
     daemon.add_argument("--dead-letter", metavar="PATH", default=None,
                         help="park undeliverable alerts in this JSONL file "
                              "(reprocess with 'repro-serve recover')")
@@ -448,7 +445,7 @@ def run_daemon(args: argparse.Namespace,
         host=args.host, port=args.port,
         retry_after_s=args.retry_after,
         final_snapshot=args.final_snapshot,
-        wal_dir=None if args.no_wal else args.wal_dir,
+        wal_dir=args.wal_dir,
         snapshot_interval_blocks=args.snapshot_interval_blocks,
         dead_letter=args.dead_letter,
         learn=args.learn,

@@ -86,9 +86,11 @@ def _reference_columns(samples: Iterable[tuple[str, Any, Any, Any]],
     """Per-sample decode of ``(where, serial, hour, values)`` rows.
 
     The reference every fast path must match: it converts one sample at
-    a time — ``str`` serial, ``int`` hour, ``float`` per value — and
-    refuses the first bad sample with a :class:`~repro.errors.ServeError`
-    that starts with its ``where`` (``line N`` or ``sample i``).
+    a time — a JSON string serial, an ``int`` hour (a JSON integer, or
+    an integer string as in CSV; never a float or boolean), ``float``
+    per value — and refuses the first bad sample with a
+    :class:`~repro.errors.ServeError` that starts with its ``where``
+    (``line N`` or ``sample i``).
     ``noun`` names the earlier rows in the width-mismatch message.
     ``json.loads`` accepts ``NaN`` and ``Infinity``, so a non-finite
     value is refused here too, after the whole batch has converted.
@@ -107,12 +109,19 @@ def _reference_columns(samples: Iterable[tuple[str, Any, Any, Any]],
         elif len(values) != width:
             raise ServeError(f"{where}: {len(values)} values where earlier "
                              f"{noun} had {width}")
+        if type(serial) is not str:
+            raise ServeError(f'{where}: "serial" must be a string, got '
+                             f"{_JSON_TYPES.get(type(serial), 'a value')}")
         try:
-            serials.append(str(serial))
             hours.append(int(hour))
             flat.extend(map(float, values))
         except (TypeError, ValueError, OverflowError) as error:
             raise ServeError(f"{where}: {error}") from error
+        # After int(), so a non-finite hour keeps int()'s refusal text.
+        if type(hour) in (float, bool):
+            raise ServeError(f'{where}: "hour" must be an integer, got '
+                             f"{json.dumps(hour)}")
+        serials.append(serial)
         places.append(where)
     matrix = np.asarray(flat, dtype=np.float64).reshape(len(serials),
                                                         max(width, 0))
@@ -128,21 +137,22 @@ def _fast_columns(serials: Sequence[Any], hours: Sequence[Any],
     """The columnar decode: no Python-level step per sample.
 
     Returns exactly what :func:`_reference_columns` returns for the
-    same fields — ``map(str)``, ``map(int)`` and ``np.fromiter`` apply
-    the same conversions one C loop each — or ``None`` whenever the
-    reference could refuse (a non-array or ragged ``values``, a bad
-    hour or value, a non-finite value), so the caller can rerun the
-    reference for its exact refusal.
+    same fields — all-``str`` serials and all-``int`` hours pass through
+    as they are, and ``np.fromiter`` applies the same ``float``
+    conversion in one C loop — or ``None`` whenever the reference could
+    refuse or convert (a non-string serial, a non-``int`` hour, a
+    non-array or ragged ``values``, a bad or non-finite value), so the
+    caller can rerun the reference.
     """
-    if set(map(type, values)) != {list}:
+    if (set(map(type, values)) != {list}
+            or set(map(type, serials)) != {str}
+            or set(map(type, hours)) != {int}):
         return None
     widths = set(map(len, values))
     if len(widths) != 1:
         return None
     (width,) = widths
     try:
-        serial_column = list(map(str, serials))
-        hour_column = list(map(int, hours))
         flat = np.fromiter(chain.from_iterable(values), np.float64,
                            len(values) * width)
     except (TypeError, ValueError, OverflowError):
@@ -150,7 +160,7 @@ def _fast_columns(serials: Sequence[Any], hours: Sequence[Any],
     # ``fromiter`` reads None as NaN; the reference refuses both.
     if not np.isfinite(flat).all():
         return None
-    return serial_column, hour_column, flat.reshape(len(values), width)
+    return list(serials), list(hours), flat.reshape(len(values), width)
 
 
 def _sample_rows(samples: list[Any]) -> Iterator[tuple[str, Any, Any, Any]]:

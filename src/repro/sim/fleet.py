@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.data.dataset import DiskDataset
 from repro.obs.observer import PipelineObserver, resolve_observer
-from repro.parallel import ParallelConfig, map_drives
 from repro.sim.config import FleetConfig
 from repro.sim.drive import DriveSpec, simulate_drive
 from repro.sim.failure_modes import FailureMode
@@ -65,33 +64,17 @@ class FleetResult:
         ]
 
 
-@dataclass(frozen=True, slots=True)
-class _DriveTask:
-    """Picklable per-drive worker for the simulation fan-out."""
-
-    config: FleetConfig
-
-    def __call__(self, spec: DriveSpec):
-        return simulate_drive(spec, self.config)
-
-
 class FleetSimulator:
     """Deterministic simulator for one fleet configuration.
 
-    ``n_jobs`` fans the per-drive simulation out over a worker pool
-    (``0`` = one per available CPU).  Every drive draws from its own
-    ``child_rng(seed, serial, ...)`` stream and results merge back in
-    schedule order, so the fleet is bit-identical for any job count.
+    Every drive draws from its own ``child_rng(seed, serial, ...)``
+    stream, so a drive's profile does not depend on the others.
     """
 
     def __init__(self, config: FleetConfig,
-                 observer: PipelineObserver | None = None, *,
-                 n_jobs: int = 1,
-                 parallel_backend: str = "process") -> None:
+                 observer: PipelineObserver | None = None) -> None:
         self._config = config
         self._observer = resolve_observer(observer)
-        self._parallel = ParallelConfig(n_jobs=n_jobs,
-                                        backend=parallel_backend)
 
     @property
     def config(self) -> FleetConfig:
@@ -150,10 +133,8 @@ class FleetSimulator:
         with obs.span("simulate-fleet", n_drives=self._config.n_drives,
                       seed=self._config.seed):
             specs = self.build_specs()
-            profiles = map_drives(_DriveTask(self._config), specs,
-                                  self._parallel, observer=obs,
-                                  label="simulate-drives")
-            dataset = DiskDataset(profiles)
+            dataset = DiskDataset([simulate_drive(spec, self._config)
+                                   for spec in specs])
         obs.count("drives_simulated", len(specs))
         n_failed = sum(1 for spec in specs if spec.mode.is_failure)
         obs.event("fleet simulated", drives=len(specs), failed=n_failed)
@@ -201,12 +182,7 @@ class FleetSimulator:
 
 
 def simulate_fleet(config: FleetConfig | None = None,
-                   observer: PipelineObserver | None = None, *,
-                   n_jobs: int = 1) -> FleetResult:
-    """Simulate a fleet with ``config`` (default configuration if omitted).
-
-    ``n_jobs`` parallelizes the per-drive simulation; the result is
-    bit-identical for any job count.
-    """
+                   observer: PipelineObserver | None = None) -> FleetResult:
+    """Simulate a fleet with ``config`` (default configuration if omitted)."""
     return FleetSimulator(config if config is not None else FleetConfig(),
-                          observer=observer, n_jobs=n_jobs).run()
+                          observer=observer).run()

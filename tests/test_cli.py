@@ -146,19 +146,6 @@ def test_default_run_embeds_no_telemetry(tmp_path, capsys):
     assert "telemetry" not in json.loads(json_path.read_text())
 
 
-def test_jobs_flag_produces_byte_identical_report(tmp_path, small_dataset,
-                                                  capsys):
-    csv_path = tmp_path / "fleet.csv"
-    save_csv(small_dataset, csv_path)
-    serial_json = tmp_path / "serial.json"
-    parallel_json = tmp_path / "parallel.json"
-    assert main(["--csv", str(csv_path), "--no-prediction", "--no-cache",
-                 "--json", str(serial_json)]) == 0
-    assert main(["--csv", str(csv_path), "--no-prediction", "--no-cache",
-                 "--jobs", "4", "--json", str(parallel_json)]) == 0
-    assert serial_json.read_bytes() == parallel_json.read_bytes()
-
-
 def test_cache_dir_flag_populates_and_reuses_cache(tmp_path, small_dataset,
                                                    capsys):
     csv_path = tmp_path / "fleet.csv"

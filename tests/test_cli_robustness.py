@@ -14,9 +14,9 @@ CHAOS = "drop=0.05,nan=0.02,outlier=0.01,duplicate=0.02,disorder=0.1,seed=9"
 def test_resilience_flags_are_byte_identical_on_clean_data(tmp_path,
                                                            small_dataset,
                                                            capsys):
-    """The acceptance scenario: quarantine + retries enabled on clean
-    data must not change one byte of the report, and must not emit a
-    data_quality section."""
+    """The acceptance scenario: quarantine enabled on clean data must
+    not change one byte of the report, and must not emit a data_quality
+    section."""
     csv_path = tmp_path / "fleet.csv"
     save_csv(small_dataset, csv_path)
     plain_json = tmp_path / "plain.json"
@@ -24,8 +24,7 @@ def test_resilience_flags_are_byte_identical_on_clean_data(tmp_path,
     assert main(["--csv", str(csv_path), "--no-prediction", "--no-cache",
                  "--json", str(plain_json)]) == 0
     assert main(["--csv", str(csv_path), "--no-prediction", "--no-cache",
-                 "--lenient", "--retries", "2", "--jobs", "2",
-                 "--json", str(guarded_json)]) == 0
+                 "--lenient", "--json", str(guarded_json)]) == 0
     assert plain_json.read_bytes() == guarded_json.read_bytes()
     assert "data_quality" not in json.loads(guarded_json.read_text())
 

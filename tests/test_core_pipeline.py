@@ -11,7 +11,12 @@ import pytest
 
 from repro.core.pipeline import CharacterizationPipeline
 from repro.core.taxonomy import FailureType
+from repro.data.cache import DatasetCache
+from repro.data.dataset import DiskDataset
+from repro.errors import ReproError, SignatureError
+from repro.obs.observer import TelemetryObserver
 from repro.sim.failure_modes import FailureMode
+from repro.smart.profile import HealthProfile
 
 MODE_BY_TYPE = {
     FailureType.LOGICAL: FailureMode.LOGICAL,
@@ -113,3 +118,72 @@ def test_pipeline_is_deterministic(small_dataset):
                                   b.categorization.labels)
     assert {s: sig.window_size for s, sig in a.signatures.items()} == \
            {s: sig.window_size for s, sig in b.signatures.items()}
+
+
+def test_pipeline_counts_signatures_and_cache_hits(small_dataset, tmp_path):
+    """A warm re-run counts one cache hit and derives the same
+    signatures; every other counter matches the cold run's."""
+    def counters():
+        observer = TelemetryObserver()
+        CharacterizationPipeline(
+            seed=1, cache=DatasetCache(tmp_path, observer=observer),
+            observer=observer,
+        ).run(small_dataset)
+        return {name: body["value"]
+                for name, body in observer.metrics.snapshot().items()
+                if body["kind"] == "counter"}
+
+    cold, warm = counters(), counters()
+    assert cold.get("cache_hits", 0.0) == 0.0
+    assert warm["cache_hits"] == 1.0
+    assert warm["signatures_derived"] == cold["signatures_derived"] > 0
+    assert (warm.get("signatures_skipped", 0.0)
+            == cold.get("signatures_skipped", 0.0))
+    cache_counters = {"cache_hits", "cache_misses"}
+    assert ({k: v for k, v in cold.items() if k not in cache_counters}
+            == {k: v for k, v in warm.items() if k not in cache_counters})
+
+
+# -- degenerate telemetry ---------------------------------------------------
+
+
+def _flat_failed_profile(serial: str, level: float) -> HealthProfile:
+    """A failed drive whose telemetry never changes: every sample equals
+    the failure record, so its distance-to-failure series is all zeros
+    and no degradation window exists."""
+    return HealthProfile(serial, np.arange(30),
+                         np.tile(np.full(12, level), (30, 1)), failed=True)
+
+
+def _degenerate_dataset() -> DiskDataset:
+    rng = np.random.default_rng(5)
+    profiles = [_flat_failed_profile(f"dead-{i}", 0.2 + 0.1 * i)
+                for i in range(5)]
+    profiles += [
+        HealthProfile(f"good-{i}", np.arange(30),
+                      rng.uniform(size=(30, 12)), failed=False)
+        for i in range(12)
+    ]
+    return DiskDataset(profiles)
+
+
+def test_all_degenerate_profiles_raise_a_clear_repro_error():
+    pipeline = CharacterizationPipeline(seed=3, run_prediction=False)
+    with pytest.raises(SignatureError,
+                       match="no degradation signature") as excinfo:
+        pipeline.run(_degenerate_dataset())
+    assert isinstance(excinfo.value, ReproError)
+    assert "degradation window" in str(excinfo.value)
+
+
+def test_one_degenerate_profile_is_skipped_not_fatal(small_dataset):
+    mixed = DiskDataset(small_dataset.profiles
+                        + [_flat_failed_profile("dead-1", 0.5)])
+    observer = TelemetryObserver()
+    pipeline = CharacterizationPipeline(seed=3, run_prediction=False,
+                                        observer=observer)
+    report = pipeline.run(mixed)
+    assert "dead-1" not in report.signatures
+    assert len(report.signatures) == len(small_dataset.failed_profiles)
+    snapshot = observer.metrics.snapshot()
+    assert snapshot["signatures_skipped"]["value"] == 1

@@ -110,6 +110,13 @@ def test_canonical_dumps_matches_golden_file():
     assert canonical_json_dumps(payload) == golden
 
 
+def test_canonical_rendering_is_pinned_by_golden_file():
+    """Byte-identity is only meaningful while the canonical format is
+    stable; re-canonicalizing the golden file must be a fixed point."""
+    golden = (GOLDEN_DIR / "golden_canonical.json").read_text()
+    assert canonical_json_dumps(json.loads(golden)) == golden
+
+
 def test_canonical_dumps_normalizes_float_noise():
     text = canonical_json_dumps({"x": 0.1 + 0.2})
     assert json.loads(text)["x"] == 0.3

@@ -20,6 +20,7 @@ from check_docs_refs import (  # noqa: E402
     undocumented_flags,
     undocumented_modules,
     undocumented_subcommands,
+    unknown_console_flags,
 )
 
 
@@ -47,7 +48,7 @@ def test_collector_finds_modules_and_packages(tmp_path):
 
 def test_known_modules_are_collected():
     names = public_modules()
-    assert "repro.parallel" in names
+    assert "repro.experiments.registry" in names
     assert "repro.data.cache" in names
     assert "repro.core.pipeline" in names
     assert "repro.cli" in names
@@ -138,6 +139,30 @@ def test_readme_counts_as_flag_documentation(tmp_path):
     (docs / "guide.md").write_text("nothing here")
     (tmp_path / "README.md").write_text("use `--seed` for determinism")
     assert undocumented_flags(docs, modules) == []
+
+
+def test_console_lines_pass_only_registered_flags(tmp_path):
+    modules = _fake_cli(
+        tmp_path, 'p.add_argument("--seed")\np.add_argument("--out")\n')
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "guide.md").write_text(
+        "```console\n"
+        "$ fake-tool --seed 1 --help \\\n"
+        "      --jobs 4                      # --comment is not a flag\n"
+        "$ other-tool --gone\n"
+        "      --also-gone\n"
+        "```\n"
+        "Prose may name `--retired` freely.\n"
+        "$ fake-tool --out x\n"
+        "--stale at column 0 is not a continuation\n")
+    (tmp_path / "README.md").write_text("$ fake-tool --no-wal\n")
+    found = unknown_console_flags(docs, modules)
+    assert [(program, flag) for _, program, flag in found] == [
+        ("fake-tool", "--jobs"), ("fake-tool", "--no-wal"),
+    ]
+    assert found[0][0].endswith("guide.md")
+    assert found[1][0].endswith("README.md")
 
 
 def test_link_checker_resolves_relative_targets(tmp_path):

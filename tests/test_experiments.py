@@ -266,6 +266,11 @@ class TestParallelRunner:
         with pytest.raises(ExperimentError, match="unknown experiment"):
             run_many(["table1", "fig99"], jobs=2)
 
+    def test_run_many_negative_jobs_is_an_experiment_error(self):
+        from repro.experiments.registry import run_many
+        with pytest.raises(ExperimentError, match="jobs must be >= 0"):
+            run_many(["table1"], jobs=-1)
+
     def test_run_many_emits_duration_and_jobs_telemetry(self, small_scale):
         from repro.experiments.common import set_pipeline_observer
         from repro.experiments.registry import run_many

@@ -199,7 +199,8 @@ def test_single_and_restored_selections_never_build_a_pool(
         def __init__(self, *args, **kwargs):
             raise AssertionError("a worker pool was created")
 
-    monkeypatch.setattr("repro.parallel.ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr("repro.experiments.registry.ProcessPoolExecutor",
+                        NoPool)
     # Single-experiment selection: --jobs N collapses to the inline path.
     pairs = run_many(["alpha"], jobs=4)
     assert pairs[0][0].experiment_id == "alpha"

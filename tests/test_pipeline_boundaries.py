@@ -1,4 +1,4 @@
-"""Tests for the pipeline's stage error boundaries and retry plumbing
+"""Tests for the pipeline's stage error boundaries
 (``repro.core.pipeline``)."""
 
 from __future__ import annotations
@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import CharacterizationPipeline
-from repro.core.serialize import canonical_json_dumps, report_to_dict
 from repro.data.dataset import DiskDataset
 from repro.errors import PipelineStageError, SignatureError
 from repro.obs.observer import TelemetryObserver
-from repro.parallel import RetryPolicy
 from repro.smart.profile import HealthProfile
 
 
@@ -73,15 +71,3 @@ def test_library_errors_pass_through_unwrapped():
     pipeline = CharacterizationPipeline(seed=3, run_prediction=False)
     with pytest.raises(SignatureError, match="degradation window"):
         pipeline.run(DiskDataset(profiles))
-
-
-def test_retry_policy_is_a_pure_performance_knob(small_dataset):
-    """On clean data the resilient policy must not change one byte."""
-    baseline = CharacterizationPipeline(
-        seed=3, run_prediction=False).run(small_dataset)
-    resilient = CharacterizationPipeline(
-        seed=3, run_prediction=False,
-        retry_policy=RetryPolicy.resilient(max_retries=2, timeout_s=300.0),
-    ).run(small_dataset)
-    assert canonical_json_dumps(report_to_dict(baseline)) == \
-        canonical_json_dumps(report_to_dict(resilient))

@@ -183,7 +183,9 @@ def test_every_jsonl_refusal_names_its_line(bundle, samples):
     """Syntax errors, bad hours and bad values answer 400 naming the line
     they sit on; a non-array ``values`` (a digit string or an object of
     the right length, which used to be scored character by character or
-    key by key) is refused too.  Nothing of a refused batch is scored."""
+    key by key) is refused too, and so are a fractional or boolean hour
+    and a non-string serial (which used to be truncated to hour 1 and
+    renamed ``"None"``).  Nothing of a refused batch is scored."""
     width = len(bundle.attributes)
     good = [json.dumps({"serial": serial, "hour": hour, "values": values})
             for serial, hour, values in samples[:3]]
@@ -202,6 +204,18 @@ def test_every_jsonl_refusal_names_its_line(bundle, samples):
         ([json.dumps({"serial": "X", "hour": 1,
                       "values": {str(i): i for i in range(width)}})],
          'line 1: "values" must be an array, got object'),
+        (good[:1] + [json.dumps({"serial": "X", "hour": 1.5,
+                                 "values": samples[0][2]})],
+         'line 2: "hour" must be an integer, got 1.5'),
+        (good[:2] + [json.dumps({"serial": "X", "hour": True,
+                                 "values": samples[0][2]})],
+         'line 3: "hour" must be an integer, got true'),
+        ([json.dumps({"serial": None, "hour": 1,
+                      "values": samples[0][2]})],
+         'line 1: "serial" must be a string, got null'),
+        (good[:1] + [json.dumps({"serial": 7, "hour": 1,
+                                 "values": samples[0][2]})],
+         'line 2: "serial" must be a string, got number'),
     )
     with ServingDaemon(bundle) as daemon:
         for lines, expected in cases:

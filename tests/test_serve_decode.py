@@ -66,6 +66,8 @@ _serial = st.one_of(
     st.text(max_size=6))
 _hour = st.one_of(st.integers(0, 10**6), st.integers(0, 10**6),
                   st.sampled_from([True, 2.5, "7", "x", None, 10**30]))
+_odd_serial = st.one_of(_serial, _serial,
+                        st.sampled_from([None, 7, 2.5, True, ["D1"]]))
 
 
 @st.composite
@@ -96,7 +98,7 @@ def _record(draw, width, clean):
     if clean:
         return {"serial": draw(_serial), "hour": draw(st.integers(0, 10**6)),
                 "values": draw(_values(width, True))}
-    record = {"serial": draw(_serial), "hour": draw(_hour),
+    record = {"serial": draw(_odd_serial), "hour": draw(_hour),
               "values": draw(_values(width, False))}
     drop = draw(st.sampled_from([None, None, "serial", "hour", "values"]))
     if drop is not None:
@@ -164,7 +166,7 @@ def document_bodies(draw):
                       st.integers(0, 10**6), _values(width, True))
     entry = st.one_of(
         clean, clean,
-        st.builds(lambda s, h, v: [s, h, v], _serial, _hour,
+        st.builds(lambda s, h, v: [s, h, v], _odd_serial, _hour,
                   _values(width, False)),
         st.sampled_from([["D1", 3], ["D1", 3, [1.0], "extra"], "abc",
                          {"a": 1, "b": 2, "c": 3}, None]))
@@ -232,6 +234,13 @@ def test_line_alignment_is_checked_not_just_counted():
      "line 1: expected keys serial/hour/values (missing 'values')"),
     (["", _line(values=(1.0, 2.0))],
      None),
+    ([_line(), _line(hour=1.5)], 'line 2: "hour" must be an integer, got 1.5'),
+    ([_line(hour=5.0)], 'line 1: "hour" must be an integer, got 5.0'),
+    ([_line(hour=True)], 'line 1: "hour" must be an integer, got true'),
+    ([_line(), _line(serial=None)],
+     'line 2: "serial" must be a string, got null'),
+    ([_line(serial=7)], 'line 1: "serial" must be a string, got number'),
+    ([_line(hour="7")], None),
 ])
 def test_jsonl_refusals_name_the_line(lines, expected):
     body = "\n".join(lines).encode("utf-8")
@@ -258,6 +267,12 @@ def test_invalid_utf8_names_its_line():
      "sample 1: could not convert string to float: 'q'"),
     ([["D1", 1, [1.0]], ["D1", 2, [1.0, 2.0]]],
      "sample 1: 2 values where earlier samples had 1"),
+    ([["D1", 1, [1.0]], ["D1", 1.5, [1.0]]],
+     'sample 1: "hour" must be an integer, got 1.5'),
+    ([["D1", False, [1.0]]], 'sample 0: "hour" must be an integer, got false'),
+    ([[None, 1, [1.0]]], 'sample 0: "serial" must be a string, got null'),
+    ([["D1", 1, [1.0]], [["D1"], 1, [1.0]]],
+     'sample 1: "serial" must be a string, got array'),
 ])
 def test_document_refusals_name_the_sample(samples, expected):
     body = json.dumps({"samples": samples}).encode("utf-8")
