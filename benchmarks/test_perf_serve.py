@@ -22,7 +22,7 @@ import pytest
 from conftest import bench_environment
 from repro.core.serialize import canonical_json_dumps
 from repro.serve.bundle import build_bundle, load_bundle, save_bundle
-from repro.serve.scorer import StreamScorer, replay_fleet
+from repro.serve.scorer import StreamScorer
 from tests.oracle import oracle_lines, oracle_monitor, oracle_verdicts
 
 
@@ -105,9 +105,15 @@ def test_perf_serve_recorded(serve_bundle_path, stream_samples,
     load_bundle(serve_bundle_path)
     warm_load_s = _best_of(lambda: load_bundle(serve_bundle_path), repeat=5)
 
-    # 3) fleet replay throughput (one scorer), for samples/sec context.
-    replay_s = _best_of(
-        lambda: replay_fleet(bundle, profiles), repeat=2)
+    # 3) fleet replay throughput, for samples/sec context: one scorer,
+    #    one score_block per profile — the ``repro-serve replay`` loop.
+    def _replay():
+        scorer = StreamScorer(bundle)
+        for profile in profiles:
+            scorer.score_block([profile.serial] * len(profile),
+                               profile.hours, profile.matrix)
+
+    replay_s = _best_of(_replay, repeat=2)
 
     payload = {
         "recorded_by": "benchmarks/test_perf_serve.py"

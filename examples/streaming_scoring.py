@@ -7,7 +7,7 @@ The serving loop of :mod:`repro.serve` end to end:
    thresholds — into a versioned, hashed bundle file;
 2. reload the bundle (as a scoring host would: the training process is
    gone) and stream a fresh fleet's telemetry through a
-   :class:`repro.serve.StreamScorer`, drive by drive, hour by hour;
+   :class:`repro.serve.StreamScorer`, one columnar block per drive;
 3. verify the contract that makes serving trustworthy: the streamed
    verdicts are byte-identical to an offline
    :meth:`DegradationMonitor.replay` with the never-serialized models.
@@ -37,6 +37,12 @@ from repro.core.prediction import DegradationPredictor
 from repro.serve.scorer import MonitorVerdict
 
 
+def score(scorer: StreamScorer, profile):
+    """One drive's samples, in hour order, scored as one block."""
+    return scorer.score_block([profile.serial] * len(profile),
+                              profile.hours, profile.matrix)
+
+
 def main() -> None:
     print("Training the characterization models...")
     training_fleet = simulate_fleet(FleetConfig(n_drives=2000, seed=71))
@@ -57,8 +63,9 @@ def main() -> None:
     live_fleet = simulate_fleet(FleetConfig(n_drives=500, seed=72))
     levels: Counter[str] = Counter()
     for profile in live_fleet.dataset.profiles:
-        for verdict in scorer.replay_profile(profile):
-            levels[verdict.level] += 1
+        verdicts = score(scorer, profile)
+        levels.update(verdicts.verdict_at(row).level
+                      for row in verdicts.alerting_rows())
     print(f"  {scorer.samples_scored} samples from "
           f"{scorer.drives_tracked} drives: "
           f"{levels[AlertLevel.WATCH.name]} WATCH and "
@@ -77,8 +84,7 @@ def main() -> None:
     for profile in live_fleet.dataset.profiles[:40]:
         offline = [MonitorVerdict.from_alert(alert).to_json_line()
                    for alert in monitor.replay(profile)]
-        streamed = [verdict.to_json_line()
-                    for verdict in fresh_scorer.replay_profile(profile)]
+        streamed = score(fresh_scorer, profile).to_json_lines()
         assert streamed == offline, f"divergence on {profile.serial}"
         checked += len(offline)
     print(f"  {checked} verdicts byte-identical across "

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Lint: the docs must track the code — modules, subcommands, flags, links.
+"""Lint: the docs must track the code — modules, subcommands, flags,
+links and the top-level API table.
 
-Five checks:
+Six checks:
 
 1. Walks ``src/repro`` and collects the dotted name of every public
    module — packages (directories with an ``__init__.py``) and
@@ -25,6 +26,12 @@ Five checks:
    with its indented continuation lines, and checks that each
    ``--flag`` on it is registered by that program's parser — so a
    removed flag cannot live on in an example.
+6. Reads ``__all__`` and the top-level bindings of
+   ``src/repro/__init__.py`` and the first column of the
+   ``## Top level`` table in ``docs/api.md``: every exported name
+   except ``__version__`` must have a row, and every name in that
+   column must be bound on ``repro`` — so a deleted export cannot keep
+   its row, nor a new one ship without one.
 
 Run from the repository root::
 
@@ -46,6 +53,7 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 DOCS_ROOT = REPO_ROOT / "docs"
 API_DOC = DOCS_ROOT / "api.md"
 SERVE_CLI = SRC_ROOT / "serve" / "cli.py"
+PACKAGE_INIT = SRC_ROOT / "__init__.py"
 
 #: Every console-script entry point whose flag surface the docs must
 #: cover, as (program name, parser module path) pairs.
@@ -61,6 +69,13 @@ _LINK_PATTERN = re.compile(r"\]\(([^)\s]+)\)")
 
 #: A long option on a console line (not the tail of ``a--b``).
 _FLAG_PATTERN = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+#: The leading identifier of a table cell's name, e.g. ``save_bundle``
+#: in ``save_bundle(bundle, path)``.
+_NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: A markdown table's column separator (``\|`` is a literal pipe).
+_CELL_SEPARATOR = re.compile(r"(?<!\\)\|")
 
 
 def public_modules(src_root: Path = SRC_ROOT) -> list[str]:
@@ -229,6 +244,68 @@ def unknown_console_flags(docs_root: Path = DOCS_ROOT,
     return unknown
 
 
+def package_exports(init_path: Path = PACKAGE_INIT,
+                    ) -> tuple[list[str], set[str]]:
+    """A package ``__init__``'s ``__all__`` and its top-level bindings.
+
+    Found syntactically: the literal ``__all__`` list, and every name an
+    import or an assignment binds at module level.
+    """
+    tree = ast.parse(init_path.read_text(), filename=str(init_path))
+    exported: list[str] = []
+    bound: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets
+                     if isinstance(target, ast.Name)]
+            bound.update(names)
+            if "__all__" in names:
+                exported = [element.value for element in node.value.elts]
+    return exported, bound
+
+
+def top_level_table_names(doc_path: Path = API_DOC) -> list[str]:
+    """Names in the first column of the API doc's ``## Top level`` table.
+
+    A cell such as ``save_bundle(bundle, path) / load_bundle(path)``
+    names each ``/``-separated entry by its leading identifier.
+    """
+    names: list[str] = []
+    in_section = False
+    for line in doc_path.read_text().splitlines():
+        if line.startswith("## "):
+            in_section = line.startswith("## Top level")
+            continue
+        if not in_section or not line.startswith("|"):
+            continue
+        cell = _CELL_SEPARATOR.split(line)[1].strip().strip("`")
+        if cell == "name" or set(cell) <= set("-: "):
+            continue  # the header row and the rule under it
+        for entry in cell.split(" / "):
+            match = _NAME_PATTERN.match(entry.strip())
+            if match:
+                names.append(match.group(0))
+    return names
+
+
+def top_level_table_drift(doc_path: Path = API_DOC,
+                          init_path: Path = PACKAGE_INIT,
+                          ) -> tuple[list[str], list[str]]:
+    """``(exported names with no row, row names not bound on repro)``."""
+    exported, bound = package_exports(init_path)
+    try:
+        rows = top_level_table_names(doc_path)
+    except OSError:
+        rows = []
+    missing = [name for name in exported
+               if name != "__version__" and name not in rows]
+    unbound = [name for name in rows if name not in bound]
+    return missing, unbound
+
+
 def main() -> int:
     status = 0
     missing = undocumented_modules()
@@ -257,6 +334,19 @@ def main() -> int:
               "register:", file=sys.stderr)
         for page, program, flag in stale:
             print(f"  {page}: {program} {flag}", file=sys.stderr)
+        status = 1
+    missing_rows, unbound_rows = top_level_table_drift()
+    if missing_rows:
+        print("repro.__all__ names missing from the '## Top level' table "
+              "of docs/api.md:", file=sys.stderr)
+        for name in missing_rows:
+            print(f"  {name}", file=sys.stderr)
+        status = 1
+    if unbound_rows:
+        print("'## Top level' rows of docs/api.md that do not resolve on "
+              "repro:", file=sys.stderr)
+        for name in unbound_rows:
+            print(f"  {name}", file=sys.stderr)
         status = 1
     links = broken_doc_links()
     if links:

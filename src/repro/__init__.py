@@ -46,7 +46,6 @@ from repro.serve import (
     StreamScorer,
     build_bundle,
     load_bundle,
-    replay_fleet,
     save_bundle,
 )
 from repro.sim import FleetConfig, FleetSimulator, simulate_fleet
@@ -87,7 +86,6 @@ __all__ = [
     "StreamScorer",
     "build_bundle",
     "load_bundle",
-    "replay_fleet",
     "save_bundle",
     "FleetConfig",
     "FleetSimulator",

@@ -267,21 +267,6 @@ class ColumnStateStore:
             self._levels[row] = level
             self._last_hours[row] = last_hour
 
-    @classmethod
-    def from_snapshot(cls, payload: dict, *,
-                      initial_rows: int = DEFAULT_INITIAL_ROWS,
-                      ) -> "ColumnStateStore":
-        """Build a fresh store from a :meth:`dump_state` payload."""
-        try:
-            history_hours = int(payload["history_hours"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise ReproError(
-                f"malformed state dump for ColumnStateStore: {error}"
-            ) from error
-        store = cls(history_hours, initial_rows=initial_rows)
-        store.restore(payload)
-        return store
-
     # -- columnar surface -------------------------------------------------
 
     def record_block(self, serials: Sequence[str], normalized: np.ndarray,
@@ -332,16 +317,6 @@ class ColumnStateStore:
             self._free.append(row)
         self._drives_evicted += len(evicted)
         return len(evicted)
-
-    def rows_of(self, serials: Sequence[str]) -> np.ndarray:
-        """Row indices for ``serials`` (rows are assigned on demand).
-
-        Exposed for tests and diagnostics; :meth:`record_block` resolves
-        rows internally.
-        """
-        if self._n_attributes is None:
-            raise ReproError("store has no recorded attributes yet")
-        return self._rows_for_block(serials, self._n_attributes)
 
     # -- internals --------------------------------------------------------
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import medfilt
 
-from repro.core.signature_models import compare_signature_models
 from repro.core.taxonomy import FailureType
 from repro.errors import SignatureError
 from repro.ml.distance import MahalanobisDistance, euclidean_to_reference
@@ -253,21 +252,6 @@ def derive_signature(profile: HealthProfile, *,
         canonical_rmse=canonical_rmse,
         best_canonical_order=best_canonical,
     )
-
-
-def signature_model_report(profile: HealthProfile, failure_type: FailureType,
-                           *, params: WindowParams | None = None,
-                           ) -> dict[str, float]:
-    """RMSE comparison of the paper's candidate models for one drive.
-
-    Convenience wrapper reproducing the Section IV-C numbers (e.g. the
-    0.24 / 0.14 / 0.06 comparison for the Group 1 centroid).
-    """
-    distances = distance_to_failure(profile)
-    window = extract_degradation_window(distances, params,
-                                        hours=profile.hours)
-    t, s = window.degradation_values()
-    return compare_signature_models(t, s, window.size, failure_type)
 
 
 # -- extraction internals ---------------------------------------------------

@@ -2,22 +2,24 @@
 
 The Section VI middleware is only useful if its alert threshold admits a
 good detection/false-alarm trade-off on drives it never trained on.
-This experiment trains the per-group predictors on one fleet, streams a
-*fresh* fleet (different seed) through the stage scorer, and sweeps the
-WATCH threshold: for each setting it reports the failed-drive detection
-rate with at least 24 hours of lead time and the good-drive false-alarm
-rate — the FDR/FAR axes every disk-failure-prediction study uses.
+This experiment freezes the models trained on one fleet into the model
+bundle ``repro-serve`` ships, scores a *fresh* fleet (different seed)
+through that bundle's :class:`~repro.serve.scorer.StreamScorer`, and
+sweeps the WATCH threshold: for each setting it reports the failed-drive
+detection rate with at least 24 hours of lead time and the good-drive
+false-alarm rate — the FDR/FAR axes every disk-failure-prediction study
+uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.prediction import DegradationPredictor
 from repro.core.pipeline import CharacterizationPipeline
-from repro.core.taxonomy import FailureType
 from repro.experiments.common import ExperimentResult
 from repro.reporting.tables import ascii_table
+from repro.serve.bundle import build_bundle
+from repro.serve.scorer import StreamScorer
 from repro.sim.config import FleetConfig
 from repro.sim.fleet import simulate_fleet
 
@@ -33,35 +35,26 @@ def run(*, train_drives: int = 2000, eval_drives: int = 1500,
     report = CharacterizationPipeline(run_prediction=False, seed=seed).run(
         train_fleet.dataset
     )
-    predictor = DegradationPredictor(seed=seed)
-    predictor.evaluate_all(report.dataset, report.categorization)
-    trees = [predictor.tree_for(t) for t in FailureType]
-    normalizer = train_fleet.dataset.fit_normalizer()
-
+    scorer = StreamScorer(build_bundle(report, seed=seed))
     eval_fleet = simulate_fleet(FleetConfig(n_drives=eval_drives,
                                             seed=seed + 1))
 
-    # Most pessimistic stage over time per drive; failed drives are
-    # scored only up to LEAD_HOURS before the failure (an alert with no
-    # lead time rescues nothing).
-    min_stage_failed = []
-    for profile in eval_fleet.dataset.failed_profiles:
-        if len(profile) <= LEAD_HOURS + 1:
-            continue
-        matrix = normalizer.transform(profile.matrix[:-LEAD_HOURS])
-        stages = np.min(
-            np.vstack([tree.predict(matrix) for tree in trees]), axis=0
-        )
-        min_stage_failed.append(float(stages.min()))
-    min_stage_good = []
-    for profile in eval_fleet.dataset.good_profiles:
-        matrix = normalizer.transform(profile.matrix)
-        stages = np.min(
-            np.vstack([tree.predict(matrix) for tree in trees]), axis=0
-        )
-        min_stage_good.append(float(stages.min()))
-    failed_stages = np.array(min_stage_failed)
-    good_stages = np.array(min_stage_good)
+    def min_stage(profile, n_samples: int) -> float:
+        """Most pessimistic stage over a drive's first ``n_samples``."""
+        verdicts = scorer.score_block([profile.serial] * n_samples,
+                                      profile.hours[:n_samples],
+                                      profile.matrix[:n_samples])
+        return float(verdicts.block.stages.min())
+
+    # Failed drives are scored only up to LEAD_HOURS before the failure
+    # (an alert with no lead time rescues nothing).
+    failed_stages = np.array([
+        min_stage(profile, len(profile) - LEAD_HOURS)
+        for profile in eval_fleet.dataset.failed_profiles
+        if len(profile) > LEAD_HOURS + 1
+    ])
+    good_stages = np.array([min_stage(profile, len(profile))
+                            for profile in eval_fleet.dataset.good_profiles])
 
     rows = []
     curve = {}

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.pipeline import CharacterizationReport
-from repro.core.prediction import DegradationPredictor
 from repro.core.taxonomy import FailureType
 from repro.experiments.common import ExperimentResult, default_fleet, default_report
 from repro.raid.array import RaidLevel
@@ -31,10 +30,9 @@ from repro.raid.reliability import (
     drive_states_from_fleet,
 )
 from repro.reporting.tables import ascii_table
+from repro.serve.bundle import build_bundle
+from repro.serve.scorer import StreamScorer
 from repro.sim.fleet import FleetResult
-
-#: Degradation stage at which the monitor warns.
-WATCH_THRESHOLD = -0.05
 
 
 def compute_warning_leads(fleet: FleetResult,
@@ -42,21 +40,18 @@ def compute_warning_leads(fleet: FleetResult,
                           seed: int = 17) -> dict[str, float]:
     """Hours of advance warning the degradation models give per failed drive.
 
-    Each failed drive's (normalized) profile is scored by every group's
-    trained tree; the warning fires at the first sample whose most
-    pessimistic stage drops below the WATCH threshold.
+    The report's models are frozen into the bundle ``repro-serve``
+    ships, and each failed drive's raw profile is scored through that
+    bundle's :class:`~repro.serve.scorer.StreamScorer`; the warning
+    fires at the first sample the monitor raises above HEALTHY (its
+    most pessimistic stage at or below the WATCH threshold).
     """
-    predictor = DegradationPredictor(seed=seed)
-    predictor.evaluate_all(report.dataset, report.categorization)
-    trees = [predictor.tree_for(t) for t in FailureType]
-
+    scorer = StreamScorer(build_bundle(report, seed=seed))
     leads: dict[str, float] = {}
-    for profile in report.dataset.failed_profiles:
-        stages = np.min(
-            np.vstack([tree.predict(profile.matrix) for tree in trees]),
-            axis=0,
-        )
-        warned = np.flatnonzero(stages <= WATCH_THRESHOLD)
+    for profile in fleet.dataset.failed_profiles:
+        verdicts = scorer.score_block([profile.serial] * len(profile),
+                                      profile.hours, profile.matrix)
+        warned = verdicts.alerting_rows()
         if warned.shape[0]:
             first_hour = int(profile.hours[warned[0]])
             leads[profile.serial] = float(profile.failure_hour - first_hour)

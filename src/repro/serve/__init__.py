@@ -34,7 +34,6 @@ from repro.serve.daemon import ServingDaemon
 from repro.serve.scorer import (
     MonitorVerdict,
     StreamScorer,
-    replay_fleet,
 )
 from repro.serve.shard import HashRing, ShardSet
 from repro.serve.sinks import (
@@ -76,7 +75,6 @@ __all__ = [
     "load_bundle",
     "parse_sink_spec",
     "read_dead_letter",
-    "replay_fleet",
     "reprocess_dead_letter",
     "save_bundle",
     "stamp_lineage",

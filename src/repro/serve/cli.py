@@ -64,11 +64,12 @@ from repro.obs.observer import (
 from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder
 from repro.serve.bundle import content_hash, load_bundle
 from repro.serve.daemon import ServingDaemon
-from repro.serve.scorer import StreamScorer, VerdictBlock, replay_fleet
+from repro.serve.scorer import (StreamScorer, VerdictBlock,
+                                first_hour_out_of_range)
 from repro.serve.shard import (DEFAULT_QUEUE_CAPACITY,
-                               DEFAULT_SNAPSHOT_INTERVAL_BLOCKS)
+                               DEFAULT_SNAPSHOT_INTERVAL_BLOCKS, replay_wal)
 from repro.serve.sinks import parse_sink_spec, reprocess_dead_letter
-from repro.serve.wal import ShardWal, decode_block
+from repro.serve.wal import ShardWal
 from repro.sim.config import FleetConfig
 from repro.sim.fleet import simulate_fleet
 
@@ -258,8 +259,9 @@ def read_sample_blocks(handle: IO[str], attributes: tuple[str, ...],
     scorer fed columns in another drive's convention would silently
     produce garbage stages, so the mismatch is a hard
     :class:`~repro.errors.ServeError` instead.  So are a wrong field
-    count, an unparseable value and a non-finite one (``nan``/``inf``),
-    each naming its line; nothing of a refused block is scored.
+    count, an unparseable value, a non-finite one (``nan``/``inf``) and
+    an hour outside ``int64``, each naming its line; nothing of a
+    refused block is scored.
     """
     reader = csv.reader(handle)
     try:
@@ -286,6 +288,11 @@ def read_sample_blocks(handle: IO[str], attributes: tuple[str, ...],
                 f"sample stream line {line_numbers[row]}: column "
                 f"{attributes[column]!r} is not finite "
                 f"({float(matrix[row, column])!r})")
+        row = first_hour_out_of_range(hours)
+        if row is not None:
+            raise ServeError(
+                f"sample stream line {line_numbers[row]}: hour "
+                f"{hours[row]} is outside the int64 range")
         return serials, hours, matrix
 
     for line_number, row in enumerate(reader, start=2):
@@ -473,13 +480,14 @@ def run_recover(args: argparse.Namespace,
     """``recover``: offline WAL replay and dead-letter redelivery.
 
     With ``--wal-dir``, every ``shard-*`` subdirectory is replayed
-    through a fresh scorer exactly the way a restarted shard
-    would (last snapshot, then the WAL suffix) and the resulting
-    counters are printed as a JSON summary — the kill -9 drill's
-    verification step, and a way to audit what state a restarted
-    daemon will resume with.  With ``--dead-letter``, the parked
-    alerts are re-delivered through each ``--alert-sink`` and the file
-    is rewritten to hold only what still fails.
+    through a fresh scorer by :func:`~repro.serve.shard.replay_wal`,
+    the restarted shard's own replay (last snapshot, then the WAL
+    suffix; a block that fails to score is skipped as the shard skips
+    it), and the resulting counters are printed as a JSON summary —
+    the kill -9 drill's verification step, and a way to audit what
+    state a restarted daemon will resume with.  With ``--dead-letter``,
+    the parked alerts are re-delivered through each ``--alert-sink``
+    and the file is rewritten to hold only what still fails.
     """
     if args.wal_dir is None and args.dead_letter is None:
         raise ServeError(
@@ -503,12 +511,8 @@ def run_recover(args: argparse.Namespace,
             with ShardWal(shard_dir, bundle_sha256=bundle_sha,
                           generation=bundle.generation) as wal:
                 recovery = wal.open()
-                if recovery.snapshot is not None:
-                    scorer.restore_state(recovery.snapshot)
-                for record in recovery.records:
-                    _block_id, serials, hours, matrix = decode_block(
-                        record.payload)
-                    scorer.score_block(serials, hours, matrix)
+                for _block_id, _outcome in replay_wal(scorer, recovery):
+                    pass
                 shards.append({
                     "directory": str(shard_dir),
                     "snapshot_seq": recovery.snapshot_seq,
@@ -544,7 +548,11 @@ def run_recover(args: argparse.Namespace,
 
 def run_replay(args: argparse.Namespace,
                observer: PipelineObserver) -> int:
-    """``replay``: full-dataset scoring at maximum throughput."""
+    """``replay``: full-dataset scoring at maximum throughput.
+
+    One scorer takes each profile as one ``score_block``, and with
+    ``--output`` its verdicts are written as ``score`` writes them.
+    """
     bundle = load_bundle(args.bundle, observer=observer)
     if args.simulate is not None:
         dataset = simulate_fleet(FleetConfig(n_drives=args.simulate,
@@ -552,27 +560,27 @@ def run_replay(args: argparse.Namespace,
     else:
         dataset = load_csv(args.csv, observer=observer)
     profiles = dataset.profiles
+    scorer = StreamScorer(bundle, observer=observer)
 
+    written = 0
     start = time.perf_counter()
-    per_profile = replay_fleet(bundle, profiles, observer=observer)
+    with (open(args.output, "w") if args.output
+          else contextlib.nullcontext()) as sink:
+        for profile in profiles:
+            block = scorer.score_block([profile.serial] * len(profile),
+                                       profile.hours, profile.matrix)
+            if sink is not None:
+                written += _write_verdicts(block, sink,
+                                           alerts_only=args.alerts_only)
     elapsed = time.perf_counter() - start
 
-    n_samples = sum(len(verdicts) for verdicts in per_profile)
-    n_alerts = sum(1 for verdicts in per_profile
-                   for verdict in verdicts if verdict.alerting)
     if args.output:
-        written = 0
-        with open(args.output, "w") as sink:
-            for verdicts in per_profile:
-                for verdict in verdicts:
-                    if verdict.alerting or not args.alerts_only:
-                        sink.write(verdict.to_json_line() + "\n")
-                        written += 1
         print(f"{written} verdicts written to {args.output}")
+    n_samples = scorer.samples_scored
     throughput = n_samples / elapsed if elapsed > 0 else float("inf")
     print(f"replayed {n_samples} samples from {len(profiles)} drives "
           f"in {elapsed:.2f}s ({throughput:,.0f} samples/s, "
-          f"{n_alerts} alerts)")
+          f"{scorer.alerts_emitted} alerts)")
     return 0
 
 

@@ -55,7 +55,8 @@ from repro.obs.observer import PipelineObserver, TelemetryObserver
 from repro.obs.recorder import FlightRecorder
 from repro.serve.bundle import (BUNDLE_SCHEMA_VERSION, ModelBundle,
                                 bundle_from_document, content_hash)
-from repro.serve.scorer import MonitorVerdict, VerdictBlock
+from repro.serve.scorer import (HOUR_RANGE, MonitorVerdict, VerdictBlock,
+                                first_hour_out_of_range)
 from repro.serve.shard import (DEFAULT_QUEUE_CAPACITY,
                                DEFAULT_SNAPSHOT_INTERVAL_BLOCKS, ShardSet)
 from repro.serve.sinks import (AlertSink, DeadLetterWriter, DeliveryPipeline,
@@ -90,7 +91,7 @@ def _reference_columns(samples: Iterable[tuple[str, Any, Any, Any]],
     an integer string as in CSV; never a float or boolean), ``float``
     per value — and refuses the first bad sample with a
     :class:`~repro.errors.ServeError` that starts with its ``where``
-    (``line N`` or ``sample i``).
+    (``line N`` or ``sample i``), an hour outside ``int64`` included.
     ``noun`` names the earlier rows in the width-mismatch message.
     ``json.loads`` accepts ``NaN`` and ``Infinity``, so a non-finite
     value is refused here too, after the whole batch has converted.
@@ -121,6 +122,9 @@ def _reference_columns(samples: Iterable[tuple[str, Any, Any, Any]],
         if type(hour) in (float, bool):
             raise ServeError(f'{where}: "hour" must be an integer, got '
                              f"{json.dumps(hour)}")
+        if hours[-1] not in HOUR_RANGE:
+            raise ServeError(f'{where}: "hour" {hours[-1]} is outside the '
+                             f"int64 range")
         serials.append(serial)
         places.append(where)
     matrix = np.asarray(flat, dtype=np.float64).reshape(len(serials),
@@ -140,13 +144,14 @@ def _fast_columns(serials: Sequence[Any], hours: Sequence[Any],
     same fields — all-``str`` serials and all-``int`` hours pass through
     as they are, and ``np.fromiter`` applies the same ``float``
     conversion in one C loop — or ``None`` whenever the reference could
-    refuse or convert (a non-string serial, a non-``int`` hour, a
-    non-array or ragged ``values``, a bad or non-finite value), so the
-    caller can rerun the reference.
+    refuse or convert (a non-string serial, a non-``int`` hour or one
+    outside ``int64``, a non-array or ragged ``values``, a bad or
+    non-finite value), so the caller can rerun the reference.
     """
     if (set(map(type, values)) != {list}
             or set(map(type, serials)) != {str}
-            or set(map(type, hours)) != {int}):
+            or set(map(type, hours)) != {int}
+            or first_hour_out_of_range(hours) is not None):
         return None
     widths = set(map(len, values))
     if len(widths) != 1:

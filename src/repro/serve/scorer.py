@@ -22,9 +22,6 @@ verdicts whose canonical JSON serialization equals, byte for byte,
 <repro.core.monitor.DegradationMonitor.observe>` on the same samples
 with the same (in-memory, never serialized) models.  The golden tests
 pin this across a bundle save/load round trip.
-
-:func:`replay_fleet` replays whole datasets through one scorer, one
-profile after another.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from repro.errors import ReproError, ServeError
 from repro.obs.observer import (NULL_OBSERVER, PipelineObserver,
                                 resolve_observer)
 from repro.serve.bundle import ModelBundle
-from repro.smart.profile import HealthProfile
 
 #: Samples are ``(serial, hour, raw_record)`` triples, raw meaning
 #: unnormalized Table I attribute vectors — what a collector ships.
@@ -167,6 +163,23 @@ def check_finite(matrix: np.ndarray, attributes: Sequence[str]) -> None:
         raise ServeError(
             f"record row {row}, column {column} ({attributes[column]!r}) "
             f"is not finite ({float(matrix[row, column])!r})")
+
+
+#: Hours a drive's state can hold: its last-hour column is ``int64``.
+HOUR_RANGE = range(-2**63, 2**63)
+
+
+def first_hour_out_of_range(hours: Sequence[int]) -> int | None:
+    """Index of the first hour outside :data:`HOUR_RANGE`, else ``None``.
+
+    A batch of in-range ``int`` hours costs two C-level passes
+    (``min``/``max``), no Python step per hour.
+    """
+    if not hours or (min(hours) >= HOUR_RANGE.start
+                     and max(hours) < HOUR_RANGE.stop):
+        return None
+    return next(row for row, hour in enumerate(hours)
+                if hour not in HOUR_RANGE)
 
 
 #: Head of a canonical verdict line up to its hour value (``"hour"``
@@ -394,8 +407,9 @@ class StreamScorer:
         :meth:`~repro.core.monitor.DegradationMonitor.observe` oracle
         byte for byte (the golden tests pin this offline, across shard
         counts and over live HTTP ingest).  A NaN or ±Inf anywhere in
-        the batch is refused (:func:`check_finite`) before any drive's
-        state changes.
+        the batch (:func:`check_finite`) or an hour that is not an
+        ``int64`` is refused with :class:`~repro.errors.ServeError`
+        before any drive's state changes.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != self._bundle.n_attributes:
@@ -409,6 +423,10 @@ class StreamScorer:
                 f"column lengths disagree: {len(serials)} serials, "
                 f"{len(hours)} hours, {matrix.shape[0]} record rows"
             )
+        try:
+            hours = np.asarray(hours, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError) as error:
+            raise ServeError(f"hours must be integers: {error}") from error
         if matrix.shape[0] == 0:
             return VerdictBlock(self._monitor.observe_columns([], [], matrix))
         check_finite(matrix, self._bundle.attributes)
@@ -430,11 +448,6 @@ class StreamScorer:
             self._observer.count("drives_evicted", evicted)
             self._observer.gauge("drives_tracked", self.drives_tracked)
         return evicted
-
-    def replay_profile(self, profile: HealthProfile) -> list[MonitorVerdict]:
-        """Stream one profile's samples through the scorer, in order."""
-        return self.score_block([profile.serial] * len(profile.hours),
-                                profile.hours, profile.matrix).verdicts()
 
     # -- fleet state ------------------------------------------------------
 
@@ -572,22 +585,3 @@ class StreamScorer:
         self._observer.observe_many("verdict_stage",
                                     block.finite_stages().tolist())
         self._observer.gauge("drives_tracked", self.drives_tracked)
-
-
-def replay_fleet(bundle: ModelBundle,
-                 profiles: Sequence[HealthProfile], *,
-                 observer: PipelineObserver | None = None,
-                 ) -> list[list[MonitorVerdict]]:
-    """Replay every profile through one scorer, in input order.
-
-    Returns one verdict list per profile.  Verdicts are a per-sample
-    function of the record and per-drive state keys on the serial, so
-    each list equals a fresh scorer's replay of that profile alone.
-    The observer sees a ``fleet-replay`` span around the scorer's own
-    telemetry (``samples_scored``, ``alerts_emitted``,
-    ``verdict_stage``, ``drives_tracked``).
-    """
-    obs = resolve_observer(observer)
-    scorer = StreamScorer(bundle, observer=obs)
-    with obs.span("fleet-replay", n_profiles=len(profiles)):
-        return [scorer.replay_profile(profile) for profile in profiles]

@@ -67,8 +67,8 @@ from repro.errors import (BackpressureError, ServeError,
 from repro.obs.observer import NULL_OBSERVER, PipelineObserver, resolve_observer
 from repro.serve.bundle import ModelBundle, content_hash
 from repro.serve.scorer import StreamScorer, VerdictBlock, check_finite
-from repro.serve.wal import (DEFAULT_FSYNC_EVERY, ShardWal, decode_block,
-                             encode_block)
+from repro.serve.wal import (DEFAULT_FSYNC_EVERY, ShardWal, WalRecovery,
+                             decode_block, encode_block)
 
 #: Virtual nodes per shard on the hash ring; enough for <2% imbalance
 #: at single-digit shard counts without measurable lookup cost.
@@ -139,6 +139,30 @@ def _remember(dedup: "OrderedDict[str, Any]", block_id: str, value: Any,
     dedup[block_id] = value
     while len(dedup) > limit:
         dedup.popitem(last=False)
+
+
+def replay_wal(scorer: StreamScorer, recovery: WalRecovery,
+               ) -> Iterator[tuple[str, VerdictBlock | str]]:
+    """Replay an opened WAL into ``scorer`` the way a restarting shard does.
+
+    Restores the recovery's last snapshot, then scores every logged
+    block after it in order, yielding each ``block_id`` with its
+    outcome: the :class:`VerdictBlock`, or the ``"<Error>: <message>"``
+    text of a block that failed to score — a restarted shard caches
+    that refusal under the id and carries on.  A malformed snapshot or
+    an undecodable record raises.  Lazy: nothing is replayed until the
+    caller iterates.
+    """
+    if recovery.snapshot is not None:
+        scorer.restore_state(recovery.snapshot)
+    for record in recovery.records:
+        block_id, serials, hours, matrix = decode_block(record.payload)
+        try:
+            outcome: VerdictBlock | str = scorer.score_block(serials, hours,
+                                                             matrix)
+        except Exception as error:
+            outcome = f"{type(error).__name__}: {error}"
+        yield block_id, outcome
 
 
 class _Shard:
@@ -619,16 +643,7 @@ class ShardSet:
                                generation=bundle.generation)
                 try:
                     recovery = wal.open()
-                    if recovery.snapshot is not None:
-                        scorer.restore_state(recovery.snapshot)
-                    for record in recovery.records:
-                        block_id, serials, hours, matrix = decode_block(
-                            record.payload)
-                        try:
-                            outcome: Any = scorer.score_block(serials, hours,
-                                                              matrix)
-                        except Exception as error:
-                            outcome = f"{type(error).__name__}: {error}"
+                    for block_id, outcome in replay_wal(scorer, recovery):
                         _remember(shard.dedup, block_id, outcome,
                                   self._dedup_limit)
                     replayed = recovery.replayed_blocks

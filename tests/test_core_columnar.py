@@ -141,14 +141,6 @@ def test_record_block_empty_is_noop():
     assert store.n_tracked == 0
 
 
-def test_rows_of_requires_layout():
-    store = ColumnStateStore(3)
-    with pytest.raises(ReproError, match="no recorded attributes"):
-        store.rows_of(["d"])
-    store.record("d", np.zeros(2), AlertLevel.HEALTHY)
-    assert store.rows_of(["d", "d"]).tolist() == [0, 0]
-
-
 # -- lazy rescue inversion ---------------------------------------------------
 
 def test_alert_estimates_use_scalar_rescue_math():
@@ -311,7 +303,8 @@ def _dumped_store(seed=13):
 def test_dump_state_round_trips_exactly():
     store = _dumped_store()
     payload = json.loads(json.dumps(store.dump_state()))  # through the wire
-    twin = ColumnStateStore.from_snapshot(payload)
+    twin = ColumnStateStore(3)
+    twin.restore(payload)
     assert twin.serials() == store.serials()
     assert twin.n_tracked == store.n_tracked
     assert twin.capacity == store.capacity
@@ -328,7 +321,8 @@ def test_restored_store_recycles_the_same_rows():
     """The free list survives the round trip in order, so the restored
     store hands freed rows to new drives exactly as the original."""
     store = _dumped_store()
-    twin = ColumnStateStore.from_snapshot(store.dump_state())
+    twin = ColumnStateStore(3)
+    twin.restore(store.dump_state())
     for name in ("n1", "n2", "n3"):
         store.record(name, np.ones(3), AlertLevel.HEALTHY, hour=20)
         twin.record(name, np.ones(3), AlertLevel.HEALTHY, hour=20)
@@ -341,7 +335,8 @@ def test_restored_store_continues_identically_under_blocks():
     restore — the in-tick occurrence state is derived, not lost."""
     rng = np.random.default_rng(5)
     store = _dumped_store()
-    twin = ColumnStateStore.from_snapshot(store.dump_state())
+    twin = ColumnStateStore(3)
+    twin.restore(store.dump_state())
     serials = ["after", "after", "late", "after", "fresh", "fresh"]
     matrix = rng.normal(size=(len(serials), 3))
     levels = rng.integers(0, 3, size=len(serials)).astype(np.int8)
@@ -355,7 +350,8 @@ def test_restored_store_continues_identically_under_blocks():
 
 def test_empty_store_round_trips():
     store = ColumnStateStore(4, initial_rows=3)
-    twin = ColumnStateStore.from_snapshot(store.dump_state())
+    twin = ColumnStateStore(4)
+    twin.restore(store.dump_state())
     assert twin.serials() == []
     twin.record("first", np.zeros(2), AlertLevel.HEALTHY, hour=0)
     assert twin.serials() == ["first"]
@@ -400,8 +396,6 @@ def test_restore_rejects_malformed_payloads():
             store.restore({"kind": "columnar", "history_hours": 3,
                            "capacity": 2, "n_attributes": 2, "free": free,
                            "drives": drives})
-    with pytest.raises(ReproError, match="malformed state dump"):
-        ColumnStateStore.from_snapshot({"kind": "columnar"})
 
 
 def test_dump_state_is_a_few_bytes_per_drive():
@@ -438,7 +432,8 @@ def _schema1_payload(kind):
 def test_schema1_dump_restores(store_cls, kind):
     """A WAL snapshot written before schema 2 still recovers: each
     drive's window length becomes its retained count."""
-    store = store_cls.from_snapshot(_schema1_payload(kind))
+    store = store_cls(3)
+    store.restore(_schema1_payload(kind))
     assert store.serials() == ["old-a", "old-b"]
     assert _drive_state(store, "old-a") == (2, 2, 41)
     assert _drive_state(store, "old-b") == (0, 1, 41)

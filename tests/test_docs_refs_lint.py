@@ -17,6 +17,8 @@ from check_docs_refs import (  # noqa: E402
     cli_flags,
     public_modules,
     serve_cli_subcommands,
+    top_level_table_drift,
+    top_level_table_names,
     undocumented_flags,
     undocumented_modules,
     undocumented_subcommands,
@@ -163,6 +165,26 @@ def test_console_lines_pass_only_registered_flags(tmp_path):
     ]
     assert found[0][0].endswith("guide.md")
     assert found[1][0].endswith("README.md")
+
+
+def test_top_level_table_tracks_the_package_exports(tmp_path):
+    """Every ``__all__`` name but ``__version__`` needs a ``## Top level``
+    row, and every row must name something the package binds; a row in
+    another section does not count."""
+    init = tmp_path / "__init__.py"
+    init.write_text("from pkg import Alpha, beta\n"
+                    "from pkg.sub import gamma as delta\n"
+                    "__version__ = '1'\n"
+                    "__all__ = ['Alpha', 'beta', 'delta', '__version__']\n")
+    doc = tmp_path / "api.md"
+    doc.write_text("# API\n\n## Top level (`repro`)\n\n"
+                   "| name | purpose |\n|---|---|\n"
+                   "| `Alpha(mode=\"a\"\\|\"b\")` | one |\n"
+                   "| `delta / removed_fn(x)` | two |\n\n"
+                   "## `repro.sub`\n\n| name | purpose |\n|---|---|\n"
+                   "| `beta` | documented elsewhere only |\n")
+    assert top_level_table_names(doc) == ["Alpha", "delta", "removed_fn"]
+    assert top_level_table_drift(doc, init) == (["beta"], ["removed_fn"])
 
 
 def test_link_checker_resolves_relative_targets(tmp_path):

@@ -9,6 +9,9 @@ from repro.cli import main as characterize_main
 from repro.serve.bundle import build_bundle, load_bundle, save_bundle
 from repro.serve.cli import main as serve_main
 from repro.serve.scorer import StreamScorer
+from repro.sim.config import FleetConfig
+from repro.sim.fleet import simulate_fleet
+from tests.oracle import oracle_lines
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +37,15 @@ def stream_csv(mid_fleet, bundle_path, tmp_path_factory):
                 writer.writerow([profile.serial, int(hour),
                                  *(repr(float(v)) for v in row)])
     return path, profiles
+
+
+def _library_verdicts(bundle_path, profiles):
+    """``profiles`` scored through the library, one block per profile."""
+    scorer = StreamScorer(load_bundle(bundle_path))
+    return [verdict for profile in profiles
+            for verdict in scorer.score_block(
+                [profile.serial] * len(profile), profile.hours,
+                profile.matrix).verdicts()]
 
 
 def test_export_model_flow(tmp_path, capsys):
@@ -66,12 +78,8 @@ def test_score_stream_to_jsonl(bundle_path, stream_csv, tmp_path, capsys):
     assert len(lines) == n_samples
 
     # byte-identical to scoring the same stream through the library
-    scorer = StreamScorer(load_bundle(bundle_path))
-    expected = [
-        verdict.to_json_line()
-        for profile in profiles
-        for verdict in scorer.replay_profile(profile)
-    ]
+    expected = [verdict.to_json_line()
+                for verdict in _library_verdicts(bundle_path, profiles)]
     assert lines == expected
     first = json.loads(lines[0])
     assert {"serial", "hour", "level", "stage", "likely_type",
@@ -87,11 +95,9 @@ def test_score_alerts_only_filters(bundle_path, stream_csv, tmp_path):
     lines = out.read_text().splitlines()
     assert lines   # the stream includes failed drives
     assert all(json.loads(line)["level"] != "HEALTHY" for line in lines)
-    # the oracle's alerting lines, in stream order
-    scorer = StreamScorer(load_bundle(bundle_path))
+    # the library's alerting lines, in stream order
     assert lines == [verdict.to_json_line()
-                     for profile in profiles
-                     for verdict in scorer.replay_profile(profile)
+                     for verdict in _library_verdicts(bundle_path, profiles)
                      if verdict.alerting]
 
 
@@ -114,6 +120,22 @@ def test_score_refuses_non_finite_values(bundle_path, value, tmp_path,
     assert out.read_text() == ""
 
 
+def test_score_refuses_an_hour_outside_int64(bundle_path, tmp_path, capsys):
+    """An hour no ``int64`` column holds exits 2 naming its line, not
+    with an ``OverflowError`` traceback."""
+    bundle = load_bundle(bundle_path)
+    row = ",".join(["0.5"] * len(bundle.attributes))
+    bad = tmp_path / "huge-hour.csv"
+    bad.write_text(",".join(["serial", "hour", *bundle.attributes]) + "\n"
+                   + f"D1,0,{row}\nD1,99999999999999999999,{row}\n")
+    out = tmp_path / "verdicts.jsonl"
+    assert serve_main(["score", "--bundle", str(bundle_path),
+                       "--input", str(bad), "--output", str(out)]) == 2
+    assert ("error: sample stream line 3: hour 99999999999999999999 is "
+            "outside the int64 range") in capsys.readouterr().err
+    assert out.read_text() == ""
+
+
 def test_score_rejects_foreign_header(bundle_path, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("serial,hour,wrong_column\nD1,0,1.0\n")
@@ -129,13 +151,26 @@ def test_score_missing_bundle_exits_2(tmp_path, capsys):
 
 
 def test_replay_writes_verdicts(bundle_path, tmp_path, capsys):
+    """``replay`` writes the oracle's lines, profile after profile, and
+    counts every sample and alert in its telemetry."""
     out = tmp_path / "replay.jsonl"
+    metrics = tmp_path / "metrics.json"
     assert serve_main(["replay", "--bundle", str(bundle_path),
                        "--simulate", "80", "--seed", "7",
-                       "--output", str(out)]) == 0
+                       "--output", str(out), "--metrics", str(metrics)]) == 0
     console = capsys.readouterr().out
     assert "replayed" in console and "samples/s" in console
-    assert out.read_text().count("\n") > 0
+    profiles = simulate_fleet(
+        FleetConfig(n_drives=80, seed=7)).dataset.profiles
+    lines = out.read_text().splitlines()
+    assert lines == oracle_lines(load_bundle(bundle_path), [
+        (profile.serial, hour, record) for profile in profiles
+        for hour, record in zip(profile.hours, profile.matrix)])
+    snapshot = json.loads(metrics.read_text())
+    assert snapshot["samples_scored"]["value"] == len(lines)
+    assert snapshot["alerts_emitted"]["value"] == sum(
+        json.loads(line)["level"] != "HEALTHY" for line in lines) > 0
+    assert snapshot["drives_tracked"]["value"] == 80
     with pytest.raises(SystemExit) as refused:  # the fan-out is gone
         serve_main(["replay", "--bundle", str(bundle_path),
                     "--simulate", "80", "--jobs", "2"])

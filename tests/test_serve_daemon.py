@@ -185,7 +185,9 @@ def test_every_jsonl_refusal_names_its_line(bundle, samples):
     the right length, which used to be scored character by character or
     key by key) is refused too, and so are a fractional or boolean hour
     and a non-string serial (which used to be truncated to hour 1 and
-    renamed ``"None"``).  Nothing of a refused batch is scored."""
+    renamed ``"None"``), and an hour outside ``int64`` (which used to
+    be refused without its line).  Nothing of a refused batch is
+    scored."""
     width = len(bundle.attributes)
     good = [json.dumps({"serial": serial, "hour": hour, "values": values})
             for serial, hour, values in samples[:3]]
@@ -216,6 +218,9 @@ def test_every_jsonl_refusal_names_its_line(bundle, samples):
         (good[:1] + [json.dumps({"serial": 7, "hour": 1,
                                  "values": samples[0][2]})],
          'line 2: "serial" must be a string, got number'),
+        (good[:2] + [json.dumps({"serial": "X", "hour": 10**20,
+                                 "values": samples[0][2]})],
+         'line 3: "hour" 100000000000000000000 is outside the int64 range'),
     )
     with ServingDaemon(bundle) as daemon:
         for lines, expected in cases:

@@ -64,8 +64,13 @@ _serial = st.one_of(
     st.sampled_from(["D1", "D2", "Z9", "a\u2028b", "c\u2029\x85d",
                      'q"uote', "tab\there", "\u00e9t\u00e9", ""]),
     st.text(max_size=6))
-_hour = st.one_of(st.integers(0, 10**6), st.integers(0, 10**6),
-                  st.sampled_from([True, 2.5, "7", "x", None, 10**30]))
+#: Integer hours, a few of them at or just past the ``int64`` edges.
+_int_hour = st.one_of(st.integers(0, 10**6), st.integers(0, 10**6),
+                      st.integers(0, 10**6),
+                      st.sampled_from([2**63 - 1, 2**63, -2**63,
+                                       -2**63 - 1]))
+_hour = st.one_of(_int_hour, st.sampled_from([True, 2.5, "7", "x", None,
+                                              10**30]))
 _odd_serial = st.one_of(_serial, _serial,
                         st.sampled_from([None, 7, 2.5, True, ["D1"]]))
 
@@ -94,9 +99,10 @@ def _values(draw, width, clean):
 
 @st.composite
 def _record(draw, width, clean):
-    """One JSONL record; a clean one only varies serials and numbers."""
+    """One JSONL record; a clean one only varies serials, numbers and
+    integer hours (the int64 edges included)."""
     if clean:
-        return {"serial": draw(_serial), "hour": draw(st.integers(0, 10**6)),
+        return {"serial": draw(_serial), "hour": draw(_int_hour),
                 "values": draw(_values(width, True))}
     record = {"serial": draw(_odd_serial), "hour": draw(_hour),
               "values": draw(_values(width, False))}
@@ -163,7 +169,7 @@ def document_bodies(draw):
     """``{"samples": [...]}`` bodies with short, long and odd entries."""
     width = draw(st.integers(0, 4))
     clean = st.builds(lambda s, h, v: [s, h, v], _serial,
-                      st.integers(0, 10**6), _values(width, True))
+                      _int_hour, _values(width, True))
     entry = st.one_of(
         clean, clean,
         st.builds(lambda s, h, v: [s, h, v], _odd_serial, _hour,
@@ -241,6 +247,11 @@ def test_line_alignment_is_checked_not_just_counted():
      'line 2: "serial" must be a string, got null'),
     ([_line(serial=7)], 'line 1: "serial" must be a string, got number'),
     ([_line(hour="7")], None),
+    ([_line(), _line(hour=2**63)],
+     'line 2: "hour" 9223372036854775808 is outside the int64 range'),
+    ([_line(hour="99999999999999999999")],
+     'line 1: "hour" 99999999999999999999 is outside the int64 range'),
+    ([_line(hour=-2**63)], None),
 ])
 def test_jsonl_refusals_name_the_line(lines, expected):
     body = "\n".join(lines).encode("utf-8")
@@ -273,6 +284,8 @@ def test_invalid_utf8_names_its_line():
     ([[None, 1, [1.0]]], 'sample 0: "serial" must be a string, got null'),
     ([["D1", 1, [1.0]], [["D1"], 1, [1.0]]],
      'sample 1: "serial" must be a string, got array'),
+    ([["D1", 1, [1.0]], ["D1", -2**63 - 1, [1.0]]],
+     'sample 1: "hour" -9223372036854775809 is outside the int64 range'),
 ])
 def test_document_refusals_name_the_sample(samples, expected):
     body = json.dumps({"samples": samples}).encode("utf-8")

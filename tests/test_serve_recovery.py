@@ -33,10 +33,12 @@ from repro.faults.chaos_serve import (
     verdict_lines,
 )
 from repro.obs.observer import TelemetryObserver
-from repro.serve.bundle import build_bundle, save_bundle
+from repro.serve.bundle import build_bundle, content_hash, save_bundle
+from repro.serve.cli import main as serve_main
 from repro.serve.daemon import ServingDaemon
 from repro.serve.scorer import StreamScorer
 from repro.serve.shard import ShardSet
+from repro.serve.wal import ShardWal, encode_block
 
 from tests.oracle import oracle_lines
 from tests.test_obs_http import _get, _post
@@ -202,6 +204,7 @@ import json, sys, time
 import numpy as np
 from repro.serve.bundle import load_bundle
 from repro.serve.shard import ShardSet
+from repro.serve.wal import ShardWal, encode_block
 bundle_path, blocks_path, wal_dir = sys.argv[1:4]
 shards = ShardSet(load_bundle(bundle_path), n_shards=2, wal_dir=wal_dir,
                   wal_fsync_every=1)
@@ -396,6 +399,48 @@ def test_malformed_snapshot_fails_the_shard_promptly(bundle, blocks,
         assert "row 5000" in status
     finally:
         shards.stop()
+
+
+def test_recover_cli_reports_what_a_restarted_shard_resumes(bundle, blocks,
+                                                           tmp_path, capsys):
+    """A logged block that fails to score (a non-finite block written
+    before the finite check existed) is skipped by ``repro-serve
+    recover`` exactly as a restarted shard skips it: the summary's
+    counters are the restarted shard's, and a retry under the bad block
+    id answers the refusal the shard cached."""
+    wal_dir = tmp_path / "wal"
+    with ShardSet(bundle, n_shards=1, wal_dir=wal_dir) as shards:
+        shards.submit_block(*blocks[0], block_id="b0")
+    bundle_sha = content_hash(bundle.to_payload())
+    serials, hours, matrix = blocks[1]
+    poisoned = np.array(matrix, dtype=np.float64)
+    poisoned[0, 0] = float("nan")
+    with ShardWal(wal_dir / "shard-000", bundle_sha256=bundle_sha,
+                  generation=bundle.generation) as wal:
+        wal.open()
+        wal.append(encode_block("bad", serials, hours, poisoned))
+        wal.append(encode_block("b2", *blocks[2]))
+    bundle_path = tmp_path / "fleet.bundle.json"
+    save_bundle(bundle, bundle_path)
+
+    assert serve_main(["recover", "--bundle", str(bundle_path),
+                       "--wal-dir", str(wal_dir)]) == 0
+    (summary,) = json.loads(capsys.readouterr().out)["wal"]["shards"]
+    assert summary["replayed_blocks"] == 2
+    assert summary["samples_scored"] == len(blocks[0][0]) + len(blocks[2][0])
+
+    restarted = ShardSet(bundle, n_shards=1, wal_dir=wal_dir)
+    try:
+        assert restarted.wait_ready(timeout=10.0)
+        with pytest.raises(ServeError, match="shard scoring failed: "
+                                             "shard 0: .* is not finite"):
+            restarted.submit_block(serials, hours, matrix, block_id="bad")
+    finally:
+        (final,) = restarted.stop()
+    assert {key: summary[key] for key in
+            ("samples_scored", "alerts_emitted", "drives_tracked")} == {
+        key: final[key] for key in
+        ("samples_scored", "alerts_emitted", "drives_tracked")}
 
 
 # -- HTTP surface during recovery -------------------------------------------

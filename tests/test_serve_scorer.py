@@ -10,8 +10,7 @@ from repro.core.taxonomy import FailureType
 from repro.errors import ServeError
 from repro.obs.observer import TelemetryObserver
 from repro.serve.bundle import build_bundle, load_bundle, save_bundle
-from repro.serve.scorer import (MonitorVerdict, StreamScorer, VerdictBlock,
-                                replay_fleet)
+from repro.serve.scorer import MonitorVerdict, StreamScorer, VerdictBlock
 from tests.oracle import oracle_monitor, oracle_verdicts
 
 
@@ -43,6 +42,12 @@ def _lines(verdicts):
     return [v.to_json_line() for v in verdicts]
 
 
+def _score_profile(scorer, profile):
+    """Every verdict of one profile scored as one block."""
+    return scorer.score_block([profile.serial] * len(profile),
+                              profile.hours, profile.matrix).verdicts()
+
+
 def test_scorer_matches_offline_replay_byte_for_byte(
         loaded_bundle, reference_monitor, stream_profiles):
     """The golden contract: saved->loaded->streamed == offline replay."""
@@ -50,7 +55,7 @@ def test_scorer_matches_offline_replay_byte_for_byte(
     for profile in stream_profiles:
         offline = [MonitorVerdict.from_alert(alert).to_json_line()
                    for alert in reference_monitor.replay(profile)]
-        streamed = _lines(scorer.replay_profile(profile))
+        streamed = _lines(_score_profile(scorer, profile))
         assert streamed == offline
 
 
@@ -183,18 +188,10 @@ def test_scorer_evicts_idle_drives(loaded_bundle, stream_profiles):
     assert scorer.evict_idle(before_hour=100) == 0
 
 
-def test_replay_fleet_preserves_input_order(loaded_bundle, stream_profiles):
-    results = replay_fleet(loaded_bundle, stream_profiles)
-    assert len(results) == len(stream_profiles)
-    for profile, verdicts in zip(stream_profiles, results):
-        assert len(verdicts) == len(profile.hours)
-        assert all(v.serial == profile.serial for v in verdicts)
-
-
 def test_failed_drive_alerts_and_state_tracks(loaded_bundle, mid_fleet):
     scorer = StreamScorer(loaded_bundle)
     failed = mid_fleet.dataset.failed_profiles[0]
-    verdicts = scorer.replay_profile(failed)
+    verdicts = _score_profile(scorer, failed)
     assert verdicts[-1].level == AlertLevel.CRITICAL.name
     assert scorer.level_of(failed.serial) is AlertLevel.CRITICAL
     assert failed.serial in scorer.drives_at(AlertLevel.CRITICAL)
@@ -203,6 +200,8 @@ def test_failed_drive_alerts_and_state_tracks(loaded_bundle, mid_fleet):
 
 
 def test_record_width_mismatch_is_typed(loaded_bundle):
+    """Records of the wrong width and hours outside ``int64`` are typed
+    refusals that score nothing."""
     scorer = StreamScorer(loaded_bundle)
     width = loaded_bundle.n_attributes
     with pytest.raises(ServeError, match="cannot stack"):
@@ -212,7 +211,11 @@ def test_record_width_mismatch_is_typed(loaded_bundle):
         scorer.push_many([("D1", 0, np.zeros(width + 1))])
     with pytest.raises(ServeError, match="bundle expects"):
         scorer.score_block(["D1"], [0], np.zeros((1, width + 1)))
+    with pytest.raises(ServeError, match="hours must be integers: Python "
+                                         "int too large"):
+        scorer.score_block(["D1", "D2"], [0, 2**63], np.zeros((2, width)))
     assert scorer.samples_scored == 0
+    assert scorer.drives_tracked == 0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -222,7 +225,7 @@ def test_non_finite_values_are_refused_before_scoring(loaded_bundle,
     bad cell, and the refused batch changes no counter and no drive."""
     scorer = StreamScorer(loaded_bundle)
     profile = stream_profiles[0]
-    scorer.replay_profile(profile)
+    _score_profile(scorer, profile)
     scored, alerts = scorer.samples_scored, scorer.alerts_emitted
     tracked, level = scorer.drives_tracked, scorer.level_of(profile.serial)
     serials = [profile.serial, "fresh-1", "fresh-2"]
@@ -245,7 +248,7 @@ def test_non_finite_values_are_refused_before_scoring(loaded_bundle,
 
 def test_verdict_json_is_canonical(loaded_bundle, stream_profiles):
     scorer = StreamScorer(loaded_bundle)
-    verdict = scorer.replay_profile(stream_profiles[0])[0]
+    verdict = _score_profile(scorer, stream_profiles[0])[0]
     line = verdict.to_json_line()
     assert line == verdict.to_json_line()     # stable
     assert "\n" not in line
@@ -258,7 +261,7 @@ def test_verdict_json_is_canonical(loaded_bundle, stream_profiles):
 def test_scorer_emits_telemetry(loaded_bundle, stream_profiles):
     observer = TelemetryObserver()
     scorer = StreamScorer(loaded_bundle, observer=observer)
-    scorer.replay_profile(stream_profiles[0])
+    _score_profile(scorer, stream_profiles[0])
     snapshot = observer.metrics.snapshot()
     assert snapshot["samples_scored"]["value"] == scorer.samples_scored
     assert snapshot["drives_tracked"]["value"] == 1

@@ -18,7 +18,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.obs.observer import TelemetryObserver
 from repro.obs.recorder import FlightRecorder
 from repro.serve.bundle import (
     build_bundle,
@@ -28,7 +27,6 @@ from repro.serve.bundle import (
 )
 from repro.serve.cli import main as serve_main
 from repro.serve.daemon import DEFAULT_STATUS_TAIL, ServingDaemon
-from repro.serve.scorer import StreamScorer, replay_fleet
 
 from tests.oracle import oracle_lines
 from tests.test_obs_http import _get, _post
@@ -290,31 +288,3 @@ def test_watch_cli_refuses_non_finite_values(bundle_path, loaded_bundle,
     assert (f"sample stream line 2: column {attributes[0]!r} is not "
             f"finite (nan)") in err
     assert out.read_text() == ""
-
-
-def test_replay_fleet_telemetry_matches_serial(loaded_bundle, mid_fleet):
-    """``replay_fleet`` is one scorer over the profiles: each profile's
-    verdicts equal the oracle's, and its telemetry equals a plain
-    ``StreamScorer`` loop's."""
-    dataset = mid_fleet.dataset
-    profiles = dataset.failed_profiles[:4] + dataset.good_profiles[:4]
-    replayed, looped = TelemetryObserver(), TelemetryObserver()
-    results = replay_fleet(loaded_bundle, profiles, observer=replayed)
-    scorer = StreamScorer(loaded_bundle, observer=looped)
-    for profile in profiles:
-        scorer.score_block([profile.serial] * len(profile.hours),
-                           profile.hours, profile.matrix)
-
-    assert len(results) == len(profiles)
-    for profile, verdicts in zip(profiles, results):
-        assert [v.to_json_line() for v in verdicts] == oracle_lines(
-            loaded_bundle, zip([profile.serial] * len(profile.hours),
-                               profile.hours, profile.matrix))
-    for name in ("samples_scored", "alerts_emitted"):
-        assert (replayed.metrics.counter(name).value
-                == looped.metrics.counter(name).value > 0)
-    assert (replayed.metrics.histogram("verdict_stage").bucket_counts()
-            == looped.metrics.histogram("verdict_stage").bucket_counts())
-    assert (replayed.metrics.gauge("drives_tracked").value
-            == looped.metrics.gauge("drives_tracked").value == 8.0)
-    assert [span.name for span in replayed.tracer.roots] == ["fleet-replay"]
