@@ -26,11 +26,11 @@ Six checks:
    with its indented continuation lines, and checks that each
    ``--flag`` on it is registered by that program's parser — so a
    removed flag cannot live on in an example.
-6. Reads ``__all__`` and the top-level bindings of
-   ``src/repro/__init__.py`` and the first column of the
-   ``## Top level`` table in ``docs/api.md``: every exported name
-   except ``__version__`` must have a row, and every name in that
-   column must be bound on ``repro`` — so a deleted export cannot keep
+6. Reads the export table of ``src/repro/__init__.py`` (the
+   ``{module: names}`` dict it hands ``lazy_exports``) and the first
+   column of the ``## Top level`` table in ``docs/api.md``: every
+   exported name must have a row, and every name in that column must
+   be exported or bound on ``repro`` — so a deleted export cannot keep
    its row, nor a new one ship without one.
 
 Run from the repository root::
@@ -244,26 +244,40 @@ def unknown_console_flags(docs_root: Path = DOCS_ROOT,
     return unknown
 
 
-def package_exports(init_path: Path = PACKAGE_INIT,
-                    ) -> tuple[list[str], set[str]]:
-    """A package ``__init__``'s ``__all__`` and its top-level bindings.
+def export_table(init_path: Path = PACKAGE_INIT) -> dict[str, str]:
+    """A package ``__init__``'s export table as ``{name: module}``.
 
-    Found syntactically: the literal ``__all__`` list, and every name an
-    import or an assignment binds at module level.
+    Found syntactically: the ``{module: names}`` dict literal passed to
+    ``lazy_exports`` — the one place a package declares its exports.
     """
     tree = ast.parse(init_path.read_text(), filename=str(init_path))
-    exported: list[str] = []
-    bound: set[str] = set()
+    table: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "lazy_exports"
+                and len(node.args) == 2
+                and isinstance(node.args[1], ast.Dict)):
+            for key, names in zip(node.args[1].keys, node.args[1].values):
+                table.update((element.value, key.value)
+                             for element in names.elts)
+    return table
+
+
+def package_exports(init_path: Path = PACKAGE_INIT,
+                    ) -> tuple[list[str], set[str]]:
+    """A package's exported names and every name it binds.
+
+    The exports are the export table's names; the bindings add every
+    plain module-level assignment (e.g. ``__version__``).
+    """
+    exported = list(export_table(init_path))
+    tree = ast.parse(init_path.read_text(), filename=str(init_path))
+    bound = set(exported)
     for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound.update((alias.asname or alias.name).split(".")[0]
-                         for alias in node.names)
-        elif isinstance(node, ast.Assign):
-            names = [target.id for target in node.targets
-                     if isinstance(target, ast.Name)]
-            bound.update(names)
-            if "__all__" in names:
-                exported = [element.value for element in node.value.elts]
+        if isinstance(node, ast.Assign):
+            bound.update(target.id for target in node.targets
+                         if isinstance(target, ast.Name))
     return exported, bound
 
 
@@ -300,8 +314,7 @@ def top_level_table_drift(doc_path: Path = API_DOC,
         rows = top_level_table_names(doc_path)
     except OSError:
         rows = []
-    missing = [name for name in exported
-               if name != "__version__" and name not in rows]
+    missing = [name for name in exported if name not in rows]
     unbound = [name for name in rows if name not in bound]
     return missing, unbound
 

@@ -17,83 +17,34 @@ Quickstart::
         print(failure_type.value, summary.n_drives, summary.consensus_order)
 """
 
-from repro.core import (
-    CharacterizationPipeline,
-    CharacterizationReport,
-    DegradationPredictor,
-    DegradationSignature,
-    FailureCategorizer,
-    FailureType,
-    WindowParams,
-    build_failure_records,
-    derive_signature,
-    distance_to_failure,
-    extract_degradation_window,
-)
-from repro.data import (
-    DatasetCache,
-    DiskDataset,
-    load_backblaze_csv,
-    load_csv,
-    load_csv_resilient,
-    sanitize_profiles,
-    save_csv,
-)
-from repro.faults import ChaosConfig, inject_dataset, parse_chaos_spec
-from repro.serve import (
-    ModelBundle,
-    MonitorVerdict,
-    StreamScorer,
-    build_bundle,
-    load_bundle,
-    save_bundle,
-)
-from repro.sim import FleetConfig, FleetSimulator, simulate_fleet
-from repro.smart import (
-    ATTRIBUTE_REGISTRY,
-    CHARACTERIZATION_ATTRIBUTES,
-    HealthProfile,
-    MinMaxNormalizer,
-    SmartRecord,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CharacterizationPipeline",
-    "CharacterizationReport",
-    "DegradationPredictor",
-    "DegradationSignature",
-    "FailureCategorizer",
-    "FailureType",
-    "WindowParams",
-    "build_failure_records",
-    "derive_signature",
-    "distance_to_failure",
-    "extract_degradation_window",
-    "DatasetCache",
-    "DiskDataset",
-    "load_backblaze_csv",
-    "load_csv",
-    "load_csv_resilient",
-    "sanitize_profiles",
-    "save_csv",
-    "ChaosConfig",
-    "inject_dataset",
-    "parse_chaos_spec",
-    "ModelBundle",
-    "MonitorVerdict",
-    "StreamScorer",
-    "build_bundle",
-    "load_bundle",
-    "save_bundle",
-    "FleetConfig",
-    "FleetSimulator",
-    "simulate_fleet",
-    "ATTRIBUTE_REGISTRY",
-    "CHARACTERIZATION_ATTRIBUTES",
-    "HealthProfile",
-    "MinMaxNormalizer",
-    "SmartRecord",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".core.pipeline": ("CharacterizationPipeline", "CharacterizationReport"),
+    ".core.prediction": ("DegradationPredictor",),
+    ".core.signatures": ("DegradationSignature", "WindowParams",
+                         "derive_signature", "distance_to_failure",
+                         "extract_degradation_window"),
+    ".core.categorize": ("FailureCategorizer",),
+    ".core.taxonomy": ("FailureType",),
+    ".core.records": ("build_failure_records",),
+    ".data.cache": ("DatasetCache",),
+    ".data.dataset": ("DiskDataset",),
+    ".data.backblaze": ("load_backblaze_csv",),
+    ".data.loader": ("load_csv", "load_csv_resilient", "save_csv"),
+    ".data.sanitize": ("sanitize_profiles",),
+    ".faults.config": ("ChaosConfig", "parse_chaos_spec"),
+    ".faults.injectors": ("inject_dataset",),
+    ".serve.bundle": ("ModelBundle", "build_bundle", "load_bundle",
+                      "save_bundle"),
+    ".serve.scorer": ("MonitorVerdict", "StreamScorer"),
+    ".sim.config": ("FleetConfig",),
+    ".sim.fleet": ("FleetSimulator", "simulate_fleet"),
+    ".smart.attributes": ("ATTRIBUTE_REGISTRY", "CHARACTERIZATION_ATTRIBUTES"),
+    ".smart.profile": ("HealthProfile",),
+    ".smart.normalization": ("MinMaxNormalizer",),
+    ".smart.record": ("SmartRecord",),
+})
+__all__.append("__version__")

@@ -6,67 +6,23 @@ analysis, z-score diagnosis and degradation prediction — assembled
 end-to-end by :class:`repro.core.pipeline.CharacterizationPipeline`.
 """
 
-from repro.core.categorize import CategorizationResult, FailureCategorizer
-from repro.core.monitor import AlertLevel, DegradationAlert, DegradationMonitor
-from repro.core.pipeline import CharacterizationPipeline, CharacterizationReport
-from repro.core.prediction import DegradationPredictor, PredictionReport
-from repro.core.rescue import (
-    RescueEstimate,
-    estimate_remaining_hours,
-    rescue_estimate,
-)
-from repro.core.serialize import (
-    load_report_summary,
-    report_to_dict,
-    save_report_json,
-)
-from repro.core.records import FailureRecordSet, build_failure_records
-from repro.core.signature_models import (
-    CANONICAL_ORDER_BY_TYPE,
-    canonical_signature,
-    compare_signature_models,
-)
-from repro.core.signatures import (
-    DegradationSignature,
-    DegradationWindow,
-    WindowParams,
-    derive_signature,
-    distance_to_failure,
-    extract_degradation_window,
-)
-from repro.core.taxonomy import FailureType, GroupProperties, classify_groups
-from repro.core.validate import ValidationReport, validate_categorization
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CategorizationResult",
-    "FailureCategorizer",
-    "AlertLevel",
-    "DegradationAlert",
-    "DegradationMonitor",
-    "RescueEstimate",
-    "estimate_remaining_hours",
-    "rescue_estimate",
-    "load_report_summary",
-    "report_to_dict",
-    "save_report_json",
-    "CharacterizationPipeline",
-    "CharacterizationReport",
-    "DegradationPredictor",
-    "PredictionReport",
-    "FailureRecordSet",
-    "build_failure_records",
-    "CANONICAL_ORDER_BY_TYPE",
-    "canonical_signature",
-    "compare_signature_models",
-    "DegradationSignature",
-    "DegradationWindow",
-    "WindowParams",
-    "derive_signature",
-    "distance_to_failure",
-    "extract_degradation_window",
-    "FailureType",
-    "GroupProperties",
-    "classify_groups",
-    "ValidationReport",
-    "validate_categorization",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".categorize": ("CategorizationResult", "FailureCategorizer"),
+    ".monitor": ("AlertLevel", "DegradationAlert", "DegradationMonitor"),
+    ".pipeline": ("CharacterizationPipeline", "CharacterizationReport"),
+    ".prediction": ("DegradationPredictor", "PredictionReport"),
+    ".rescue": ("RescueEstimate", "estimate_remaining_hours",
+                "rescue_estimate"),
+    ".serialize": ("load_report_summary", "report_to_dict",
+                   "save_report_json"),
+    ".records": ("FailureRecordSet", "build_failure_records"),
+    ".signature_models": ("CANONICAL_ORDER_BY_TYPE", "canonical_signature",
+                          "compare_signature_models"),
+    ".signatures": ("DegradationSignature", "DegradationWindow",
+                    "WindowParams", "derive_signature",
+                    "distance_to_failure", "extract_degradation_window"),
+    ".taxonomy": ("FailureType", "GroupProperties", "classify_groups"),
+    ".validate": ("ValidationReport", "validate_categorization"),
+})

@@ -21,15 +21,18 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.columnar import AlertBlock, ColumnStateStore
-from repro.core.prediction import DegradationPredictor
 from repro.core.rescue import RescueEstimate, rescue_estimate
 from repro.core.taxonomy import FailureType
 from repro.errors import ReproError
 from repro.smart.normalization import MinMaxNormalizer
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.core.prediction import DegradationPredictor
 
 #: Default stage thresholds of the monitor's severity ladder; shared
 #: with the serving layer so an exported bundle reproduces the monitor

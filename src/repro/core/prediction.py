@@ -17,21 +17,24 @@ Per failure group, the training protocol is the paper's:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.categorize import CategorizationResult
 from repro.core.signature_models import (
     PREDICTION_WINDOW_BY_TYPE,
     prediction_target,
 )
 from repro.core.taxonomy import FailureType
-from repro.data.dataset import DiskDataset
 from repro.data.splits import train_test_split
 from repro.errors import ReproError
 from repro.ml.metrics import rmse
 from repro.ml.tree import RegressionTree
 from repro.obs.observer import PipelineObserver, resolve_observer
+
+if TYPE_CHECKING:  # pragma: no cover - offline layer, types only
+    from repro.core.categorize import CategorizationResult
+    from repro.data.dataset import DiskDataset
 
 #: Target range of the degradation values, used for the error rate: the
 #: paper's percentages are RMSE / 2 (targets span [-1, 1]).

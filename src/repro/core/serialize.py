@@ -14,13 +14,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.pipeline import CharacterizationReport
 from repro.core.taxonomy import FailureType
 from repro.errors import ReproError
+
+if TYPE_CHECKING:  # pragma: no cover - offline layer, types only
+    from repro.core.pipeline import CharacterizationReport
 
 #: Schema version written into every artifact; bump on breaking changes.
 SCHEMA_VERSION = 1

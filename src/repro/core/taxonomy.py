@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.records import FailureRecordSet
 from repro.errors import ReproError
+
+if TYPE_CHECKING:  # pragma: no cover - offline layer, types only
+    from repro.core.records import FailureRecordSet
 
 
 class FailureType(enum.Enum):

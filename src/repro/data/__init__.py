@@ -8,39 +8,16 @@ format is included so the pipeline can run on real telemetry as well as
 on the simulator's output.
 """
 
-from repro.data.backblaze import (
-    BACKBLAZE_COLUMN_MAP,
-    load_backblaze_csv,
-    save_backblaze_csv,
-)
-from repro.data.cache import CachedDataset, DatasetCache, default_cache_dir
-from repro.data.dataset import DatasetSummary, DiskDataset
-from repro.data.loader import load_csv, load_csv_resilient, save_csv
-from repro.data.sanitize import (
-    RawProfile,
-    SanitizationResult,
-    SanitizePolicy,
-    sanitize_profiles,
-)
-from repro.data.splits import train_test_split
-from repro.data.windows import truncate_to_policy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKBLAZE_COLUMN_MAP",
-    "load_backblaze_csv",
-    "save_backblaze_csv",
-    "CachedDataset",
-    "DatasetCache",
-    "default_cache_dir",
-    "DatasetSummary",
-    "DiskDataset",
-    "load_csv",
-    "load_csv_resilient",
-    "save_csv",
-    "RawProfile",
-    "SanitizationResult",
-    "SanitizePolicy",
-    "sanitize_profiles",
-    "train_test_split",
-    "truncate_to_policy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".backblaze": ("BACKBLAZE_COLUMN_MAP", "load_backblaze_csv",
+                   "save_backblaze_csv"),
+    ".cache": ("CachedDataset", "DatasetCache", "default_cache_dir"),
+    ".dataset": ("DatasetSummary", "DiskDataset"),
+    ".loader": ("load_csv", "load_csv_resilient", "save_csv"),
+    ".sanitize": ("RawProfile", "SanitizationResult", "SanitizePolicy",
+                  "sanitize_profiles"),
+    ".splits": ("train_test_split",),
+    ".windows": ("truncate_to_policy",),
+})

@@ -8,22 +8,10 @@ data and an ASCII rendering.  The registry maps experiment ids (``fig1``,
 point.
 """
 
-from repro.experiments.common import (
-    DEFAULT_SEED,
-    ExperimentResult,
-    default_config,
-    default_fleet,
-    default_report,
-)
-from repro.experiments.registry import EXPERIMENTS, main, run_experiment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SEED",
-    "ExperimentResult",
-    "default_config",
-    "default_fleet",
-    "default_report",
-    "EXPERIMENTS",
-    "main",
-    "run_experiment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".common": ("DEFAULT_SEED", "ExperimentResult", "default_config",
+                "default_fleet", "default_report"),
+    ".registry": ("EXPERIMENTS", "main", "run_experiment"),
+})

@@ -22,34 +22,13 @@ stream byte for byte, and :class:`BlackholeSink` for dead-letter
 delivery drills.
 """
 
-from repro.faults.chaos_serve import (
-    BlackholeSink,
-    kill_plan,
-    run_chaos_stream,
-    verdict_lines,
-)
-from repro.faults.config import SPEC_KEYS, ChaosConfig, parse_chaos_spec
-from repro.faults.injectors import (
-    FAULT_ORDER,
-    FaultLog,
-    RawProfile,
-    corrupt_cache_entries,
-    corrupt_cache_entry,
-    inject_dataset,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BlackholeSink",
-    "SPEC_KEYS",
-    "ChaosConfig",
-    "parse_chaos_spec",
-    "FAULT_ORDER",
-    "FaultLog",
-    "RawProfile",
-    "corrupt_cache_entries",
-    "corrupt_cache_entry",
-    "inject_dataset",
-    "kill_plan",
-    "run_chaos_stream",
-    "verdict_lines",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".chaos_serve": ("BlackholeSink", "kill_plan", "run_chaos_stream",
+                     "verdict_lines"),
+    ".config": ("SPEC_KEYS", "ChaosConfig", "parse_chaos_spec"),
+    ".injectors": ("FAULT_ORDER", "FaultLog", "RawProfile",
+                   "corrupt_cache_entries", "corrupt_cache_entry",
+                   "inject_dataset"),
+})

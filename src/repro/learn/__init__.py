@@ -24,22 +24,12 @@ usable on its own (see ``docs/learning.md``):
 drill behind ``repro-learn drill``.
 """
 
-from repro.learn.drift import DriftAlarm, DriftDetector, DriftPolicy
-from repro.learn.drill import DriftDrill, blocked_stream
-from repro.learn.promote import PromotionDecision, PromotionPolicy
-from repro.learn.refit import SlidingWindow, refit_challenger
-from repro.learn.shadow import DivergenceReport, ShadowScorer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DivergenceReport",
-    "DriftAlarm",
-    "DriftDetector",
-    "DriftDrill",
-    "DriftPolicy",
-    "PromotionDecision",
-    "PromotionPolicy",
-    "ShadowScorer",
-    "SlidingWindow",
-    "blocked_stream",
-    "refit_challenger",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".drift": ("DriftAlarm", "DriftDetector", "DriftPolicy"),
+    ".drill": ("DriftDrill", "blocked_stream"),
+    ".promote": ("PromotionDecision", "PromotionPolicy"),
+    ".refit": ("SlidingWindow", "refit_challenger"),
+    ".shadow": ("DivergenceReport", "ShadowScorer"),
+})

@@ -8,56 +8,22 @@ failure-prediction baselines of Section II-C — implemented from scratch
 on numpy/scipy (no scikit-learn dependency).
 """
 
-from repro.ml.distance import (
-    MahalanobisDistance,
-    euclidean_distance,
-    euclidean_to_reference,
-)
-from repro.ml.hmm import GaussianHMM, HMMDetector
-from repro.ml.kmeans import ElbowAnalysis, KMeans, elbow_analysis
-from repro.ml.knn import KNNRegressor
-from repro.ml.linear import RidgeRegressor
-from repro.ml.metrics import (
-    cluster_purity,
-    detection_rates,
-    error_rate,
-    r_squared,
-    rand_index,
-    rmse,
-    silhouette_score,
-)
-from repro.ml.naive_bayes import GaussianNaiveBayes
-from repro.ml.pca import PCA
-from repro.ml.polyfit import PolynomialFit, fit_polynomial
-from repro.ml.ranksum import RankSumDetector
-from repro.ml.svc import SupportVectorClustering
-from repro.ml.threshold import ThresholdDetector
-from repro.ml.tree import RegressionTree
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MahalanobisDistance",
-    "euclidean_distance",
-    "euclidean_to_reference",
-    "ElbowAnalysis",
-    "KMeans",
-    "elbow_analysis",
-    "GaussianHMM",
-    "HMMDetector",
-    "KNNRegressor",
-    "RidgeRegressor",
-    "cluster_purity",
-    "detection_rates",
-    "error_rate",
-    "r_squared",
-    "rand_index",
-    "rmse",
-    "silhouette_score",
-    "GaussianNaiveBayes",
-    "PCA",
-    "PolynomialFit",
-    "fit_polynomial",
-    "RankSumDetector",
-    "SupportVectorClustering",
-    "ThresholdDetector",
-    "RegressionTree",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".distance": ("MahalanobisDistance", "euclidean_distance",
+                  "euclidean_to_reference"),
+    ".hmm": ("GaussianHMM", "HMMDetector"),
+    ".kmeans": ("ElbowAnalysis", "KMeans", "elbow_analysis"),
+    ".knn": ("KNNRegressor",),
+    ".linear": ("RidgeRegressor",),
+    ".metrics": ("cluster_purity", "detection_rates", "error_rate",
+                 "r_squared", "rand_index", "rmse", "silhouette_score"),
+    ".naive_bayes": ("GaussianNaiveBayes",),
+    ".pca": ("PCA",),
+    ".polyfit": ("PolynomialFit", "fit_polynomial"),
+    ".ranksum": ("RankSumDetector",),
+    ".svc": ("SupportVectorClustering",),
+    ".threshold": ("ThresholdDetector",),
+    ".tree": ("RegressionTree",),
+})

@@ -25,56 +25,18 @@ systems expect of their own tooling:
 See ``docs/observability.md`` for the operator-facing walkthrough.
 """
 
-from repro.obs.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    PeriodicSnapshotWriter,
-    metrics_jsonl,
-    render_prometheus,
-    trace_jsonl,
-    write_snapshot,
-)
-from repro.obs.http import TelemetryHTTPServer
-from repro.obs.logging import configure as configure_logging
-from repro.obs.logging import get_logger, verbosity_to_level
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.recorder import FlightEvent, FlightRecorder
-from repro.obs.observer import (
-    NULL_OBSERVER,
-    NoopObserver,
-    PipelineObserver,
-    TelemetryObserver,
-    instrumented,
-    resolve_observer,
-)
-from repro.obs.timing import TimeitResult, format_duration, timeit
-from repro.obs.tracing import Span, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PROMETHEUS_CONTENT_TYPE",
-    "PeriodicSnapshotWriter",
-    "TelemetryHTTPServer",
-    "FlightEvent",
-    "FlightRecorder",
-    "metrics_jsonl",
-    "render_prometheus",
-    "trace_jsonl",
-    "write_snapshot",
-    "configure_logging",
-    "get_logger",
-    "verbosity_to_level",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_OBSERVER",
-    "NoopObserver",
-    "PipelineObserver",
-    "TelemetryObserver",
-    "instrumented",
-    "resolve_observer",
-    "TimeitResult",
-    "format_duration",
-    "timeit",
-    "Span",
-    "Tracer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".export": ("PROMETHEUS_CONTENT_TYPE", "PeriodicSnapshotWriter",
+                "metrics_jsonl", "render_prometheus", "trace_jsonl",
+                "write_snapshot"),
+    ".http": ("TelemetryHTTPServer",),
+    ".logging": ("configure_logging", "get_logger", "verbosity_to_level"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".recorder": ("FlightEvent", "FlightRecorder"),
+    ".observer": ("NULL_OBSERVER", "NoopObserver", "PipelineObserver",
+                  "TelemetryObserver", "instrumented", "resolve_observer"),
+    ".timing": ("TimeitResult", "format_duration", "timeit"),
+    ".tracing": ("Span", "Tracer"),
+})

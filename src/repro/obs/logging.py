@@ -87,6 +87,10 @@ def configure(level: int | str = "WARNING", *, json_mode: bool = False,
     return logger
 
 
+#: The name :mod:`repro.obs` exports :func:`configure` under.
+configure_logging = configure
+
+
 def get_logger(name: str) -> _logging.Logger:
     """Logger namespaced under ``repro`` (pass ``__name__`` normally)."""
     if name == ROOT_LOGGER_NAME or name.startswith(ROOT_LOGGER_NAME + "."):

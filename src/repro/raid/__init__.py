@@ -10,24 +10,10 @@ much of it signature-driven *proactive* replacement removes, closing the
 loop on the paper's Section V implications.
 """
 
-from repro.raid.array import (
-    DriveState,
-    GroupOutcome,
-    RaidLevel,
-    evaluate_group,
-)
-from repro.raid.reliability import (
-    PolicyResult,
-    RaidReliabilityAnalysis,
-    drive_states_from_fleet,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DriveState",
-    "GroupOutcome",
-    "RaidLevel",
-    "evaluate_group",
-    "PolicyResult",
-    "RaidReliabilityAnalysis",
-    "drive_states_from_fleet",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".array": ("DriveState", "GroupOutcome", "RaidLevel", "evaluate_group"),
+    ".reliability": ("PolicyResult", "RaidReliabilityAnalysis",
+                     "drive_states_from_fleet"),
+})

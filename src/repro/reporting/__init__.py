@@ -5,22 +5,11 @@ these helpers render them as ASCII so results are inspectable in a
 terminal and comparable in golden-output tests.
 """
 
-from repro.reporting.figures import (
-    ascii_histogram,
-    ascii_scatter,
-    ascii_series,
-    render_box_rows,
-)
-from repro.reporting.report import render_results, save_results
-from repro.reporting.tables import ascii_table, format_float
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "render_results",
-    "save_results",
-    "ascii_histogram",
-    "ascii_scatter",
-    "ascii_series",
-    "render_box_rows",
-    "ascii_table",
-    "format_float",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".figures": ("ascii_histogram", "ascii_scatter", "ascii_series",
+                 "render_box_rows"),
+    ".report": ("render_results", "save_results"),
+    ".tables": ("ascii_table", "format_float"),
+})

@@ -19,63 +19,18 @@ of it from the shell: its ``watch`` verb is a one-shard daemon fed from
 a CSV stream, and ``recover`` is the offline crash-recovery tooling.
 """
 
-from repro.serve.bundle import (
-    BUNDLE_SCHEMA_VERSION,
-    GroupArtifact,
-    ModelBundle,
-    build_bundle,
-    bundle_from_document,
-    content_hash,
-    load_bundle,
-    save_bundle,
-    stamp_lineage,
-)
-from repro.serve.daemon import ServingDaemon
-from repro.serve.scorer import (
-    MonitorVerdict,
-    StreamScorer,
-)
-from repro.serve.shard import HashRing, ShardSet
-from repro.serve.sinks import (
-    AlertSink,
-    CallbackAlertSink,
-    DeadLetterWriter,
-    DeliveryPipeline,
-    DeliveryPolicy,
-    JsonlAlertSink,
-    WebhookAlertSink,
-    parse_sink_spec,
-    read_dead_letter,
-    reprocess_dead_letter,
-)
-from repro.serve.wal import ShardWal, WalRecord, WalRecovery
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlertSink",
-    "BUNDLE_SCHEMA_VERSION",
-    "CallbackAlertSink",
-    "DeadLetterWriter",
-    "DeliveryPipeline",
-    "DeliveryPolicy",
-    "GroupArtifact",
-    "HashRing",
-    "JsonlAlertSink",
-    "ModelBundle",
-    "MonitorVerdict",
-    "ServingDaemon",
-    "ShardSet",
-    "ShardWal",
-    "StreamScorer",
-    "WalRecord",
-    "WalRecovery",
-    "WebhookAlertSink",
-    "build_bundle",
-    "bundle_from_document",
-    "content_hash",
-    "load_bundle",
-    "parse_sink_spec",
-    "read_dead_letter",
-    "reprocess_dead_letter",
-    "save_bundle",
-    "stamp_lineage",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".bundle": ("BUNDLE_SCHEMA_VERSION", "GroupArtifact", "ModelBundle",
+                "build_bundle", "bundle_from_document", "content_hash",
+                "load_bundle", "save_bundle", "stamp_lineage"),
+    ".daemon": ("ServingDaemon",),
+    ".scorer": ("MonitorVerdict", "StreamScorer"),
+    ".shard": ("HashRing", "ShardSet"),
+    ".sinks": ("AlertSink", "CallbackAlertSink", "DeadLetterWriter",
+               "DeliveryPipeline", "DeliveryPolicy", "JsonlAlertSink",
+               "WebhookAlertSink", "parse_sink_spec", "read_dead_letter",
+               "reprocess_dead_letter"),
+    ".wal": ("ShardWal", "WalRecord", "WalRecovery"),
+})

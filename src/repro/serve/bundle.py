@@ -40,11 +40,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.categorize import CategorizationResult
 from repro.core.monitor import (
     DEFAULT_CRITICAL_THRESHOLD,
     DEFAULT_HISTORY_HOURS,
@@ -56,12 +55,15 @@ from repro.core.signature_models import (
     PREDICTION_WINDOW_BY_TYPE,
 )
 from repro.core.taxonomy import FailureType
-from repro.core.pipeline import CharacterizationReport
 from repro.errors import BundleError, ModelError, ServeError
 from repro.ioutil import atomic_write_text
 from repro.ml.tree import RegressionTree
 from repro.obs.observer import PipelineObserver, resolve_observer
 from repro.smart.normalization import MinMaxNormalizer
+
+if TYPE_CHECKING:  # pragma: no cover - offline layer, types only
+    from repro.core.categorize import CategorizationResult
+    from repro.core.pipeline import CharacterizationReport
 
 #: Version of the on-disk bundle layout; bump on breaking changes.  A
 #: bundle written under any other version is *stale* and refuses to

@@ -52,7 +52,6 @@ from typing import IO, Iterator
 import numpy as np
 
 from repro.core.serialize import canonical_json_dumps
-from repro.data.loader import load_csv
 from repro.errors import ReproError, ServeError
 from repro.obs import logging as obs_logging
 from repro.obs.export import PeriodicSnapshotWriter
@@ -70,8 +69,6 @@ from repro.serve.shard import (DEFAULT_QUEUE_CAPACITY,
                                DEFAULT_SNAPSHOT_INTERVAL_BLOCKS, replay_wal)
 from repro.serve.sinks import parse_sink_spec, reprocess_dead_letter
 from repro.serve.wal import ShardWal
-from repro.sim.config import FleetConfig
-from repro.sim.fleet import simulate_fleet
 
 #: Rows per column block on the ``score`` stream — one normalizer pass
 #: and one tree pass per group per block, while keeping arrival-order
@@ -372,15 +369,16 @@ def run_watch(args: argparse.Namespace,
     (``/metrics``, ``/health``, ``/status``, ``/recorder`` and the POST
     routes) answers.  A ``POST /drain`` stops reading the stream.
     """
+    if args.batch_size < 1:
+        raise ServeError(f"--batch-size must be >= 1, got {args.batch_size}")
     bundle = load_bundle(args.bundle, observer=observer)
     recorder = FlightRecorder(capacity=args.recorder_capacity)
-    batch_size = max(1, args.batch_size)
 
     def watch_stream(source: IO[str], sink: IO[str]) -> int:
         lines = 0
         with observer.span("watch-stream"):
             for columns in read_sample_blocks(source, bundle.attributes,
-                                              batch_size):
+                                              args.batch_size):
                 if daemon.draining:
                     break
                 block = daemon.ingest_block(*columns)
@@ -553,6 +551,10 @@ def run_replay(args: argparse.Namespace,
     One scorer takes each profile as one ``score_block``, and with
     ``--output`` its verdicts are written as ``score`` writes them.
     """
+    from repro.data.loader import load_csv
+    from repro.sim.config import FleetConfig
+    from repro.sim.fleet import simulate_fleet
+
     bundle = load_bundle(args.bundle, observer=observer)
     if args.simulate is not None:
         dataset = simulate_fleet(FleetConfig(n_drives=args.simulate,

@@ -357,9 +357,17 @@ class ServingDaemon:
         self._bundle_sha256 = content_hash(bundle.to_payload())
         self._sinks = list(sinks)
         self.recorder = recorder if recorder is not None else FlightRecorder()
-        self._retry_after_s = float(retry_after_s)
         self._final_snapshot = (Path(final_snapshot)
                                 if final_snapshot is not None else None)
+        # Before the delivery threads start: a refused configuration
+        # must not leave them running.
+        self._shards = ShardSet(
+            bundle, n_shards=n_shards,
+            queue_capacity=queue_capacity, observer=self._observer,
+            throttle_s=throttle_s, retry_after_s=retry_after_s,
+            wal_dir=wal_dir,
+            snapshot_interval_blocks=snapshot_interval_blocks,
+        )
         self._dead_letter = (DeadLetterWriter(dead_letter)
                              if dead_letter is not None else None)
         self._pipelines = [
@@ -369,13 +377,6 @@ class ServingDaemon:
                              recorder=self.recorder)
             for sink in self._sinks
         ]
-        self._shards = ShardSet(
-            bundle, n_shards=n_shards,
-            queue_capacity=queue_capacity, observer=self._observer,
-            throttle_s=throttle_s, retry_after_s=retry_after_s,
-            wal_dir=wal_dir,
-            snapshot_interval_blocks=snapshot_interval_blocks,
-        )
         self._lock = threading.Lock()
         self._samples_accepted = 0
         self._alerts_emitted = 0

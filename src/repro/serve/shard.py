@@ -203,7 +203,7 @@ class ShardSet:
         production.
     retry_after_s:
         The wait hint carried by raised backpressure and
-        shard-recovering errors.
+        shard-recovering errors; finite and ``>= 0``.
     wal_dir:
         Root directory for per-shard write-ahead logs (crash safety
         off when ``None``).  Shard ``k`` logs under
@@ -237,6 +237,9 @@ class ShardSet:
             raise ServeError(
                 f"snapshot_interval_blocks must be >= 1, got "
                 f"{snapshot_interval_blocks}")
+        if not 0.0 <= retry_after_s < float("inf"):
+            raise ServeError(f"retry_after_s must be finite and >= 0, got "
+                             f"{retry_after_s}")
         self._bundle = bundle
         self._bundle_sha256 = content_hash(bundle.to_payload())
         self._capacity = queue_capacity

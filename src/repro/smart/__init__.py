@@ -6,42 +6,16 @@ sensor values versus vendor-normalized one-byte health values, and the
 min-max normalization of Eq. (1) used throughout the analysis.
 """
 
-from repro.smart.attributes import (
-    ATTRIBUTE_REGISTRY,
-    CHARACTERIZATION_ATTRIBUTES,
-    ENVIRONMENTAL_ATTRIBUTES,
-    READ_WRITE_ATTRIBUTES,
-    AttributeKind,
-    AttributeSpec,
-    ValueForm,
-    attribute_index,
-    get_attribute,
-)
-from repro.smart.normalization import MinMaxNormalizer, VendorCurve, vendor_curve_for
-from repro.smart.profile import HealthProfile
-from repro.smart.quarantine import (
-    QuarantinedDrive,
-    QuarantinedSample,
-    QuarantineReason,
-)
-from repro.smart.record import SmartRecord
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ATTRIBUTE_REGISTRY",
-    "CHARACTERIZATION_ATTRIBUTES",
-    "ENVIRONMENTAL_ATTRIBUTES",
-    "READ_WRITE_ATTRIBUTES",
-    "AttributeKind",
-    "AttributeSpec",
-    "ValueForm",
-    "attribute_index",
-    "get_attribute",
-    "MinMaxNormalizer",
-    "VendorCurve",
-    "vendor_curve_for",
-    "HealthProfile",
-    "QuarantinedDrive",
-    "QuarantinedSample",
-    "QuarantineReason",
-    "SmartRecord",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".attributes": ("ATTRIBUTE_REGISTRY", "CHARACTERIZATION_ATTRIBUTES",
+                    "ENVIRONMENTAL_ATTRIBUTES", "READ_WRITE_ATTRIBUTES",
+                    "AttributeKind", "AttributeSpec", "ValueForm",
+                    "attribute_index", "get_attribute"),
+    ".normalization": ("MinMaxNormalizer", "VendorCurve", "vendor_curve_for"),
+    ".profile": ("HealthProfile",),
+    ".quarantine": ("QuarantinedDrive", "QuarantinedSample",
+                    "QuarantineReason"),
+    ".record": ("SmartRecord",),
+})

@@ -6,29 +6,12 @@ correlation (Figures 9/10), the Eq. (7) two-population z-score
 failure records.
 """
 
-from repro.stats.afr import (
-    WeibullFit,
-    annualized_failure_rate,
-    fit_weibull,
-)
-from repro.stats.correlation import pearson, pearson_matrix, spearman
-from repro.stats.features import change_rate, rolling_std, smooth_poh
-from repro.stats.summary import BoxSummary, box_summary, deciles
-from repro.stats.zscore import two_population_z, temporal_z_scores
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WeibullFit",
-    "annualized_failure_rate",
-    "fit_weibull",
-    "pearson",
-    "pearson_matrix",
-    "spearman",
-    "change_rate",
-    "rolling_std",
-    "smooth_poh",
-    "BoxSummary",
-    "box_summary",
-    "deciles",
-    "two_population_z",
-    "temporal_z_scores",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".afr": ("WeibullFit", "annualized_failure_rate", "fit_weibull"),
+    ".correlation": ("pearson", "pearson_matrix", "spearman"),
+    ".features": ("change_rate", "rolling_std", "smooth_poh"),
+    ".summary": ("BoxSummary", "box_summary", "deciles"),
+    ".zscore": ("two_population_z", "temporal_z_scores"),
+})

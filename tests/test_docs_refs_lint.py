@@ -15,6 +15,7 @@ sys.path.insert(0, str(SCRIPT.parent))
 from check_docs_refs import (  # noqa: E402
     broken_doc_links,
     cli_flags,
+    export_table,
     public_modules,
     serve_cli_subcommands,
     top_level_table_drift,
@@ -168,23 +169,34 @@ def test_console_lines_pass_only_registered_flags(tmp_path):
 
 
 def test_top_level_table_tracks_the_package_exports(tmp_path):
-    """Every ``__all__`` name but ``__version__`` needs a ``## Top level``
-    row, and every row must name something the package binds; a row in
+    """Every export-table name needs a ``## Top level`` row, and every
+    row must name something the package exports or binds; a row in
     another section does not count."""
     init = tmp_path / "__init__.py"
-    init.write_text("from pkg import Alpha, beta\n"
-                    "from pkg.sub import gamma as delta\n"
+    init.write_text("from repro._lazy import lazy_exports\n"
                     "__version__ = '1'\n"
-                    "__all__ = ['Alpha', 'beta', 'delta', '__version__']\n")
+                    "__getattr__, __dir__, __all__ = lazy_exports(\n"
+                    "    globals(), {\n"
+                    "    '.alpha': ('Alpha', 'beta'),\n"
+                    "    '.sub.delta': ('delta',),\n"
+                    "})\n")
+    assert export_table(init) == {"Alpha": ".alpha", "beta": ".alpha",
+                                  "delta": ".sub.delta"}
     doc = tmp_path / "api.md"
-    doc.write_text("# API\n\n## Top level (`repro`)\n\n"
-                   "| name | purpose |\n|---|---|\n"
+    header = ("# API\n\n## Top level (`repro`)\n\n"
+              "| name | purpose |\n|---|---|\n")
+    doc.write_text(header +
                    "| `Alpha(mode=\"a\"\\|\"b\")` | one |\n"
-                   "| `delta / removed_fn(x)` | two |\n\n"
+                   "| `delta / removed_fn(x)` | two |\n"
+                   "| `__version__` | bound, not exported |\n\n"
                    "## `repro.sub`\n\n| name | purpose |\n|---|---|\n"
                    "| `beta` | documented elsewhere only |\n")
-    assert top_level_table_names(doc) == ["Alpha", "delta", "removed_fn"]
+    assert top_level_table_names(doc) == ["Alpha", "delta", "removed_fn",
+                                          "__version__"]
     assert top_level_table_drift(doc, init) == (["beta"], ["removed_fn"])
+    doc.write_text(header + "| `Alpha` | one |\n| `beta` | two |\n"
+                   "| `delta` | three |\n")
+    assert top_level_table_drift(doc, init) == ([], [])
 
 
 def test_link_checker_resolves_relative_targets(tmp_path):

@@ -460,3 +460,22 @@ def test_daemon_cli_end_to_end(bundle_path, samples, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "serving daemon on" in err
     assert "daemon drained: 200 samples accepted" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_daemon_cli_refuses_a_bad_retry_after(bundle_path, value, tmp_path,
+                                              capsys):
+    """A negative or non-finite ``--retry-after`` would go verbatim into
+    ``Retry-After`` headers; the daemon refuses it before it listens or
+    starts a delivery thread."""
+    port_file = tmp_path / "port.txt"
+    threads = set(threading.enumerate())
+    assert serve_main(["daemon", "--bundle", str(bundle_path),
+                       "--retry-after", value,
+                       "--alert-sink", f"jsonl:{tmp_path / 'alerts.jsonl'}",
+                       "--port-file", str(port_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: retry_after_s must be finite and >= 0, "
+                   f"got {float(value)}"]
+    assert not port_file.exists()
+    assert set(threading.enumerate()) <= threads

@@ -379,6 +379,9 @@ def test_promote_is_a_clean_fence_for_concurrent_batches(
 def test_shardset_validates_configuration(bundle):
     with pytest.raises(ServeError, match="queue_capacity"):
         ShardSet(bundle, queue_capacity=0)
+    for retry_after_s in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ServeError, match="retry_after_s"):
+            ShardSet(bundle, retry_after_s=retry_after_s)
 
 
 def test_submit_validates_columns(bundle):

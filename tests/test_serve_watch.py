@@ -288,3 +288,16 @@ def test_watch_cli_refuses_non_finite_values(bundle_path, loaded_bundle,
     assert (f"sample stream line 2: column {attributes[0]!r} is not "
             f"finite (nan)") in err
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_watch_cli_refuses_a_batch_size_below_one(bundle_path, stream_csv,
+                                                  size, tmp_path, capsys):
+    """``--batch-size`` below 1 is a typed refusal, not a silent 1."""
+    out = tmp_path / "watch.jsonl"
+    assert serve_main(["watch", "--bundle", str(bundle_path),
+                       "--input", str(stream_csv), "--output", str(out),
+                       "--batch-size", size]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --batch-size must be >= 1, got {size}"]
+    assert not out.exists()
