@@ -4,11 +4,10 @@ At fleet scale (millions of drives, hourly ticks) per-drive Python
 objects *are* the cost of streaming scoring, so the monitor's state and
 results are kept column-wise:
 
-* :class:`ColumnStateStore` — flat preallocated per-row arrays (level
-  code, last hour, retained count) plus a serial→row map.  Rows are
-  recycled when drives are evicted and the arrays grow by doubling, so
-  a churning million-drive fleet has bounded memory and no per-drive
-  allocation on the healthy path.
+* :class:`ColumnStateStore` — one ``int8`` level column plus a
+  serial→row map.  A new drive takes the next row and the column grows
+  by doubling, so a drive costs a byte of column plus its dict entry
+  and the healthy path allocates nothing per drive.
 * :class:`AlertBlock` — the struct-of-arrays result of scoring one tick
   of samples: per-type stage and remaining-hour matrices, likely-type
   indices and level codes.  Materializing
@@ -37,31 +36,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: Rows allocated on a store's first write; growth doubles from here.
 DEFAULT_INITIAL_ROWS = 256
 
-#: ``last_hour`` of a row that never reported an hour.
-_NO_HOUR = np.iinfo(np.int64).min
-
 
 class ColumnStateStore:
-    """Keyed per-drive monitoring state in struct-of-arrays layout.
+    """Keyed per-drive monitoring state: each drive's last severity level.
 
     The scalar surface (``record`` / ``level_of`` / ``drives_at`` /
     ``serials`` / ``snapshot``) serves the monitor's per-sample
-    reference path; ``record`` is also the sequential reference for the
-    columnar surface the batched kernel uses: :meth:`record_block`
-    updates every drive touched by a tick with fancy-indexed writes, and
-    :meth:`evict_idle` recycles the rows of drives not seen since a
-    cutoff hour.
+    reference path; ``record`` is also the sequential reference for
+    :meth:`record_block`, which updates every drive touched by a tick
+    with one fancy-indexed write.
 
     Layout
     ------
-    Row ``r`` is one drive: ``levels[r]`` its last severity code,
-    ``last_hours[r]`` the maximum hour observed (the eviction clock) and
-    ``counts[r]`` how many records it has retained, capped at
-    ``history_hours``.  No verdict reads record values back, so the
-    store keeps none — a drive costs a few bytes, not a window of
-    float64 records.  ``serial -> row`` lives in one dict; evicted rows
-    go to a free list and are handed to new drives before the arrays
-    grow (by doubling).
+    Row ``r`` is one drive and ``levels[r]`` its last severity code;
+    ``serial -> row`` lives in one dict.  The paper's monitor scores
+    each record on its own (§IV-D), so no verdict reads a drive's
+    history and the store keeps none: a drive costs one byte of column
+    plus its dict entry.  A new drive takes the next row and the column
+    grows by doubling.
 
     The store is a passive container — it never computes a verdict — so
     any partitioning of drives across stores leaves every verdict
@@ -77,16 +69,14 @@ class ColumnStateStore:
         self._history_hours = int(history_hours)
         self._initial_rows = int(initial_rows)
         self._n_attributes: int | None = None
-        self._allocate(0)
+        self._levels = np.zeros(0, dtype=np.int8)
         self._rows: dict[str, int] = {}
-        self._free: list[int] = []
-        self._drives_evicted = 0
 
     # -- scalar surface ---------------------------------------------------
 
     @property
     def history_hours(self) -> int:
-        """Records retained per drive (the cap on ``retained``)."""
+        """The bundle's history setting; a state dump must match it."""
         return self._history_hours
 
     @property
@@ -95,25 +85,15 @@ class ColumnStateStore:
         return len(self._rows)
 
     @property
-    def drives_evicted(self) -> int:
-        """Total drives recycled by :meth:`evict_idle` since creation."""
-        return self._drives_evicted
-
-    @property
     def capacity(self) -> int:
-        """Allocated rows (grows by doubling, never shrinks)."""
-        return len(self._counts)
+        """Allocated rows of the level column (it doubles when full)."""
+        return len(self._levels)
 
     def record(self, serial: str, normalized: np.ndarray,
-               level: "AlertLevel", hour: int | None = None) -> None:
-        """Count one normalized record and set the drive's level."""
-        normalized = np.asarray(normalized, dtype=np.float64).ravel()
-        row = self._row_for(serial, normalized.shape[0])
-        if self._counts[row] < self._history_hours:
-            self._counts[row] += 1
+               level: "AlertLevel") -> None:
+        """Set the level of the drive a normalized record came from."""
+        row = self._rows_for_block([serial], np.asarray(normalized).size)[0]
         self._levels[row] = level.value
-        if hour is not None and hour > self._last_hours[row]:
-            self._last_hours[row] = hour
 
     def level_of(self, serial: str) -> "AlertLevel":
         """Last recorded level for a drive (HEALTHY if never seen)."""
@@ -135,72 +115,47 @@ class ColumnStateStore:
     def snapshot(self) -> dict:
         """JSON-clean summary of every tracked drive, sorted by serial.
 
-        The drain/shutdown artifact: per drive, the last severity level
-        and how many records it retains, plus the store's
-        ``drives_evicted`` counter.  Deterministic for a given state, so
-        snapshots diff cleanly across runs.
+        The drain/shutdown artifact: each drive's last severity level
+        by name.  Deterministic for a given state, so snapshots diff
+        cleanly across runs.
         """
         from repro.core.monitor import AlertLevel
-        drives = {}
-        for serial in sorted(self._rows):
-            row = self._rows[serial]
-            drives[serial] = {
-                "level": AlertLevel(int(self._levels[row])).name,
-                "retained": int(self._counts[row]),
-            }
+        levels = self._levels.tolist()
         return {
             "history_hours": self._history_hours,
             "n_tracked": self.n_tracked,
-            "drives_evicted": self._drives_evicted,
-            "drives": drives,
+            "drives": {serial: {"level": AlertLevel(levels[row]).name}
+                       for serial, row in sorted(self._rows.items())},
         }
 
     def dump_state(self) -> dict:
         """Full, JSON-clean state for crash recovery (exact round-trip).
 
-        Everything :meth:`restore` needs to rebuild an *operationally
-        identical* store: layout, the serial→row map, the free-list
-        order, eviction counter, and per live drive its row, level
-        code, last-seen hour and retained count (schema 2 — a few dozen
-        bytes per drive).  Dumps of a store and of its restored twin are
+        Schema 3: the store's identity (``history_hours`` and record
+        width) and each drive's level code, sorted by serial — a few
+        bytes per drive.  Dumps of a store and of its restored twin are
         identical, as is every subsequent verdict and state transition.
         """
-        drives = {}
-        for serial in sorted(self._rows):
-            row = self._rows[serial]
-            drives[serial] = {
-                "row": row,
-                "level": int(self._levels[row]),
-                "last_hour": int(self._last_hours[row]),
-                "retained": int(self._counts[row]),
-            }
+        levels = self._levels.tolist()
         return {
-            "schema": 2,
+            "schema": 3,
             "kind": "columnar",
             "history_hours": self._history_hours,
-            "initial_rows": self._initial_rows,
             "n_attributes": self._n_attributes,
-            "capacity": self.capacity,
-            "drives_evicted": self._drives_evicted,
-            "free": list(self._free),
-            "drives": drives,
+            "drives": {serial: {"level": levels[row]}
+                       for serial, row in sorted(self._rows.items())},
         }
 
     def restore(self, payload: dict) -> None:
         """Rebuild this store in place from a :meth:`dump_state` payload.
 
-        Discards all current state.  Restores the exact serial→row
-        mapping, free-list order and eviction counter, so the restored
-        store is indistinguishable from the dumped one through every
-        public method, including future :meth:`evict_idle` /
-        row-recycling decisions.  A schema-1 dump (which carried each
-        drive's record window) restores too: its window length is the
-        retained count.
-
-        The dump is checked before anything is replaced: every live and
-        free row must lie inside the dumped capacity and belong to
-        exactly one owner, and every level must be an ``AlertLevel``
-        code, else :class:`~repro.errors.ReproError` names the row.
+        Discards all current state and reads each drive's ``level``
+        only, so the dumps of older schemas restore too: schema 1 (each
+        drive's record window) and schema 2 (each drive's row, clock
+        and record count).  The dump is checked before anything is
+        replaced: it must be a ``columnar`` dump for this store's
+        ``history_hours`` and every level must be an ``AlertLevel``
+        code, else :class:`~repro.errors.ReproError` names the drive.
         """
         from repro.core.monitor import AlertLevel
         try:
@@ -215,166 +170,77 @@ class ColumnStateStore:
             n_attributes = payload["n_attributes"]
             if n_attributes is not None:
                 n_attributes = int(n_attributes)
-            capacity = 0 if n_attributes is None else int(payload["capacity"])
-            free = [int(row) for row in payload["free"]]
-            initial_rows = int(payload.get("initial_rows",
-                                           self._initial_rows))
-            drives_evicted = int(payload.get("drives_evicted", 0))
-            drives = {
-                serial: (int(entry["row"]), int(entry["level"]),
-                         int(entry["last_hour"]),
-                         int(entry["retained"] if "retained" in entry
-                             else len(entry["window"])))
-                for serial, entry in payload["drives"].items()
-            }
+            levels = {str(serial): int(entry["level"])
+                      for serial, entry in payload["drives"].items()}
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise ReproError(
                 f"malformed state dump for ColumnStateStore: {error}"
             ) from error
-        levels = {level.value for level in AlertLevel}
-        claims = [("the free list", row) for row in free]
-        claims += [(f"drive {serial!r}", entry[0])
-                   for serial, entry in drives.items()]
-        owners: dict[int, str] = {}
-        for owner, row in claims:
-            if not 0 <= row < capacity:
+        codes = {level.value for level in AlertLevel}
+        for serial, level in levels.items():
+            if level not in codes:
                 raise ReproError(
-                    f"state dump {owner} has row {row} outside the dumped "
-                    f"layout (capacity {capacity})")
-            if row in owners:
-                raise ReproError(
-                    f"state dump {owner} reuses row {row}, already held "
-                    f"by {owners[row]}")
-            owners[row] = owner
-        for serial, (row, level, _, retained) in drives.items():
-            if not 0 <= retained <= self._history_hours:
-                raise ReproError(
-                    f"state dump drive {serial!r} at row {row} has "
-                    f"retained {retained} outside the dumped layout")
-            if level not in levels:
-                raise ReproError(
-                    f"state dump drive {serial!r} at row {row} has level "
-                    f"{level}, not an AlertLevel code")
-        self._initial_rows = initial_rows
-        self._drives_evicted = drives_evicted
+                    f"state dump drive {serial!r} has level {level}, not "
+                    f"an AlertLevel code")
+        serials = sorted(levels)
         self._n_attributes = n_attributes
-        self._allocate(capacity)
-        self._free = free
-        self._rows = {}
-        for serial, (row, level, last_hour, retained) in drives.items():
-            self._rows[serial] = row
-            self._counts[row] = retained
-            self._levels[row] = level
-            self._last_hours[row] = last_hour
+        self._rows = {serial: row for row, serial in enumerate(serials)}
+        self._levels = np.array([levels[serial] for serial in serials],
+                                dtype=np.int8)
 
     # -- columnar surface -------------------------------------------------
 
     def record_block(self, serials: Sequence[str], normalized: np.ndarray,
-                     level_codes: np.ndarray,
-                     hours: np.ndarray | Sequence[int]) -> None:
-        """Apply one tick of records to every touched drive at once.
+                     level_codes: np.ndarray) -> None:
+        """Apply one tick of levels to every touched drive at once.
 
-        Row ``i`` of ``normalized`` is counted against ``serials[i]``
-        and that drive's level/last-hour state updated — semantically
-        identical to calling :meth:`record` once per row, in order,
-        including when a serial repeats within the block (the drive
-        keeps the level of its last row).  The healthy fast path
-        allocates nothing per drive: one row-index gather and a few
-        fancy-indexed writes.
+        Row ``i`` of ``normalized`` sets the level of ``serials[i]`` —
+        semantically identical to calling :meth:`record` once per row,
+        in order, including when a serial repeats within the block (the
+        drive keeps the level of its last row).  One row-index gather
+        and one fancy-indexed write; nothing is allocated per drive.
         """
-        normalized = np.asarray(normalized, dtype=np.float64)
-        n = normalized.shape[0]
+        n = len(serials)
         if n == 0:
             return
-        rows = self._rows_for_block(serials, normalized.shape[1])
+        rows = self._rows_for_block(serials, np.shape(normalized)[1])
         # Each drive's last row in block order sets its level.
-        unique_rows, first_from_end, per_row_total = np.unique(
-            rows[::-1], return_index=True, return_counts=True)
-        last_of_row = n - 1 - first_from_end
-        self._counts[unique_rows] = np.minimum(
-            self._counts[unique_rows] + per_row_total, self._history_hours)
-        self._levels[unique_rows] = np.asarray(level_codes)[last_of_row]
-        np.maximum.at(self._last_hours, rows,
-                      np.asarray(hours, dtype=np.int64))
-
-    def evict_idle(self, before_hour: int) -> int:
-        """Recycle every drive last observed strictly before ``before_hour``.
-
-        Evicted drives vanish from the tracked set (``level_of`` returns
-        HEALTHY again) and their rows go to the free list for the next
-        new serial — columnar row recycling makes a churning fleet's
-        memory proportional to the *live* drive count, not the all-time
-        serial count.  Returns how many drives were evicted; the running
-        total is :attr:`drives_evicted`.
-        """
-        evicted = [serial for serial, row in self._rows.items()
-                   if self._last_hours[row] < before_hour]
-        for serial in evicted:
-            row = self._rows.pop(serial)
-            self._counts[row] = 0
-            self._levels[row] = 0
-            self._last_hours[row] = _NO_HOUR
-            self._free.append(row)
-        self._drives_evicted += len(evicted)
-        return len(evicted)
+        unique_rows, first_from_end = np.unique(rows[::-1],
+                                                return_index=True)
+        self._levels[unique_rows] = \
+            np.asarray(level_codes)[n - 1 - first_from_end]
 
     # -- internals --------------------------------------------------------
-
-    def _allocate(self, capacity: int) -> None:
-        """Replace every column array with ``capacity`` empty rows."""
-        self._counts = np.zeros(capacity, dtype=np.int64)
-        self._levels = np.zeros(capacity, dtype=np.int8)
-        self._last_hours = np.full(capacity, _NO_HOUR, dtype=np.int64)
-
-    def _ensure_layout(self, n_attributes: int) -> None:
-        """Allocate on the first write; afterwards, validate the width."""
-        if self._n_attributes is None:
-            self._n_attributes = int(n_attributes)
-            self._allocate(self._initial_rows)
-            self._free = list(range(self._initial_rows - 1, -1, -1))
-        elif n_attributes != self._n_attributes:
-            raise ReproError(
-                f"record has {n_attributes} attributes, store was laid "
-                f"out for {self._n_attributes}")
-
-    def _grow(self) -> None:
-        """Double every column array, pushing new rows onto the free list."""
-        old = self.capacity
-        counts, levels, last_hours = (self._counts, self._levels,
-                                      self._last_hours)
-        self._allocate(max(2 * old, 1))
-        self._counts[:old] = counts
-        self._levels[:old] = levels
-        self._last_hours[:old] = last_hours
-        self._free.extend(range(self.capacity - 1, old - 1, -1))
-
-    def _row_for(self, serial: str, n_attributes: int) -> int:
-        """The (possibly new) row owning ``serial``."""
-        self._ensure_layout(n_attributes)
-        row = self._rows.get(serial)
-        if row is not None:
-            return row
-        if not self._free:
-            self._grow()
-        row = self._free.pop()
-        self._rows[serial] = row
-        return row
 
     def _rows_for_block(self, serials: Sequence[str],
                         n_attributes: int) -> np.ndarray:
         """Row index per sample, assigning rows to unseen serials.
 
-        One dict lookup per sample, in C; unseen serials take rows in
-        order of first appearance, exactly as a per-sample loop would
-        assign them.
+        The first write fixes the record width; later writes must
+        match it.  One dict lookup per sample, in C; unseen serials
+        take the next rows in order of first appearance, exactly as a
+        per-sample loop would assign them, and the level column doubles
+        whenever it runs out.
         """
-        self._ensure_layout(n_attributes)
+        if self._n_attributes is None:
+            self._n_attributes = int(n_attributes)
+        elif n_attributes != self._n_attributes:
+            raise ReproError(
+                f"record has {n_attributes} attributes, store was laid "
+                f"out for {self._n_attributes}")
         rows = list(map(self._rows.get, serials))
         if None in rows:
             for serial in dict.fromkeys(
                     [serial for serial, row in zip(serials, rows)
                      if row is None]):
-                self._row_for(serial, n_attributes)
+                self._rows[serial] = len(self._rows)
+            if len(self._rows) > self.capacity:
+                capacity = max(self.capacity, self._initial_rows)
+                while capacity < len(self._rows):
+                    capacity *= 2
+                levels = np.zeros(capacity, dtype=np.int8)
+                levels[:self.capacity] = self._levels
+                self._levels = levels
             rows = list(map(self._rows.__getitem__, serials))
         return np.asarray(rows, dtype=np.int64)
 
@@ -425,16 +291,6 @@ class AlertBlock:
         picked = self.stages[self.likely_indices,
                              np.arange(self.stages.shape[1])]
         return picked[np.isfinite(picked)]
-
-    def level_counts(self, n_levels: int = 3) -> np.ndarray:
-        """Samples per severity code, as a length-``n_levels`` vector.
-
-        One ``bincount`` over the severity column — the shadow-scoring
-        plane builds its champion/challenger confusion matrices from
-        these codes without materializing a single verdict object.
-        """
-        return np.bincount(self.level_codes.astype(np.int64),
-                           minlength=n_levels)
 
     def alert_at(self, row: int) -> "DegradationAlert":
         """Materialize one row as a scalar-path-identical alert."""

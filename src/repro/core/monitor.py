@@ -87,8 +87,9 @@ class DegradationMonitor:
     watch_threshold / critical_threshold:
         Stage levels (in ``[-1, 1]``) triggering WATCH and CRITICAL.
     history_hours:
-        Cap on the records counted as retained per drive (the trees act
-        on single records; no record values are kept).
+        The bundle's history setting, carried by the state store and its
+        dumps as an identity check; the trees act on single records, so
+        no record is kept per drive.
     state:
         Optional externally-owned
         :class:`~repro.core.columnar.ColumnStateStore`; when given its
@@ -121,8 +122,8 @@ class DegradationMonitor:
             raise ReproError("history_hours must be positive")
         if state is not None and state.history_hours != history_hours:
             raise ReproError(
-                f"state store retains {state.history_hours} hours but the "
-                f"monitor was configured for {history_hours}"
+                f"state store was built for {state.history_hours} hours but "
+                f"the monitor was configured for {history_hours}"
             )
         self._predictor = predictor
         self._normalizer = normalizer
@@ -156,7 +157,7 @@ class DegradationMonitor:
                           key=lambda t: estimates[t].stage)
         stage = estimates[likely_type].stage
         level = self._level_for(stage)
-        self._state.record(serial, normalized, level, hour=int(hour))
+        self._state.record(serial, normalized, level)
         return DegradationAlert(
             serial=serial,
             hour=hour,
@@ -232,7 +233,7 @@ class DegradationMonitor:
         level_codes = ((picked <= self._watch).astype(np.int8)
                        + (picked <= self._critical).astype(np.int8))
 
-        self._state.record_block(serials, normalized, level_codes, hours)
+        self._state.record_block(serials, normalized, level_codes)
         return AlertBlock(serials, hours, stages,
                           likely_indices, level_codes, types)
 
@@ -262,7 +263,7 @@ class DegradationMonitor:
 
     @property
     def history_hours(self) -> int:
-        """Records retained per drive (the cap on ``retained``)."""
+        """The history setting the state store was built for."""
         return self._history_hours
 
     # -- fleet state --------------------------------------------------------

@@ -7,9 +7,8 @@ stream side by side.  :class:`ShadowScorer` runs two independent
 separate per-drive state — and accumulates a
 :class:`DivergenceReport`: the verdict agreement rate, the full 3x3
 severity confusion matrix (HEALTHY / WATCH / CRITICAL, champion rows by
-challenger columns, built from
-:meth:`AlertBlock.level_counts <repro.core.columnar.AlertBlock>`-style
-severity codes with one ``bincount`` per block), the mean absolute
+challenger columns, built from both blocks' severity-code columns with
+one ``bincount`` per block), the mean absolute
 stage delta over rows where both sides produced a finite stage, and
 per-drive alert deltas naming exactly which drives the two bundles
 disagree about.

@@ -359,24 +359,6 @@ class ServingDaemon:
         self.recorder = recorder if recorder is not None else FlightRecorder()
         self._final_snapshot = (Path(final_snapshot)
                                 if final_snapshot is not None else None)
-        # Before the delivery threads start: a refused configuration
-        # must not leave them running.
-        self._shards = ShardSet(
-            bundle, n_shards=n_shards,
-            queue_capacity=queue_capacity, observer=self._observer,
-            throttle_s=throttle_s, retry_after_s=retry_after_s,
-            wal_dir=wal_dir,
-            snapshot_interval_blocks=snapshot_interval_blocks,
-        )
-        self._dead_letter = (DeadLetterWriter(dead_letter)
-                             if dead_letter is not None else None)
-        self._pipelines = [
-            DeliveryPipeline(sink, policy=delivery_policy,
-                             dead_letter=self._dead_letter,
-                             observer=self._observer,
-                             recorder=self.recorder)
-            for sink in self._sinks
-        ]
         self._lock = threading.Lock()
         self._samples_accepted = 0
         self._alerts_emitted = 0
@@ -392,18 +374,41 @@ class ServingDaemon:
             self._drift = DriftDetector(
                 bundle.attributes, policy=drift_policy,
                 observer=self._observer)
-        self._server = TelemetryHTTPServer(
-            registry,
-            health=self.health_payload,
-            status=self.status_payload,
-            recorder=self.recorder,
-            post_routes={
-                "/ingest": self._handle_ingest,
-                "/drain": self._handle_drain,
-                "/promote": self._handle_promote,
-            },
-            host=host, port=port,
+        self._dead_letter = (DeadLetterWriter(dead_letter)
+                             if dead_letter is not None else None)
+        # The shard set opens its WALs, then the port is bound, and only
+        # then do the delivery threads start: a refused configuration or
+        # a port in use leaves nothing open or running.
+        self._shards = ShardSet(
+            bundle, n_shards=n_shards,
+            queue_capacity=queue_capacity, observer=self._observer,
+            throttle_s=throttle_s, retry_after_s=retry_after_s,
+            wal_dir=wal_dir,
+            snapshot_interval_blocks=snapshot_interval_blocks,
         )
+        try:
+            self._server = TelemetryHTTPServer(
+                registry,
+                health=self.health_payload,
+                status=self.status_payload,
+                recorder=self.recorder,
+                post_routes={
+                    "/ingest": self._handle_ingest,
+                    "/drain": self._handle_drain,
+                    "/promote": self._handle_promote,
+                },
+                host=host, port=port,
+            )
+        except BaseException:
+            self._shards.stop()
+            raise
+        self._pipelines = [
+            DeliveryPipeline(sink, policy=delivery_policy,
+                             dead_letter=self._dead_letter,
+                             observer=self._observer,
+                             recorder=self.recorder)
+            for sink in self._sinks
+        ]
 
     # -- ingestion --------------------------------------------------------
 

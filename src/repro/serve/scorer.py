@@ -5,15 +5,14 @@ loads a :class:`~repro.serve.bundle.ModelBundle`, reconstructs the exact
 training-time models, and consumes SMART samples incrementally through
 ``score_block``, the columnar hot path (``push_many`` stacks a list of
 ``(serial, hour, record)`` samples into one block).  Per-drive state
-lives in a struct-of-arrays
-:class:`~repro.core.columnar.ColumnStateStore` (flat per-drive level,
-last-hour and retained-count columns with recycled rows and doubling
-growth), so memory stays O(live drives) — a few bytes each — no matter
-how long the stream runs, and the healthy path allocates nothing per
-drive.  ``score_block`` returns
-a :class:`VerdictBlock`: verdict columns, not verdict objects —
-:class:`MonitorVerdict` materialization is deferred to the rare
-alerting rows (or to callers that explicitly ask for all of them).
+lives in a :class:`~repro.core.columnar.ColumnStateStore`: one level
+column (each drive's last severity) with doubling growth, so memory
+stays O(drives seen) — a few bytes each — no matter how long the stream
+runs, and the healthy path allocates nothing per drive.
+``score_block`` returns a :class:`VerdictBlock`: verdict columns, not
+verdict objects — :class:`MonitorVerdict` materialization is deferred
+to the rare alerting rows (or to callers that explicitly ask for all of
+them).
 
 The contract that makes the scorer trustworthy is *byte-identity with
 the scalar oracle*: feeding samples through ``score_block`` emits
@@ -165,7 +164,7 @@ def check_finite(matrix: np.ndarray, attributes: Sequence[str]) -> None:
             f"is not finite ({float(matrix[row, column])!r})")
 
 
-#: Hours a drive's state can hold: its last-hour column is ``int64``.
+#: Hours a verdict can carry: the hour column is ``int64``.
 HOUR_RANGE = range(-2**63, 2**63)
 
 
@@ -436,19 +435,6 @@ class StreamScorer:
         self._account_block(block)
         return VerdictBlock(block)
 
-    def evict_idle(self, before_hour: int) -> int:
-        """Recycle state of drives last observed before ``before_hour``.
-
-        Bounds a churning fleet's memory: evicted serials free their
-        row and start fresh if they reappear.  Returns the evicted count
-        and bumps the ``drives_evicted`` counter.
-        """
-        evicted = self._state.evict_idle(int(before_hour))
-        if evicted:
-            self._observer.count("drives_evicted", evicted)
-            self._observer.gauge("drives_tracked", self.drives_tracked)
-        return evicted
-
     # -- fleet state ------------------------------------------------------
 
     @property
@@ -530,9 +516,10 @@ class StreamScorer:
         verdicts only — every sample scored after the swap is
         byte-identical to a fresh scorer of the new bundle fed the same
         stream.  The replacement must score the same feature space
-        (attribute ordering) and keep ``history_hours``, because the
-        live :class:`~repro.core.columnar.ColumnStateStore` is laid out
-        for both.
+        (attribute ordering), which the live
+        :class:`~repro.core.columnar.ColumnStateStore` is laid out for,
+        and keep ``history_hours``, which the store and its dumps carry
+        as their identity.
         """
         if tuple(bundle.attributes) != tuple(self._bundle.attributes):
             raise ServeError(
@@ -543,8 +530,8 @@ class StreamScorer:
         if bundle.history_hours != self._bundle.history_hours:
             raise ServeError(
                 f"cannot swap in a bundle with history_hours="
-                f"{bundle.history_hours}; the live drive state is laid "
-                f"out for {self._bundle.history_hours}"
+                f"{bundle.history_hours}; the live drive state was "
+                f"built for {self._bundle.history_hours}"
             )
         self._bundle = bundle
         self._monitor = DegradationMonitor(

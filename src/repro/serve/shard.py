@@ -6,8 +6,8 @@ therefore one keyed :class:`~repro.core.columnar.ColumnStateStore`)
 behind its own lock.  Drives map to shards by consistent hash of their
 serial (:class:`HashRing` — sha256-based, so the mapping is stable
 across processes and Python hash seeds), which keeps every drive's
-state (last level, last hour, retained count) whole inside exactly one
-shard no matter how batches arrive.
+state (its last severity level) inside exactly one shard no matter how
+batches arrive.
 
 Sharding is a pure performance knob: verdicts are per-sample functions
 of the record (and per-drive state keys on the serial), so a

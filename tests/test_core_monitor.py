@@ -67,6 +67,7 @@ def test_drives_at_level_partition(monitor, monitor_parts):
 
 
 def test_history_rolls(monitor_parts):
+    """However many records a drive sends, its state is its last level."""
     predictor, normalizer, fleet = monitor_parts
     monitor = DegradationMonitor(predictor, normalizer, history_hours=5)
     profile = fleet.dataset.good_profiles[0]
@@ -74,7 +75,7 @@ def test_history_rolls(monitor_parts):
         monitor.observe(profile.serial, int(hour), row)
     drives = monitor.state.snapshot()["drives"]
     assert drives == {profile.serial: {
-        "level": monitor.level_of(profile.serial).name, "retained": 5}}
+        "level": monitor.level_of(profile.serial).name}}
 
 
 def test_untrained_predictor_rejected(monitor_parts):

@@ -1,5 +1,6 @@
 """Regression gate: every emitted metric name is snake_case and listed
-in the ``docs/observability.md`` reference table.
+in the ``docs/observability.md`` reference table, and every row of that
+table names an emitted metric.
 
 Runs ``scripts/check_metric_names.py`` the way CI would, and unit-tests
 the collector so a silently broken lint cannot pass the gate.
@@ -48,6 +49,16 @@ def test_finder_sees_literal_names_only(tmp_path):
     ]
 
 
+def test_finder_sees_observe_many_batches(tmp_path):
+    """A histogram fed only in batches is still a declared name."""
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def f(obs, stages):\n"
+        "    obs.observe_many('verdict_stage', stages)\n"
+    )
+    assert find_metric_names(source) == [(2, "verdict_stage")]
+
+
 def test_documented_names_reads_backticked_identifiers(tmp_path):
     doc = tmp_path / "obs.md"
     doc.write_text("| `samples_scored` | counter |\nAnd `push_latency`.\n")
@@ -73,6 +84,28 @@ def test_violations_flag_bad_case_and_undocumented(tmp_path):
     assert "'undocumented_thing' (not documented" in problems[1]
 
 
+def test_violations_flag_table_rows_nothing_emits(tmp_path):
+    """A reference-table row outlives its metric only until the lint
+    runs; backticked names outside the table are not rows."""
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    (src / "mod.py").write_text(
+        "def f(registry):\n"
+        "    registry.counter('fine_metric').inc()\n"
+    )
+    doc = tmp_path / "obs.md"
+    doc.write_text(
+        "| name | kind | emitted by | meaning |\n"
+        "| --- | --- | --- | --- |\n"
+        "| `fine_metric` | counter | scorer | kept |\n"
+        "| `gone_metric` | counter | scorer | deleted from the code |\n"
+        "| `/metrics` | Prometheus text | always 200 |\n"
+        "Prose may still mention `some_identifier`.\n"
+    )
+    assert violations(src, doc) == [
+        "obs.md: 'gone_metric' (table row, but no code emits it)"]
+
+
 def test_repo_lint_is_exercising_real_files():
     problems = violations()
     assert problems == []
@@ -80,3 +113,4 @@ def test_repo_lint_is_exercising_real_files():
              for _line, name in find_metric_names(path)}
     assert "samples_scored" in names
     assert "telemetry_requests" in names
+    assert "verdict_stage" in names

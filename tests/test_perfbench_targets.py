@@ -50,6 +50,6 @@ def test_ring_probe_reads_store_layout():
     """The ``record_block`` probe reads ``capacity`` and
     ``history_hours`` off the store it is handed."""
     store = ColumnStateStore(6, initial_rows=4)
-    store.record("d", np.zeros(3), AlertLevel.HEALTHY, hour=0)
+    store.record("d", np.zeros(3), AlertLevel.HEALTHY)
     assert store.capacity == 4
     assert store.history_hours == 6

@@ -10,11 +10,12 @@ and alert sinks receive exactly the alerting verdicts.
 
 import csv
 import json
+import socket
 import threading
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import ObservabilityError, ServeError
 from repro.obs.observer import NULL_OBSERVER
 from repro.serve.bundle import build_bundle, content_hash, save_bundle
 from repro.serve.cli import main as serve_main
@@ -410,6 +411,23 @@ def test_ingest_block_refuses_non_finite_before_the_wal(bundle, samples,
 def test_daemon_requires_metrics_observer(bundle):
     with pytest.raises(ServeError, match="metrics registry"):
         ServingDaemon(bundle, observer=NULL_OBSERVER)
+
+
+def test_port_in_use_leaves_no_delivery_thread_or_open_wal(bundle,
+                                                           tmp_path):
+    """A daemon whose port is taken refuses to start and leaves nothing
+    behind: no delivery thread runs and its WAL is closed cleanly."""
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        with pytest.raises(ObservabilityError, match="cannot bind"):
+            ServingDaemon(bundle, sinks=[CallbackAlertSink(list.append)],
+                          port=port, wal_dir=tmp_path / "wal")
+    assert not [thread.name for thread in threading.enumerate()
+                if thread.name.startswith("repro-delivery-")]
+    # The shard set was stopped: its final checkpoint is on disk.
+    assert list((tmp_path / "wal" / "shard-000").glob("snapshot-*.json"))
 
 
 def test_stop_is_idempotent(bundle, samples):

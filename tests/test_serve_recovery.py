@@ -13,8 +13,10 @@ serving retried block ids from the dedup cache.  Over HTTP, a recovering shard's
 to normal once replay finishes.
 """
 
+import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -33,7 +35,8 @@ from repro.faults.chaos_serve import (
     verdict_lines,
 )
 from repro.obs.observer import TelemetryObserver
-from repro.serve.bundle import build_bundle, content_hash, save_bundle
+from repro.serve.bundle import (build_bundle, content_hash, load_bundle,
+                                save_bundle)
 from repro.serve.cli import main as serve_main
 from repro.serve.daemon import ServingDaemon
 from repro.serve.scorer import StreamScorer
@@ -42,6 +45,9 @@ from repro.serve.wal import ShardWal, encode_block
 
 from tests.oracle import oracle_lines
 from tests.test_obs_http import _get, _post
+
+#: A WAL directory written by earlier code, with the bundle it names.
+LEGACY_WAL = Path(__file__).parent / "data" / "legacy_wal_2shard"
 
 
 @pytest.fixture(scope="module")
@@ -378,15 +384,17 @@ def test_submit_to_failed_shard_is_serve_error(bundle, blocks, tmp_path):
 def test_malformed_snapshot_fails_the_shard_promptly(bundle, blocks,
                                                      tmp_path):
     """A snapshot the state store refuses marks the shard failed (and
-    names the bad row) instead of leaving it recovering forever."""
+    names the bad drive) instead of leaving it recovering forever."""
     wal_dir = tmp_path / "wal"
     with ShardSet(bundle, n_shards=1, wal_dir=wal_dir) as shards:
         for block in blocks[:3]:
             shards.submit_block(*block)
     snapshot = sorted((wal_dir / "shard-000").glob("snapshot-*.json"))[-1]
     document = json.loads(snapshot.read_text())
-    drives = document["state"]["state"]["drives"]
-    drives[sorted(drives)[0]]["row"] = 5000
+    state = document["state"]["state"]
+    assert state["schema"] == 3
+    first = sorted(state["drives"])[0]
+    state["drives"][first]["level"] = 7
     snapshot.write_text(json.dumps(document))
 
     shards = ShardSet(bundle, n_shards=1, wal_dir=wal_dir)
@@ -396,9 +404,52 @@ def test_malformed_snapshot_fails_the_shard_promptly(bundle, blocks,
         assert time.monotonic() - start < 5.0
         status = shards.shard_status()[0]
         assert status.startswith("failed:")
-        assert "row 5000" in status
+        assert f"drive {first!r} has level 7" in status
     finally:
         shards.stop()
+
+
+def test_legacy_two_shard_wal_recovers_byte_identical(tmp_path):
+    """A 2-shard WAL left by earlier code — schema-2 snapshots, which
+    held each drive's row, clock and record count, plus a logged suffix
+    and no final checkpoint — recovers to the levels and drive count it
+    held, checkpoints as schema 3, and scores the next blocks exactly as
+    a fresh scorer and that earlier code did."""
+    expected = json.loads((LEGACY_WAL / "expected.json").read_text())
+    bundle = load_bundle(LEGACY_WAL / "bundle.json")
+    wal_dir = tmp_path / "wal"
+    shutil.copytree(LEGACY_WAL / "wal", wal_dir)
+
+    def snapshot_schemas():
+        return [json.loads(path.read_text())["state"]["state"]["schema"]
+                for path in sorted(wal_dir.glob("shard-*/snapshot-*.json"))]
+
+    assert snapshot_schemas() == [2, 2]
+    shards = ShardSet(bundle, n_shards=2, wal_dir=wal_dir)
+    assert shards.shard_status() == ["serving", "serving"]
+    assert shards.drives_tracked() == expected["drives_tracked"]
+    final = shards.stop()
+    assert sum(shard["drives_tracked"] for shard in final) \
+        == expected["drives_tracked"]
+    levels = {serial: entry["level"] for shard in final
+              for serial, entry in shard["state"]["drives"].items()}
+    assert levels == expected["levels"]
+    assert snapshot_schemas() == [3, 3]
+
+    fresh = StreamScorer(bundle)
+    lines, fresh_lines = [], []
+    with ShardSet(bundle, n_shards=2, wal_dir=wal_dir) as reopened:
+        assert reopened.drives_tracked() == expected["drives_tracked"]
+        for index, block in enumerate(expected["next_blocks"]):
+            columns = (block["serials"], block["hours"],
+                       np.asarray(block["rows"], dtype=np.float64))
+            lines.extend(reopened.submit_block(
+                *columns, block_id=f"next-{index}").to_json_lines())
+            fresh_lines.extend(fresh.score_block(*columns).to_json_lines())
+    assert lines == fresh_lines
+    assert hashlib.sha256("".join(f"{line}\n" for line in lines)
+                          .encode()).hexdigest() \
+        == expected["next_verdicts_sha256"]
 
 
 def test_recover_cli_reports_what_a_restarted_shard_resumes(bundle, blocks,

@@ -172,22 +172,6 @@ def test_score_block_empty(loaded_bundle):
     assert scorer.samples_scored == 0
 
 
-def test_scorer_evicts_idle_drives(loaded_bundle, stream_profiles):
-    observer = TelemetryObserver()
-    scorer = StreamScorer(loaded_bundle, observer=observer)
-    early, late = stream_profiles[0], stream_profiles[1]
-    scorer.score_block([early.serial], [10], early.matrix[:1])
-    scorer.score_block([late.serial], [500], late.matrix[:1])
-    assert scorer.evict_idle(before_hour=100) == 1
-    assert scorer.drives_tracked == 1
-    assert scorer.level_of(early.serial) is AlertLevel.HEALTHY
-    snapshot = observer.metrics.snapshot()
-    assert snapshot["drives_evicted"]["value"] == 1
-    assert snapshot["drives_tracked"]["value"] == 1
-    # Nothing idle: no counter movement, no error.
-    assert scorer.evict_idle(before_hour=100) == 0
-
-
 def test_failed_drive_alerts_and_state_tracks(loaded_bundle, mid_fleet):
     scorer = StreamScorer(loaded_bundle)
     failed = mid_fleet.dataset.failed_profiles[0]
