@@ -5,7 +5,7 @@ regressions (e.g. de-vectorizing tree prediction) show up next to the
 reproduction benches.
 
 ``test_perf_ml_recorded`` additionally measures the batched kernels
-against the frozen loop references in ``repro.ml._reference`` and
+against the frozen loop references in ``tests/ml_reference.py`` and
 writes the speedups to ``benchmarks/output/perf_ml.json`` — the file
 ``scripts/compare_bench.py`` diffs against, and the table quoted by
 ``docs/performance.md``.
@@ -18,7 +18,7 @@ import pytest
 
 from conftest import bench_environment
 from repro.core.serialize import canonical_json_dumps
-from repro.ml._reference import (
+from tests.ml_reference import (
     ReferenceGaussianHMM,
     ReferenceRegressionTree,
     reference_connectivity_labels,

@@ -24,13 +24,6 @@ from pathlib import Path
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: Paths (relative to ``src/repro``) exempt from the docstring gate:
-#: ``ml/_reference.py`` holds optional scikit-learn cross-checks whose
-#: API mirrors (and is documented by) the real implementations.
-ALLOWED_PREFIXES = (
-    "ml/_reference.py",
-)
-
 
 def _is_public(name: str) -> bool:
     return not name.startswith("_")
@@ -62,8 +55,6 @@ def collect_violations(root: Path = SRC_ROOT) -> list[str]:
     violations: list[str] = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
-        if relative.startswith(ALLOWED_PREFIXES):
-            continue
         for line, kind, name in missing_docstrings(path):
             violations.append(f"src/repro/{relative}:{line}: {kind} {name}")
     return violations

@@ -5,9 +5,9 @@ machine 25 experiments in should not mean re-running 25 experiments.
 :class:`CheckpointStore` persists each finished experiment as one small
 JSON file so an interrupted sweep resumes exactly where it stopped:
 
-* **Atomic** — files are written to a temp name and ``os.replace``\\ d
-  into place, so a kill mid-write leaves either the previous state or
-  the complete new file, never a torn one.
+* **Atomic** — files are written through
+  :func:`~repro.ioutil.atomic_write_text`, so a kill mid-write leaves
+  either the previous state or the complete new file, never a torn one.
 * **Scale-keyed** — every checkpoint records the fleet scale
   (``n_drives``, ``seed``) it was produced under; a checkpoint from a
   different scale is ignored rather than silently reused.
@@ -22,13 +22,12 @@ no file, so ``--resume`` retries it.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import CheckpointError
 from repro.experiments.common import ExperimentResult
+from repro.ioutil import atomic_write_text
 
 #: Version written into every checkpoint; bump on breaking changes.
 CHECKPOINT_SCHEMA = 1
@@ -91,21 +90,10 @@ class CheckpointStore:
             "wall_s": float(wall_s),
         }
         path = self.path_for(result.experiment_id)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=self._dir, prefix=f".{result.experiment_id}-", suffix=".tmp",
-        )
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         try:
-            with os.fdopen(descriptor, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, path)
+            atomic_write_text(path, text)
         except OSError as error:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
             raise CheckpointError(
                 f"cannot write checkpoint for {result.experiment_id!r}: "
                 f"{error}"

@@ -139,13 +139,6 @@ def _worker_init(n_drives: int, seed: int) -> None:
     configure_default_fleet(n_drives=n_drives, seed=seed)
 
 
-def _run_timed(experiment_id: str) -> tuple[ExperimentResult, float]:
-    """Worker body: run one experiment, return (result, wall seconds)."""
-    with timeit(experiment_id) as timer:
-        result = run_experiment(experiment_id)
-    return result, timer.wall_s
-
-
 def _execute_one(experiment_id: str, *,
                  checkpoint_spec: tuple[str, int, int] | None = None,
                  keep_going: bool = False,

@@ -25,7 +25,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.errors import FaultInjectionError, ShardRecoveringError, SinkError
-from repro.serve.scorer import MonitorVerdict
 from repro.serve.shard import ShardSet
 from repro.serve.sinks import AlertSink
 
@@ -132,11 +131,10 @@ class BlackholeSink(AlertSink):
         """Delivery attempts absorbed (including retries)."""
         return self._attempts
 
-    def emit(self, verdict: MonitorVerdict) -> None:
+    def emit(self, line: str) -> None:
         """Refuse the delivery."""
         self._attempts += 1
-        raise SinkError(
-            f"blackhole sink dropped alert for drive {verdict.serial}")
+        raise SinkError("blackhole sink dropped an alert")
 
     def describe(self) -> str:
         """``blackhole`` (the sink has no destination by design)."""

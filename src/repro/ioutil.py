@@ -15,14 +15,14 @@ one implementation of the pattern the rest of the code refers to:
 
 Skipping step 2 is the classic tear: ``os.replace`` orders the rename
 against nothing, so after power loss the new name can point at
-zero-length or partial data.  ``experiments/checkpoint.py`` has always
-followed the full pattern; this module extracts it so the serving
-layer's snapshot and port files do too.
+zero-length or partial data.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -37,6 +37,9 @@ def atomic_write_bytes(path: str | Path, payload: bytes, *,
     (crash-consistent against process death, not power loss) — for
     advisory files where latency matters more than durability.
 
+    An existing destination keeps its permission bits; a new one gets
+    :func:`tempfile.mkstemp`'s owner-only ``0600``.
+
     The caller handles ``OSError`` (callers wrap it in their own typed
     error); the temporary file is removed on failure.
     """
@@ -45,6 +48,9 @@ def atomic_write_bytes(path: str | Path, payload: bytes, *,
         dir=path.parent, prefix=f".{path.name}-", suffix=".tmp")
     try:
         with os.fdopen(descriptor, "wb") as handle:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(handle.fileno(),
+                          stat.S_IMODE(os.stat(path).st_mode))
             handle.write(payload)
             handle.flush()
             if fsync:

@@ -36,7 +36,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
     ".recorder": ("FlightEvent", "FlightRecorder"),
     ".observer": ("NULL_OBSERVER", "NoopObserver", "PipelineObserver",
-                  "TelemetryObserver", "instrumented", "resolve_observer"),
+                  "TelemetryObserver", "resolve_observer"),
     ".timing": ("TimeitResult", "format_duration", "timeit"),
     ".tracing": ("Span", "Tracer"),
 })

@@ -8,23 +8,15 @@ whose every operation is a no-op cheap enough to leave in hot paths, so
 uninstrumented runs behave exactly as before.  :class:`TelemetryObserver`
 is the real implementation bundling a :class:`~repro.obs.tracing.Tracer`,
 a :class:`~repro.obs.metrics.MetricsRegistry` and a logger.
-
-The :func:`instrumented` decorator wraps a function or method in a span
-named after it, resolving the observer from an ``observer`` keyword
-argument or from the bound instance's ``_observer`` attribute.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import (Any, Callable, ContextManager, Iterable, Protocol, TypeVar,
-                    runtime_checkable)
+from typing import Any, ContextManager, Iterable, Protocol, runtime_checkable
 
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
-
-_F = TypeVar("_F", bound=Callable[..., Any])
 
 
 @runtime_checkable
@@ -137,30 +129,3 @@ class TelemetryObserver:
             "stage_timings": self.tracer.stage_timings(),
             "metrics": self.metrics.snapshot(),
         }
-
-
-def instrumented(stage: str | None = None, *,
-                 observer_attr: str = "_observer") -> Callable[[_F], _F]:
-    """Wrap a callable in a span named ``stage`` (default: its name).
-
-    The observer is taken from the call's ``observer`` keyword argument
-    when present (without consuming it), else from ``observer_attr`` on
-    the first positional argument (``self`` for methods), else the
-    no-op.  Functions stay usable completely uninstrumented.
-    """
-
-    def decorate(func: _F) -> _F:
-        span_name = stage if stage is not None else func.__name__
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            observer = kwargs.get("observer")
-            if observer is None and args:
-                observer = getattr(args[0], observer_attr, None)
-            observer = resolve_observer(observer)
-            with observer.span(span_name):
-                return func(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate

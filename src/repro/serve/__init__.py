@@ -28,9 +28,9 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".daemon": ("ServingDaemon",),
     ".scorer": ("MonitorVerdict", "StreamScorer"),
     ".shard": ("HashRing", "ShardSet"),
-    ".sinks": ("AlertSink", "CallbackAlertSink", "DeadLetterWriter",
-               "DeliveryPipeline", "DeliveryPolicy", "JsonlAlertSink",
-               "WebhookAlertSink", "parse_sink_spec", "read_dead_letter",
+    ".sinks": ("AlertSink", "CallbackAlertSink", "DeliveryPipeline",
+               "DeliveryPolicy", "JsonlAlertSink", "WebhookAlertSink",
+               "parse_sink_spec", "read_dead_letter",
                "reprocess_dead_letter"),
     ".wal": ("ShardWal", "WalRecord", "WalRecovery"),
 })

@@ -45,6 +45,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.core.monitor import AlertLevel
 from repro.core.serialize import canonical_json_dumps
 from repro.errors import (BackpressureError, BundleError, ServeError,
                           ShardRecoveringError)
@@ -55,12 +56,12 @@ from repro.obs.observer import PipelineObserver, TelemetryObserver
 from repro.obs.recorder import FlightRecorder
 from repro.serve.bundle import (BUNDLE_SCHEMA_VERSION, ModelBundle,
                                 bundle_from_document, content_hash)
-from repro.serve.scorer import (HOUR_RANGE, MonitorVerdict, VerdictBlock,
+from repro.serve.scorer import (HOUR_RANGE, VerdictBlock,
                                 first_hour_out_of_range)
 from repro.serve.shard import (DEFAULT_QUEUE_CAPACITY,
                                DEFAULT_SNAPSHOT_INTERVAL_BLOCKS, ShardSet)
-from repro.serve.sinks import (AlertSink, DeadLetterWriter, DeliveryPipeline,
-                               DeliveryPolicy)
+from repro.serve.sinks import (AlertSink, DeliveryPipeline, DeliveryPolicy,
+                               JsonlAlertSink)
 
 #: Recorder events shown inline in the ``/status`` payload.
 DEFAULT_STATUS_TAIL = 20
@@ -287,9 +288,10 @@ class ServingDaemon:
     n_shards / queue_capacity / throttle_s / retry_after_s:
         Shard-plane knobs, passed to :class:`~repro.serve.shard.ShardSet`.
     sinks:
-        Alert sinks notified of every WATCH/CRITICAL verdict after
-        scoring.  Sink failures are counted (``alert_sink_errors``) and
-        logged to the flight recorder, never propagated to the sender.
+        Alert sinks handed the canonical line of every WATCH/CRITICAL
+        verdict after scoring.  Sink failures are counted
+        (``alert_sink_errors``) and logged to the flight recorder,
+        never propagated to the sender.
     observer:
         Telemetry sink; must expose a metrics registry (the
         ``/metrics`` source).  Defaults to a fresh
@@ -311,8 +313,10 @@ class ServingDaemon:
     snapshot_interval_blocks:
         Blocks a shard scores between WAL state checkpoints.
     dead_letter:
-        JSONL path collecting alerts that exhausted sink delivery; the
-        daemon never drops an alert silently when this is set.
+        JSONL path collecting the lines of alerts that exhausted sink
+        delivery (an fsynced :class:`~repro.serve.sinks.JsonlAlertSink`
+        all pipelines share); the daemon never drops an alert silently
+        when this is set.
     delivery_policy:
         Retry/backoff/circuit-breaker tuning for alert delivery
         (defaults to :class:`~repro.serve.sinks.DeliveryPolicy`).
@@ -374,7 +378,7 @@ class ServingDaemon:
             self._drift = DriftDetector(
                 bundle.attributes, policy=drift_policy,
                 observer=self._observer)
-        self._dead_letter = (DeadLetterWriter(dead_letter)
+        self._dead_letter = (JsonlAlertSink(dead_letter, fsync=True)
                              if dead_letter is not None else None)
         # The shard set opens its WALs, then the port is bound, and only
         # then do the delivery threads start: a refused configuration or
@@ -423,10 +427,12 @@ class ServingDaemon:
         saturated (nothing enqueued),
         :class:`~repro.errors.ShardRecoveringError` when one is
         replaying after a crash (also nothing enqueued), and
-        :class:`~repro.errors.ServeError` on malformed batches.  Only
-        the (rare) alerting rows are materialized — each fans out to
-        the flight recorder and the configured sinks before this
-        returns.
+        :class:`~repro.errors.ServeError` on malformed batches.  The
+        (rare) alerting rows are rendered to canonical lines in one
+        :meth:`~repro.serve.scorer.VerdictBlock.to_json_lines` call;
+        each row is recorded in the flight recorder from the block's
+        columns and its line offered to every delivery pipeline before
+        this returns.
 
         ``block_id`` names the batch for exactly-once crash-safe
         retries (see :meth:`ShardSet.submit_block
@@ -445,33 +451,28 @@ class ServingDaemon:
                     "drift", alarm.describe(),
                     attribute=alarm.attribute, alarm_kind=alarm.kind,
                     score=alarm.score, block_index=alarm.block_index)
-        for row in block.alerting_rows():
-            verdict = block.verdict_at(int(row))
+        rows = block.alerting_rows().tolist()
+        columns = block.block
+        for row, line in zip(rows, block.to_json_lines(rows)):
+            serial, hour = columns.serials[row], int(columns.hours[row])
+            level = AlertLevel(int(columns.level_codes[row])).name
+            likely = int(columns.likely_indices[row])
             self.recorder.record(
-                "alert",
-                f"drive {verdict.serial} {verdict.level} "
-                f"at hour {verdict.hour}",
-                serial=verdict.serial, hour=verdict.hour,
-                level=verdict.level, stage=verdict.stage,
-                likely_type=verdict.likely_type,
+                "alert", f"drive {serial} {level} at hour {hour}",
+                serial=serial, hour=hour, level=level,
+                stage=float(columns.stages[likely, row]),
+                likely_type=columns.types[likely].name,
             )
-            self._emit_to_sinks(verdict)
+            # Each pipeline retries, breaks its circuit and dead-letters
+            # on its own worker; offering never blocks scoring.
+            for pipeline in self._pipelines:
+                pipeline.offer(line)
         return block
 
     def _count_ingest(self, outcome: str) -> None:
         """Bump the labeled ``ingest_requests`` counter for one request."""
         self._registry.counter("ingest_requests",
                                labels={"outcome": outcome}).inc()
-
-    def _emit_to_sinks(self, verdict: MonitorVerdict) -> None:
-        """Hand one alert to every delivery pipeline (never blocks).
-
-        Each pipeline retries, breaks the circuit, and dead-letters
-        independently (see :class:`~repro.serve.sinks.DeliveryPipeline`);
-        scoring never waits on a slow or failing sink.
-        """
-        for pipeline in self._pipelines:
-            pipeline.offer(verdict)
 
     def _handle_ingest(self, body: bytes, query: dict[str, str]) -> HttpReply:
         """``POST /ingest``: decode, admit, score, reply.

@@ -10,9 +10,8 @@ column (each drive's last severity) with doubling growth, so memory
 stays O(drives seen) — a few bytes each — no matter how long the stream
 runs, and the healthy path allocates nothing per drive.
 ``score_block`` returns a :class:`VerdictBlock`: verdict columns, not
-verdict objects — :class:`MonitorVerdict` materialization is deferred
-to the rare alerting rows (or to callers that explicitly ask for all of
-them).
+verdict objects — served output is rendered from the columns, and a
+:class:`MonitorVerdict` is built only for a caller that asks for one.
 
 The contract that makes the scorer trustworthy is *byte-identity with
 the scalar oracle*: feeding samples through ``score_block`` emits
@@ -72,37 +71,6 @@ class MonitorVerdict:
         """Wrap one monitor alert (the sole constructor used in serving)."""
         return _verdict(alert.serial, alert.hour, alert.level,
                         alert.likely_type, alert.estimates)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "MonitorVerdict":
-        """Rebuild a verdict from a :meth:`to_dict`-shaped mapping.
-
-        The dead-letter reprocessing path: canonical JSON serializes
-        non-finite floats as ``null``, so ``None`` maps back to ``inf``
-        for the remaining-hours fields (healthy clocks) and ``nan`` for
-        a stage.  Round-tripping a canonical line re-serializes to the
-        identical bytes (the canonical float rounding is idempotent).
-        """
-        def _hours(value: Any) -> float:
-            return float("inf") if value is None else float(value)
-
-        try:
-            return cls(
-                serial=str(payload["serial"]),
-                hour=int(payload["hour"]),
-                level=str(payload["level"]),
-                stage=(float("nan") if payload["stage"] is None
-                       else float(payload["stage"])),
-                likely_type=str(payload["likely_type"]),
-                hours_remaining=_hours(payload["hours_remaining"]),
-                stages={str(key): float(value)
-                        for key, value in payload["stages"].items()},
-                remaining={str(key): _hours(value)
-                           for key, value in payload["remaining"].items()},
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as error:
-            raise ServeError(
-                f"malformed verdict document: {error}") from error
 
     @property
     def alerting(self) -> bool:
@@ -215,11 +183,12 @@ class VerdictBlock:
     The serving twin of :class:`~repro.core.columnar.AlertBlock`:
     verdict *columns* (stages, severity codes, likely-type indices)
     instead of verdict objects.  Summary counts and alerting-row lookups are
-    array ops; :class:`MonitorVerdict` objects are built only on demand
-    — per alerting row for sink delivery, or for every row when a
-    caller explicitly materializes (``verdicts()``).  ``to_json_lines()``
-    renders JSONL straight from the columns, byte-identical to the
-    scalar oracle's lines, without building any.
+    array ops.  ``to_json_lines()`` renders JSONL straight from the
+    columns, byte-identical to the scalar oracle's lines, without
+    building a :class:`MonitorVerdict` — the encoder of every served
+    output: ``score``, ``?verdicts=`` replies, the sinks and the dead
+    letter.  Objects are built only when a caller asks
+    (``verdict_at``, ``verdicts()``).
     """
 
     block: AlertBlock
@@ -283,7 +252,12 @@ class VerdictBlock:
         keys = np.column_stack((
             np.ascontiguousarray(stages.T).view(np.uint64),
             likely.astype(np.uint64), codes.astype(np.uint64)))
-        _, first, inverse = np.unique(keys, axis=0, return_index=True,
+        # One opaque bytes value per key row: a 1-D unique over these
+        # costs a fraction of ``np.unique(axis=0)``, and the order it
+        # sorts them in does not matter (lines index through inverse).
+        rows_as_bytes = keys.view(np.dtype((np.void, keys.itemsize
+                                             * keys.shape[1]))).ravel()
+        _, first, inverse = np.unique(rows_as_bytes, return_index=True,
                                       return_inverse=True)
         fragments = [
             _line_fragments(stages[:, row].tolist(), int(likely[row]),

@@ -1,18 +1,20 @@
 """Pluggable alert delivery for the serving daemon.
 
-When the daemon scores a sample above HEALTHY it pushes the verdict to
-every configured :class:`AlertSink`.  Three shapes cover the common
-operational setups:
+When the daemon scores a sample above HEALTHY it pushes the verdict's
+canonical JSON line — rendered once per batch by
+:meth:`~repro.serve.scorer.VerdictBlock.to_json_lines`, the same bytes
+``repro-serve score`` writes — to every configured :class:`AlertSink`.
+Three shapes cover the common operational setups:
 
 :class:`JsonlAlertSink`
-    Appends one canonical JSON line per alert to a file — the durable
-    default; ``tail -f`` is the minimum viable pager.
+    Appends one line per alert to a file — the durable default;
+    ``tail -f`` is the minimum viable pager.
 :class:`WebhookAlertSink`
-    POSTs each alert as JSON to an HTTP endpoint (stdlib ``urllib``
-    only) — for chat-ops bridges and incident routers.
+    POSTs each alert line to an HTTP endpoint (stdlib ``urllib`` only)
+    — for chat-ops bridges and incident routers.
 :class:`CallbackAlertSink`
-    Hands each alert to an in-process callable — for embedding the
-    daemon as a library.
+    Hands each alert line (a ``str``) to an in-process callable — for
+    embedding the daemon as a library.
 
 Sinks receive only alerting verdicts, after scoring is complete, so a
 slow or failing sink can never change a verdict or block admission.
@@ -25,8 +27,8 @@ daemon hands each alert to a per-sink queue and a worker thread retries
 failed deliveries with exponential backoff (honoring a server-supplied
 ``Retry-After`` hint when the webhook answered 429/503), trips a
 circuit breaker after consecutive final failures, and writes alerts it
-could not deliver to a dead-letter JSONL file — one
-:meth:`~repro.serve.scorer.MonitorVerdict.to_json_line` line each, so
+could not deliver to a dead-letter file — a :class:`JsonlAlertSink`
+with ``fsync``, so it holds the very lines the sinks were offered, and
 an operator can re-deliver them later with
 :func:`reprocess_dead_letter` (or ``repro-serve recover``).  An alert
 handed to a pipeline is never silently dropped: it is delivered,
@@ -51,6 +53,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.errors import SinkError
+from repro.ioutil import atomic_write_text
 from repro.obs.observer import PipelineObserver, resolve_observer
 from repro.serve.scorer import MonitorVerdict
 
@@ -61,8 +64,9 @@ DEFAULT_WEBHOOK_TIMEOUT_S = 5.0
 class AlertSink:
     """Interface every alert sink implements.
 
-    ``emit`` delivers one alerting verdict; ``close`` releases any
-    resources (idempotent).  Subclasses raise
+    ``emit`` delivers one alerting verdict as its canonical JSON line
+    (no trailing newline); ``close`` releases any resources
+    (idempotent).  Subclasses raise
     :class:`~repro.errors.SinkError` on delivery failure so the daemon
     can count and survive it.
     """
@@ -70,8 +74,8 @@ class AlertSink:
     #: Short name used in ``/status`` payloads and error messages.
     kind = "null"
 
-    def emit(self, verdict: MonitorVerdict) -> None:
-        """Deliver one alerting verdict (no-op in the base class)."""
+    def emit(self, line: str) -> None:
+        """Deliver one canonical verdict line (no-op in the base class)."""
 
     def close(self) -> None:
         """Release sink resources (no-op in the base class)."""
@@ -82,11 +86,13 @@ class AlertSink:
 
 
 class JsonlAlertSink(AlertSink):
-    """Appends alerts as canonical JSON lines to a file.
+    """Appends alert lines to a file.
 
     The file is opened lazily on the first alert and flushed after
     every line, so a crashed daemon leaves no half-written alert and an
-    operator's ``tail -f`` sees alerts immediately.
+    operator's ``tail -f`` sees alerts immediately.  Writes hold an
+    internal lock, so several delivery pipelines may share one sink —
+    the daemon's dead letter is one, with ``fsync``.
     """
 
     kind = "jsonl"
@@ -95,41 +101,39 @@ class JsonlAlertSink(AlertSink):
         self._path = Path(path)
         self._file: Any = None
         self._fsync = fsync
+        self._lock = threading.Lock()
 
     @property
     def path(self) -> Path:
         """Destination file."""
         return self._path
 
-    def emit(self, verdict: MonitorVerdict) -> None:
-        """Append one canonical JSON line (create the file on demand).
+    def emit(self, line: str) -> None:
+        """Append one line (create the file on demand).
 
         With ``fsync`` the line is forced to stable storage before
         returning — alerts then survive machine power loss, not just a
         daemon crash, at a per-alert fsync cost.
         """
-        try:
-            if self._file is None:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
-                self._file = self._path.open("a", encoding="utf-8")
-            self._file.write(verdict.to_json_line() + "\n")
-            self._file.flush()
-            if self._fsync:
-                os.fsync(self._file.fileno())
-        except OSError as error:
-            raise SinkError(
-                f"jsonl sink cannot write {self._path}: {error}") from error
+        with self._lock:
+            try:
+                if self._file is None:
+                    self._path.parent.mkdir(parents=True, exist_ok=True)
+                    self._file = self._path.open("a", encoding="utf-8")
+                self._file.write(line + "\n")
+                self._file.flush()
+                if self._fsync:
+                    os.fsync(self._file.fileno())
+            except OSError as error:
+                raise SinkError(f"jsonl sink cannot write {self._path}: "
+                                f"{error}") from error
 
     def close(self) -> None:
         """Close the underlying file (idempotent)."""
-        if self._file is not None:
-            if self._fsync:
-                try:
-                    os.fsync(self._file.fileno())
-                except OSError:
-                    pass
-            self._file.close()
-            self._file = None
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
     def describe(self) -> str:
         """``jsonl:<path>``."""
@@ -137,7 +141,7 @@ class JsonlAlertSink(AlertSink):
 
 
 class WebhookAlertSink(AlertSink):
-    """POSTs each alert as a JSON document to an HTTP endpoint."""
+    """POSTs each alert line, a JSON document, to an HTTP endpoint."""
 
     kind = "webhook"
 
@@ -158,15 +162,15 @@ class WebhookAlertSink(AlertSink):
         """Per-request timeout, seconds."""
         return self._timeout_s
 
-    def emit(self, verdict: MonitorVerdict) -> None:
-        """POST the verdict; non-2xx or transport failure is SinkError.
+    def emit(self, line: str) -> None:
+        """POST the line; non-2xx or transport failure is SinkError.
 
         A 429 or 503 answer carrying a numeric ``Retry-After`` header
         raises a :class:`~repro.errors.SinkError` with
         ``retry_after_s`` set — the delivery pipeline waits that long
         instead of its own exponential backoff.
         """
-        body = (verdict.to_json_line() + "\n").encode("utf-8")
+        body = (line + "\n").encode("utf-8")
         request = urllib.request.Request(
             self._url, data=body, method="POST",
             headers={"Content-Type": "application/json; charset=utf-8"})
@@ -209,19 +213,19 @@ def _retry_after_of(error: urllib.error.HTTPError) -> float | None:
 
 
 class CallbackAlertSink(AlertSink):
-    """Hands each alert to an in-process callable (library embedding)."""
+    """Hands each alert line to an in-process callable (library embedding)."""
 
     kind = "callback"
 
-    def __init__(self, callback: Callable[[MonitorVerdict], None]) -> None:
+    def __init__(self, callback: Callable[[str], None]) -> None:
         if not callable(callback):
             raise SinkError("callback sink needs a callable")
         self._callback = callback
 
-    def emit(self, verdict: MonitorVerdict) -> None:
+    def emit(self, line: str) -> None:
         """Invoke the callback; its exceptions become SinkError."""
         try:
-            self._callback(verdict)
+            self._callback(line)
         except Exception as error:
             raise SinkError(
                 f"callback sink raised {type(error).__name__}: {error}"
@@ -267,56 +271,6 @@ class DeliveryPolicy:
             raise SinkError("queue_capacity must be >= 1")
 
 
-class DeadLetterWriter:
-    """Append-only JSONL file of alerts that exhausted delivery.
-
-    Lines are exactly
-    :meth:`~repro.serve.scorer.MonitorVerdict.to_json_line`, flushed
-    and fsynced per write — once delivery has already failed, the dead
-    letter is the last copy and must survive a crash.  Several
-    pipelines may share one writer (it locks internally).
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self._path = Path(path)
-        self._file: Any = None
-        self._lock = threading.Lock()
-        self._written = 0
-
-    @property
-    def path(self) -> Path:
-        """Destination file."""
-        return self._path
-
-    @property
-    def written(self) -> int:
-        """Alerts written since construction."""
-        return self._written
-
-    def write(self, verdict: MonitorVerdict) -> None:
-        """Durably append one alert (raises SinkError on I/O failure)."""
-        with self._lock:
-            try:
-                if self._file is None:
-                    self._path.parent.mkdir(parents=True, exist_ok=True)
-                    self._file = self._path.open("a", encoding="utf-8")
-                self._file.write(verdict.to_json_line() + "\n")
-                self._file.flush()
-                os.fsync(self._file.fileno())
-            except OSError as error:
-                raise SinkError(
-                    f"dead letter cannot write {self._path}: {error}"
-                ) from error
-            self._written += 1
-
-    def close(self) -> None:
-        """Close the file (idempotent)."""
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
-
-
 class DeliveryPipeline:
     """Guaranteed-delivery wrapper around one :class:`AlertSink`.
 
@@ -338,7 +292,7 @@ class DeliveryPipeline:
 
     def __init__(self, sink: AlertSink, *,
                  policy: DeliveryPolicy | None = None,
-                 dead_letter: DeadLetterWriter | None = None,
+                 dead_letter: JsonlAlertSink | None = None,
                  observer: PipelineObserver | None = None,
                  recorder: Any = None) -> None:
         self._sink = sink
@@ -346,7 +300,7 @@ class DeliveryPipeline:
         self._dead_letter = dead_letter
         self._observer = resolve_observer(observer)
         self._recorder = recorder
-        self._queue: "queue.Queue[MonitorVerdict | None]" = queue.Queue(
+        self._queue: "queue.Queue[str | None]" = queue.Queue(
             maxsize=self._policy.queue_capacity)
         self._breaker_failures = 0
         self._breaker_open_until = 0.0
@@ -377,8 +331,8 @@ class DeliveryPipeline:
         """The wrapped sink's identity."""
         return self._sink.describe()
 
-    def offer(self, verdict: MonitorVerdict) -> bool:
-        """Enqueue one alert; never blocks the scoring path.
+    def offer(self, line: str) -> bool:
+        """Enqueue one alert line; never blocks the scoring path.
 
         Returns ``False`` when the queue is full — the alert then goes
         straight to the dead letter (and counts as a failure) rather
@@ -388,10 +342,10 @@ class DeliveryPipeline:
             raise SinkError(
                 f"delivery pipeline for {self.describe()} is closed")
         try:
-            self._queue.put_nowait(verdict)
+            self._queue.put_nowait(line)
             return True
         except queue.Full:
-            self._give_up(verdict, "delivery queue full")
+            self._give_up(line, "delivery queue full")
             return False
 
     def close(self) -> None:
@@ -410,23 +364,23 @@ class DeliveryPipeline:
 
     def _run(self) -> None:
         while True:
-            verdict = self._queue.get()
-            if verdict is None:
+            line = self._queue.get()
+            if line is None:
                 return
-            self._deliver(verdict)
+            self._deliver(line)
 
-    def _deliver(self, verdict: MonitorVerdict) -> None:
+    def _deliver(self, line: str) -> None:
         """Drive one alert to delivered-or-dead-lettered."""
         policy = self._policy
         if time.monotonic() < self._breaker_open_until:
-            self._give_up(verdict, "circuit breaker open")
+            self._give_up(line, "circuit breaker open")
             return
         last_error = "delivery failed"
         for attempt in range(policy.max_attempts):
             if attempt:
                 self._observer.count("sink_retries")
             try:
-                self._sink.emit(verdict)
+                self._sink.emit(line)
             except SinkError as error:
                 last_error = str(error)
                 if attempt + 1 < policy.max_attempts:
@@ -447,16 +401,16 @@ class DeliveryPipeline:
             self._breaker_open_until = (time.monotonic()
                                         + policy.breaker_cooldown_s)
             self._breaker_failures = 0
-        self._give_up(verdict, last_error)
+        self._give_up(line, last_error)
 
-    def _give_up(self, verdict: MonitorVerdict, reason: str) -> None:
+    def _give_up(self, line: str, reason: str) -> None:
         """Count one final failure and park the alert in the dead letter."""
         self._failed += 1
         self._observer.count("alert_sink_errors")
         self._record_error(reason)
         if self._dead_letter is not None:
             try:
-                self._dead_letter.write(verdict)
+                self._dead_letter.emit(line)
             except SinkError as error:
                 self._record_error(str(error))
             else:
@@ -468,12 +422,17 @@ class DeliveryPipeline:
                                   sink=self._sink.describe())
 
 
-def read_dead_letter(path: str | Path) -> list[MonitorVerdict]:
-    """Load a dead-letter JSONL file back into verdict objects.
+#: Keys every canonical verdict line carries.
+_VERDICT_KEYS = frozenset(MonitorVerdict.__dataclass_fields__)
 
-    Raises :class:`~repro.errors.SinkError` on unreadable files or
-    malformed lines — a dead letter is a hand-off artifact, and
-    silently skipping a corrupt alert would lose it twice.
+
+def read_dead_letter(path: str | Path) -> list[str]:
+    """The alert lines of a dead-letter file, in order, blank lines skipped.
+
+    Raises :class:`~repro.errors.SinkError` on unreadable files or on a
+    line that is not a JSON object carrying the verdict keys — a dead
+    letter is a hand-off artifact, and silently skipping a corrupt
+    alert would lose it twice.
     """
     path = Path(path)
     try:
@@ -481,51 +440,47 @@ def read_dead_letter(path: str | Path) -> list[MonitorVerdict]:
     except OSError as error:
         raise SinkError(
             f"cannot read dead letter {path}: {error}") from error
-    verdicts = []
+    lines = []
     for line_number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{path}:{line_number}: malformed dead-letter line"
         try:
-            verdicts.append(MonitorVerdict.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, SinkError) as error:
-            raise SinkError(
-                f"{path}:{line_number}: malformed dead-letter line "
-                f"({error})") from error
-    return verdicts
+            record = json.loads(line)
+        except ValueError as error:
+            raise SinkError(f"{where} ({error})") from error
+        missing = _VERDICT_KEYS - (record.keys() if isinstance(record, dict)
+                                   else set())
+        if missing:
+            raise SinkError(f"{where} (no {', '.join(sorted(missing))})")
+        lines.append(line)
+    return lines
 
 
 def reprocess_dead_letter(path: str | Path, sink: AlertSink) -> tuple[
         int, int]:
     """Re-deliver a dead-letter file through ``sink``.
 
-    Each alert is emitted once (no retries — run again for another
-    pass); alerts that still fail are written back so the file always
-    holds exactly the undelivered remainder.  Returns
-    ``(delivered, remaining)``.  Re-emitted lines are byte-identical
-    to the original verdict stream (canonical JSON round-trips
-    stably), so downstream consumers cannot tell a reprocessed alert
-    from a live one.
+    Each line is emitted once, verbatim (no retries — run again for
+    another pass), so downstream consumers cannot tell a reprocessed
+    alert from a live one; lines that still fail are written back
+    atomically, so the file always holds exactly the undelivered
+    remainder.  Returns ``(delivered, remaining)``.
     """
     path = Path(path)
-    verdicts = read_dead_letter(path)
-    remaining: list[MonitorVerdict] = []
-    for verdict in verdicts:
+    lines = read_dead_letter(path)
+    remaining = []
+    for line in lines:
         try:
-            sink.emit(verdict)
+            sink.emit(line)
         except SinkError:
-            remaining.append(verdict)
+            remaining.append(line)
     try:
-        temp = path.with_name(path.name + ".tmp")
-        with temp.open("w", encoding="utf-8") as handle:
-            for verdict in remaining:
-                handle.write(verdict.to_json_line() + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
+        atomic_write_text(path, "".join(line + "\n" for line in remaining))
     except OSError as error:
         raise SinkError(
             f"cannot rewrite dead letter {path}: {error}") from error
-    return len(verdicts) - len(remaining), len(remaining)
+    return len(lines) - len(remaining), len(remaining)
 
 
 def parse_sink_spec(spec: str) -> AlertSink:

@@ -57,11 +57,6 @@ def test_collector_skips_private_and_nested(tmp_path):
     assert missing_docstrings(path) == []
 
 
-def test_reference_module_is_exempt():
-    flagged = collect_violations()
-    assert not any("ml/_reference.py" in line for line in flagged)
-
-
 def test_collector_scans_a_tree(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "mod.py").write_text("def tool():\n    pass\n")

@@ -4,14 +4,14 @@ The batched rewrites in ``repro.ml`` (SVC connectivity, presort CART,
 length-grouped HMM forward/backward, expanded-form k-means distances)
 claim bit-level compatibility with the loop-based implementations they
 replaced.  These tests hold them to it against the frozen references in
-``repro.ml._reference``: identical labels, identical tree structure,
+``tests/ml_reference.py``: identical labels, identical tree structure,
 identical log-likelihoods — not merely "close".
 """
 
 import numpy as np
 import pytest
 
-from repro.ml._reference import (
+from tests.ml_reference import (
     ReferenceGaussianHMM,
     ReferenceRegressionTree,
     reference_connectivity_labels,

@@ -1,5 +1,5 @@
-"""Tests for the observer seam: no-op default, telemetry routing,
-the @instrumented decorator, and pipeline integration."""
+"""Tests for the observer seam: no-op default, telemetry routing and
+pipeline integration."""
 
 import time
 
@@ -13,7 +13,6 @@ from repro.obs import (
     PipelineObserver,
     TelemetryObserver,
     Tracer,
-    instrumented,
 )
 from repro.sim.config import FleetConfig
 from repro.sim.fleet import simulate_fleet
@@ -97,40 +96,6 @@ def test_telemetry_section_shape():
 def test_observers_satisfy_the_protocol():
     assert isinstance(NULL_OBSERVER, PipelineObserver)
     assert isinstance(TelemetryObserver(), PipelineObserver)
-
-
-def test_instrumented_uses_observer_kwarg():
-    obs = TelemetryObserver()
-
-    @instrumented("my-stage")
-    def work(x, observer=None):
-        return x * 2
-
-    assert work(21, observer=obs) == 42
-    assert obs.tracer.find("my-stage") is not None
-
-
-def test_instrumented_uses_instance_attribute():
-    obs = TelemetryObserver()
-
-    class Worker:
-        def __init__(self, observer):
-            self._observer = observer
-
-        @instrumented()
-        def crunch(self):
-            return "done"
-
-    assert Worker(obs).crunch() == "done"
-    assert obs.tracer.find("crunch") is not None
-
-
-def test_instrumented_defaults_to_noop():
-    @instrumented()
-    def bare():
-        return 1
-
-    assert bare() == 1  # no observer anywhere: still works
 
 
 def test_pipeline_emits_all_stages_and_metrics():

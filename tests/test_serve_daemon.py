@@ -16,14 +16,17 @@ import threading
 import pytest
 
 from repro.errors import ObservabilityError, ServeError
+from repro.faults.chaos_serve import BlackholeSink
 from repro.obs.observer import NULL_OBSERVER
+from repro.obs.recorder import FlightRecorder
 from repro.serve.bundle import build_bundle, content_hash, save_bundle
 from repro.serve.cli import main as serve_main
 from repro.serve.daemon import ServingDaemon
-from repro.serve.sinks import CallbackAlertSink, JsonlAlertSink
+from repro.serve.sinks import (CallbackAlertSink, DeliveryPolicy,
+                               JsonlAlertSink, reprocess_dead_letter)
 from repro.serve.wal import ShardWal
 
-from tests.oracle import oracle_lines
+from tests.oracle import oracle_lines, oracle_monitor, oracle_verdicts
 from tests.test_obs_http import _get, _post
 
 
@@ -343,20 +346,18 @@ def test_alerting_verdicts_fan_out_to_sinks(bundle, samples, tmp_path):
         bundle, sinks=[JsonlAlertSink(path), CallbackAlertSink(seen.append)])
     block = daemon.ingest_block(*_columnar(samples))
     daemon.stop()
-    alerting = [block.verdict_at(int(row)) for row in block.alerting_rows()]
-    assert alerting
     expected = [line for line in oracle_lines(bundle, samples)
                 if '"level":"HEALTHY"' not in line]
-    assert [v.to_json_line() for v in alerting] == expected
+    assert expected and len(expected) == block.n_alerting
     assert path.read_text().splitlines() == expected
-    assert seen == alerting
+    assert seen == expected
     assert (daemon.registry.counter("alert_sink_emits").value
-            == 2 * len(alerting))
-    assert daemon.recorder.events_of("alert")
+            == 2 * len(expected))
+    assert len(daemon.recorder.events_of("alert")) == len(expected)
 
 
 def test_sink_failures_are_counted_never_raised(bundle, samples):
-    def explode(_verdict):
+    def explode(_line):
         raise RuntimeError("pager down")
 
     daemon = ServingDaemon(bundle, sinks=[CallbackAlertSink(explode)])
@@ -367,6 +368,48 @@ def test_sink_failures_are_counted_never_raised(bundle, samples):
             == daemon.alerts_emitted > 0)
     errors = daemon.recorder.events_of("sink-error")
     assert errors and errors[0].context["sink"] == "callback:explode"
+
+
+def test_alert_lines_reach_sinks_recorder_and_dead_letter(bundle, samples,
+                                                           tmp_path):
+    """One stream, every alert exit: the JSONL sink and the dead letter
+    behind a hard-down sink each hold the oracle's alerting lines byte
+    for byte, each recorder ``alert`` event carries the oracle verdict's
+    fields, and redelivering the dead letter reproduces the same bytes
+    and empties it."""
+    alerting = [verdict for verdict
+                in oracle_verdicts(oracle_monitor(bundle), samples)
+                if verdict.alerting]
+    expected = "".join(verdict.to_json_line() + "\n" for verdict in alerting)
+    assert alerting
+    sink_path = tmp_path / "alerts.jsonl"
+    dead_letter = tmp_path / "dead.jsonl"
+    daemon = ServingDaemon(
+        bundle, n_shards=2,
+        sinks=[JsonlAlertSink(sink_path), BlackholeSink()],
+        dead_letter=dead_letter,
+        delivery_policy=DeliveryPolicy(max_attempts=2, backoff_s=0.0,
+                                       backoff_cap_s=0.0),
+        recorder=FlightRecorder(capacity=len(samples)))
+    for batch in _batches(samples):
+        daemon.ingest_block(*_columnar(batch))
+    daemon.stop()
+    assert sink_path.read_text() == expected
+    assert dead_letter.read_text() == expected
+    assert (daemon.registry.counter("dead_letter_alerts").value
+            == len(alerting))
+    events = daemon.recorder.events_of("alert")
+    assert [(event.message, event.context) for event in events] == [
+        (f"drive {v.serial} {v.level} at hour {v.hour}",
+         {"serial": v.serial, "hour": v.hour, "level": v.level,
+          "stage": v.stage, "likely_type": v.likely_type})
+        for v in alerting]
+    redelivered = tmp_path / "redelivered.jsonl"
+    sink = JsonlAlertSink(redelivered)
+    assert reprocess_dead_letter(dead_letter, sink) == (len(alerting), 0)
+    sink.close()
+    assert redelivered.read_text() == expected
+    assert dead_letter.read_text() == ""
 
 
 def _columnar(rows):

@@ -5,12 +5,13 @@ The delivery contract pinned here: every alert submitted to a
 outcome — delivered (after bounded retries) or parked in the dead
 letter — and never blocks or kills the scoring path.  The circuit
 breaker fast-fails while a destination is hard-down, a webhook's
-``Retry-After`` hint overrides exponential backoff, the dead-letter
-file holds byte-identical verdict lines, and
-:func:`~repro.serve.sinks.reprocess_dead_letter` drains it without
-changing a byte of the re-emitted alerts.
+``Retry-After`` hint overrides exponential backoff, the dead letter (an
+fsynced :class:`~repro.serve.sinks.JsonlAlertSink`) holds the offered
+lines byte for byte, and :func:`~repro.serve.sinks.reprocess_dead_letter`
+drains it without changing a byte of the re-emitted alerts.
 """
 
+import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -23,7 +24,6 @@ from repro.obs.observer import TelemetryObserver
 from repro.obs.recorder import FlightRecorder
 from repro.serve.sinks import (
     CallbackAlertSink,
-    DeadLetterWriter,
     DeliveryPipeline,
     DeliveryPolicy,
     JsonlAlertSink,
@@ -33,7 +33,12 @@ from repro.serve.sinks import (
     reprocess_dead_letter,
 )
 
-from tests.test_serve_sinks import _verdict
+from tests.test_serve_sinks import _line
+
+
+def _dead_letter(tmp_path):
+    """The daemon's dead letter: an fsynced JSONL sink."""
+    return JsonlAlertSink(tmp_path / "dead.jsonl", fsync=True)
 
 
 def _fast_policy(**overrides):
@@ -63,28 +68,27 @@ def test_policy_validation():
 def test_pipeline_delivers_in_fifo_order(tmp_path):
     path = tmp_path / "alerts.jsonl"
     pipeline = DeliveryPipeline(JsonlAlertSink(path), policy=_fast_policy())
-    verdicts = [_verdict(serial=f"Z{i}") for i in range(5)]
-    for verdict in verdicts:
-        assert pipeline.offer(verdict) is True
+    lines = [_line(serial=f"Z{i}") for i in range(5)]
+    for line in lines:
+        assert pipeline.offer(line) is True
     pipeline.close()
     assert pipeline.delivered == 5
     assert pipeline.failed == 0
-    assert path.read_text().splitlines() == [v.to_json_line()
-                                             for v in verdicts]
+    assert path.read_text().splitlines() == lines
 
 
 def test_transient_failures_are_retried(tmp_path):
     calls = []
 
-    def flaky(verdict):
-        calls.append(verdict.serial)
+    def flaky(line):
+        calls.append(json.loads(line)["serial"])
         if len(calls) < 3:  # first two attempts fail
             raise RuntimeError("pager flapping")
 
     observer = TelemetryObserver()
     pipeline = DeliveryPipeline(CallbackAlertSink(flaky),
                                 policy=_fast_policy(), observer=observer)
-    pipeline.offer(_verdict())
+    pipeline.offer(_line())
     pipeline.close()
     assert calls == ["ZA1"] * 3
     assert pipeline.delivered == 1
@@ -96,60 +100,62 @@ def test_transient_failures_are_retried(tmp_path):
 def test_exhausted_attempts_go_to_the_dead_letter(tmp_path):
     observer = TelemetryObserver()
     recorder = FlightRecorder()
-    dead_letter = DeadLetterWriter(tmp_path / "dead.jsonl")
+    dead_letter = _dead_letter(tmp_path)
     sink = BlackholeSink()
     pipeline = DeliveryPipeline(
         sink, policy=_fast_policy(max_attempts=2, breaker_threshold=99),
         dead_letter=dead_letter, observer=observer, recorder=recorder)
-    verdicts = [_verdict(serial="ZX1"), _verdict(serial="ZX2")]
-    for verdict in verdicts:
-        pipeline.offer(verdict)
+    lines = [_line(serial="ZX1"), _line(serial="ZX2")]
+    for line in lines:
+        pipeline.offer(line)
     pipeline.close()
+    dead_letter.close()
     assert pipeline.delivered == 0
     assert pipeline.failed == 2
     assert sink.attempts == 4  # 2 alerts x 2 attempts
     assert observer.metrics.counter("alert_sink_errors").value == 2
     assert observer.metrics.counter("dead_letter_alerts").value == 2
-    assert dead_letter.written == 2
     # Byte-identical verdict lines: the dead letter IS the alert stream.
-    assert (tmp_path / "dead.jsonl").read_text().splitlines() == [
-        v.to_json_line() for v in verdicts]
+    assert dead_letter.path.read_text().splitlines() == lines
     errors = recorder.events_of("sink-error")
     assert errors and errors[0].context["sink"] == "blackhole"
 
 
 def test_circuit_breaker_fast_fails_while_open(tmp_path):
-    dead_letter = DeadLetterWriter(tmp_path / "dead.jsonl")
+    observer = TelemetryObserver()
+    dead_letter = _dead_letter(tmp_path)
     sink = BlackholeSink()
     pipeline = DeliveryPipeline(
         sink, policy=_fast_policy(max_attempts=2, breaker_threshold=2,
                                   breaker_cooldown_s=60.0),
-        dead_letter=dead_letter)
+        dead_letter=dead_letter, observer=observer)
     for serial in ("ZB1", "ZB2", "ZB3", "ZB4"):
-        pipeline.offer(_verdict(serial=serial))
+        pipeline.offer(_line(serial=serial))
     pipeline.close()
+    dead_letter.close()
     # Two final failures trip the breaker; the last two alerts never
     # touch the sink but still land in the dead letter.
     assert sink.attempts == 4
     assert pipeline.failed == 4
-    assert dead_letter.written == 4
+    assert observer.metrics.counter("dead_letter_alerts").value == 4
+    assert len(dead_letter.path.read_text().splitlines()) == 4
     assert len(read_dead_letter(dead_letter.path)) == 4
 
 
 def test_full_queue_diverts_to_dead_letter_without_blocking(tmp_path):
     release = threading.Event()
 
-    def slow(_verdict):
+    def slow(_line):
         release.wait(timeout=10.0)
 
-    dead_letter = DeadLetterWriter(tmp_path / "dead.jsonl")
+    dead_letter = _dead_letter(tmp_path)
     pipeline = DeliveryPipeline(
         CallbackAlertSink(slow), policy=_fast_policy(queue_capacity=1),
         dead_letter=dead_letter)
-    pipeline.offer(_verdict(serial="ZQ0"))  # worker picks this up
+    pipeline.offer(_line(serial="ZQ0"))  # worker picks this up
     time.sleep(0.05)
-    assert pipeline.offer(_verdict(serial="ZQ1")) is True  # fills the queue
-    overflow = _verdict(serial="ZQ2")
+    assert pipeline.offer(_line(serial="ZQ1")) is True  # fills the queue
+    overflow = _line(serial="ZQ2")
     started = time.monotonic()
     assert pipeline.offer(overflow) is False  # diverted, not blocked
     assert time.monotonic() - started < 1.0
@@ -157,7 +163,8 @@ def test_full_queue_diverts_to_dead_letter_without_blocking(tmp_path):
     pipeline.close()
     assert pipeline.delivered == 2
     assert pipeline.failed == 1
-    assert read_dead_letter(dead_letter.path)[0].serial == "ZQ2"
+    dead_letter.close()
+    assert read_dead_letter(dead_letter.path) == [overflow]
 
 
 def test_submit_after_close_is_sink_error(tmp_path):
@@ -165,7 +172,7 @@ def test_submit_after_close_is_sink_error(tmp_path):
     pipeline.close()
     pipeline.close()  # idempotent
     with pytest.raises(SinkError, match="closed"):
-        pipeline.offer(_verdict())
+        pipeline.offer(_line())
 
 
 # -- Retry-After ------------------------------------------------------------
@@ -213,7 +220,7 @@ def test_webhook_surfaces_retry_after_hint(throttling_server, status,
     server.reply_status = status
     server.retry_after = header
     with pytest.raises(SinkError) as excinfo:
-        WebhookAlertSink(url).emit(_verdict())
+        WebhookAlertSink(url).emit(_line())
     assert excinfo.value.retry_after_s == expected
 
 
@@ -230,7 +237,7 @@ def test_pipeline_prefers_server_hint_over_backoff(throttling_server):
                               backoff_cap_s=30.0, breaker_threshold=9,
                               breaker_cooldown_s=60.0, queue_capacity=4))
     started = time.monotonic()
-    pipeline.offer(_verdict())
+    pipeline.offer(_line())
     pipeline.close()
     assert time.monotonic() - started < 10.0
     assert pipeline.failed == 1
@@ -246,61 +253,82 @@ def test_webhook_timeout_is_configurable():
 # -- dead-letter file handling ----------------------------------------------
 
 def test_dead_letter_writer_appends_and_counts(tmp_path):
-    writer = DeadLetterWriter(tmp_path / "nested" / "dead.jsonl")
-    verdicts = [_verdict(serial="ZD1"), _verdict(serial="ZD2")]
-    for verdict in verdicts:
-        writer.write(verdict)
-    writer.close()
-    assert writer.written == 2
-    assert writer.path.read_text().splitlines() == [v.to_json_line()
-                                                    for v in verdicts]
+    """The dead letter is an fsynced JSONL sink that pipelines share:
+    it creates its directory, appends each parked line as offered, and
+    every write is counted under ``dead_letter_alerts``."""
+    observer = TelemetryObserver()
+    dead_letter = JsonlAlertSink(tmp_path / "nested" / "dead.jsonl",
+                                 fsync=True)
+    pipelines = [
+        DeliveryPipeline(BlackholeSink(), policy=_fast_policy(max_attempts=1),
+                         dead_letter=dead_letter, observer=observer)
+        for _ in range(2)]
+    lines = [_line(serial="ZD1"), _line(serial="ZD2")]
+    for line in lines:
+        for pipeline in pipelines:
+            pipeline.offer(line)
+    for pipeline in pipelines:
+        pipeline.close()
+    dead_letter.close()
+    assert observer.metrics.counter("dead_letter_alerts").value == 4
+    parked = dead_letter.path.read_text().splitlines()
+    assert sorted(parked) == sorted(lines * 2)
 
 
 def test_read_dead_letter_round_trips(tmp_path):
-    writer = DeadLetterWriter(tmp_path / "dead.jsonl")
-    original = [_verdict(serial="ZR1"), _verdict(serial="ZR2", level="FATAL")]
-    for verdict in original:
-        writer.write(verdict)
-    writer.close()
-    restored = read_dead_letter(writer.path)
-    assert [v.to_json_line() for v in restored] == [v.to_json_line()
-                                                    for v in original]
+    dead_letter = _dead_letter(tmp_path)
+    original = [_line(serial="ZR1"), _line(serial="ZR2", level="FATAL")]
+    for line in original:
+        dead_letter.emit(line)
+    dead_letter.close()
+    assert read_dead_letter(dead_letter.path) == original
 
 
 def test_read_dead_letter_rejects_damage(tmp_path):
     path = tmp_path / "dead.jsonl"
-    path.write_text(_verdict().to_json_line() + "\n{torn...\n")
-    with pytest.raises(SinkError, match="malformed dead-letter line"):
+    path.write_text(_line() + "\n{torn...\n")
+    with pytest.raises(SinkError, match="dead.jsonl:2: malformed dead-letter"):
+        read_dead_letter(path)
+    # Valid JSON that is not a verdict object is refused just the same.
+    path.write_text(_line() + "\n\n" + '{"serial": "ZT1"}\n')
+    with pytest.raises(SinkError, match=r"dead.jsonl:3: malformed dead-letter"
+                                        r" line \(no hour, "):
+        read_dead_letter(path)
+    path.write_text("[1, 2]\n")
+    with pytest.raises(SinkError, match="dead.jsonl:1: malformed dead-letter"):
         read_dead_letter(path)
     with pytest.raises(SinkError, match="cannot read"):
         read_dead_letter(tmp_path / "missing.jsonl")
 
 
 def test_reprocess_dead_letter_keeps_exact_remainder(tmp_path):
-    writer = DeadLetterWriter(tmp_path / "dead.jsonl")
-    verdicts = [_verdict(serial=f"ZP{i}") for i in range(4)]
-    for verdict in verdicts:
-        writer.write(verdict)
-    writer.close()
-    delivered_serials = []
+    dead_letter = _dead_letter(tmp_path)
+    lines = [_line(serial=f"ZP{i}") for i in range(4)]
+    for line in lines:
+        dead_letter.emit(line)
+    dead_letter.close()
+    delivered_lines = []
 
-    def selective(verdict):
-        if verdict.serial == "ZP2":
+    def selective(line):
+        if line == lines[2]:
             raise RuntimeError("still down")
-        delivered_serials.append(verdict.serial)
+        delivered_lines.append(line)
 
+    dead_letter.path.chmod(0o640)
     delivered, remaining = reprocess_dead_letter(
-        writer.path, CallbackAlertSink(selective))
+        dead_letter.path, CallbackAlertSink(selective))
     assert (delivered, remaining) == (3, 1)
-    assert delivered_serials == ["ZP0", "ZP1", "ZP3"]
+    # The atomic rewrite keeps the operator's permission bits.
+    assert dead_letter.path.stat().st_mode & 0o777 == 0o640
+    assert delivered_lines == [lines[0], lines[1], lines[3]]
     # The file now holds exactly the undelivered alert, byte-identical.
-    assert writer.path.read_text() == verdicts[2].to_json_line() + "\n"
+    assert dead_letter.path.read_text() == lines[2] + "\n"
     # A second pass against a healthy sink empties it.
     seen = []
     assert reprocess_dead_letter(
-        writer.path, CallbackAlertSink(seen.append)) == (1, 0)
-    assert writer.path.read_text() == ""
-    assert seen[0].to_json_line() == verdicts[2].to_json_line()
+        dead_letter.path, CallbackAlertSink(seen.append)) == (1, 0)
+    assert dead_letter.path.read_text() == ""
+    assert seen == [lines[2]]
 
 
 # -- spec grammar -----------------------------------------------------------
@@ -308,7 +336,7 @@ def test_reprocess_dead_letter_keeps_exact_remainder(tmp_path):
 def test_spec_jsonl_fsync_option(tmp_path):
     sink = parse_sink_spec(f"jsonl:{tmp_path / 'a.jsonl'}|fsync")
     assert isinstance(sink, JsonlAlertSink)
-    sink.emit(_verdict())
+    sink.emit(_line())
     sink.close()
     assert len(sink.path.read_text().splitlines()) == 1
 

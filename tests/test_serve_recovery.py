@@ -557,11 +557,11 @@ def test_recovering_shard_answers_503_and_degraded_health(bundle, blocks,
 
 
 def test_blackhole_sink_attempts_are_counted():
-    from tests.test_serve_sinks import _verdict
+    from tests.test_serve_sinks import _line
 
     sink = BlackholeSink()
     for _ in range(3):
         with pytest.raises(SinkError, match="blackhole"):
-            sink.emit(_verdict())
+            sink.emit(_line())
     assert sink.attempts == 3
     assert sink.describe() == "blackhole"

@@ -2,9 +2,9 @@
 
 The sink contract pinned here: every delivery failure surfaces as a
 typed :class:`~repro.errors.SinkError` (never a bare ``OSError`` or
-callback exception), JSONL output is the canonical verdict line format,
-and the CLI's ``--alert-sink`` spec grammar round-trips into the right
-sink class.
+callback exception), every sink receives the canonical verdict line and
+delivers it unchanged, and the CLI's ``--alert-sink`` spec grammar
+round-trips into the right sink class.
 """
 
 import json
@@ -24,12 +24,13 @@ from repro.serve.sinks import (
 )
 
 
-def _verdict(serial="ZA1", hour=480, level="WATCH"):
+def _line(serial="ZA1", hour=480, level="WATCH"):
+    """One canonical verdict line, as the daemon hands it to sinks."""
     return MonitorVerdict(
         serial=serial, hour=hour, level=level, stage=0.42,
         likely_type="GRADUAL_WEAROUT", hours_remaining=120.0,
         stages={"GRADUAL_WEAROUT": 0.42}, remaining={"GRADUAL_WEAROUT": 120.0},
-    )
+    ).to_json_line()
 
 
 # -- jsonl ------------------------------------------------------------------
@@ -38,21 +39,21 @@ def test_jsonl_sink_appends_canonical_lines(tmp_path):
     path = tmp_path / "alerts" / "out.jsonl"
     sink = JsonlAlertSink(path)
     assert not path.exists()  # lazy: no file until the first alert
-    first, second = _verdict(), _verdict(serial="ZB7", level="CRITICAL")
+    first, second = _line(), _line(serial="ZB7", level="CRITICAL")
     sink.emit(first)
     sink.emit(second)
     sink.close()
     lines = path.read_text().splitlines()
-    assert lines == [first.to_json_line(), second.to_json_line()]
+    assert lines == [first, second]
     assert json.loads(lines[0])["serial"] == "ZA1"
 
 
 def test_jsonl_sink_close_is_idempotent(tmp_path):
     sink = JsonlAlertSink(tmp_path / "out.jsonl")
-    sink.emit(_verdict())
+    sink.emit(_line())
     sink.close()
     sink.close()
-    sink.emit(_verdict())  # reopens after close (append mode)
+    sink.emit(_line())  # reopens after close (append mode)
     sink.close()
     assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 2
 
@@ -62,7 +63,7 @@ def test_jsonl_sink_write_failure_is_sink_error(tmp_path):
     target.mkdir()
     sink = JsonlAlertSink(target)  # a directory: open() must fail
     with pytest.raises(SinkError, match="cannot write"):
-        sink.emit(_verdict())
+        sink.emit(_line())
 
 
 def test_jsonl_sink_describe_names_the_path(tmp_path):
@@ -101,22 +102,22 @@ def webhook_server():
 
 def test_webhook_sink_posts_the_verdict(webhook_server):
     server, url = webhook_server
-    verdict = _verdict()
-    WebhookAlertSink(url).emit(verdict)
-    assert server.bodies == [(verdict.to_json_line() + "\n").encode()]
+    line = _line()
+    WebhookAlertSink(url).emit(line)
+    assert server.bodies == [(line + "\n").encode()]
 
 
 def test_webhook_sink_non_2xx_is_sink_error(webhook_server):
     server, url = webhook_server
     server.reply_status = 500
     with pytest.raises(SinkError, match="answered 500"):
-        WebhookAlertSink(url).emit(_verdict())
+        WebhookAlertSink(url).emit(_line())
 
 
 def test_webhook_sink_unreachable_is_sink_error():
     sink = WebhookAlertSink("http://127.0.0.1:1/hook", timeout_s=0.5)
     with pytest.raises(SinkError, match="unreachable"):
-        sink.emit(_verdict())
+        sink.emit(_line())
 
 
 def test_webhook_sink_rejects_non_http_urls():
@@ -129,18 +130,18 @@ def test_webhook_sink_rejects_non_http_urls():
 def test_callback_sink_hands_over_the_verdict():
     seen = []
     sink = CallbackAlertSink(seen.append)
-    verdict = _verdict()
-    sink.emit(verdict)
-    assert seen == [verdict]
+    line = _line()
+    sink.emit(line)
+    assert seen == [line]
     assert sink.describe() == "callback:append"
 
 
 def test_callback_exceptions_become_sink_errors():
-    def explode(_verdict):
+    def explode(_line):
         raise RuntimeError("pager down")
 
     with pytest.raises(SinkError, match="RuntimeError: pager down"):
-        CallbackAlertSink(explode).emit(_verdict())
+        CallbackAlertSink(explode).emit(_line())
     with pytest.raises(SinkError, match="callable"):
         CallbackAlertSink("not-a-function")
 
@@ -149,7 +150,7 @@ def test_callback_exceptions_become_sink_errors():
 
 def test_base_sink_is_a_silent_null_device():
     sink = AlertSink()
-    sink.emit(_verdict())
+    sink.emit(_line())
     sink.close()
     assert sink.describe() == "null"
 
