@@ -2,7 +2,10 @@
 
 The paper's future work plans "a middleware software that will enhance
 storage reliability" on top of the degradation signatures.  This example
-runs that middleware (:class:`repro.core.DegradationMonitor`):
+runs that middleware's verdict kernel
+(:class:`repro.core.DegradationMonitor`), which scores each record on
+its own and keeps no per-drive state — the example itself remembers
+each drive's first WATCH and CRITICAL hour:
 
 1. characterize a training fleet and train the per-group predictors;
 2. simulate a *second* month of operation (a fresh fleet with the same

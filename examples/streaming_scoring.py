@@ -7,7 +7,9 @@ The serving loop of :mod:`repro.serve` end to end:
    thresholds — into a versioned, hashed bundle file;
 2. reload the bundle (as a scoring host would: the training process is
    gone) and stream a fresh fleet's telemetry through a
-   :class:`repro.serve.StreamScorer`, one columnar block per drive;
+   :class:`repro.serve.StreamScorer`, one columnar block per drive; the
+   scorer keeps each drive's last level, so ``drives_at(CRITICAL)``
+   lists the drives whose latest verdict is CRITICAL;
 3. verify the contract that makes serving trustworthy: the streamed
    verdicts are byte-identical to an offline
    :meth:`DegradationMonitor.replay` with the never-serialized models.

@@ -1,16 +1,19 @@
 """Struct-of-arrays drive state and block verdicts for the hot path.
 
 At fleet scale (millions of drives, hourly ticks) per-drive Python
-objects *are* the cost of streaming scoring, so the monitor's state and
-results are kept column-wise:
+objects *are* the cost of streaming scoring, so verdicts and drive
+state are kept column-wise:
 
 * :class:`ColumnStateStore` — one ``int8`` level column plus a
-  serial→row map.  A new drive takes the next row and the column grows
-  by doubling, so a drive costs a byte of column plus its dict entry
-  and the healthy path allocates nothing per drive.
-* :class:`AlertBlock` — the struct-of-arrays result of scoring one tick
-  of samples: per-type stage and remaining-hour matrices, likely-type
-  indices and level codes.  Materializing
+  serial→row map, kept by the serving scorer
+  (:class:`~repro.serve.scorer.StreamScorer`); the verdict kernel
+  never reads or writes it.  A new drive takes the next row and the
+  column grows by doubling, so a drive costs a byte of column plus its
+  dict entry and the healthy path allocates nothing per drive.
+* :class:`AlertBlock` — the struct-of-arrays result the stateless
+  kernel (:meth:`~repro.core.monitor.DegradationMonitor.observe_columns`)
+  returns for one tick of samples: the per-type stage matrix,
+  likely-type indices and level codes.  Materializing
   :class:`~repro.core.monitor.DegradationAlert` objects is deferred to
   :meth:`AlertBlock.alerts` / :meth:`AlertBlock.alert_at`, so callers
   that only need counts (or only the rare alerting rows) never pay for
@@ -40,11 +43,10 @@ DEFAULT_INITIAL_ROWS = 256
 class ColumnStateStore:
     """Keyed per-drive monitoring state: each drive's last severity level.
 
-    The scalar surface (``record`` / ``level_of`` / ``drives_at`` /
-    ``serials`` / ``snapshot``) serves the monitor's per-sample
-    reference path; ``record`` is also the sequential reference for
-    :meth:`record_block`, which updates every drive touched by a tick
-    with one fancy-indexed write.
+    The scalar surface (``level_of`` / ``drives_at`` / ``serials`` /
+    ``snapshot``) reads a drive's level back; ``record`` is the
+    sequential reference for :meth:`record_block`, which updates every
+    drive touched by a tick with one fancy-indexed write.
 
     Layout
     ------

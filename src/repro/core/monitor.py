@@ -2,11 +2,15 @@
 
 Section VI's future work plans "a middleware software that will enhance
 storage reliability" on top of the degradation signatures.  This module
-is that middleware in library form: a :class:`DegradationMonitor` wraps
-the trained per-group regression trees and consumes hourly SMART records
-drive by drive, keeping each drive's last level and emitting
-:class:`DegradationAlert` events when a drive's estimated degradation
-stage crosses the configured thresholds.
+is that middleware's verdict kernel: a :class:`DegradationMonitor` wraps
+the trained per-group regression trees and maps each hourly SMART record
+to a :class:`DegradationAlert` whose level says whether the estimated
+degradation stage crosses the configured thresholds.  The paper's
+predictor maps one health sample to a degradation stage, so a verdict
+is a pure function of the models and that one record, and the monitor
+keeps no per-drive state: scoring writes nothing, and the serving layer
+keeps drive accounting on its own
+(:class:`~repro.serve.scorer.StreamScorer`).
 
 The monitor classifies each alerting drive into its most likely failure
 type by scoring the current record with every group's tree and taking
@@ -25,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.columnar import AlertBlock, ColumnStateStore
+from repro.core.columnar import AlertBlock
 from repro.core.rescue import RescueEstimate, rescue_estimate
 from repro.core.taxonomy import FailureType
 from repro.errors import ReproError
@@ -39,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: configuration exactly.
 DEFAULT_WATCH_THRESHOLD = -0.05
 DEFAULT_CRITICAL_THRESHOLD = -0.5
-DEFAULT_HISTORY_HOURS = 48
 
 
 @functools.total_ordering
@@ -73,7 +76,7 @@ class DegradationAlert:
 
 
 class DegradationMonitor:
-    """Streaming degradation scorer over trained group predictors.
+    """Stateless degradation scorer over trained group predictors.
 
     Parameters
     ----------
@@ -86,25 +89,12 @@ class DegradationMonitor:
         feature space they were trained on.
     watch_threshold / critical_threshold:
         Stage levels (in ``[-1, 1]``) triggering WATCH and CRITICAL.
-    history_hours:
-        The bundle's history setting, carried by the state store and its
-        dumps as an identity check; the trees act on single records, so
-        no record is kept per drive.
-    state:
-        Optional externally-owned
-        :class:`~repro.core.columnar.ColumnStateStore`; when given its
-        ``history_hours`` must match.  The serving layer passes its own
-        store so per-drive state survives a model swap and can be
-        snapshotted and sharded; by default the monitor creates a
-        private one.
     """
 
     def __init__(self, predictor: DegradationPredictor,
                  normalizer: MinMaxNormalizer, *,
                  watch_threshold: float = DEFAULT_WATCH_THRESHOLD,
                  critical_threshold: float = DEFAULT_CRITICAL_THRESHOLD,
-                 history_hours: int = DEFAULT_HISTORY_HOURS,
-                 state: ColumnStateStore | None = None,
                  ) -> None:
         missing = [t for t in FailureType if t not in predictor.trees_]
         if missing:
@@ -118,26 +108,16 @@ class DegradationMonitor:
             raise ReproError(
                 "critical_threshold must sit below watch_threshold"
             )
-        if history_hours < 1:
-            raise ReproError("history_hours must be positive")
-        if state is not None and state.history_hours != history_hours:
-            raise ReproError(
-                f"state store was built for {state.history_hours} hours but "
-                f"the monitor was configured for {history_hours}"
-            )
         self._predictor = predictor
         self._normalizer = normalizer
         self._watch = watch_threshold
         self._critical = critical_threshold
-        self._history_hours = history_hours
-        self._state = state if state is not None \
-            else ColumnStateStore(history_hours)
 
     # -- streaming API ----------------------------------------------------
 
     def observe(self, serial: str, hour: int,
                 record: np.ndarray) -> DegradationAlert:
-        """Ingest one hourly record and return the current verdict.
+        """Score one hourly record.
 
         ``record`` is a raw (unnormalized) Table I attribute vector.
         This per-sample path is the scalar reference every batched and
@@ -145,35 +125,32 @@ class DegradationMonitor:
         call, one tree walk per failure group and the scalar rescue
         clock, with nothing vectorized to drift by an ulp.
         """
-        record = np.asarray(record, dtype=np.float64).ravel()
-        normalized = self._normalizer.transform(record.reshape(1, -1))[0]
+        normalized = self._normalizer.transform(
+            np.asarray(record, dtype=np.float64).reshape(1, -1))
 
         estimates: dict[FailureType, RescueEstimate] = {}
         for failure_type in FailureType:
             tree = self._predictor.tree_for(failure_type)
-            stage = float(tree.predict(normalized.reshape(1, -1))[0])
+            stage = float(tree.predict(normalized)[0])
             estimates[failure_type] = rescue_estimate(stage, failure_type)
         likely_type = min(estimates,
                           key=lambda t: estimates[t].stage)
         stage = estimates[likely_type].stage
-        level = self._level_for(stage)
-        self._state.record(serial, normalized, level)
         return DegradationAlert(
             serial=serial,
             hour=hour,
-            level=level,
+            level=self._level_for(stage),
             stage=stage,
             likely_type=likely_type,
             estimates=estimates,
         )
 
     def observe_many(self, samples) -> list[DegradationAlert]:
-        """Ingest a batch of ``(serial, hour, raw_record)`` samples.
+        """Score a batch of ``(serial, hour, raw_record)`` samples.
 
-        Same alerts and state as calling :meth:`observe` once per
-        sample, in order: the batch is stacked into one matrix and
-        scored by :meth:`observe_columns`, then every alert is
-        materialized.
+        Same alerts as calling :meth:`observe` once per sample, in
+        order: the batch is stacked into one matrix and scored by
+        :meth:`observe_columns`, then every alert is materialized.
         """
         samples = list(samples)
         if not samples:
@@ -196,8 +173,7 @@ class DegradationMonitor:
         evaluations and the severity thresholds each run once over the
         whole batch (the rescue-clock inversion stays scalar, computed
         lazily per materialized alert so its libm rounding is exactly
-        the per-sample path's), and the per-drive state updates with a
-        few fancy-indexed writes.  Nothing is allocated per healthy
+        the per-sample path's).  Nothing is allocated per healthy
         drive; the returned :class:`~repro.core.columnar.AlertBlock`
         materializes :class:`DegradationAlert` objects lazily and
         bit-identically to :meth:`observe`.
@@ -232,13 +208,11 @@ class DegradationMonitor:
         picked = stages[likely_indices, np.arange(stages.shape[1])]
         level_codes = ((picked <= self._watch).astype(np.int8)
                        + (picked <= self._critical).astype(np.int8))
-
-        self._state.record_block(serials, normalized, level_codes)
         return AlertBlock(serials, hours, stages,
                           likely_indices, level_codes, types)
 
     def replay(self, profile) -> list[DegradationAlert]:
-        """Offline replay of one profile through :meth:`observe`, in order.
+        """Score one profile through :meth:`observe`, in order.
 
         The serving layer's golden contract is stated against this
         method: a :class:`~repro.serve.scorer.StreamScorer` fed the same
@@ -248,47 +222,6 @@ class DegradationMonitor:
             self.observe(profile.serial, int(hour), row)
             for hour, row in zip(profile.hours, profile.matrix)
         ]
-
-    # -- configuration ------------------------------------------------------
-
-    @property
-    def watch_threshold(self) -> float:
-        """Stage at or below which a drive enters WATCH."""
-        return self._watch
-
-    @property
-    def critical_threshold(self) -> float:
-        """Stage at or below which a drive enters CRITICAL."""
-        return self._critical
-
-    @property
-    def history_hours(self) -> int:
-        """The history setting the state store was built for."""
-        return self._history_hours
-
-    # -- fleet state --------------------------------------------------------
-
-    @property
-    def state(self) -> ColumnStateStore:
-        """The keyed per-drive state store backing this monitor.
-
-        Exposed so the serving layer can snapshot or relocate a shard's
-        state without reaching into monitor internals.
-        """
-        return self._state
-
-    @property
-    def n_tracked(self) -> int:
-        """Drives with live state (O(1))."""
-        return self._state.n_tracked
-
-    def level_of(self, serial: str) -> AlertLevel:
-        """Last verdict for a drive (HEALTHY if never observed)."""
-        return self._state.level_of(serial)
-
-    def drives_at(self, level: AlertLevel) -> list[str]:
-        """Serials currently at exactly ``level``."""
-        return self._state.drives_at(level)
 
     def _level_for(self, stage: float) -> AlertLevel:
         if stage <= self._critical:

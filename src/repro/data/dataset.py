@@ -265,11 +265,6 @@ class DiskDataset:
         return DiskDataset(profiles, normalized=True, normalizer=scaler)
 
 
-def make_dataset(profiles: list[HealthProfile]) -> DiskDataset:
-    """Convenience constructor used by the simulator and loaders."""
-    return DiskDataset(profiles, normalized=False)
-
-
 # Re-exported default attribute ordering, used by loaders when writing
 # column headers.
 DEFAULT_ATTRIBUTES: tuple[str, ...] = CHARACTERIZATION_ATTRIBUTES

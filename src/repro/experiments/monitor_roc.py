@@ -4,11 +4,10 @@ The Section VI middleware is only useful if its alert threshold admits a
 good detection/false-alarm trade-off on drives it never trained on.
 This experiment freezes the models trained on one fleet into the model
 bundle ``repro-serve`` ships, scores a *fresh* fleet (different seed)
-through that bundle's :class:`~repro.serve.scorer.StreamScorer`, and
-sweeps the WATCH threshold: for each setting it reports the failed-drive
-detection rate with at least 24 hours of lead time and the good-drive
-false-alarm rate — the FDR/FAR axes every disk-failure-prediction study
-uses.
+through that bundle's verdict kernel, and sweeps the WATCH threshold:
+for each setting it reports the failed-drive detection rate with at
+least 24 hours of lead time and the good-drive false-alarm rate — the
+FDR/FAR axes every disk-failure-prediction study uses.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.core.pipeline import CharacterizationPipeline
 from repro.experiments.common import ExperimentResult
 from repro.reporting.tables import ascii_table
 from repro.serve.bundle import build_bundle
-from repro.serve.scorer import StreamScorer
 from repro.sim.config import FleetConfig
 from repro.sim.fleet import simulate_fleet
 
@@ -35,16 +33,16 @@ def run(*, train_drives: int = 2000, eval_drives: int = 1500,
     report = CharacterizationPipeline(run_prediction=False, seed=seed).run(
         train_fleet.dataset
     )
-    scorer = StreamScorer(build_bundle(report, seed=seed))
+    kernel = build_bundle(report, seed=seed).monitor()
     eval_fleet = simulate_fleet(FleetConfig(n_drives=eval_drives,
                                             seed=seed + 1))
 
     def min_stage(profile, n_samples: int) -> float:
         """Most pessimistic stage over a drive's first ``n_samples``."""
-        verdicts = scorer.score_block([profile.serial] * n_samples,
-                                      profile.hours[:n_samples],
-                                      profile.matrix[:n_samples])
-        return float(verdicts.block.stages.min())
+        block = kernel.observe_columns([profile.serial] * n_samples,
+                                       profile.hours[:n_samples],
+                                       profile.matrix[:n_samples])
+        return float(block.stages.min())
 
     # Failed drives are scored only up to LEAD_HOURS before the failure
     # (an alert with no lead time rescues nothing).

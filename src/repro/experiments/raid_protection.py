@@ -31,7 +31,6 @@ from repro.raid.reliability import (
 )
 from repro.reporting.tables import ascii_table
 from repro.serve.bundle import build_bundle
-from repro.serve.scorer import StreamScorer
 from repro.sim.fleet import FleetResult
 
 
@@ -42,16 +41,16 @@ def compute_warning_leads(fleet: FleetResult,
 
     The report's models are frozen into the bundle ``repro-serve``
     ships, and each failed drive's raw profile is scored through that
-    bundle's :class:`~repro.serve.scorer.StreamScorer`; the warning
-    fires at the first sample the monitor raises above HEALTHY (its
-    most pessimistic stage at or below the WATCH threshold).
+    bundle's verdict kernel; the warning fires at the first sample the
+    monitor raises above HEALTHY (its most pessimistic stage at or
+    below the WATCH threshold).
     """
-    scorer = StreamScorer(build_bundle(report, seed=seed))
+    kernel = build_bundle(report, seed=seed).monitor()
     leads: dict[str, float] = {}
     for profile in fleet.dataset.failed_profiles:
-        verdicts = scorer.score_block([profile.serial] * len(profile),
-                                      profile.hours, profile.matrix)
-        warned = verdicts.alerting_rows()
+        warned = kernel.observe_columns([profile.serial] * len(profile),
+                                        profile.hours,
+                                        profile.matrix).alerting_rows()
         if warned.shape[0]:
             first_hour = int(profile.hours[warned[0]])
             leads[profile.serial] = float(profile.failure_hour - first_hour)

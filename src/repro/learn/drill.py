@@ -23,9 +23,9 @@ document that must be byte-identical across repeated runs.  The serving
 half, :meth:`DriftDrill.run`, replays the same drifted stream through a
 live :class:`~repro.serve.shard.ShardSet` with a mid-stream
 :meth:`promote <repro.serve.shard.ShardSet.promote>` and asserts the
-served verdict stream is byte-identical to offline scoring with a
-:meth:`swap_bundle <repro.serve.scorer.StreamScorer.swap_bundle>` at
-the same block — for any shard count.
+served verdict stream is byte-identical to offline scoring that
+switches from the champion's verdict kernel to the challenger's at the
+same block — for any shard count.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.learn.refit import SlidingWindow, refit_challenger
 from repro.learn.shadow import DivergenceReport, ShadowScorer
 from repro.obs.observer import PipelineObserver, resolve_observer
 from repro.serve.bundle import ModelBundle, build_bundle, content_hash
-from repro.serve.scorer import StreamScorer
+from repro.serve.scorer import VerdictBlock
 from repro.serve.shard import ShardSet
 from repro.sim.config import FleetConfig
 from repro.sim.fleet import simulate_fleet
@@ -205,19 +205,20 @@ class DriftDrill:
     def _offline_verdict_sha(self) -> str:
         """sha256 of the canonical verdict stream with a mid-stream swap.
 
-        The offline reference for :meth:`run`: champion scores the
-        first half, :meth:`StreamScorer.swap_bundle` applies the
-        challenger at the promotion fence, the challenger scores the
-        rest — one hash over every canonical verdict line in order.
+        The offline reference for :meth:`run`: the champion's verdict
+        kernel scores the blocks before the promotion fence, the
+        challenger's kernel scores the rest — one hash over every
+        canonical verdict line in order.
         """
         assert self.champion is not None and self.challenger is not None
-        scorer = StreamScorer(self.champion)
+        kernel = self.champion.monitor()
         digest = hashlib.sha256()
         for index, (serials, hours, matrix) in enumerate(self.blocks):
             if index == self.promote_at:
-                scorer.swap_bundle(self.challenger)
-            for line in scorer.score_block(serials, hours,
-                                           matrix).to_json_lines():
+                kernel = self.challenger.monitor()
+            block = VerdictBlock(kernel.observe_columns(serials, hours,
+                                                        matrix))
+            for line in block.to_json_lines():
                 digest.update(line.encode("utf-8") + b"\n")
         return digest.hexdigest()
 

@@ -2,9 +2,10 @@
 
 The third stage of the continuous-learning loop: before a challenger
 bundle may replace the serving champion, it must score the *same*
-stream side by side.  :class:`ShadowScorer` runs two independent
-:class:`~repro.serve.scorer.StreamScorer`\\ s — same blocks, same order,
-separate per-drive state — and accumulates a
+stream side by side.  :class:`ShadowScorer` scores every block through
+both bundles' stateless verdict kernels
+(:meth:`~repro.serve.bundle.ModelBundle.monitor`) — same blocks, same
+order, no drive state on either side — and accumulates a
 :class:`DivergenceReport`: the verdict agreement rate, the full 3x3
 severity confusion matrix (HEALTHY / WATCH / CRITICAL, champion rows by
 challenger columns, built from both blocks' severity-code columns with
@@ -32,7 +33,7 @@ import numpy as np
 from repro.errors import LearnError
 from repro.obs.observer import PipelineObserver, resolve_observer
 from repro.serve.bundle import ModelBundle, content_hash
-from repro.serve.scorer import StreamScorer, VerdictBlock
+from repro.serve.scorer import VerdictBlock, check_batch
 
 #: Severity levels in code order (the int8 codes of an AlertBlock).
 _LEVELS = ("HEALTHY", "WATCH", "CRITICAL")
@@ -116,8 +117,7 @@ class ShadowScorer:
         self._challenger = challenger
         self._champion_sha = content_hash(champion.to_payload())
         self._challenger_sha = content_hash(challenger.to_payload())
-        self._champion_scorer = StreamScorer(champion)
-        self._challenger_scorer = StreamScorer(challenger)
+        self._kernels = (champion.monitor(), challenger.monitor())
         self._n_samples = 0
         self._n_agree = 0
         self._confusion = np.zeros((len(_LEVELS), len(_LEVELS)),
@@ -143,10 +143,15 @@ class ShadowScorer:
         """Score one block with both bundles and fold in the deltas.
 
         Returns ``(champion_block, challenger_block)`` — the champion
-        block is the one a shadowing daemon would actually serve.
+        block is the one a shadowing daemon would actually serve.  A
+        batch that :func:`~repro.serve.scorer.check_batch` refuses
+        raises :class:`~repro.errors.ServeError` and tallies nothing.
         """
-        champ = self._champion_scorer.score_block(serials, hours, matrix)
-        chall = self._challenger_scorer.score_block(serials, hours, matrix)
+        matrix, hours = check_batch(serials, hours, matrix,
+                                    self._champion.attributes)
+        champ, chall = (VerdictBlock(kernel.observe_columns(serials, hours,
+                                                            matrix))
+                        for kernel in self._kernels)
         champ_codes = champ.block.level_codes.astype(np.int64)
         chall_codes = chall.block.level_codes.astype(np.int64)
         agree = champ_codes == chall_codes

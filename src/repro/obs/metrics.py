@@ -357,21 +357,6 @@ class Histogram:
                 payload[f"p{int(q * 100)}"] = self.quantile(q)
         return payload
 
-    def state_dict(self) -> dict[str, Any]:
-        """Full JSON-clean state: aggregates, buckets and reservoir."""
-        return {
-            "name": self.name,
-            "labels": [list(l) for l in self.labels],
-            "retention": self._retention,
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min if self._count else None,
-            "max": self._max if self._count else None,
-            "buckets": list(self._buckets),
-            "values": list(self._values),
-            "stride": self._stride,
-        }
-
 #: Registry key: (name, normalized label tuple).
 _MetricKey = tuple[str, tuple[tuple[str, str], ...]]
 

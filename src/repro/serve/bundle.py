@@ -46,8 +46,8 @@ import numpy as np
 
 from repro.core.monitor import (
     DEFAULT_CRITICAL_THRESHOLD,
-    DEFAULT_HISTORY_HOURS,
     DEFAULT_WATCH_THRESHOLD,
+    DegradationMonitor,
 )
 from repro.core.prediction import DegradationPredictor
 from repro.core.signature_models import (
@@ -69,6 +69,11 @@ if TYPE_CHECKING:  # pragma: no cover - offline layer, types only
 #: bundle written under any other version is *stale* and refuses to
 #: load — scorers never guess at old layouts.
 BUNDLE_SCHEMA_VERSION = 1
+
+#: Default ``history_hours`` of a bundle.  No scoring step reads it (the
+#: trees act on one record); a scorer's drive state and its dumps carry
+#: it as an identity check.
+DEFAULT_HISTORY_HOURS = 48
 
 #: Key carrying the sha256 content hash inside the artifact.  The hash
 #: covers the canonical serialization of every *other* key.
@@ -151,6 +156,14 @@ class ModelBundle:
         predictor = DegradationPredictor()
         predictor.trees_ = dict(self.trees)
         return predictor
+
+    def monitor(self) -> DegradationMonitor:
+        """The stateless verdict kernel this bundle configures."""
+        return DegradationMonitor(
+            self.predictor(), self.normalizer(),
+            watch_threshold=self.watch_threshold,
+            critical_threshold=self.critical_threshold,
+        )
 
     def to_payload(self) -> dict[str, Any]:
         """Flatten the bundle into JSON-clean plain types (no hash)."""

@@ -320,10 +320,10 @@ def _write_verdicts(block: VerdictBlock, sink: IO[str], *,
     """Emit a block's verdicts as JSONL; returns the number of lines written.
 
     One columnar encode (:meth:`VerdictBlock.to_json_lines`) and one
-    write per block; ``alerts_only`` keeps the WATCH/CRITICAL rows.
+    write per block; ``alerts_only`` keeps the WATCH/CRITICAL rows
+    (:meth:`VerdictBlock.alert_lines`, shared with the daemon's sinks).
     """
-    lines = block.to_json_lines(block.alerting_rows() if alerts_only
-                                else None)
+    lines = block.alert_lines() if alerts_only else block.to_json_lines()
     if lines:
         sink.write("\n".join(lines) + "\n")
     return len(lines)

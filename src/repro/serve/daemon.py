@@ -427,12 +427,13 @@ class ServingDaemon:
         saturated (nothing enqueued),
         :class:`~repro.errors.ShardRecoveringError` when one is
         replaying after a crash (also nothing enqueued), and
-        :class:`~repro.errors.ServeError` on malformed batches.  The
-        (rare) alerting rows are rendered to canonical lines in one
-        :meth:`~repro.serve.scorer.VerdictBlock.to_json_lines` call;
-        each row is recorded in the flight recorder from the block's
-        columns and its line offered to every delivery pipeline before
-        this returns.
+        :class:`~repro.errors.ServeError` on malformed batches.  Each
+        (rare) alerting row is recorded in the flight recorder from the
+        block's columns and, when the daemon has sinks, its canonical
+        line (:meth:`~repro.serve.scorer.VerdictBlock.alert_lines`,
+        rendered once per batch and reused by a ``?verdicts=alerts``
+        reply) is offered to every delivery pipeline before this
+        returns.
 
         ``block_id`` names the batch for exactly-once crash-safe
         retries (see :meth:`ShardSet.submit_block
@@ -451,9 +452,8 @@ class ServingDaemon:
                     "drift", alarm.describe(),
                     attribute=alarm.attribute, alarm_kind=alarm.kind,
                     score=alarm.score, block_index=alarm.block_index)
-        rows = block.alerting_rows().tolist()
         columns = block.block
-        for row, line in zip(rows, block.to_json_lines(rows)):
+        for row in block.alerting_rows().tolist():
             serial, hour = columns.serials[row], int(columns.hours[row])
             level = AlertLevel(int(columns.level_codes[row])).name
             likely = int(columns.likely_indices[row])
@@ -463,10 +463,12 @@ class ServingDaemon:
                 stage=float(columns.stages[likely, row]),
                 likely_type=columns.types[likely].name,
             )
+        if self._pipelines:
             # Each pipeline retries, breaks its circuit and dead-letters
             # on its own worker; offering never blocks scoring.
-            for pipeline in self._pipelines:
-                pipeline.offer(line)
+            for line in block.alert_lines():
+                for pipeline in self._pipelines:
+                    pipeline.offer(line)
         return block
 
     def _count_ingest(self, outcome: str) -> None:
@@ -522,8 +524,8 @@ class ServingDaemon:
         self._observer.count("ingest_samples", len(block))
         wanted = query.get("verdicts")
         if wanted in ("all", "alerts"):
-            lines = block.to_json_lines(
-                None if wanted == "all" else block.alerting_rows())
+            lines = (block.to_json_lines() if wanted == "all"
+                     else block.alert_lines())
             body_out = "".join(line + "\n" for line in lines).encode("utf-8")
             return HttpReply(200, body_out,
                              content_type="application/jsonl; charset=utf-8")

@@ -1,14 +1,17 @@
 """Streaming degradation scoring over a loaded model bundle.
 
-:class:`StreamScorer` is the serving half of the paper's middleware: it
-loads a :class:`~repro.serve.bundle.ModelBundle`, reconstructs the exact
-training-time models, and consumes SMART samples incrementally through
-``score_block``, the columnar hot path (``push_many`` stacks a list of
-``(serial, hour, record)`` samples into one block).  Per-drive state
-lives in a :class:`~repro.core.columnar.ColumnStateStore`: one level
-column (each drive's last severity) with doubling growth, so memory
-stays O(drives seen) — a few bytes each — no matter how long the stream
-runs, and the healthy path allocates nothing per drive.
+:class:`StreamScorer` is the serving half of the paper's middleware.
+It scores through the stateless verdict kernel its
+:class:`~repro.serve.bundle.ModelBundle` configures
+(:meth:`~repro.serve.bundle.ModelBundle.monitor`) and is the one place
+that keeps drive state: after each ``score_block`` it writes every
+drive's last severity into a
+:class:`~repro.core.columnar.ColumnStateStore` level column and bumps
+its counters.  The column grows by doubling, so memory stays O(drives
+seen) — a few bytes each — and the healthy path allocates nothing per
+drive.  A caller that wants verdicts but no drive state (shadow
+scoring, the experiments) calls the kernel directly.
+:func:`check_batch` is the batch gate every scoring path shares.
 ``score_block`` returns a :class:`VerdictBlock`: verdict columns, not
 verdict objects — served output is rendered from the columns, and a
 :class:`MonitorVerdict` is built only for a caller that asks for one.
@@ -24,15 +27,14 @@ pin this across a bundle save/load round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.columnar import AlertBlock, ColumnStateStore
-from repro.core.monitor import (AlertLevel, DegradationAlert,
-                                DegradationMonitor)
+from repro.core.monitor import AlertLevel, DegradationAlert
 from repro.core.rescue import RescueEstimate, rescue_estimate
 from repro.core.serialize import canonical_json_line
 from repro.core.taxonomy import FailureType
@@ -116,20 +118,42 @@ def _verdict(serial: str, hour: int, level: AlertLevel,
     )
 
 
-def check_finite(matrix: np.ndarray, attributes: Sequence[str]) -> None:
-    """Refuse a ``(rows, attributes)`` record matrix holding NaN or ±Inf.
+def check_batch(serials: Sequence[str], hours: Sequence[int],
+                matrix: np.ndarray, attributes: Sequence[str],
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Refuse a malformed columnar batch; return its matrix and hours.
 
-    A tree routes a NaN as "not below the threshold" at every split, so
-    scoring one would emit a verdict no model chose.  The
-    :class:`~repro.errors.ServeError` names the first bad cell by row,
-    column and attribute.
+    The one gate in front of every scoring path: the record matrix must
+    be 2-D and as wide as ``attributes``, the three columns as long as
+    each other, every hour an ``int64`` and every value finite.  A tree
+    routes a NaN as "not below the threshold" at every split, so
+    scoring one would emit a verdict no model chose; the refusal names
+    the first non-finite cell by row, column and attribute.  Returns
+    the ``float64`` matrix and the ``int64`` hour column; a refusal is
+    a :class:`~repro.errors.ServeError` and scores nothing.
     """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ServeError(f"record matrix must be 2-D, got {matrix.ndim}-D")
+    if len(serials) != matrix.shape[0] or len(hours) != matrix.shape[0]:
+        raise ServeError(
+            f"column lengths disagree: {len(serials)} serials, "
+            f"{len(hours)} hours, {matrix.shape[0]} record rows")
+    if matrix.shape[1] != len(attributes):
+        raise ServeError(
+            f"record matrix has shape {matrix.shape}, bundle expects "
+            f"(n, {len(attributes)}) ({', '.join(attributes)})")
+    try:
+        hours = np.asarray(hours, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError) as error:
+        raise ServeError(f"hours must be integers: {error}") from error
     finite = np.isfinite(matrix)
     if not finite.all():
         row, column = np.argwhere(~finite)[0]
         raise ServeError(
             f"record row {row}, column {column} ({attributes[column]!r}) "
             f"is not finite ({float(matrix[row, column])!r})")
+    return matrix, hours
 
 
 #: Hours a verdict can carry: the hour column is ``int64``.
@@ -192,6 +216,8 @@ class VerdictBlock:
     """
 
     block: AlertBlock
+    _alert_lines: tuple[str, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.block)
@@ -213,6 +239,18 @@ class VerdictBlock:
     def finite_stages(self) -> np.ndarray:
         """Likely-type stage per row, finite entries only (telemetry)."""
         return self.block.finite_stages()
+
+    def alert_lines(self) -> tuple[str, ...]:
+        """The alerting rows' canonical lines, rendered on first use.
+
+        The sinks, a ``?verdicts=alerts`` reply and ``--alerts-only``
+        output all read this one tuple, so a batch's alert lines are
+        encoded at most once.
+        """
+        if self._alert_lines is None:
+            object.__setattr__(self, "_alert_lines", tuple(
+                self.to_json_lines(self.alerting_rows())))
+        return self._alert_lines
 
     def verdict_at(self, row: int) -> MonitorVerdict:
         """Materialize one row (bit-identical to the scalar path)."""
@@ -333,14 +371,8 @@ class StreamScorer:
                  observer: PipelineObserver | None = None) -> None:
         self._bundle = bundle
         self._observer = resolve_observer(observer)
+        self._monitor = bundle.monitor()
         self._state = ColumnStateStore(bundle.history_hours)
-        self._monitor = DegradationMonitor(
-            bundle.predictor(), bundle.normalizer(),
-            watch_threshold=bundle.watch_threshold,
-            critical_threshold=bundle.critical_threshold,
-            history_hours=bundle.history_hours,
-            state=self._state,
-        )
         self._samples_scored = 0
         self._alerts_emitted = 0
 
@@ -372,40 +404,28 @@ class StreamScorer:
                     matrix: np.ndarray) -> VerdictBlock:
         """Score a columnar batch as one set of batched array ops.
 
-        The streaming hot path: one normalizer pass, one tree
-        evaluation per failure group, one fancy-indexed state update for
-        every drive in the batch — no per-sample Python objects.  The
-        returned :class:`VerdictBlock` carries verdict columns;
-        materializing it reproduces the scalar
+        The streaming hot path: the bundle's stateless kernel
+        (:meth:`~repro.core.monitor.DegradationMonitor.observe_columns`:
+        one normalizer pass, one tree evaluation per failure group),
+        then one fancy-indexed write of every drive's level, then the
+        counters — no per-sample Python objects.  The returned
+        :class:`VerdictBlock` carries verdict columns; materializing it
+        reproduces the scalar
         :meth:`~repro.core.monitor.DegradationMonitor.observe` oracle
         byte for byte (the golden tests pin this offline, across shard
-        counts and over live HTTP ingest).  A NaN or ±Inf anywhere in
-        the batch (:func:`check_finite`) or an hour that is not an
-        ``int64`` is refused with :class:`~repro.errors.ServeError`
-        before any drive's state changes.
+        counts and over live HTTP ingest).  A batch that
+        :func:`check_batch` refuses raises
+        :class:`~repro.errors.ServeError` before any drive's state
+        changes.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != self._bundle.n_attributes:
-            raise ServeError(
-                f"record matrix has shape {matrix.shape}, bundle expects "
-                f"(n, {self._bundle.n_attributes}) "
-                f"({', '.join(self._bundle.attributes)})"
-            )
-        if len(serials) != matrix.shape[0] or len(hours) != matrix.shape[0]:
-            raise ServeError(
-                f"column lengths disagree: {len(serials)} serials, "
-                f"{len(hours)} hours, {matrix.shape[0]} record rows"
-            )
-        try:
-            hours = np.asarray(hours, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError) as error:
-            raise ServeError(f"hours must be integers: {error}") from error
+        matrix, hours = check_batch(serials, hours, matrix,
+                                    self._bundle.attributes)
         if matrix.shape[0] == 0:
-            return VerdictBlock(self._monitor.observe_columns([], [], matrix))
-        check_finite(matrix, self._bundle.attributes)
+            return VerdictBlock.empty()
         with self._observer.span("score-batch", n_samples=matrix.shape[0]):
-            block = self._monitor.observe_columns(
-                list(serials), hours, matrix)
+            block = self._monitor.observe_columns(serials, hours, matrix)
+            self._state.record_block(block.serials, matrix,
+                                     block.level_codes)
         self._account_block(block)
         return VerdictBlock(block)
 
@@ -438,7 +458,7 @@ class StreamScorer:
     @property
     def drives_tracked(self) -> int:
         """Drives with live state."""
-        return self._monitor.n_tracked
+        return self._state.n_tracked
 
     def dump_state(self) -> dict[str, Any]:
         """Everything crash recovery needs to resume this scorer.
@@ -460,8 +480,7 @@ class StreamScorer:
     def restore_state(self, payload: dict[str, Any]) -> None:
         """Rebuild counters and per-drive state from :meth:`dump_state`.
 
-        Restores in place (the monitor keeps its reference to the same
-        state store), so a recovering shard worker constructs its
+        Restores in place, so a recovering shard worker constructs its
         scorer normally and then applies the last snapshot before
         replaying the WAL suffix.  A dump the state store refuses is
         re-raised as :class:`~repro.errors.ServeError`, the error a
@@ -486,7 +505,7 @@ class StreamScorer:
 
         The promotion plane's seam: verdicts are per-sample stateless
         functions of the current record (no drive history feeds the
-        trees), so swapping the models between blocks changes *future*
+        trees), so swapping the kernel between blocks changes *future*
         verdicts only — every sample scored after the swap is
         byte-identical to a fresh scorer of the new bundle fed the same
         stream.  The replacement must score the same feature space
@@ -508,21 +527,15 @@ class StreamScorer:
                 f"built for {self._bundle.history_hours}"
             )
         self._bundle = bundle
-        self._monitor = DegradationMonitor(
-            bundle.predictor(), bundle.normalizer(),
-            watch_threshold=bundle.watch_threshold,
-            critical_threshold=bundle.critical_threshold,
-            history_hours=bundle.history_hours,
-            state=self._state,
-        )
+        self._monitor = bundle.monitor()
 
     def level_of(self, serial: str) -> AlertLevel:
         """Last severity level of a drive (HEALTHY if never seen)."""
-        return self._monitor.level_of(serial)
+        return self._state.level_of(serial)
 
     def drives_at(self, level: AlertLevel) -> list[str]:
         """Serials currently at exactly ``level``."""
-        return self._monitor.drives_at(level)
+        return self._state.drives_at(level)
 
     # -- internals --------------------------------------------------------
 

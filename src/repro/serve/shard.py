@@ -1,13 +1,14 @@
 """Consistent-hash sharding of per-drive scoring state.
 
 The serving daemon's horizontal seam: a :class:`ShardSet` owns ``n``
-shards, each holding one :class:`~repro.serve.scorer.StreamScorer` (and
-therefore one keyed :class:`~repro.core.columnar.ColumnStateStore`)
-behind its own lock.  Drives map to shards by consistent hash of their
-serial (:class:`HashRing` — sha256-based, so the mapping is stable
-across processes and Python hash seeds), which keeps every drive's
-state (its last severity level) inside exactly one shard no matter how
-batches arrive.
+shards, each holding one :class:`~repro.serve.scorer.StreamScorer` —
+the bundle's stateless verdict kernel plus the one keyed
+:class:`~repro.core.columnar.ColumnStateStore` that shard's drives
+live in — behind its own lock.  Drives map to shards by consistent
+hash of their serial (:class:`HashRing` — sha256-based, so the mapping
+is stable across processes and Python hash seeds), which keeps every
+drive's state (its last severity level) inside exactly one shard no
+matter how batches arrive.
 
 Sharding is a pure performance knob: verdicts are per-sample functions
 of the record (and per-drive state keys on the serial), so a
@@ -66,7 +67,7 @@ from repro.errors import (BackpressureError, ServeError,
                           ShardRecoveringError, WalError)
 from repro.obs.observer import NULL_OBSERVER, PipelineObserver, resolve_observer
 from repro.serve.bundle import ModelBundle, content_hash
-from repro.serve.scorer import StreamScorer, VerdictBlock, check_finite
+from repro.serve.scorer import StreamScorer, VerdictBlock, check_batch
 from repro.serve.wal import (DEFAULT_FSYNC_EVERY, ShardWal, WalRecovery,
                              decode_block, encode_block)
 
@@ -310,16 +311,6 @@ class ShardSet:
         with self._lock:
             return list(self._restarts)
 
-    def wait_ready(self, timeout: float | None = None) -> bool:
-        """Block until no shard is ``recovering``; ``False`` on timeout.
-
-        Construction replays synchronously, so this only ever waits on
-        a shard rebuilt after :meth:`kill_shard` or the ack-gap hook.
-        """
-        with self._lock:
-            return self._changed.wait_for(
-                lambda: "recovering" not in self._status, timeout)
-
     def kill_shard(self, shard: int) -> None:
         """Crash one shard in place — the chaos harness's entry point.
 
@@ -355,10 +346,12 @@ class ShardSet:
         :class:`~repro.errors.BackpressureError`, and if any involved
         shard is replaying after a crash it is rejected with
         :class:`~repro.errors.ShardRecoveringError`; either way no
-        sample of it is scored.  A malformed batch — wrong width,
-        non-integer hours, a NaN or ±Inf value — is refused with
-        :class:`~repro.errors.ServeError` before admission too.  While
-        :meth:`promote` runs, admission waits for it.
+        sample of it is scored.  A malformed batch
+        (:func:`~repro.serve.scorer.check_batch`: not 2-D, wrong width,
+        columns of different lengths, non-integer hours, a NaN or ±Inf
+        value) is refused with :class:`~repro.errors.ServeError` before
+        admission too.  While :meth:`promote` runs, admission waits for
+        it.
 
         ``block_id`` names the batch for crash-safe retries: with the
         WAL enabled, resubmitting the same id after a shard crashed
@@ -366,21 +359,12 @@ class ShardSet:
         (exactly-once application).  Auto-generated when omitted — auto
         ids are unique, so an unnamed batch gets no dedup protection.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ServeError(
-                f"submit needs a 2-D record matrix, got {matrix.ndim}-D")
-        if len(serials) != matrix.shape[0] or len(hours) != matrix.shape[0]:
-            raise ServeError(
-                f"column lengths disagree: {len(serials)} serials, "
-                f"{len(hours)} hours, {matrix.shape[0]} record rows")
+        # Refused before admission: a batch no shard could score is
+        # neither logged nor counted as tracked drives.
+        matrix, hour_column = check_batch(serials, hours, matrix,
+                                          self._bundle.attributes)
         if matrix.shape[0] == 0:
             return VerdictBlock.empty()
-
-        try:
-            hour_column = np.asarray(hours, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError) as error:
-            raise ServeError(f"hours must be integers: {error}") from error
         # Placement is one dict lookup per row: the ring's sha256 runs
         # once per drive, for serials never admitted before.  New
         # serials join the cache only once their batch is admitted, so
@@ -401,16 +385,6 @@ class ShardSet:
                 self._changed.wait()
             if self._stopped:
                 raise ServeError("ShardSet is stopped; no new batches")
-            attributes = self._bundle.attributes
-            # Refused before admission: a batch no shard could score
-            # (wrong width, or a NaN/±Inf value) is neither logged nor
-            # counted as tracked drives.
-            if matrix.shape[1] != len(attributes):
-                raise ServeError(
-                    f"record matrix has shape {matrix.shape}, bundle "
-                    f"expects (n, {len(attributes)}) "
-                    f"({', '.join(attributes)})")
-            check_finite(matrix, attributes)
             for shard in by_shard:
                 if self._status[shard] == "recovering":
                     raise ShardRecoveringError(shard, self._retry_after_s)

@@ -16,8 +16,7 @@ def oracle_monitor(bundle):
     return DegradationMonitor(
         bundle.predictor(), bundle.normalizer(),
         watch_threshold=bundle.watch_threshold,
-        critical_threshold=bundle.critical_threshold,
-        history_hours=bundle.history_hours)
+        critical_threshold=bundle.critical_threshold)
 
 
 def oracle_verdicts(monitor, samples):

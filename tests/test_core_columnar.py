@@ -143,11 +143,10 @@ def monitor_parts(mid_fleet, mid_report):
     return predictor, normalizer, mid_fleet
 
 
-def _monitor_pair(monitor_parts, history_hours=24):
+def _monitor_pair(monitor_parts):
     """Two fresh monitors: one fed ``observe``, one ``observe_columns``."""
     predictor, normalizer, _ = monitor_parts
-    return tuple(DegradationMonitor(predictor, normalizer,
-                                    history_hours=history_hours)
+    return tuple(DegradationMonitor(predictor, normalizer)
                  for _ in range(2))
 
 
@@ -188,7 +187,6 @@ def test_empty_block_parity(monitor_parts):
         assert len(block) == 0
         assert block.alerts() == []
         assert block.n_alerting == 0
-        assert monitor.n_tracked == 0
 
 
 def test_duplicate_and_out_of_order_tick_parity(monitor_parts):
@@ -203,11 +201,6 @@ def test_duplicate_and_out_of_order_tick_parity(monitor_parts):
         np.vstack([np.asarray(r, dtype=np.float64).ravel()
                    for _, _, r in samples]))
     _assert_alerts_equal(block.alerts(), expected)
-
-    # Post-tick drive state agrees too.
-    assert columnar.state.dump_state() == scalar.state.dump_state()
-    for serial in scalar.state.serials():
-        assert columnar.level_of(serial) is scalar.level_of(serial)
 
 
 def test_block_shape_validation(monitor_parts):

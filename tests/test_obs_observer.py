@@ -70,8 +70,10 @@ def test_observe_many_routes_one_batch_into_the_histogram():
     for value in values:
         reference.histogram("verdict_stage").observe(value)
     observer.observe_many("verdict_stage", values)
-    assert (observer.metrics.histogram("verdict_stage").state_dict()
-            == reference.histogram("verdict_stage").state_dict())
+    batched = observer.metrics.histogram("verdict_stage")
+    expected = reference.histogram("verdict_stage")
+    assert batched.snapshot() == expected.snapshot()
+    assert batched.bucket_counts() == expected.bucket_counts()
 
 
 def test_telemetry_observer_accepts_injected_backends():

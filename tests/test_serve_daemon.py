@@ -22,6 +22,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.serve.bundle import build_bundle, content_hash, save_bundle
 from repro.serve.cli import main as serve_main
 from repro.serve.daemon import ServingDaemon
+from repro.serve.scorer import VerdictBlock
 from repro.serve.sinks import (CallbackAlertSink, DeliveryPolicy,
                                JsonlAlertSink, reprocess_dead_letter)
 from repro.serve.wal import ShardWal
@@ -354,6 +355,33 @@ def test_alerting_verdicts_fan_out_to_sinks(bundle, samples, tmp_path):
     assert (daemon.registry.counter("alert_sink_emits").value
             == 2 * len(expected))
     assert len(daemon.recorder.events_of("alert")) == len(expected)
+
+
+def test_alert_lines_render_once_per_batch(bundle, samples, monkeypatch):
+    """With a sink attached, each ``?verdicts=alerts`` batch encodes its
+    alerting rows once: the sink and the reply share those lines."""
+    calls = []
+    render = VerdictBlock.to_json_lines
+
+    def counting(self, rows=None):
+        calls.append(rows)
+        return render(self, rows)
+
+    monkeypatch.setattr(VerdictBlock, "to_json_lines", counting)
+    seen, replies = [], []
+    batches = list(_batches(samples))
+    with ServingDaemon(bundle, sinks=[CallbackAlertSink(seen.append)]) \
+            as daemon:
+        for batch in batches:
+            status, _headers, body = _post(
+                daemon.url + "/ingest?verdicts=alerts", _json_doc(batch))
+            assert status == 200
+            replies.extend(body.splitlines())
+    assert len(calls) == len(batches)
+    expected = [line for line in oracle_lines(bundle, samples)
+                if '"level":"HEALTHY"' not in line]
+    assert expected and replies == expected
+    assert seen == expected
 
 
 def test_sink_failures_are_counted_never_raised(bundle, samples):

@@ -87,6 +87,17 @@ def reference_lines(bundle, blocks):
     return expected
 
 
+def _wait_ready(shards, timeout):
+    """Poll ``shard_status()`` until no shard is ``recovering``;
+    ``False`` on timeout."""
+    deadline = time.monotonic() + timeout
+    while "recovering" in shards.shard_status():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 # -- the kill plan itself ---------------------------------------------------
 
 def test_kill_plan_is_deterministic_and_interior():
@@ -189,7 +200,7 @@ def test_fresh_shard_set_resumes_from_wal(bundle, blocks, reference_lines,
     observer = TelemetryObserver()
     with ShardSet(bundle, n_shards=2, wal_dir=wal_dir,
                   wal_fsync_every=1, observer=observer) as successor:
-        assert successor.wait_ready(timeout=30.0)
+        assert _wait_ready(successor, 30.0)
         # The retried last block is deduplicated, not double-scored.
         retried = successor.submit_block(*blocks[half - 1],
                                          block_id=f"resume-{half - 1}")
@@ -268,7 +279,7 @@ def test_sigkilled_child_process_resumes_byte_identical(
 
     with ShardSet(bundle, n_shards=2, wal_dir=wal_dir,
                   wal_fsync_every=1) as successor:
-        assert successor.wait_ready(timeout=30.0)
+        assert _wait_ready(successor, 30.0)
         retried = successor.submit_block(*blocks[half - 1],
                                          block_id=f"sigkill-{half - 1}")
         assert (retried.to_json_lines()
@@ -298,7 +309,7 @@ def test_drives_tracked_is_right_after_wal_recovery(bundle, blocks,
         for index, block in enumerate(blocks[:4]):
             veteran.submit_block(*block, block_id=f"census-{index}")
     with ShardSet(bundle, n_shards=2, wal_dir=wal_dir) as successor:
-        assert successor.wait_ready(timeout=30.0)
+        assert _wait_ready(successor, 30.0)
         assert successor.drives_tracked() == len(admitted)
         successor.kill_shard(0)
         deadline = time.monotonic() + 30.0
@@ -343,7 +354,7 @@ def test_kill_replay_thread_is_gone_once_serving(bundle, blocks, tmp_path,
         shards.submit_block(*blocks[0])
         assert started == []
         shards.kill_shard(1)
-        assert shards.wait_ready(timeout=30.0)
+        assert _wait_ready(shards, 30.0)
         assert shards.shard_status() == ["serving", "serving"]
         assert [thread.name for thread in started] == ["repro-shard-1-replay"]
         started[0].join(timeout=5.0)
@@ -400,7 +411,7 @@ def test_malformed_snapshot_fails_the_shard_promptly(bundle, blocks,
     shards = ShardSet(bundle, n_shards=1, wal_dir=wal_dir)
     try:
         start = time.monotonic()
-        assert shards.wait_ready(timeout=10.0)
+        assert _wait_ready(shards, 10.0)
         assert time.monotonic() - start < 5.0
         status = shards.shard_status()[0]
         assert status.startswith("failed:")
@@ -482,7 +493,7 @@ def test_recover_cli_reports_what_a_restarted_shard_resumes(bundle, blocks,
 
     restarted = ShardSet(bundle, n_shards=1, wal_dir=wal_dir)
     try:
-        assert restarted.wait_ready(timeout=10.0)
+        assert _wait_ready(restarted, 10.0)
         with pytest.raises(ServeError, match="shard scoring failed: "
                                              "shard 0: .* is not finite"):
             restarted.submit_block(serials, hours, matrix, block_id="bad")

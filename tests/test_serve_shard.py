@@ -390,4 +390,7 @@ def test_submit_validates_columns(bundle):
             shards.submit_block(["a"], [1], np.zeros(4))
         with pytest.raises(ServeError, match="disagree"):
             shards.submit_block(["a", "b"], [1], np.zeros((1, 4)))
-        assert len(shards.submit_block([], [], np.zeros((0, 4)))) == 0
+        with pytest.raises(ServeError, match="bundle expects"):
+            shards.submit_block([], [], np.zeros((0, 4)))
+        assert len(shards.submit_block(
+            [], [], np.zeros((0, bundle.n_attributes)))) == 0
