@@ -99,15 +99,6 @@ def test_svc_connectivity_500_points(benchmark, rng):
     assert np.array_equal(labels, model.labels_)
 
 
-def test_hmm_score_many_300_windows(benchmark, rng):
-    windows = [rng.normal(size=(24, 4)) for _ in range(300)]
-    model = GaussianHMM(n_states=3, n_iter=5, seed=1).fit(windows[:50])
-    scores = benchmark.pedantic(
-        lambda: model.score_many(windows), rounds=3, iterations=1
-    )
-    assert scores.shape == (300,)
-
-
 # -- recorded before/after speedups ------------------------------------------
 
 def _best_of(fn, repeat=3):

@@ -5,7 +5,9 @@ is 2x single-bundle scoring.  The pinned contract: the divergence
 bookkeeping (confusion bincount, stage deltas, alert-delta tallies) on
 top of that floor stays cheap enough that shadow throughput is within
 **2.2x** of a single :class:`~repro.serve.scorer.StreamScorer` over the
-same blocked stream.  Both throughputs land in
+same blocked stream, as the median ratio of alternating timed pairs (an
+unpaired best-of of each loop swings with host load between the two
+loops).  Both throughputs land in
 ``benchmarks/output/perf_learn.json``, where
 ``scripts/compare_bench.py`` pins them against the committed baseline
 via its ``*samples_per_s`` rule.
@@ -27,10 +29,8 @@ from repro.serve.scorer import StreamScorer
 #: Samples per block — the daemon-typical ingest batch size.
 BLOCK_SIZE = 256
 
-
-def _best_of(fn, repeat=3):
-    """Min over ``repeat`` calls of a fn that returns elapsed seconds."""
-    return min(fn() for _ in range(repeat))
+#: Timed (single, shadow) pairs behind the gated median ratio.
+N_PAIRS = 7
 
 
 @pytest.fixture(scope="module")
@@ -107,10 +107,21 @@ def test_perf_learn_recorded(learn_bundles, blocked_stream, artifact_dir):
             shadow.score_block(serials, hours, matrix)
         return time.perf_counter() - start
 
-    single_s = _best_of(single, repeat=3)
-    shadow_s = _best_of(shadowed, repeat=3)
+    # Each pair times both loops back to back, alternating which goes
+    # first, so a load swing on the shared host hits both halves of a
+    # pair; the median pair ratio is what the gate reads.
+    single_times, shadow_times, pair_ratios = [], [], []
+    for index in range(N_PAIRS):
+        if index % 2:
+            shadow_times.append(shadowed())
+            single_times.append(single())
+        else:
+            single_times.append(single())
+            shadow_times.append(shadowed())
+        pair_ratios.append(shadow_times[-1] / single_times[-1])
+    single_s, shadow_s = min(single_times), min(shadow_times)
 
-    overhead = shadow_s / single_s
+    overhead = sorted(pair_ratios)[N_PAIRS // 2]
     assert overhead <= 2.2, (
         f"shadow scoring is {overhead:.2f}x single-bundle scoring — the "
         f"divergence bookkeeping is costing more than the second bundle")
@@ -130,9 +141,12 @@ def test_perf_learn_recorded(learn_bundles, blocked_stream, artifact_dir):
             "shadow_s": shadow_s,
             "shadow_samples_per_s": n_samples / shadow_s,
             "shadow_overhead_vs_single": overhead,
+            "pairs": N_PAIRS,
             "note": "blocked columnar scoring; shadow scores every "
                     "block through champion and challenger and tallies "
-                    "the divergence report",
+                    "the divergence report; the overhead is the median "
+                    "ratio of alternating timed pairs, the seconds are "
+                    "the fastest run of each loop",
         },
     }
     path = artifact_dir / "perf_learn.json"

@@ -148,7 +148,7 @@ def test_perf_obs_recorded(obs_bundle, obs_samples, artifact_dir):
             "n_observations": n_obs,
             "total_s": observe_s,
             "ns_per_observe": observe_s / n_obs * 1e9,
-            "retained": stress.retained,
+            "retained": len(stress._values),
         },
         "prometheus_render": {
             "render_s": render_s,

@@ -45,6 +45,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".smart.attributes": ("ATTRIBUTE_REGISTRY", "CHARACTERIZATION_ATTRIBUTES"),
     ".smart.profile": ("HealthProfile",),
     ".smart.normalization": ("MinMaxNormalizer",),
-    ".smart.record": ("SmartRecord",),
 })
 __all__.append("__version__")

@@ -15,8 +15,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".prediction": ("DegradationPredictor", "PredictionReport"),
     ".rescue": ("RescueEstimate", "estimate_remaining_hours",
                 "rescue_estimate"),
-    ".serialize": ("load_report_summary", "report_to_dict",
-                   "save_report_json"),
+    ".serialize": ("report_to_dict", "save_report_json"),
     ".records": ("FailureRecordSet", "build_failure_records"),
     ".signature_models": ("CANONICAL_ORDER_BY_TYPE", "canonical_signature",
                           "compare_signature_models"),

@@ -17,7 +17,7 @@ from repro.core.categorize import CategorizationResult
 from repro.core.taxonomy import FailureType
 from repro.data.dataset import DiskDataset
 from repro.errors import ReproError
-from repro.stats.zscore import temporal_z_scores, two_population_z
+from repro.stats.zscore import temporal_z_scores
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,50 +71,3 @@ def temporal_group_z_scores(dataset: DiskDataset,
             z_scores=z_scores,
         )
     return results
-
-
-def group_attribute_z(dataset: DiskDataset,
-                      categorization: CategorizationResult,
-                      attribute: str) -> dict[FailureType, float]:
-    """Single Eq. (7) z-score per group, pooling all pre-failure records."""
-    good_values = np.concatenate(
-        [profile.column(attribute) for profile in dataset.good_profiles]
-    )
-    results: dict[FailureType, float] = {}
-    for failure_type in FailureType:
-        serials = categorization.serials_of_type(failure_type)
-        if not serials:
-            continue
-        failed_values = np.concatenate(
-            [dataset.get(serial).column(attribute) for serial in serials]
-        )
-        results[failure_type] = two_population_z(failed_values, good_values)
-    return results
-
-
-def distinguishing_attribute(dataset: DiskDataset,
-                             categorization: CategorizationResult,
-                             target: FailureType,
-                             candidates: tuple[str, ...]) -> str:
-    """Attribute that best separates ``target`` from the other groups.
-
-    The paper reports TC as "the only attribute that can distinguish
-    Group 1 from the other two groups"; this helper automates that
-    finding: it scores each candidate by the margin between the target
-    group's z-score and the nearest other group's.
-    """
-    if not candidates:
-        raise ReproError("need candidate attributes")
-    best_margin = -np.inf
-    best_attribute = candidates[0]
-    for attribute in candidates:
-        z_by_group = group_attribute_z(dataset, categorization, attribute)
-        if target not in z_by_group or len(z_by_group) < 2:
-            continue
-        target_z = z_by_group[target]
-        others = [abs(z) for t, z in z_by_group.items() if t is not target]
-        margin = abs(target_z) - max(others)
-        if margin > best_margin:
-            best_margin = margin
-            best_attribute = attribute
-    return best_attribute

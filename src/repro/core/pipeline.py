@@ -78,9 +78,6 @@ class CharacterizationReport:
         except KeyError:
             raise ReproError(f"no signature derived for {serial!r}") from None
 
-    def group_of(self, serial: str) -> FailureType:
-        return self.categorization.type_of_serial(serial)
-
 
 class CharacterizationPipeline:
     """Configure and run the full analysis.

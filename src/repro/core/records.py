@@ -63,13 +63,6 @@ class FailureRecordSet:
     def n_records(self) -> int:
         return self.features.shape[0]
 
-    def feature_column(self, name: str) -> np.ndarray:
-        try:
-            index = self.feature_names.index(name)
-        except ValueError:
-            raise DatasetError(f"no feature named {name!r}") from None
-        return self.features[:, index].copy()
-
     def attribute_column(self, symbol: str) -> np.ndarray:
         try:
             index = self.attribute_names.index(symbol)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.signature_models import (
     CANONICAL_ORDER_BY_TYPE,
     PREDICTION_WINDOW_BY_TYPE,
@@ -42,10 +40,6 @@ class RescueEstimate:
     stage: float
     hours_remaining: float
     window: int
-
-    @property
-    def degrading(self) -> bool:
-        return np.isfinite(self.hours_remaining)
 
     def urgent(self, deadline_hours: float) -> bool:
         return self.hours_remaining <= deadline_hours

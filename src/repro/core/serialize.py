@@ -4,9 +4,9 @@ Operators want the pipeline's verdicts — the taxonomy, per-drive
 signatures and prediction quality — in a machine-readable artifact that
 outlives the Python session.  :func:`report_to_dict` flattens a
 :class:`CharacterizationReport` into plain JSON types;
-:func:`save_report_json` / :func:`load_report_summary` round-trip it on
-disk.  The raw dataset is not embedded (use :func:`repro.data.save_csv`
-for that); the summary references drives by serial.
+:func:`save_report_json` writes it to disk.  The raw dataset is not
+embedded (use :func:`repro.data.save_csv` for that); the summary
+references drives by serial.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.taxonomy import FailureType
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - offline layer, types only
@@ -176,27 +175,3 @@ def save_report_json(report: CharacterizationReport, path: str | Path, *,
         canonical_json_dumps(report_to_dict(report, telemetry=telemetry,
                                             data_quality=data_quality))
     )
-
-
-def load_report_summary(path: str | Path) -> dict[str, Any]:
-    """Load and validate a report summary written by ``save_report_json``."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise ReproError(f"{path}: not valid JSON: {error}") from error
-    if not isinstance(payload, dict):
-        raise ReproError(f"{path}: expected a JSON object")
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ReproError(
-            f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}"
-        )
-    for key in ("groups", "drive_types", "signatures", "group_summaries"):
-        if key not in payload:
-            raise ReproError(f"{path}: missing key {key!r}")
-    known_types = {failure_type.name for failure_type in FailureType}
-    unknown = set(payload["drive_types"].values()) - known_types
-    if unknown:
-        raise ReproError(f"{path}: unknown failure types {sorted(unknown)}")
-    return payload

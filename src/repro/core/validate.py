@@ -57,12 +57,6 @@ class ValidationReport:
         return (self.confusion[failure_type][failure_type] / assigned
                 if assigned else 0.0)
 
-    def misassigned_serials(self) -> list[str]:
-        return list(self._misassigned)
-
-    # Stored outside the dataclass fields to keep the frozen API tidy.
-    _misassigned: tuple[str, ...] = ()
-
 
 def validate_categorization(fleet: FleetResult,
                             categorization: CategorizationResult,
@@ -74,7 +68,6 @@ def validate_categorization(fleet: FleetResult,
     }
     n_drives = 0
     n_correct = 0
-    misassigned: list[str] = []
     for assigned_type in FailureType:
         for serial in categorization.serials_of_type(assigned_type):
             true_mode = fleet.true_modes.get(serial)
@@ -88,11 +81,8 @@ def validate_categorization(fleet: FleetResult,
             n_drives += 1
             if true_type is assigned_type:
                 n_correct += 1
-            else:
-                misassigned.append(serial)
     return ValidationReport(
         n_drives=n_drives,
         n_correct=n_correct,
         confusion=confusion,
-        _misassigned=tuple(misassigned),
     )

@@ -2,9 +2,8 @@
 
 A :class:`DiskDataset` owns the health profiles of every drive, split by
 outcome: drives replaced due to failures are *failed*, the rest *good*.
-It provides the dataset-wide operations of the paper's Section III —
-Eq. (1) min-max normalization with extrema taken over *all* records, and
-the filtering of attributes that are constant across the fleet.
+It provides the dataset-wide operation of the paper's Section III:
+Eq. (1) min-max normalization with extrema taken over *all* records.
 """
 
 from __future__ import annotations
@@ -157,51 +156,6 @@ class DiskDataset:
 
     # -- dataset-wide transformations ------------------------------------
 
-    def constant_attributes(self) -> tuple[str, ...]:
-        """Symbols whose value never changes across the whole dataset."""
-        matrix, _ = self.stacked_records()
-        constant = matrix.min(axis=0) == matrix.max(axis=0)
-        return tuple(
-            symbol for symbol, is_const in zip(self._attributes, constant)
-            if is_const
-        )
-
-    def drop_attributes(self, symbols: tuple[str, ...] | list[str]) -> "DiskDataset":
-        """Return a dataset without the given attribute columns.
-
-        Mirrors the paper's filtering of uninformative attributes before
-        the Table I selection.
-        """
-        drop = set(symbols)
-        unknown = drop - set(self._attributes)
-        if unknown:
-            raise DatasetError(f"cannot drop unknown attributes: {sorted(unknown)}")
-        keep = [i for i, s in enumerate(self._attributes) if s not in drop]
-        if not keep:
-            raise DatasetError("cannot drop every attribute")
-        kept_symbols = tuple(self._attributes[i] for i in keep)
-        profiles = [
-            HealthProfile(
-                serial=p.serial,
-                hours=p.hours.copy(),
-                matrix=p.matrix[:, keep].copy(),
-                failed=p.failed,
-                attributes=kept_symbols,
-            )
-            for p in self._profiles
-        ]
-        return DiskDataset(profiles, normalized=self._normalized)
-
-    def subset(self, serials: list[str] | tuple[str, ...]) -> "DiskDataset":
-        """Return a dataset containing exactly the named drives."""
-        if not serials:
-            raise DatasetError("subset needs at least one serial")
-        return DiskDataset(
-            [self.get(serial) for serial in serials],
-            normalized=self._normalized,
-            normalizer=self._normalizer,
-        )
-
     def sample(self, *, n_good: int | None = None,
                n_failed: int | None = None,
                rng: np.random.Generator | None = None) -> "DiskDataset":
@@ -227,21 +181,6 @@ class DiskDataset:
             raise DatasetError("sampled dataset would be empty")
         return DiskDataset(chosen, normalized=self._normalized,
                            normalizer=self._normalizer)
-
-    def merge(self, other: "DiskDataset") -> "DiskDataset":
-        """Combine two datasets (serials must not collide).
-
-        Both sides must be in the same normalization state; merging a
-        normalized dataset with a raw one would silently mix scales.
-        """
-        if self._normalized != other.is_normalized:
-            raise DatasetError(
-                "cannot merge datasets in different normalization states"
-            )
-        return DiskDataset(
-            self.profiles + other.profiles,
-            normalized=self._normalized,
-        )
 
     def fit_normalizer(self) -> MinMaxNormalizer:
         """Fit the Eq. (1) scaler on every record of the dataset."""

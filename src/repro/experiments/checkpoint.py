@@ -128,12 +128,3 @@ class CheckpointStore:
         except (KeyError, TypeError, ValueError):
             return None
         return result, wall_s
-
-    def completed_ids(self) -> set[str]:
-        """Experiment ids with a valid checkpoint at this store's scale."""
-        completed = set()
-        for path in sorted(self._dir.glob(f"*{_SUFFIX}")):
-            experiment_id = path.name[: -len(_SUFFIX)]
-            if self.load(experiment_id) is not None:
-                completed.add(experiment_id)
-        return completed

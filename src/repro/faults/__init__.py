@@ -5,8 +5,7 @@ corruption regime (:class:`ChaosConfig`, one rate per fault class plus a
 seed, and the CLI spec parser).  :mod:`repro.faults.injectors` applies
 it: :func:`inject_dataset` corrupts a dataset the way field telemetry
 actually fails — dropped and duplicated samples, attribute blackouts,
-NaN and outlier bursts, out-of-order timestamps, truncated profiles —
-and :func:`corrupt_cache_entry` bit-flips on-disk cache entries.
+NaN and outlier bursts, out-of-order timestamps, truncated profiles.
 
 Everything is seeded and deterministic: equal configs produce
 byte-identical corruption, so chaos runs are re-runnable experiments,
@@ -29,6 +28,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
                      "verdict_lines"),
     ".config": ("SPEC_KEYS", "ChaosConfig", "parse_chaos_spec"),
     ".injectors": ("FAULT_ORDER", "FaultLog", "RawProfile",
-                   "corrupt_cache_entries", "corrupt_cache_entry",
                    "inject_dataset"),
 })

@@ -11,8 +11,8 @@ The CLI accepts the compact ``key=value`` spec form via
    --inject-faults 'drop=0.05,nan=0.02,truncate=0.1,seed=7'
 
 Rates are probabilities: per *sample* for ``drop``/``duplicate``/
-``nan``/``outlier``, per *drive* for ``blackout``/``disorder``/
-``truncate``, and per *cache entry* for ``bitflip``.
+``nan``/``outlier``, and per *drive* for ``blackout``/``disorder``/
+``truncate``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ SPEC_KEYS = {
     "blackout": "blackout_rate",
     "nan": "nan_rate",
     "outlier": "outlier_rate",
-    "bitflip": "bitflip_rate",
     "seed": "seed",
 }
 
@@ -63,9 +62,6 @@ class ChaosConfig:
     outlier_rate:
         Per-sample probability of a wild out-of-range value (sensor
         glitch / decoding error).
-    bitflip_rate:
-        Per-entry probability used by
-        :func:`repro.faults.injectors.corrupt_cache_entry`.
     """
 
     seed: int = 0
@@ -76,7 +72,6 @@ class ChaosConfig:
     blackout_rate: float = 0.0
     nan_rate: float = 0.0
     outlier_rate: float = 0.0
-    bitflip_rate: float = 0.0
 
     def __post_init__(self) -> None:
         for spec in fields(self):

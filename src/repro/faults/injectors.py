@@ -1,4 +1,4 @@
-"""Deterministic, seeded corruption of datasets and cache entries.
+"""Deterministic, seeded corruption of datasets.
 
 Field SMART telemetry does not fail politely: samples go missing,
 sensors black out, decoders emit wild values, collectors upload rows
@@ -20,22 +20,16 @@ a fuzzer:
   produce data that :class:`~repro.smart.profile.HealthProfile` would
   reject.  Feed them to :func:`repro.data.sanitize.sanitize_profiles`
   to exercise the quarantine path.
-
-:func:`corrupt_cache_entry` covers the one fault class that lives on
-disk instead of in the dataset: bit flips inside a stored
-:class:`~repro.data.cache.DatasetCache` entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.data.dataset import DiskDataset
 from repro.data.sanitize import RawProfile
-from repro.errors import FaultInjectionError
 from repro.faults.config import ChaosConfig
 from repro.obs.observer import PipelineObserver, resolve_observer
 from repro.sim.rng import child_rng
@@ -200,40 +194,3 @@ def inject_dataset(dataset: DiskDataset, config: ChaosConfig, *,
     obs.event("faults injected", seed=config.seed, total=log.total,
               drives_affected=len(log.by_drive))
     return raw, log
-
-
-def corrupt_cache_entry(path: str | Path, *, seed: int = 0,
-                        n_flips: int = 8) -> int:
-    """Flip ``n_flips`` deterministic bits inside the file at ``path``.
-
-    Models silent on-disk corruption of a cache entry.  Returns the
-    number of bits flipped (0 for an empty file).  The positions derive
-    from ``seed`` and the file size, so the corruption is reproducible.
-    """
-    path = Path(path)
-    if n_flips < 1:
-        raise FaultInjectionError(f"n_flips must be >= 1, got {n_flips}")
-    payload = bytearray(path.read_bytes())
-    if not payload:
-        return 0
-    rng = child_rng(seed, "chaos", path.name, "bitflip")
-    flips = min(n_flips, len(payload))
-    positions = rng.choice(len(payload), size=flips, replace=False)
-    for position in positions:
-        payload[int(position)] ^= 1 << int(rng.integers(0, 8))
-    path.write_bytes(bytes(payload))
-    return flips
-
-
-def corrupt_cache_entries(directory: str | Path, config: ChaosConfig,
-                          ) -> list[Path]:
-    """Bit-flip each ``.npz`` entry under ``directory`` with probability
-    ``config.bitflip_rate``; returns the corrupted paths (sorted)."""
-    directory = Path(directory)
-    corrupted: list[Path] = []
-    for path in sorted(directory.glob("*.npz")):
-        rng = child_rng(config.seed, "chaos", path.name, "bitflip-select")
-        if rng.random() < config.bitflip_rate:
-            corrupt_cache_entry(path, seed=config.seed)
-            corrupted.append(path)
-    return corrupted

@@ -11,14 +11,13 @@ on numpy/scipy (no scikit-learn dependency).
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    ".distance": ("MahalanobisDistance", "euclidean_distance",
-                  "euclidean_to_reference"),
+    ".distance": ("MahalanobisDistance", "euclidean_to_reference"),
     ".hmm": ("GaussianHMM", "HMMDetector"),
     ".kmeans": ("ElbowAnalysis", "KMeans", "elbow_analysis"),
     ".knn": ("KNNRegressor",),
     ".linear": ("RidgeRegressor",),
     ".metrics": ("cluster_purity", "detection_rates", "error_rate",
-                 "r_squared", "rand_index", "rmse", "silhouette_score"),
+                 "r_squared", "rmse", "silhouette_score"),
     ".naive_bayes": ("GaussianNaiveBayes",),
     ".pca": ("PCA",),
     ".polyfit": ("PolynomialFit", "fit_polynomial"),

@@ -13,15 +13,6 @@ import numpy as np
 from repro.errors import ModelError
 
 
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ModelError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 def euclidean_to_reference(matrix: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Euclidean distance of every row of ``matrix`` to ``reference``.
 

@@ -100,20 +100,6 @@ class GaussianHMM:
         log_alpha = self._forward(self._log_emissions(sequence))
         return float(logsumexp(log_alpha[-1]))
 
-    def score_many(self, sequences: list[np.ndarray]) -> np.ndarray:
-        """Total log-likelihoods of many sequences.
-
-        Equal-length sequences share one batched forward pass; each value
-        matches :meth:`score` of the same sequence exactly.
-        """
-        self._require_fitted()
-        sequences = [self._validated(seq) for seq in sequences]
-        scores = np.empty(len(sequences), dtype=np.float64)
-        for indices, batch in self._length_groups(sequences):
-            log_alpha = self._forward_batched(self._log_emissions_batched(batch))
-            scores[indices] = logsumexp(log_alpha[:, -1], axis=1)
-        return scores
-
     def score_per_observation(self, sequence: np.ndarray) -> float:
         """Length-normalized log-likelihood (comparable across windows)."""
         sequence = self._validated(sequence)
@@ -219,9 +205,6 @@ class GaussianHMM:
     def _forward(self, log_b: np.ndarray) -> np.ndarray:
         return self._forward_batched(log_b[None])[0]
 
-    def _backward(self, log_b: np.ndarray) -> np.ndarray:
-        return self._backward_batched(log_b[None])[0]
-
     def _log_emissions_batched(self, batch: np.ndarray) -> np.ndarray:
         """Log emission densities for a (batch, time, features) stack."""
         assert self.means_ is not None and self.variances_ is not None
@@ -323,24 +306,6 @@ class HMMDetector:
     def flag(self, window: np.ndarray) -> bool:
         return self.log_likelihood_ratio(window) > self._margin
 
-    def log_likelihood_ratio_many(self, windows: list[np.ndarray]) -> np.ndarray:
-        """Per-observation log-likelihood ratios for many windows.
-
-        Both models score the windows through their batched forward
-        pass; each ratio matches :meth:`log_likelihood_ratio` exactly.
-        """
-        if not self.is_fitted:
-            raise ModelError("HMMDetector used before fit()")
-        windows = [GaussianHMM._validated(window) for window in windows]
-        lengths = np.array([window.shape[0] for window in windows],
-                           dtype=np.int64)
-        failed = self._failed_model.score_many(windows)
-        good = self._good_model.score_many(windows)
-        return failed / lengths - good / lengths
-
-    def flag_many(self, windows: list[np.ndarray]) -> np.ndarray:
-        ratios = self.log_likelihood_ratio_many(windows)
-        return np.asarray(ratios > self._margin, dtype=bool)
 
 
 # Re-exported for symmetry with the other baselines.

@@ -124,22 +124,6 @@ def silhouette_score(data: np.ndarray, labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
-    """Rand index between two flat clusterings (1.0 = identical)."""
-    labels_a = np.asarray(labels_a)
-    labels_b = np.asarray(labels_b)
-    if labels_a.shape != labels_b.shape or labels_a.ndim != 1:
-        raise ModelError("rand_index expects two aligned 1-D label arrays")
-    n = labels_a.shape[0]
-    if n < 2:
-        raise ModelError("rand_index needs at least two samples")
-    same_a = labels_a[:, None] == labels_a[None, :]
-    same_b = labels_b[:, None] == labels_b[None, :]
-    upper = np.triu_indices(n, k=1)
-    agreements = np.sum(same_a[upper] == same_b[upper])
-    return float(agreements) / upper[0].shape[0]
-
-
 def cluster_purity(labels: np.ndarray, ground_truth: np.ndarray) -> float:
     """Fraction of samples whose cluster's majority truth matches theirs."""
     labels = np.asarray(labels)

@@ -69,10 +69,3 @@ class PCA:
 
     def fit_transform(self, data: np.ndarray) -> np.ndarray:
         return self.fit(data).transform(data)
-
-    def inverse_transform(self, projected: np.ndarray) -> np.ndarray:
-        """Map projections back into the original feature space."""
-        if self.components_ is None or self.mean_ is None:
-            raise ModelError("PCA used before fit()")
-        projected = np.asarray(projected, dtype=np.float64)
-        return projected @ self.components_ + self.mean_

@@ -2,14 +2,12 @@
 
 The paper fits degradation curves with free polynomial models of order 1
 to 3 (reporting R-squared) and then compares constrained canonical forms
-by RMSE.  :func:`fit_polynomial` covers the free fits;
-:func:`evaluate_model` scores any fixed signature function.
+by RMSE.  :func:`fit_polynomial` covers the free fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -60,24 +58,6 @@ def fit_polynomial_family(t: np.ndarray, y: np.ndarray,
                           max_order: int = 3) -> list[PolynomialFit]:
     """Fit orders 1..``max_order``, as in the paper's Figure 8 panels."""
     return [fit_polynomial(t, y, order) for order in range(1, max_order + 1)]
-
-
-def evaluate_model(t: np.ndarray, y: np.ndarray,
-                   model: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
-    """Return ``(rmse, r_squared)`` of a fixed model on the data.
-
-    Used to compare the canonical signature forms (e.g. ``t^2/d^2 - 1``)
-    against the free fits, reproducing the RMSE comparisons of
-    Section IV-C.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if t.shape != y.shape or t.ndim != 1:
-        raise ModelError("evaluate_model expects matching 1-D arrays")
-    predictions = np.asarray(model(t), dtype=np.float64)
-    if predictions.shape != y.shape:
-        raise ModelError("model output shape does not match the data")
-    return _rmse(y, predictions), _r_squared(y, predictions)
 
 
 def _rmse(actual: np.ndarray, predicted: np.ndarray) -> float:

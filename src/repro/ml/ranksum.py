@@ -105,7 +105,3 @@ class RankSumDetector:
                             axis=0)
         material = (medians < self._band_low) | (medians > self._band_high)
         return bool(np.any((p_values < self._significance) & material))
-
-    def flag_many(self, drives: list[np.ndarray]) -> np.ndarray:
-        """Vector of decisions for a list of per-drive sample matrices."""
-        return np.array([self.flag(samples) for samples in drives], dtype=bool)

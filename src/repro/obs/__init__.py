@@ -6,10 +6,10 @@ systems expect of their own tooling:
 * :mod:`repro.obs.tracing` — nestable stage spans with wall/CPU time,
   exportable as a JSON trace tree;
 * :mod:`repro.obs.metrics` — counters, gauges and bounded streaming
-  histograms behind a :class:`MetricsRegistry` with labeled families,
-  text/JSON snapshots and cross-process state merging;
-* :mod:`repro.obs.export` — Prometheus text exposition, JSONL
-  metric/trace dumps and atomic/periodic snapshot files;
+  histograms behind a :class:`MetricsRegistry` with labeled families
+  and JSON snapshots;
+* :mod:`repro.obs.export` — Prometheus text exposition and
+  atomic/periodic snapshot files;
 * :mod:`repro.obs.recorder` — the :class:`FlightRecorder` bounded ring
   of recent alerts/errors with on-demand and on-crash dumps;
 * :mod:`repro.obs.http` — the zero-dependency ``/metrics`` +
@@ -29,8 +29,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".export": ("PROMETHEUS_CONTENT_TYPE", "PeriodicSnapshotWriter",
-                "metrics_jsonl", "render_prometheus", "trace_jsonl",
-                "write_snapshot"),
+                "render_prometheus", "write_snapshot"),
     ".http": ("TelemetryHTTPServer",),
     ".logging": ("configure_logging", "get_logger", "verbosity_to_level"),
     ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),

@@ -1,4 +1,4 @@
-"""Telemetry export: Prometheus exposition, JSONL dumps, snapshots.
+"""Telemetry export: Prometheus exposition and snapshots.
 
 The batch pipeline snapshots its metrics once at exit; a long-running
 scorer must *publish* them instead.  This module is the wire layer:
@@ -7,9 +7,6 @@ scorer must *publish* them instead.  This module is the wire layer:
   exposition format (version 0.0.4), stable ordering, proper label
   escaping, counters suffixed ``_total``, histograms expanded into
   cumulative ``_bucket{le=...}`` / ``_sum`` / ``_count`` lines;
-* :func:`metrics_jsonl` / :func:`trace_jsonl` — one JSON object per
-  metric / span, in stable (name-sorted / depth-first) order, for log
-  shippers and offline diffing;
 * :func:`write_snapshot` — one atomic combined snapshot file (JSON);
 * :class:`PeriodicSnapshotWriter` — a daemon thread calling
   :func:`write_snapshot` every ``interval_s`` seconds, so an operator
@@ -101,56 +98,6 @@ def _histogram_lines(exposed: str, histogram: Histogram) -> list[str]:
     lines.append(f"{exposed}_sum{suffix} {_format_value(histogram.sum)}")
     lines.append(f"{exposed}_count{suffix} {histogram.count}")
     return lines
-
-
-def metrics_jsonl(registry: MetricsRegistry) -> str:
-    """One key-sorted JSON object per metric, in stable name order.
-
-    Each line carries ``name``, ``labels``, ``kind`` and the metric's
-    snapshot fields — the machine-diffable twin of
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
-    """
-    lines = []
-    for name, _kind, members in registry.families():
-        for metric in members:
-            payload: dict[str, Any] = {
-                "name": name,
-                "labels": dict(metric.labels),
-            }
-            payload.update(metric.snapshot())
-            lines.append(json.dumps(payload, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def trace_jsonl(tracer: Tracer) -> str:
-    """One JSON object per span, depth-first, with slash-joined paths.
-
-    Flattening the span tree to lines keeps huge traces streamable and
-    greppable (``"path": "pipeline/predict/predict-group"``)
-    while the nesting stays recoverable from the paths.
-    """
-    lines = []
-
-    def _walk(span, prefix: str) -> None:
-        path = f"{prefix}/{span.name}" if prefix else span.name
-        payload: dict[str, Any] = {
-            "path": path,
-            "name": span.name,
-            "wall_s": span.wall_s,
-            "cpu_s": span.cpu_s,
-            "status": span.status,
-        }
-        if span.attributes:
-            payload["attributes"] = dict(span.attributes)
-        if span.error is not None:
-            payload["error"] = span.error
-        lines.append(json.dumps(payload, sort_keys=True))
-        for child in span.children:
-            _walk(child, path)
-
-    for root in tracer.roots:
-        _walk(root, "")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def write_snapshot(registry: MetricsRegistry, path: str | Path, *,

@@ -1,12 +1,12 @@
 """Counters, gauges and histograms for the analysis pipeline.
 
 A :class:`MetricsRegistry` hands out named metrics on first use and
-renders the whole set as a JSON snapshot or an aligned text block::
+renders the whole set as a JSON snapshot::
 
     registry = MetricsRegistry()
     registry.counter("drives_processed").inc(4000)
     registry.histogram("window_length").observe(382.0)
-    print(registry.render_text())
+    print(registry.to_json())
 
 Metric kinds follow the conventional trio: a :class:`Counter` only ever
 accumulates, a :class:`Gauge` holds the latest value, and a
@@ -296,11 +296,6 @@ class Histogram:
         return self._retention
 
     @property
-    def retained(self) -> int:
-        """Values currently held for quantile estimation."""
-        return len(self._values)
-
-    @property
     def mean(self) -> float:
         if not self._count:
             return 0.0
@@ -315,10 +310,6 @@ class Histogram:
     def max(self) -> float:
         """Exact largest observation (0.0 when empty)."""
         return self._max if self._count else 0.0
-
-    def bucket_counts(self) -> tuple[int, ...]:
-        """Per-bucket observation counts (last entry is the +Inf bucket)."""
-        return tuple(self._buckets)
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(le_bound, cumulative_count)`` pairs, +Inf bound last."""
@@ -452,29 +443,3 @@ class MetricsRegistry:
     def to_json(self) -> str:
         """The snapshot as indented, key-sorted JSON text."""
         return json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n"
-
-    def render_text(self) -> str:
-        """Aligned one-line-per-metric text block for terminals."""
-        lines = []
-        keys = {key: key[0] + render_label_suffix(key[1])
-                for key in self._metrics}
-        width = max((len(rendered) for rendered in keys.values()), default=0)
-        for key in sorted(self._metrics, key=lambda k: keys[k]):
-            metric = self._metrics[key]
-            rendered = keys[key]
-            if isinstance(metric, Histogram):
-                snap = metric.snapshot()
-                if metric.count:
-                    detail = (
-                        f"count={snap['count']} mean={snap['mean']:.4g} "
-                        f"p50={snap['p50']:.4g} p99={snap['p99']:.4g}"
-                    )
-                else:
-                    detail = "count=0"
-                lines.append(f"{rendered:<{width}}  histogram  {detail}")
-            else:
-                lines.append(
-                    f"{rendered:<{width}}  {metric.kind:<9}  "
-                    f"{metric.value:g}"
-                )
-        return "\n".join(lines)

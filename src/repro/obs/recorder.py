@@ -134,10 +134,6 @@ class FlightRecorder:
             raise ObservabilityError(f"tail length must be >= 0, got {n}")
         return events[len(events) - min(n, len(events)):]
 
-    def events_of(self, kind: str) -> list[FlightEvent]:
-        """Retained events of one kind, oldest first."""
-        return [event for event in self.tail() if event.kind == kind]
-
     def to_dicts(self, n: int | None = None) -> list[dict[str, Any]]:
         """The tail as plain dicts, ready for a JSON status payload."""
         return [event.to_dict() for event in self.tail(n)]

@@ -10,9 +10,8 @@ or sub-stage — with wall time (``time.perf_counter``), CPU time
             ...
 
 The finished trace is a plain tree of :class:`Span` records exportable
-as JSON (:meth:`Tracer.to_dict` / :meth:`Tracer.save_json`) and loadable
-back (:meth:`Tracer.from_dict`), so stage timings survive the process
-and can be diffed across runs.
+as JSON (:meth:`Tracer.to_dict` / :meth:`Tracer.save_json`), so stage
+timings survive the process and can be diffed across runs.
 
 The tracer is deliberately simple: spans nest via an explicit stack, so
 one tracer serves one thread of execution.  Concurrent pipelines should
@@ -77,20 +76,6 @@ class Span:
         if self.children:
             payload["children"] = [child.to_dict() for child in self.children]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Span":
-        if not isinstance(payload, dict) or "name" not in payload:
-            raise ObservabilityError(f"malformed span payload: {payload!r}")
-        return cls(
-            name=str(payload["name"]),
-            attributes=dict(payload.get("attributes", {})),
-            wall_s=float(payload.get("wall_s", 0.0)),
-            cpu_s=float(payload.get("cpu_s", 0.0)),
-            status=str(payload.get("status", "ok")),
-            error=payload.get("error"),
-            children=[cls.from_dict(c) for c in payload.get("children", [])],
-        )
 
 
 class _ActiveSpan:
@@ -177,35 +162,8 @@ class Tracer:
             "spans": [root.to_dict() for root in self._roots],
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Tracer":
-        """Rebuild a tracer from :meth:`to_dict` output."""
-        if not isinstance(payload, dict):
-            raise ObservabilityError("trace payload must be a JSON object")
-        version = payload.get("schema_version")
-        if version != TRACE_SCHEMA_VERSION:
-            raise ObservabilityError(
-                f"trace schema version {version!r}, "
-                f"expected {TRACE_SCHEMA_VERSION}"
-            )
-        tracer = cls()
-        tracer._roots = [Span.from_dict(s) for s in payload.get("spans", [])]
-        return tracer
-
     def save_json(self, path: str | Path) -> None:
         """Write the trace to ``path`` as indented, key-sorted JSON."""
         Path(path).write_text(
             json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
         )
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "Tracer":
-        """Load a trace written by :meth:`save_json`."""
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as error:
-            raise ObservabilityError(
-                f"{path}: not a valid trace file: {error}"
-            ) from error
-        return cls.from_dict(payload)

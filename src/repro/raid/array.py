@@ -68,10 +68,6 @@ class GroupOutcome:
     n_failures: int                 # unplanned member failures
     n_proactive_migrations: int     # failures converted to planned swaps
 
-    @property
-    def survived(self) -> bool:
-        return not self.data_loss
-
 
 def evaluate_group(members: list[DriveState], level: RaidLevel, *,
                    reconstruction_hours: float = 12.0,

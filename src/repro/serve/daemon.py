@@ -760,11 +760,6 @@ class ServingDaemon:
         """Whether a stop was requested (``POST /drain``, a signal)."""
         return self._stop_requested.is_set()
 
-    @property
-    def final_snapshots(self) -> list[dict[str, Any]]:
-        """Per-shard state snapshots collected at shutdown (post-stop)."""
-        return list(self._snapshots)
-
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> "ServingDaemon":

@@ -39,10 +39,6 @@ class MediaSurface:
         """Expected raw read errors per hour under a stress multiplier."""
         return read_ops * self.read_error_prob * stress
 
-    def ecc_recovered_rate(self, read_error_rate: np.ndarray) -> np.ndarray:
-        """Expected ECC-recovered errors per hour."""
-        return read_error_rate * self.ecc_recovery_fraction
-
 
 @dataclass(frozen=True, slots=True)
 class HeadAssembly:

@@ -161,11 +161,6 @@ class FleetConfig:
         return self.n_drives - self.n_failed
 
     @classmethod
-    def paper_scale(cls, seed: int = 20150301) -> "FleetConfig":
-        """Return a configuration at the paper's full fleet size."""
-        return cls(n_drives=PAPER_FLEET_SIZE, seed=seed)
-
-    @classmethod
     def small(cls, seed: int = 20150301) -> "FleetConfig":
         """Return a small configuration suitable for unit tests."""
         return cls(n_drives=400, seed=seed)

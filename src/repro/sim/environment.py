@@ -46,16 +46,6 @@ class ThermalEnvironment:
         noise = rng.normal(0.0, config.temperature_noise_c, size=n_hours)
         return inlet + self.rack_offset_c + self.mode_offset_c + heating + noise
 
-    @staticmethod
-    def temperature_health(temperature_c: np.ndarray) -> np.ndarray:
-        """Vendor health value for temperature: ``100 - deg C``, floored at 1.
-
-        This matches the common vendor convention where the TC health
-        value falls one-for-one as the drive heats up, which is why hotter
-        (failed) drives show *negative* z-scores in the paper's Figure 11.
-        """
-        return np.maximum(1.0, 100.0 - temperature_c)
-
 
 @dataclass(frozen=True, slots=True)
 class PowerOnClock:

@@ -12,10 +12,9 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".attributes": ("ATTRIBUTE_REGISTRY", "CHARACTERIZATION_ATTRIBUTES",
                     "ENVIRONMENTAL_ATTRIBUTES", "READ_WRITE_ATTRIBUTES",
                     "AttributeKind", "AttributeSpec", "ValueForm",
-                    "attribute_index", "get_attribute"),
-    ".normalization": ("MinMaxNormalizer", "VendorCurve", "vendor_curve_for"),
+                    "attribute_index"),
+    ".normalization": ("MinMaxNormalizer",),
     ".profile": ("HealthProfile",),
     ".quarantine": ("QuarantinedDrive", "QuarantinedSample",
                     "QuarantineReason"),
-    ".record": ("SmartRecord",),
 })

@@ -164,27 +164,9 @@ ENVIRONMENTAL_ATTRIBUTES: tuple[str, ...] = tuple(
     spec.symbol for spec in ATTRIBUTE_REGISTRY if spec.is_environmental
 )
 
-_BY_SYMBOL: dict[str, AttributeSpec] = {
-    spec.symbol: spec for spec in ATTRIBUTE_REGISTRY
-}
-
 _INDEX_BY_SYMBOL: dict[str, int] = {
     spec.symbol: index for index, spec in enumerate(ATTRIBUTE_REGISTRY)
 }
-
-
-def get_attribute(symbol: str) -> AttributeSpec:
-    """Return the :class:`AttributeSpec` for ``symbol``.
-
-    Raises
-    ------
-    UnknownAttributeError
-        If ``symbol`` is not one of the twelve Table I attributes.
-    """
-    try:
-        return _BY_SYMBOL[symbol]
-    except KeyError:
-        raise UnknownAttributeError(symbol) from None
 
 
 def attribute_index(symbol: str) -> int:

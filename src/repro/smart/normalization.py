@@ -1,98 +1,26 @@
-"""Value normalization: vendor health curves and the paper's Eq. (1).
+"""Dataset normalization: the paper's Eq. (1).
 
-Two distinct normalizations exist in the SMART world and both appear in
-the paper:
-
-* **Vendor normalization** — the drive firmware folds each raw counter
-  into a one-byte *health value* (conventionally starting near 100 and
-  decreasing as the attribute deteriorates).  The paper notes the exact
-  mapping is vendor-dependent; :class:`VendorCurve` models the common
-  saturating-decay shape and is what the fleet simulator uses to produce
-  health values from its raw counters.
-
-* **Dataset normalization (Eq. 1)** — for a fair comparison between
-  attributes the paper rescales every attribute to ``[-1, 1]`` with
-  ``x_norm = 2 (x - x_min) / (x_max - x_min) - 1`` where the extrema are
-  taken over the whole dataset.  :class:`MinMaxNormalizer` implements
-  exactly this, including the fit/transform split needed so that failed
-  and good drives are scaled with the same extrema.
+For a fair comparison between attributes the paper rescales every
+attribute to ``[-1, 1]`` with ``x_norm = 2 (x - x_min) / (x_max - x_min) - 1``
+where the extrema are taken over the whole dataset.
+:class:`MinMaxNormalizer` implements exactly this, including the
+fit/transform split needed so that failed and good drives are scaled
+with the same extrema.  (The firmware's own one-byte vendor health
+values are an input here, not something this module computes.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import NormalizationError
-from repro.smart.attributes import AttributeSpec, ValueForm
-
-
-@dataclass(frozen=True, slots=True)
-class VendorCurve:
-    """Mapping from a raw SMART counter to a one-byte health value.
-
-    The curve follows the shape real firmware uses: the health value
-    starts at ``best`` and decays toward ``worst`` as the raw counter
-    grows, saturating once the counter reaches ``raw_scale``:
-
-    ``health = worst + (best - worst) * max(0, 1 - raw / raw_scale) ** shape``
-
-    ``shape`` > 1 makes early raw growth cheap (firmware tolerates a few
-    errors), ``shape`` < 1 makes the health value drop quickly.
-    """
-
-    best: float = 100.0
-    worst: float = 1.0
-    raw_scale: float = 1000.0
-    shape: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.raw_scale <= 0:
-            raise NormalizationError("raw_scale must be positive")
-        if self.shape <= 0:
-            raise NormalizationError("shape must be positive")
-        if self.best <= self.worst:
-            raise NormalizationError("best health value must exceed worst")
-
-    def health_value(self, raw: np.ndarray | float) -> np.ndarray | float:
-        """Return the vendor health value(s) for raw counter value(s)."""
-        raw_arr = np.asarray(raw, dtype=np.float64)
-        fraction = np.clip(1.0 - raw_arr / self.raw_scale, 0.0, 1.0)
-        health = self.worst + (self.best - self.worst) * fraction ** self.shape
-        if np.isscalar(raw):
-            return float(health)
-        return health
-
-
-def vendor_curve_for(spec: AttributeSpec) -> VendorCurve:
-    """Return a plausible vendor curve for ``spec``.
-
-    Raw-form attributes get an identity-like steep curve (they are reported
-    raw, the curve only matters for the paired health value); error-count
-    attributes saturate at a fraction of their raw range because firmware
-    flags trouble well before the counter ceiling.
-    """
-    if spec.form is ValueForm.RAW:
-        return VendorCurve(raw_scale=spec.raw_max, shape=1.0)
-    span = spec.raw_max - spec.raw_min
-    if span <= 0:
-        raise NormalizationError(
-            f"attribute {spec.symbol} has a degenerate raw range"
-        )
-    # Health value should bottom out around a tenth of the raw range for
-    # counting attributes, mirroring conservative firmware thresholds.
-    scale = span * (0.1 if spec.higher_raw_is_worse else 1.0)
-    return VendorCurve(raw_scale=scale, shape=1.5)
 
 
 class MinMaxNormalizer:
     """Per-column min-max scaler to ``[-1, 1]`` (Eq. 1 of the paper).
 
     Columns that are constant in the fitting data carry no information for
-    characterization (the paper filters such attributes out); this scaler
-    maps them to ``0.0`` and reports them via :attr:`constant_columns` so
-    callers can drop them explicitly.
+    characterization; this scaler maps them to ``0.0``.
     """
 
     def __init__(self) -> None:
@@ -141,13 +69,6 @@ class MinMaxNormalizer:
         assert self._maxima is not None
         return self._maxima.copy()
 
-    @property
-    def constant_columns(self) -> np.ndarray:
-        """Boolean mask of columns whose fitted min equals their max."""
-        self._require_fitted()
-        assert self._minima is not None and self._maxima is not None
-        return self._maxima == self._minima
-
     def fit(self, matrix: np.ndarray) -> "MinMaxNormalizer":
         """Record per-column extrema of ``matrix`` (n_samples x n_columns)."""
         data = _as_2d(matrix)
@@ -181,22 +102,6 @@ class MinMaxNormalizer:
 
     def fit_transform(self, matrix: np.ndarray) -> np.ndarray:
         return self.fit(matrix).transform(matrix)
-
-    def inverse_transform(self, matrix: np.ndarray) -> np.ndarray:
-        """Map normalized values back to the original scale.
-
-        Constant columns cannot be inverted from the normalized ``0.0``;
-        they are restored to their (single) fitted value.
-        """
-        self._require_fitted()
-        assert self._minima is not None and self._maxima is not None
-        data = _as_2d(matrix)
-        if data.shape[1] != self._minima.shape[0]:
-            raise NormalizationError(
-                f"expected {self._minima.shape[0]} columns, got {data.shape[1]}"
-            )
-        span = self._maxima - self._minima
-        return (data + 1.0) / 2.0 * span + self._minima
 
     def _require_fitted(self) -> None:
         if not self.is_fitted:

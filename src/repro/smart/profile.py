@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.smart.attributes import CHARACTERIZATION_ATTRIBUTES, attribute_index
-from repro.smart.record import SmartRecord
 
 #: Collection policy of the studied data center, in hours.
 FAILED_OBSERVATION_HOURS = 480   # 20 days before the failure event
@@ -134,20 +133,6 @@ class HealthProfile:
                 f"profile {self.serial!r} is a good drive; no failure event"
             )
         return (self.hours[-1] - self.hours).astype(np.int64)
-
-    def record_at(self, index: int) -> SmartRecord:
-        """Return sample ``index`` as a :class:`SmartRecord`."""
-        row = self.matrix[index]
-        return SmartRecord(
-            serial=self.serial,
-            hour=int(self.hours[index]),
-            values=tuple(float(v) for v in row),
-            attributes=self.attributes,
-        )
-
-    def records(self) -> list[SmartRecord]:
-        """Return all samples as :class:`SmartRecord` objects."""
-        return [self.record_at(i) for i in range(len(self))]
 
     def with_matrix(self, matrix: np.ndarray) -> "HealthProfile":
         """Return a copy of this profile with ``matrix`` substituted.

@@ -10,7 +10,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".afr": ("WeibullFit", "annualized_failure_rate", "fit_weibull"),
-    ".correlation": ("pearson", "pearson_matrix", "spearman"),
+    ".correlation": ("pearson", "spearman"),
     ".features": ("change_rate", "rolling_std", "smooth_poh"),
     ".summary": ("BoxSummary", "box_summary", "deciles"),
     ".zscore": ("two_population_z", "temporal_z_scores"),

@@ -59,12 +59,6 @@ class WeibullFit:
         """Shape > 1: wear-out-dominated hazard."""
         return self.shape > 1.0
 
-    def survival(self, t: np.ndarray | float) -> np.ndarray | float:
-        """P(failure time > t)."""
-        t = np.asarray(t, dtype=np.float64)
-        value = np.exp(-(np.maximum(t, 0.0) / self.scale) ** self.shape)
-        return float(value) if value.ndim == 0 else value
-
     def hazard(self, t: np.ndarray | float) -> np.ndarray | float:
         """Instantaneous failure rate at time t."""
         t = np.asarray(t, dtype=np.float64)

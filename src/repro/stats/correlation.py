@@ -37,19 +37,6 @@ def spearman(a: np.ndarray, b: np.ndarray) -> float:
     return float(rho)
 
 
-def pearson_matrix(matrix: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Pearson correlation of each column of ``matrix`` with ``reference``."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if matrix.ndim != 2 or reference.ndim != 1:
-        raise ReproError("expected a 2-D matrix and a 1-D reference series")
-    if matrix.shape[0] != reference.shape[0]:
-        raise ReproError("matrix rows must align with the reference series")
-    return np.array(
-        [pearson(matrix[:, j], reference) for j in range(matrix.shape[1])]
-    )
-
-
 def _aligned(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()

@@ -30,10 +30,6 @@ class BoxSummary:
     n_outliers: int
 
     @property
-    def interquartile_range(self) -> float:
-        return self.third_quartile - self.first_quartile
-
-    @property
     def spread(self) -> float:
         """Whisker-to-whisker spread: the paper's notion of "variation"."""
         return self.upper_whisker - self.lower_whisker

@@ -95,7 +95,7 @@ def test_signature_lookup(mid_report):
     serial = next(iter(mid_report.signatures))
     signature = mid_report.signature_of(serial)
     assert signature.serial == serial
-    group = mid_report.group_of(serial)
+    group = mid_report.categorization.type_of_serial(serial)
     assert group in FailureType
 
 

@@ -45,12 +45,10 @@ def test_attribute_values_carry_all_twelve(small_normalized):
     )
 
 
-def test_feature_column_lookup(small_normalized):
+def test_attribute_column_lookup(small_normalized):
     records = build_failure_records(small_normalized)
-    np.testing.assert_array_equal(records.feature_column("RRER"),
-                                  records.features[:, 0])
-    with pytest.raises(DatasetError):
-        records.feature_column("NOPE")
+    np.testing.assert_array_equal(records.attribute_column("RRER"),
+                                  records.attribute_values[:, 0])
     with pytest.raises(DatasetError):
         records.attribute_column("NOPE")
 

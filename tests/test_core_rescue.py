@@ -67,9 +67,9 @@ def test_non_finite_stage_rejected():
 
 def test_rescue_estimate_bundle():
     estimate = rescue_estimate(-0.75, FailureType.HEAD)
-    assert estimate.degrading
+    assert np.isfinite(estimate.hours_remaining)
     assert estimate.window == 24
     assert estimate.urgent(deadline_hours=24)
     healthy = rescue_estimate(0.9, FailureType.LOGICAL)
-    assert not healthy.degrading
+    assert np.isinf(healthy.hours_remaining)
     assert not healthy.urgent(1.0e6)

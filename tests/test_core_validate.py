@@ -40,11 +40,6 @@ def test_recall_and_precision_bounds(validated):
         assert 0.0 <= validated.precision(failure_type) <= 1.0
 
 
-def test_misassigned_listed(validated):
-    misassigned = validated.misassigned_serials()
-    assert len(misassigned) == validated.n_drives - validated.n_correct
-
-
 def test_mismatched_fleet_rejected(mid_report, small_fleet):
     from repro.errors import ReproError
     with pytest.raises(ReproError):

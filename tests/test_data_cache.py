@@ -146,14 +146,21 @@ def test_truncated_entry_is_a_miss_and_removed(cache, small_dataset):
     assert key not in cache
 
 
-def test_bit_flipped_entry_is_a_miss_and_removed(cache, small_dataset):
-    from repro.faults import corrupt_cache_entry
+def _flip_bits(path, n_flips, seed):
+    """Flip one bit in each of ``n_flips`` seeded bytes of ``path``."""
+    payload = bytearray(path.read_bytes())
+    rng = np.random.default_rng(seed)
+    for position in rng.choice(len(payload), size=n_flips, replace=False):
+        payload[position] ^= 1 << int(rng.integers(0, 8))
+    path.write_bytes(bytes(payload))
 
+
+def test_bit_flipped_entry_is_a_miss_and_removed(cache, small_dataset):
     normalized, records = _prepared(small_dataset)
     key = cache.key_for(small_dataset)
     path = cache.store(key, normalized,
                        extras=failure_records_to_arrays(records))
-    assert corrupt_cache_entry(path, seed=7, n_flips=64) == 64
+    _flip_bits(path, n_flips=64, seed=7)
     assert cache.load(key) is None
     assert key not in cache
     # The slot is reusable after the corrupt entry was discarded.

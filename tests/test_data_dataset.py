@@ -97,24 +97,6 @@ def test_normalize_with_external_scaler(dataset):
     assert normalized.is_normalized
 
 
-def test_constant_attributes_detected():
-    constant = DiskDataset([make_profile("a", True), make_profile("b", False)])
-    assert len(constant.constant_attributes()) == 12
-
-
-def test_drop_attributes(dataset):
-    smaller = dataset.drop_attributes(["TC", "POH"])
-    assert len(smaller.attributes) == 10
-    assert "TC" not in smaller.attributes
-    with pytest.raises(DatasetError):
-        dataset.drop_attributes(["NOPE"])
-
-
-def test_drop_all_attributes_rejected(dataset):
-    with pytest.raises(DatasetError):
-        dataset.drop_attributes(list(dataset.attributes))
-
-
 def test_column_index(dataset):
     assert dataset.column_index("RRER") == 0
     with pytest.raises(DatasetError):

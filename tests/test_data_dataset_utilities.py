@@ -1,4 +1,4 @@
-"""Tests for dataset subset/sample/merge utilities."""
+"""Tests for dataset sampling utilities."""
 
 import numpy as np
 import pytest
@@ -20,23 +20,6 @@ def dataset():
     profiles += [make_profile(f"g{i}", False, seed=10 + i)
                  for i in range(8)]
     return DiskDataset(profiles)
-
-
-def test_subset_by_serial(dataset):
-    subset = dataset.subset(["f0", "g3"])
-    assert len(subset) == 2
-    assert subset.get("f0").failed
-    with pytest.raises(DatasetError):
-        dataset.subset([])
-    with pytest.raises(DatasetError):
-        dataset.subset(["nope"])
-
-
-def test_subset_preserves_normalization_state(dataset):
-    normalized = dataset.normalize()
-    subset = normalized.subset(["f0", "f1"])
-    assert subset.is_normalized
-    assert subset.normalizer is normalized.normalizer
 
 
 def test_sample_population_sizes(dataset):
@@ -63,24 +46,6 @@ def test_sample_is_deterministic(dataset):
     a = dataset.sample(n_good=3, rng=np.random.default_rng(5))
     b = dataset.sample(n_good=3, rng=np.random.default_rng(5))
     assert [p.serial for p in a.profiles] == [p.serial for p in b.profiles]
-
-
-def test_merge_disjoint_fleets(dataset):
-    other = DiskDataset([make_profile("x1", True, seed=99)])
-    merged = dataset.merge(other)
-    assert len(merged) == len(dataset) + 1
-    assert "x1" in merged
-
-
-def test_merge_rejects_colliding_serials(dataset):
-    other = DiskDataset([make_profile("f0", False, seed=99)])
-    with pytest.raises(DatasetError):
-        dataset.merge(other)
-
-
-def test_merge_rejects_mixed_normalization(dataset):
-    with pytest.raises(DatasetError):
-        dataset.merge(dataset.normalize().subset(["f0"]))
 
 
 def test_cli_output_flag(tmp_path, capsys):

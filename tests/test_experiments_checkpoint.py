@@ -24,6 +24,13 @@ from repro.experiments.registry import main, run_many
 RUNS: list[str] = []
 
 
+def _completed(store, directory):
+    """Ids with a checkpoint ``store`` restores, as a resume would see."""
+    ids = (path.name.removesuffix(".checkpoint.json")
+           for path in directory.glob("*.checkpoint.json"))
+    return {id_ for id_ in ids if store.load(id_) is not None}
+
+
 def _stub(experiment_id):
     def run():
         RUNS.append(experiment_id)
@@ -71,7 +78,7 @@ def test_store_then_load_roundtrip(tmp_path):
     assert restored.rendered == "body fig8"
     assert restored.experiment_id == "fig8"
     assert wall_s == 1.25
-    assert store.completed_ids() == {"fig8"}
+    assert _completed(store, tmp_path) == {"fig8"}
     # The atomic write leaves no temp debris behind.
     assert [p.name for p in tmp_path.iterdir()] == ["fig8.checkpoint.json"]
 
@@ -85,7 +92,7 @@ def test_missing_and_corrupt_checkpoints_are_none(tmp_path):
     assert store.load("fig8") is None
     path.write_text("[1, 2, 3]\n")  # valid JSON, wrong shape
     assert store.load("fig8") is None
-    assert store.completed_ids() == set()
+    assert _completed(store, tmp_path) == set()
 
 
 def test_schema_and_scale_mismatches_are_ignored(tmp_path):
@@ -133,7 +140,7 @@ def test_sweep_writes_one_checkpoint_per_success(tmp_path, stub_registry):
         ["alpha", "beta"]
     n_drives, seed = active_scale()
     store = CheckpointStore(tmp_path, n_drives=n_drives, seed=seed)
-    assert store.completed_ids() == {"alpha", "beta"}
+    assert _completed(store, tmp_path) == {"alpha", "beta"}
 
 
 def test_resume_reexecutes_only_missing_experiments(tmp_path, stub_registry):
@@ -181,7 +188,7 @@ def test_keep_going_records_failures_without_checkpointing(tmp_path,
     n_drives, seed = active_scale()
     store = CheckpointStore(tmp_path, n_drives=n_drives, seed=seed)
     # The failure left no checkpoint, so a resume retries it.
-    assert store.completed_ids() == {"alpha", "gamma"}
+    assert _completed(store, tmp_path) == {"alpha", "gamma"}
     RUNS.clear()
     run_many(["alpha", "broken", "gamma"], checkpoint_dir=tmp_path,
              resume=True, keep_going=True)

@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import FaultInjectionError
-from repro.faults import (
-    ChaosConfig,
-    corrupt_cache_entry,
-    inject_dataset,
-    parse_chaos_spec,
-)
-from repro.faults.injectors import OUTLIER_SCALE, corrupt_cache_entries
+from repro.faults import ChaosConfig, inject_dataset, parse_chaos_spec
+from repro.faults.injectors import OUTLIER_SCALE
 from repro.obs.observer import TelemetryObserver
 
 EVERYTHING = ChaosConfig(seed=11, drop_rate=0.05, duplicate_rate=0.05,
@@ -32,6 +27,12 @@ def test_parse_chaos_spec_roundtrip():
 def test_parse_chaos_spec_rejects_unknown_key():
     with pytest.raises(FaultInjectionError, match="unknown fault class"):
         parse_chaos_spec("drop=0.1,gremlins=0.5")
+
+
+def test_parse_chaos_spec_refuses_bitflip():
+    """No injector flips cache bits, so the key must not parse to a no-op."""
+    with pytest.raises(FaultInjectionError, match="unknown fault class"):
+        parse_chaos_spec("bitflip=0.1")
 
 
 def test_parse_chaos_spec_rejects_malformed_token():
@@ -138,42 +139,3 @@ def test_log_counts_cover_every_active_class(small_dataset):
     snapshot = observer.metrics.snapshot()
     assert snapshot["faults_injected"]["value"] == log.total
     assert snapshot["faults_injected_drop"]["value"] == log.counts["drop"]
-
-
-# -- cache corruption -------------------------------------------------------
-
-
-def test_corrupt_cache_entry_is_deterministic(tmp_path):
-    payload = bytes(range(256)) * 8
-    first = tmp_path / "a.npz"
-    first.write_bytes(payload)
-    assert corrupt_cache_entry(first, seed=4) == 8
-    assert first.read_bytes() != payload
-    # Equal seed and file name flip the same bits, wherever the file lives.
-    twin = tmp_path / "elsewhere" / "a.npz"
-    twin.parent.mkdir()
-    twin.write_bytes(payload)
-    corrupt_cache_entry(twin, seed=4)
-    assert first.read_bytes() == twin.read_bytes()
-
-
-def test_corrupt_cache_entry_edge_cases(tmp_path):
-    empty = tmp_path / "empty.npz"
-    empty.write_bytes(b"")
-    assert corrupt_cache_entry(empty) == 0
-    target = tmp_path / "t.npz"
-    target.write_bytes(b"xy")
-    with pytest.raises(FaultInjectionError, match="n_flips"):
-        corrupt_cache_entry(target, n_flips=0)
-    # More flips requested than bytes available: clamped, not an error.
-    assert corrupt_cache_entry(target, n_flips=64) == 2
-
-
-def test_corrupt_cache_entries_respects_the_rate(tmp_path):
-    for name in ("one", "two", "three"):
-        (tmp_path / f"{name}.npz").write_bytes(b"payload-" + name.encode())
-    untouched = corrupt_cache_entries(tmp_path, ChaosConfig(seed=1))
-    assert untouched == []
-    hit = corrupt_cache_entries(tmp_path,
-                                ChaosConfig(seed=1, bitflip_rate=1.0))
-    assert [p.name for p in hit] == ["one.npz", "three.npz", "two.npz"]

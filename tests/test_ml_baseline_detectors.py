@@ -66,14 +66,6 @@ class TestRankSumDetector:
         slightly = rng.normal(0.5, 0.1, size=(60, 1))  # within the band
         assert not detector.flag(slightly)
 
-    def test_flag_many(self, rng):
-        good = rng.normal(0.0, 1.0, size=(2000, 2))
-        detector = RankSumDetector(seed=1).fit(good)
-        ok = rng.normal(0.0, 1.0, size=(48, 2))
-        bad = ok + 20.0
-        flags = detector.flag_many([ok, bad])
-        assert flags.tolist() == [False, True]
-
     def test_constant_attribute_yields_p_one(self, rng):
         good = np.full((2000, 1), 7.0)
         detector = RankSumDetector(seed=1).fit(good)

@@ -6,19 +6,8 @@ import pytest
 from repro.errors import ModelError
 from repro.ml.distance import (
     MahalanobisDistance,
-    euclidean_distance,
     euclidean_to_reference,
 )
-
-
-def test_euclidean_distance_basic():
-    assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
-    assert euclidean_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-
-def test_euclidean_shape_mismatch():
-    with pytest.raises(ModelError):
-        euclidean_distance([1.0], [1.0, 2.0])
 
 
 def test_euclidean_to_reference_rowwise():

@@ -86,16 +86,6 @@ class TestHMMDetector:
         assert detector.flag(rng.normal(3.0, 1.0, size=(48, 2)))
         assert not detector.flag(rng.normal(0.0, 1.0, size=(48, 2)))
 
-    def test_flag_many(self, rng):
-        good = [rng.normal(0.0, 1.0, size=(48, 1)) for _ in range(10)]
-        failed = [rng.normal(4.0, 1.0, size=(48, 1)) for _ in range(10)]
-        detector = HMMDetector(n_states=2, seed=3).fit(good, failed)
-        flags = detector.flag_many([
-            rng.normal(0.0, 1.0, size=(48, 1)),
-            rng.normal(4.0, 1.0, size=(48, 1)),
-        ])
-        assert flags.tolist() == [False, True]
-
     def test_margin_raises_the_bar(self, rng):
         good = [rng.normal(0.0, 1.0, size=(48, 1)) for _ in range(10)]
         failed = [rng.normal(1.0, 1.0, size=(48, 1)) for _ in range(10)]

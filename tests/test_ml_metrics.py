@@ -9,7 +9,6 @@ from repro.ml.metrics import (
     detection_rates,
     error_rate,
     r_squared,
-    rand_index,
     rmse,
 )
 
@@ -56,14 +55,6 @@ def test_detection_rates_need_both_classes():
         detection_rates(np.array([True, True]), np.array([True, False]))
 
 
-def test_rand_index_identical_and_opposite():
-    a = np.array([0, 0, 1, 1])
-    assert rand_index(a, a) == 1.0
-    assert rand_index(a, np.array([1, 1, 0, 0])) == 1.0  # relabeled
-    mixed = rand_index(a, np.array([0, 1, 0, 1]))
-    assert 0.0 <= mixed < 1.0
-
-
 def test_cluster_purity():
     labels = np.array([0, 0, 0, 1, 1])
     truth = np.array(["a", "a", "b", "c", "c"])
@@ -73,7 +64,5 @@ def test_cluster_purity():
 def test_shape_validation():
     with pytest.raises(ModelError):
         rmse(np.zeros(3), np.zeros(4))
-    with pytest.raises(ModelError):
-        rand_index(np.zeros(3), np.zeros(4))
     with pytest.raises(ModelError):
         cluster_purity(np.zeros(3), np.zeros(4))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ModelError
 from repro.ml.polyfit import (
-    evaluate_model,
     fit_polynomial,
     fit_polynomial_family,
 )
@@ -60,22 +59,6 @@ def test_invalid_order_rejected():
 def test_mismatched_shapes_rejected():
     with pytest.raises(ModelError):
         fit_polynomial(np.arange(5.0), np.arange(4.0), 1)
-
-
-def test_evaluate_model_scores_fixed_function():
-    t = np.linspace(0, 12, 13)
-    y = (t / 12.0) ** 2 - 1.0
-    rmse, r_squared = evaluate_model(t, y, lambda x: (x / 12.0) ** 2 - 1.0)
-    assert rmse == pytest.approx(0.0, abs=1e-12)
-    assert r_squared == pytest.approx(1.0)
-
-
-def test_evaluate_model_penalizes_wrong_shape():
-    t = np.linspace(0, 12, 13)
-    y = (t / 12.0) ** 2 - 1.0
-    rmse_right, _ = evaluate_model(t, y, lambda x: (x / 12.0) ** 2 - 1.0)
-    rmse_wrong, _ = evaluate_model(t, y, lambda x: x / 12.0 - 1.0)
-    assert rmse_wrong > rmse_right
 
 
 @settings(max_examples=40, deadline=None)

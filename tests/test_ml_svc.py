@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.ml.kmeans import KMeans
-from repro.ml.metrics import rand_index
+from repro.ml.metrics import cluster_purity
 from repro.ml.svc import SupportVectorClustering
 
 
@@ -22,21 +22,22 @@ def test_separates_two_blobs(rng):
     data, truth = blobs(rng, [(0.0, 0.0), (4.0, 4.0)])
     model = SupportVectorClustering(gaussian_width=2.0).fit(data)
     assert model.n_clusters_ == 2
-    assert rand_index(model.labels_, truth) == 1.0
+    assert cluster_purity(model.labels_, truth) == 1.0
 
 
 def test_separates_three_blobs(rng):
     data, truth = blobs(rng, [(0.0, 0.0), (4.0, 4.0), (-4.0, 4.0)])
     model = SupportVectorClustering(gaussian_width=2.0).fit(data)
     assert model.n_clusters_ == 3
-    assert rand_index(model.labels_, truth) == 1.0
+    assert cluster_purity(model.labels_, truth) == 1.0
 
 
 def test_agrees_with_kmeans_on_separable_data(rng):
     data, _ = blobs(rng, [(0.0, 0.0), (5.0, 5.0), (-5.0, 5.0)])
     svc_labels = SupportVectorClustering(gaussian_width=1.5).fit(data).labels_
     kmeans_labels = KMeans(3, seed=0).fit(data).labels_
-    assert rand_index(svc_labels, kmeans_labels) == 1.0
+    assert cluster_purity(svc_labels, kmeans_labels) == 1.0
+    assert cluster_purity(kmeans_labels, svc_labels) == 1.0
 
 
 def test_single_blob_yields_single_cluster(rng):

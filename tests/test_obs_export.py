@@ -1,5 +1,5 @@
 """Tests for the telemetry export layer: Prometheus exposition golden
-output, JSONL dumps, and atomic/periodic snapshot files."""
+output and atomic/periodic snapshot files."""
 
 import json
 
@@ -9,9 +9,7 @@ from repro.errors import ObservabilityError
 from repro.obs.export import (
     PROMETHEUS_CONTENT_TYPE,
     PeriodicSnapshotWriter,
-    metrics_jsonl,
     render_prometheus,
-    trace_jsonl,
     write_snapshot,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -82,30 +80,6 @@ def test_prometheus_custom_namespace_and_empty_registry():
         "# TYPE acme_x_total")
     assert render_prometheus(MetricsRegistry()) == ""
     assert "0.0.4" in PROMETHEUS_CONTENT_TYPE
-
-
-def test_metrics_jsonl_one_object_per_metric():
-    lines = metrics_jsonl(_sample_registry()).splitlines()
-    parsed = [json.loads(line) for line in lines]
-    assert [p["name"] for p in parsed] == [
-        "drives_tracked", "samples_scored", "telemetry_requests",
-        "verdict_stage",
-    ]
-    labeled = next(p for p in parsed if p["name"] == "telemetry_requests")
-    assert labeled["labels"] == {"endpoint": "metrics"}
-    assert labeled["value"] == 3.0
-
-
-def test_trace_jsonl_flattens_with_slash_paths():
-    tracer = Tracer()
-    with tracer.span("pipeline"):
-        with tracer.span("signatures", n=3):
-            pass
-    parsed = [json.loads(line)
-              for line in trace_jsonl(tracer).splitlines()]
-    assert [p["path"] for p in parsed] == [
-        "pipeline", "pipeline/signatures"]
-    assert parsed[1]["attributes"] == {"n": 3}
 
 
 def test_write_snapshot_is_atomic_and_combined(tmp_path):

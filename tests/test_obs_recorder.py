@@ -46,15 +46,6 @@ def test_tail_returns_most_recent_oldest_first():
         recorder.tail(-1)
 
 
-def test_events_of_filters_by_kind():
-    recorder = _recorder()
-    recorder.record("alert", "a")
-    recorder.record("lifecycle", "b")
-    recorder.record("alert", "c")
-    assert [event.message for event in recorder.events_of("alert")] == [
-        "a", "c"]
-
-
 def test_dump_jsonl_round_trips(tmp_path):
     recorder = _recorder()
     recorder.record("alert", "watch", serial="D7", stage=-0.5)

@@ -1,11 +1,10 @@
-"""Tests for the span tracer: nesting, exception safety, JSON round-trip."""
+"""Tests for the span tracer: nesting, exception safety, JSON export."""
 
 import json
 
 import pytest
 
-from repro.errors import ObservabilityError
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Tracer
 
 
 def test_spans_nest_into_a_tree():
@@ -97,10 +96,10 @@ def test_json_round_trip_is_lossless():
         with tracer.span("failing"):
             raise ValueError("x")
     payload = tracer.to_dict()
-    rebuilt = Tracer.from_dict(json.loads(json.dumps(payload)))
-    assert rebuilt.to_dict() == payload
-    assert rebuilt.find("cluster").attributes == {"method": "kmeans"}
-    assert rebuilt.find("failing").status == "error"
+    assert json.loads(json.dumps(payload)) == payload
+    pipeline, failing = payload["spans"]
+    assert pipeline["children"][0]["attributes"] == {"method": "kmeans"}
+    assert failing["status"] == "error"
 
 
 def test_save_and_load_json(tmp_path):
@@ -109,24 +108,4 @@ def test_save_and_load_json(tmp_path):
         pass
     path = tmp_path / "trace.json"
     tracer.save_json(path)
-    loaded = Tracer.load_json(path)
-    assert loaded.to_dict() == tracer.to_dict()
-
-
-def test_load_rejects_bad_schema(tmp_path):
-    path = tmp_path / "trace.json"
-    path.write_text(json.dumps({"schema_version": 99, "spans": []}))
-    with pytest.raises(ObservabilityError, match="schema version"):
-        Tracer.load_json(path)
-
-
-def test_load_rejects_invalid_json(tmp_path):
-    path = tmp_path / "trace.json"
-    path.write_text("{broken")
-    with pytest.raises(ObservabilityError, match="not a valid trace"):
-        Tracer.load_json(path)
-
-
-def test_span_from_dict_rejects_garbage():
-    with pytest.raises(ObservabilityError, match="malformed span"):
-        Span.from_dict({"no_name": True})
+    assert json.loads(path.read_text()) == tracer.to_dict()

@@ -18,14 +18,14 @@ def failing(serial, hour, latent=False, lead=None):
 def test_no_failures_no_loss():
     members = [good(f"d{i}") for i in range(8)]
     outcome = evaluate_group(members, RaidLevel.RAID5)
-    assert outcome.survived
+    assert not outcome.data_loss
     assert outcome.n_failures == 0
 
 
 def test_single_clean_failure_survives_raid5():
     members = [failing("f", 100)] + [good(f"d{i}") for i in range(7)]
     outcome = evaluate_group(members, RaidLevel.RAID5)
-    assert outcome.survived
+    assert not outcome.data_loss
     assert outcome.n_failures == 1
 
 
@@ -42,7 +42,7 @@ def test_latent_error_survives_raid6_single_failure():
     members = ([failing("f", 100)] + [good("lat", latent=True)]
                + [good(f"d{i}") for i in range(6)])
     outcome = evaluate_group(members, RaidLevel.RAID6)
-    assert outcome.survived
+    assert not outcome.data_loss
 
 
 def test_overlapping_double_failure_defeats_raid5():
@@ -59,14 +59,14 @@ def test_spaced_double_failure_survives_raid5():
                + [good(f"d{i}") for i in range(6)])
     outcome = evaluate_group(members, RaidLevel.RAID5,
                              reconstruction_hours=12.0)
-    assert outcome.survived
+    assert not outcome.data_loss
     assert outcome.n_failures == 2
 
 
 def test_raid6_needs_triple_overlap():
     double = ([failing("f1", 100), failing("f2", 105)]
               + [good(f"d{i}") for i in range(6)])
-    assert evaluate_group(double, RaidLevel.RAID6).survived
+    assert not evaluate_group(double, RaidLevel.RAID6).data_loss
     triple = ([failing("f1", 100), failing("f2", 105), failing("f3", 108)]
               + [good(f"d{i}") for i in range(5)])
     outcome = evaluate_group(triple, RaidLevel.RAID6)
@@ -89,7 +89,7 @@ def test_proactive_migration_averts_loss():
     reactive = evaluate_group(members, RaidLevel.RAID5, proactive=False)
     proactive = evaluate_group(members, RaidLevel.RAID5, proactive=True)
     assert reactive.data_loss
-    assert proactive.survived
+    assert not proactive.data_loss
     assert proactive.n_proactive_migrations == 1
 
 

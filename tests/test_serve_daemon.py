@@ -308,7 +308,7 @@ def test_drain_endpoint_stops_serve_forever(bundle, samples, tmp_path):
     assert "backend" not in document
     assert document["bundle_sha256"] == daemon.health_payload()["bundle_sha256"]
     assert sum(s["samples_scored"] for s in document["shards"]) == 300
-    assert daemon.final_snapshots == document["shards"]
+    assert daemon.stop() == document["shards"]
 
 
 def test_health_reports_draining_after_stop_request(bundle):
@@ -354,7 +354,8 @@ def test_alerting_verdicts_fan_out_to_sinks(bundle, samples, tmp_path):
     assert seen == expected
     assert (daemon.registry.counter("alert_sink_emits").value
             == 2 * len(expected))
-    assert len(daemon.recorder.events_of("alert")) == len(expected)
+    alerts = [e for e in daemon.recorder.tail() if e.kind == "alert"]
+    assert len(alerts) == len(expected)
 
 
 def test_alert_lines_render_once_per_batch(bundle, samples, monkeypatch):
@@ -394,7 +395,7 @@ def test_sink_failures_are_counted_never_raised(bundle, samples):
     assert block.n_alerting  # scoring was unaffected
     assert (daemon.registry.counter("alert_sink_errors").value
             == daemon.alerts_emitted > 0)
-    errors = daemon.recorder.events_of("sink-error")
+    errors = [e for e in daemon.recorder.tail() if e.kind == "sink-error"]
     assert errors and errors[0].context["sink"] == "callback:explode"
 
 
@@ -426,7 +427,7 @@ def test_alert_lines_reach_sinks_recorder_and_dead_letter(bundle, samples,
     assert dead_letter.read_text() == expected
     assert (daemon.registry.counter("dead_letter_alerts").value
             == len(alerting))
-    events = daemon.recorder.events_of("alert")
+    events = [e for e in daemon.recorder.tail() if e.kind == "alert"]
     assert [(event.message, event.context) for event in events] == [
         (f"drive {v.serial} {v.level} at hour {v.hour}",
          {"serial": v.serial, "hour": v.hour, "level": v.level,

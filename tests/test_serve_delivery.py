@@ -117,7 +117,7 @@ def test_exhausted_attempts_go_to_the_dead_letter(tmp_path):
     assert observer.metrics.counter("dead_letter_alerts").value == 2
     # Byte-identical verdict lines: the dead letter IS the alert stream.
     assert dead_letter.path.read_text().splitlines() == lines
-    errors = recorder.events_of("sink-error")
+    errors = [e for e in recorder.tail() if e.kind == "sink-error"]
     assert errors and errors[0].context["sink"] == "blackhole"
 
 

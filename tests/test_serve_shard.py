@@ -136,8 +136,8 @@ def test_parent_telemetry_matches_unsharded(bundle, columnar_samples):
     for name in ("samples_scored", "alerts_emitted"):
         assert (plain.metrics.counter(name).value
                 == sharded.metrics.counter(name).value > 0)
-    assert (plain.metrics.histogram("verdict_stage").bucket_counts()
-            == sharded.metrics.histogram("verdict_stage").bucket_counts())
+    assert (plain.metrics.histogram("verdict_stage").cumulative_buckets()
+            == sharded.metrics.histogram("verdict_stage").cumulative_buckets())
 
 
 def test_stage_histogram_exposition_equals_the_observe_loop(

@@ -204,7 +204,7 @@ def test_flight_recorder_keeps_the_last_alerts(loaded_bundle,
     with ServingDaemon(loaded_bundle, recorder=recorder) as daemon:
         for batch in _batches(samples):
             daemon.ingest_block(*batch)
-        alerts = recorder.events_of("alert")
+        alerts = [e for e in recorder.tail() if e.kind == "alert"]
         assert alerts
         assert alerts[-1].context.keys() == {
             "serial", "hour", "level", "stage", "likely_type"}

@@ -15,12 +15,6 @@ def test_media_error_rate_scales_with_ops_and_stress():
     np.testing.assert_allclose(stressed, base * 10.0)
 
 
-def test_ecc_recovers_configured_fraction():
-    media = MediaSurface(read_error_prob=1.0e-6, ecc_recovery_fraction=0.9)
-    rate = np.array([100.0])
-    np.testing.assert_allclose(media.ecc_recovered_rate(rate), [90.0])
-
-
 def test_head_rates_scale_linearly():
     heads = HeadAssembly(seek_error_prob=1e-8, high_fly_prob=1e-8,
                          write_error_prob=1e-9)

@@ -29,7 +29,6 @@ def test_mixture_rejects_negative_fraction():
 def test_paper_scale_constants():
     assert PAPER_FLEET_SIZE == 23395
     assert PAPER_FAILURE_RATE == pytest.approx(433 / 23395)
-    assert FleetConfig.paper_scale().n_drives == PAPER_FLEET_SIZE
 
 
 def test_n_failed_matches_rate():

@@ -30,17 +30,6 @@ def test_activity_heats_the_drive():
     assert busy.mean() - idle.mean() > 3.0
 
 
-def test_temperature_health_inverts_temperature():
-    health = ThermalEnvironment.temperature_health(np.array([20.0, 40.0]))
-    assert health[0] > health[1]
-    assert health[0] == 80.0
-
-
-def test_temperature_health_floors_at_one():
-    health = ThermalEnvironment.temperature_health(np.array([250.0]))
-    assert health[0] == 1.0
-
-
 class TestPowerOnClock:
     def test_raw_series_advances_with_hours(self):
         clock = PowerOnClock(age_at_start_hours=1000.0, step_hours=876.0)

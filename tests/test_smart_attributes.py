@@ -11,7 +11,6 @@ from repro.smart.attributes import (
     AttributeKind,
     ValueForm,
     attribute_index,
-    get_attribute,
 )
 
 
@@ -38,11 +37,15 @@ def test_table_one_symbols_in_published_order():
     )
 
 
+def spec_of(symbol):
+    return ATTRIBUTE_REGISTRY[attribute_index(symbol)]
+
+
 def test_raw_attributes_pair_with_health_counterparts():
-    assert get_attribute("R-RSC").smart_id == get_attribute("RSC").smart_id
-    assert get_attribute("R-CPSC").smart_id == get_attribute("CPSC").smart_id
-    assert get_attribute("R-RSC").form is ValueForm.RAW
-    assert get_attribute("RSC").form is ValueForm.HEALTH
+    assert spec_of("R-RSC").smart_id == spec_of("RSC").smart_id
+    assert spec_of("R-CPSC").smart_id == spec_of("CPSC").smart_id
+    assert spec_of("R-RSC").form is ValueForm.RAW
+    assert spec_of("RSC").form is ValueForm.HEALTH
 
 
 def test_symbols_are_unique():
@@ -55,9 +58,7 @@ def test_attribute_index_matches_registry_order():
         assert attribute_index(spec.symbol) == index
 
 
-def test_get_attribute_unknown_symbol_raises():
-    with pytest.raises(UnknownAttributeError):
-        get_attribute("BOGUS")
+def test_attribute_index_unknown_symbol_raises():
     with pytest.raises(UnknownAttributeError):
         attribute_index("BOGUS")
 
@@ -68,6 +69,6 @@ def test_raw_ranges_are_sane():
 
 
 def test_is_read_write_property():
-    assert get_attribute("RRER").is_read_write
-    assert not get_attribute("TC").is_read_write
-    assert get_attribute("TC").is_environmental
+    assert spec_of("RRER").is_read_write
+    assert not spec_of("TC").is_read_write
+    assert spec_of("TC").is_environmental

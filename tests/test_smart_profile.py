@@ -56,18 +56,6 @@ def test_hours_before_failure_counts_down_to_zero():
                                   [3, 2, 1, 0])
 
 
-def test_record_at_round_trip():
-    profile = make_profile(n=3)
-    record = profile.record_at(1)
-    assert record.hour == int(profile.hours[1])
-    np.testing.assert_array_equal(record.as_array(), profile.matrix[1])
-
-
-def test_records_returns_all_samples():
-    profile = make_profile(n=4)
-    assert len(profile.records()) == 4
-
-
 def test_non_increasing_hours_rejected():
     with pytest.raises(DatasetError):
         HealthProfile("d", np.array([3, 2, 1]), np.zeros((3, 12)), True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.stats.correlation import pearson, pearson_matrix, spearman
+from repro.stats.correlation import pearson, spearman
 
 
 def test_perfect_positive_and_negative():
@@ -32,18 +32,9 @@ def test_independent_noise_weakly_correlated(rng):
     assert abs(pearson(a, b)) < 0.1
 
 
-def test_pearson_matrix_columnwise():
-    reference = np.arange(20.0)
-    matrix = np.column_stack([reference, -reference, np.ones(20)])
-    correlations = pearson_matrix(matrix, reference)
-    np.testing.assert_allclose(correlations, [1.0, -1.0, 0.0], atol=1e-12)
-
-
 def test_length_mismatch_rejected():
     with pytest.raises(ReproError):
         pearson(np.arange(3.0), np.arange(4.0))
-    with pytest.raises(ReproError):
-        pearson_matrix(np.zeros((5, 2)), np.zeros(4))
 
 
 def test_too_short_series_rejected():

@@ -28,7 +28,7 @@ class TestBoxSummary:
         summary = box_summary(np.full(20, 3.0))
         assert summary.median == 3.0
         assert summary.spread == 0.0
-        assert summary.interquartile_range == 0.0
+        assert summary.third_quartile == summary.first_quartile
 
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(ReproError):
