@@ -1,6 +1,6 @@
 """Whole-daemon chaos drill: SIGKILL ``repro-serve daemon``, recover, diff.
 
-The shard-level kill drills live in the tier-1 recovery suite; this
+The in-process kill drills live in the tier-1 recovery suite; this
 bench kills the *entire serving process* with SIGKILL at a seeded point
 mid-stream — no drain, no final snapshot, alert sink hard-down the
 whole time — then restarts it on the same WAL directory and dead-letter
@@ -107,7 +107,7 @@ def _spawn_daemon(bundle_path, port_file, wal_dir, dead_letter):
         [sys.executable, "-c",
          "import sys; from repro.serve.cli import main; "
          "sys.exit(main(sys.argv[1:]))",
-         "daemon", "--bundle", str(bundle_path), "--shards", "2",
+         "daemon", "--bundle", str(bundle_path),
          "--port", "0", "--port-file", str(port_file),
          "--wal-dir", str(wal_dir), "--dead-letter", str(dead_letter),
          "--snapshot-interval-blocks", "4", "--alert-sink", DEAD_SINK],

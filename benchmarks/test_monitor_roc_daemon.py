@@ -3,12 +3,12 @@
 ``monitor_roc`` scores its unseen fleet through the served bundle's
 ``StreamScorer.score_block``.  This bench streams the same samples —
 failed drives cut ``LEAD_HOURS`` before the failure, good drives whole
-— through a 2-shard ``ServingDaemon`` over ``POST /ingest?verdicts=all``
-with the WAL on, in collector order (hour, then serial).  One shard is
-killed mid-stream, and the client retries the refused batch under the
-same ``?batch=`` id until the shard has replayed; later the daemon is
-promoted to a ``stamp_lineage`` child of the same bundle (a new
-generation over the same models).  The FDR/FAR curve derived from the
+— through a ``ServingDaemon`` over ``POST /ingest?verdicts=all`` with
+the WAL on, in collector order (hour, then serial).  The scoring
+partition is killed mid-stream, and the client retries the refused
+batch under the same ``?batch=`` id until it has replayed; later the
+daemon is promoted to a ``stamp_lineage`` child of the same bundle (a
+new generation over the same models).  The FDR/FAR curve derived from the
 reply lines must equal the experiment's, float for float.
 """
 
@@ -45,7 +45,7 @@ def _ingest(url, batch_id, lines, deadline_s=30.0):
         if status == 200:
             return text.splitlines(), retries
         assert status == 503, (status, text)
-        assert time.monotonic() < deadline, "shard never recovered"
+        assert time.monotonic() < deadline, "never recovered"
         retries += 1
         time.sleep(0.05)
 
@@ -84,11 +84,10 @@ def test_monitor_roc_curve_through_the_daemon(tmp_path):
 
     min_stage: dict[str, float] = {}
     retried = 0
-    with ServingDaemon(bundle, n_shards=2,
-                       wal_dir=tmp_path / "wal") as daemon:
+    with ServingDaemon(bundle, wal_dir=tmp_path / "wal") as daemon:
         for index, lines in enumerate(batches):
             if index == kill_at:
-                daemon.shards.kill_shard(0)
+                daemon.partition.kill()
             if index == promote_at:
                 status, _headers, text = _post(daemon.url + "/promote",
                                                child_path.read_bytes())
@@ -103,7 +102,7 @@ def test_monitor_roc_curve_through_the_daemon(tmp_path):
                 serial = verdict["serial"]
                 min_stage[serial] = min(stage,
                                         min_stage.get(serial, np.inf))
-        assert daemon.shards.shard_restarts() == [1, 0]
+        assert daemon.partition.restarts() == 1
     assert retried >= 1
 
     failed_stages = np.array([min_stage[p.serial] for p in failed])

@@ -1,17 +1,16 @@
-"""Daemon-plane benchmarks: sharded ingest throughput vs the raw scorer.
+"""Daemon-plane benchmarks: partition ingest throughput vs the raw scorer.
 
-The cheap tier asserts the shard plane's byte-identity contract at
-bench scale.  ``test_perf_daemon_recorded`` measures columnar ingest
+The cheap tier asserts the partition's byte-identity contract at bench
+scale.  ``test_perf_daemon_recorded`` measures columnar ingest
 throughput along the daemon's admission path — ``StreamScorer.score_block``
-with every verdict materialized as the unsharded baseline (recorded
-under the historical ``push_block`` keys),
-:class:`~repro.serve.shard.ShardSet` at 1, 2
-and 4 shards, and the full :class:`~repro.serve.daemon.ServingDaemon`
-ingest (sink fan-out and accounting included) — and writes the numbers
-to ``benchmarks/output/perf_daemon.json``.  On this 1-CPU container the
-shards are a placement/isolation mechanism, not a speedup, so the
-pinned floor is the *overhead* bound: sharded ingest must stay within a
-constant factor of the raw columnar path.
+with every verdict materialized as the baseline (recorded under the
+historical ``push_block`` keys), the daemon's
+:class:`~repro.serve.shard.ShardSet` partition, and the full
+:class:`~repro.serve.daemon.ServingDaemon` ingest (sink fan-out and
+accounting included) — and writes the numbers to
+``benchmarks/output/perf_daemon.json``.  The pinned floor is the
+*overhead* bound: partition ingest (admission, accounting) must stay
+within a constant factor of the raw columnar path.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ def test_sharded_identity_at_bench_scale(daemon_bundle, columnar_stream):
     subset = slice(0, 2000)
     expected = oracle_lines(daemon_bundle, zip(
         serials[subset], hours[subset], matrix[subset]))
-    with ShardSet(daemon_bundle, n_shards=4) as shards:
-        actual = [v.to_json_line() for v in shards.submit_block(
+    with ShardSet(daemon_bundle) as partition:
+        actual = [v.to_json_line() for v in partition.submit_block(
             serials[subset], hours[subset], matrix[subset]).verdicts()]
     assert actual == expected
 
@@ -85,26 +84,23 @@ def test_perf_daemon_recorded(daemon_bundle, columnar_stream, artifact_dir):
             serials, hours, matrix).verdicts(),
         repeat=3)
 
-    def sharded(n_shards):
-        def run():
-            with ShardSet(daemon_bundle, n_shards=n_shards) as shards:
-                shards.submit_block(serials, hours, matrix).verdicts()
-        return _best_of(run, repeat=3)
-
-    shard_timings = {n: sharded(n) for n in (1, 2, 4)}
+    def partition_ingest():
+        with ShardSet(daemon_bundle) as partition:
+            partition.submit_block(serials, hours, matrix).verdicts()
+    partition_s = _best_of(partition_ingest, repeat=3)
 
     def daemon_ingest():
-        daemon = ServingDaemon(daemon_bundle, n_shards=4)
+        daemon = ServingDaemon(daemon_bundle)
         daemon.ingest_block(serials, hours, matrix).verdicts()
         daemon.stop()
     daemon_s = _best_of(daemon_ingest, repeat=3)
 
-    # The shard plane rides on score_block; its tax is queue hops and
-    # verdict reassembly.  Keep it a bounded constant factor so a
-    # regression in the hot path cannot hide behind "sharding is slow".
-    overhead = shard_timings[4] / block_s
+    # The partition rides on score_block; its tax is admission and
+    # accounting.  Keep it a bounded constant factor so a regression in
+    # the hot path cannot hide behind "the daemon is slow".
+    overhead = partition_s / block_s
     assert overhead < 3.0, (
-        f"4-shard ingest is {overhead:.2f}x the raw columnar path")
+        f"partition ingest is {overhead:.2f}x the raw columnar path")
     assert n_samples / daemon_s > 10_000, (
         f"daemon ingest fell to {n_samples / daemon_s:,.0f} samples/s")
 
@@ -119,14 +115,12 @@ def test_perf_daemon_recorded(daemon_bundle, columnar_stream, artifact_dir):
         "ingest_throughput": {
             "push_block_s": block_s,
             "push_block_samples_per_s": n_samples / block_s,
-            "sharded_s": {str(n): s for n, s in shard_timings.items()},
-            "sharded_samples_per_s": {
-                str(n): n_samples / s for n, s in shard_timings.items()},
+            "partition_s": partition_s,
+            "partition_samples_per_s": n_samples / partition_s,
             "daemon_ingest_s": daemon_s,
             "daemon_ingest_samples_per_s": n_samples / daemon_s,
-            "shard4_overhead_vs_block": overhead,
-            "note": "single CPU: shards are placement, not speedup; "
-                    "the overhead ratio is the pinned contract",
+            "partition_overhead_vs_block": overhead,
+            "note": "the overhead ratio is the pinned contract",
         },
     }
     path = artifact_dir / "perf_daemon.json"

@@ -18,7 +18,6 @@ from __future__ import annotations
 import gc
 import time
 
-import numpy as np
 import pytest
 
 from conftest import bench_environment

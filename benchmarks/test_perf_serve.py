@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from conftest import bench_environment

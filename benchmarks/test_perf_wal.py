@@ -67,9 +67,9 @@ def test_wal_stream_is_byte_identical_to_raw(wal_bundle, blocked_stream,
         expected.extend(scorer.score_block(serials, hours,
                                            matrix).to_json_lines())
     actual = []
-    with ShardSet(wal_bundle, n_shards=2, wal_dir=tmp_path / "wal") as shards:
+    with ShardSet(wal_bundle, wal_dir=tmp_path / "wal") as partition:
         for index, (serials, hours, matrix) in enumerate(subset):
-            actual.extend(shards.submit_block(
+            actual.extend(partition.submit_block(
                 serials, hours, matrix,
                 block_id=f"perf-{index}").to_json_lines())
     assert actual == expected
@@ -88,10 +88,10 @@ def test_perf_wal_recorded(wal_bundle, blocked_stream, artifact_dir):
 
     def run(wal_dir):
         """Time the ingest loop only — spawn and drain are not ingest."""
-        with ShardSet(wal_bundle, n_shards=2, wal_dir=wal_dir) as shards:
+        with ShardSet(wal_bundle, wal_dir=wal_dir) as partition:
             start = time.perf_counter()
             for serials, hours, matrix in blocked_stream:
-                shards.submit_block(serials, hours, matrix)
+                partition.submit_block(serials, hours, matrix)
             return time.perf_counter() - start
 
     def wal_off():
@@ -123,7 +123,7 @@ def test_perf_wal_recorded(wal_bundle, blocked_stream, artifact_dir):
             "wal_on_s": on_s,
             "wal_on_samples_per_s": n_samples / on_s,
             "wal_overhead_vs_off": overhead,
-            "note": "2-shard blocked ingest; WAL off is a daemon "
+            "note": "one-partition blocked ingest; WAL off is a daemon "
                     "without --wal-dir, WAL-on uses default fsync "
                     "batching",
         },

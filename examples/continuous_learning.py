@@ -15,7 +15,7 @@ the loop by hand so the moving parts are visible:
 5. shadow-score champion vs challenger and print the divergence
    report;
 6. evaluate the promotion policy and, if it says go, replay the stream
-   through a live sharded daemon with a mid-stream promotion —
+   through a live scoring partition with a mid-stream promotion —
    verifying the served verdicts are byte-identical to offline scoring.
 
 ``repro-learn drill`` wraps the same walk as a one-command, seed-pinned
@@ -126,16 +126,16 @@ def main() -> None:
                 .to_json_lines():
             offline.update(line.encode() + b"\n")
 
-    # Live: same stream through a sharded scorer with a real promotion
-    # fence between the same two blocks.
+    # Live: same stream through the daemon's scoring partition with a
+    # real promotion fence between the same two blocks.
     served = hashlib.sha256()
-    with ShardSet(champion, n_shards=2) as shards:
+    with ShardSet(champion) as partition:
         for index, (serials, hours, matrix) in enumerate(drifted_blocks):
             if index == promote_at:
-                receipts = shards.promote(challenger)
-                print(f"\nPromoted on {len(receipts)} shard(s) at "
-                      f"block {promote_at}")
-            block = shards.submit_block(serials, hours, matrix)
+                receipt = partition.promote(challenger)
+                print(f"\nPromoted to generation {receipt['generation']} "
+                      f"at block {promote_at}")
+            block = partition.submit_block(serials, hours, matrix)
             for line in block.to_json_lines():
                 served.update(line.encode() + b"\n")
     match = served.hexdigest() == offline.hexdigest()

@@ -3,13 +3,13 @@
 The fleet-scale serving loop of :mod:`repro.serve.daemon`:
 
 1. characterize a training fleet and freeze the models into a bundle;
-2. start a :class:`repro.serve.ServingDaemon` — per-drive state sharded
-   by consistent hash across workers, a JSONL alert sink attached, HTTP
+2. start a :class:`repro.serve.ServingDaemon` — per-drive state on one
+   scoring partition, a JSONL alert sink attached, HTTP
    ingestion and the full telemetry plane on an ephemeral port;
 3. POST live telemetry to ``/ingest`` exactly as a collector would,
    read back canonical verdict lines, and scrape ``/metrics`` and
    ``/status`` while scoring;
-4. drain gracefully and inspect the final per-shard state snapshot and
+4. drain gracefully and inspect the final state snapshot and
    the alerts the sink captured.
 
 The same daemon ships as ``repro-serve daemon``; the operations story
@@ -53,7 +53,6 @@ def main() -> None:
     snapshot_path = workdir / "final-snapshot.json"
     daemon = ServingDaemon(
         bundle,
-        n_shards=4,
         sinks=[JsonlAlertSink(alerts_path)],
         final_snapshot=snapshot_path,
     )
@@ -62,8 +61,8 @@ def main() -> None:
         print(f"Daemon serving on {daemon.url} "
               "(POST /ingest /drain; GET /metrics /health /status)")
 
-        # A collector POSTs batches of raw samples; the daemon spreads
-        # them to shards by drive serial and answers verdict lines.
+        # A collector POSTs batches of raw samples; the daemon scores
+        # them and answers verdict lines.
         live_fleet = simulate_fleet(FleetConfig(n_drives=200, seed=72))
         profiles = (live_fleet.dataset.failed_profiles[:10]
                     + live_fleet.dataset.good_profiles[:50])
@@ -92,8 +91,8 @@ def main() -> None:
         with urllib.request.urlopen(daemon.url + "/status",
                                     timeout=5) as reply:
             status = json.loads(reply.read())
-        print(f"  /status: {status['samples_accepted']} samples on "
-              f"{status['n_shards']} shards, "
+        print(f"  /status: {status['samples_accepted']} samples, "
+              f"partition {status['partition']}, "
               f"{status['drives_tracked']} drives tracked, "
               f"alert rate {status['alert_rate']:.3f}")
         with urllib.request.urlopen(daemon.url + "/metrics",
@@ -105,13 +104,12 @@ def main() -> None:
         for line in ingest_lines:
             print(f"    {line}")
 
-    # Leaving the context drains the shards: every admitted batch has
-    # finished scoring and each shard wrote its keyed state snapshot.
+    # Leaving the context drains the partition: every admitted batch has
+    # finished scoring and the keyed state snapshot is written.
     snapshot = json.loads(snapshot_path.read_text())
-    per_shard = {s["shard"]: s["drives_tracked"] for s in snapshot["shards"]}
     print(f"Drained. Final snapshot: {snapshot['samples_accepted']} samples, "
-          f"{snapshot['alerts_emitted']} alerts; drives per shard "
-          f"{per_shard}")
+          f"{snapshot['alerts_emitted']} alerts; "
+          f"{snapshot['partition']['drives_tracked']} drives tracked")
     print(f"Alert sink captured "
           f"{len(alerts_path.read_text().splitlines())} JSONL alerts "
           f"at {alerts_path}")

@@ -2,7 +2,8 @@
 """Alternating benchmark pairs: a base revision against the working tree.
 
 Runs ``perfbench/run.py --trace 0`` on a checkout of ``--base REV`` and
-on the working tree, one after the other, ``--pairs`` times.  The
+on a snapshot of the working tree, one after the other, ``--pairs``
+times.  The
 order flips every pair (base first, then working tree first), so a
 host that drifts between fast and slow phases hurts neither side more.
 Then it prints, for every end-to-end metric, each side's median and
@@ -11,9 +12,14 @@ quartiles and how many pairs each side won, plus the median ratio::
    python scripts/bench_pairs.py --base HEAD~1 --pairs 10 \\
        --workload fleet-tick --seconds 30
 
-The base checkout is ``git archive REV`` unpacked into a temporary
-directory (deleted afterwards); it builds its own ``perfbench/.cache``
-inputs on its first run.  Win directions come from the working tree's
+Both sides run from fresh copies unpacked side by side into one
+temporary directory (deleted afterwards): the base is ``git archive
+REV``, the head is a snapshot of the working tree — tracked changes and
+untracked files, not ignored ones such as ``perfbench/.cache`` — taken
+through a temporary index, so the repository's own index is untouched.
+Neither side runs in the working tree's long-lived ``perfbench/.cache``
+and ``.work``, and each builds its own inputs on its first run.  Win
+directions come from the working tree's
 ``BENCHMARK.json``.  ``--json OUT`` also writes every run's metrics
 and the summary.  The exit code is 1 when any run fails, reports
 ``"correct": false`` or counts failed operations.
@@ -24,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -98,10 +105,31 @@ def render(summary: dict[str, dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def _extract(revision: str, target: Path) -> None:
-    """Unpack the committed files of ``revision`` into ``target``."""
+def snapshot_tree(root: Path = ROOT) -> str:
+    """The git tree id of ``root``'s working tree as it is now.
+
+    Tracked changes and untracked files are included, ignored files are
+    not.  The tree is built in a temporary index (``GIT_INDEX_FILE``),
+    so the repository's own index and worktree are left as they were.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-index-") as scratch:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(scratch) / "index")}
+
+        def git(*args: str) -> str:
+            return subprocess.run(["git", *args], cwd=root, env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout.strip()
+
+        git("read-tree", "HEAD")
+        git("add", "-A")
+        return git("write-tree")
+
+
+def extract(revision: str, target: Path, root: Path = ROOT) -> None:
+    """Unpack the files of ``revision`` (any tree-ish) into ``target``."""
     archive = subprocess.run(["git", "archive", "--format=tar", revision],
-                             cwd=ROOT, check=True, capture_output=True).stdout
+                             cwd=root, check=True,
+                             capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(target)
 
@@ -140,9 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     pairs: list[dict[str, dict[str, float]]] = []
     healthy = True
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
-        base_root = Path(scratch) / "base"
-        _extract(args.base, base_root)
-        checkouts = {"base": base_root, "head": ROOT}
+        checkouts = {side: Path(scratch) / side for side in SIDES}
+        extract(args.base, checkouts["base"])
+        extract(snapshot_tree(), checkouts["head"])
         for index in range(args.pairs):
             order = SIDES if index % 2 == 0 else SIDES[::-1]
             pair: dict[str, dict[str, float]] = {}

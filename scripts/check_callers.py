@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Lint: every public callable in ``src/repro`` has an in-tree caller.
+"""Lint: every public callable in ``src/repro`` has an in-tree caller,
+and every name a module imports is used.
 
 A public top-level function or class, or a public method of a public
 class, must be reached from ``src/``, ``examples/`` or ``perfbench/``
@@ -27,13 +28,18 @@ identifier, whichever object it belongs to, and so is any name that
 appears as a word in a live string (help texts included).  The lint
 therefore under-reports; what it does report has no use at all.
 
+Imports are checked per module (``__init__.py`` export tables and
+``__future__`` aside): a name bound by ``import`` or ``from ...
+import`` must be loaded somewhere in the same module, or appear as a
+word in one of its non-docstring strings (string annotations).
+
 Run from the repository root::
 
    python scripts/check_callers.py
 
-Exits 1 listing ``path:line name`` for each unreached callable and each
-stale table row, 0 when clean.  The test suite runs this as a
-regression gate (``tests/test_check_callers_lint.py``).
+Exits 1 listing ``path:line name`` for each unreached callable, each
+stale table row and each unused import, 0 when clean.  The test suite
+runs this as a regression gate (``tests/test_check_callers_lint.py``).
 """
 
 from __future__ import annotations
@@ -223,6 +229,24 @@ def read_keep_table(api_doc: Path) -> dict[str, int]:
     return rows
 
 
+def unused_imports(path: Path) -> list[tuple[int, str]]:
+    """``(line, name)`` of each name ``path`` imports and never uses."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = \
+                    node.lineno
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = _uses(tree, True, _docstring_ids(tree))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used and name != "*")
+
+
 def _kept_by(definition: Definition, keep: dict[str, int]) -> bool:
     return definition.qualname in keep or definition.module in keep
 
@@ -249,6 +273,12 @@ def find_violations(src: Path, roots: list[Path],
         if name not in known:
             violations.append(f"{api_doc.name}:{line} keep row `{name}` "
                               f"names no callable")
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        where = path.relative_to(src.parent.parent).as_posix()
+        violations.extend(f"{where}:{line} import {name} is unused"
+                          for line, name in unused_imports(path))
     return violations
 
 
@@ -259,8 +289,8 @@ def main() -> int:
         REPO_ROOT / "docs" / "api.md")
     if violations:
         print("public callables with no in-tree caller — delete them or "
-              f"list them under '{KEEP_HEADING}' in docs/api.md:",
-              file=sys.stderr)
+              f"list them under '{KEEP_HEADING}' in docs/api.md — "
+              "and unused imports:", file=sys.stderr)
         for violation in violations:
             print(f"  {violation}", file=sys.stderr)
         return 1

@@ -9,8 +9,8 @@ are *pinned*:
 - keys named ``speedup`` — machine-relative ratios, so a committed
   baseline from one host is comparable to a fresh run on another;
 - numeric keys ending ``samples_per_s`` — serving-plane throughputs
-  (including dict-valued ones like ``sharded_samples_per_s`` whose
-  numeric leaves are pinned individually).  These move with the
+  (including dict-valued ones, whose numeric leaves are pinned
+  individually).  These move with the
   hardware, so only compare recordings stamped with the same
   ``environment`` block.
 
@@ -47,8 +47,8 @@ def pinned_metrics(payload: Any, prefix: str = "",
                    pinned: bool = False) -> Iterator[tuple[str, float]]:
     """Yield (dotted path, value) for every pinned metric in ``payload``.
 
-    A pinned key with a dict value (e.g. ``sharded_samples_per_s``
-    keyed by shard count) pins each numeric leaf underneath it.
+    A pinned key with a dict value (e.g. a throughput keyed by batch
+    size) pins each numeric leaf underneath it.
     """
     if isinstance(payload, dict):
         for key, value in payload.items():

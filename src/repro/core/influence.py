@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.signatures import DegradationWindow
 from repro.errors import ReproError
 from repro.smart.attributes import READ_WRITE_ATTRIBUTES

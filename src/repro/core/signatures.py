@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import medfilt
 
-from repro.core.taxonomy import FailureType
 from repro.errors import SignatureError
 from repro.ml.distance import MahalanobisDistance, euclidean_to_reference
 from repro.ml.polyfit import PolynomialFit, fit_polynomial_family

@@ -108,33 +108,31 @@ class WalError(ServeError):
 
 
 class ShardRecoveringError(ServeError):
-    """A batch targeted a shard that is being rebuilt after a crash.
+    """A batch arrived while the scoring partition rebuilds after a crash.
 
     The serving daemon maps this to HTTP 503 with a ``Retry-After``
     header.  Like backpressure, admission is all-or-nothing: no sample
     of the rejected batch was admitted, so the caller can retry the
-    whole batch once the shard has replayed its snapshot + WAL suffix.
+    whole batch once the partition has replayed its snapshot + WAL
+    suffix.
 
     Attributes
     ----------
-    shard:
-        Index of the recovering shard.
     retry_after_s:
         Suggested wait before retrying, in seconds.
     """
 
-    def __init__(self, shard: int, retry_after_s: float) -> None:
+    def __init__(self, retry_after_s: float) -> None:
         super().__init__(
-            f"shard {shard} is recovering from a crash "
+            f"the scoring partition is recovering from a crash "
             f"(snapshot + WAL replay in progress); retry in "
             f"{retry_after_s:g}s"
         )
-        self.shard = shard
         self.retry_after_s = retry_after_s
 
 
 class BackpressureError(ServeError):
-    """A bounded shard queue is full; the caller should retry later.
+    """The bounded ingest queue is full; the caller should retry later.
 
     The serving daemon maps this to HTTP 429 with a ``Retry-After``
     header.  Admission is all-or-nothing: when this error is raised,
@@ -143,19 +141,17 @@ class BackpressureError(ServeError):
 
     Attributes
     ----------
-    shard:
-        Index of the saturated shard.
     retry_after_s:
         Suggested wait before retrying, in seconds.
+    capacity:
+        Batches in flight at which admission refuses.
     """
 
-    def __init__(self, shard: int, retry_after_s: float,
-                 capacity: int) -> None:
+    def __init__(self, retry_after_s: float, capacity: int) -> None:
         super().__init__(
-            f"shard {shard} ingest queue is full "
-            f"({capacity} batches in flight); retry in {retry_after_s:g}s"
+            f"ingest queue is full ({capacity} batches in flight); "
+            f"retry in {retry_after_s:g}s"
         )
-        self.shard = shard
         self.retry_after_s = retry_after_s
         self.capacity = capacity
 

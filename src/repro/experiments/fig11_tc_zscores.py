@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.diagnosis import temporal_group_z_scores
 from repro.core.pipeline import CharacterizationReport
-from repro.core.taxonomy import FailureType
 from repro.experiments.common import ExperimentResult, default_report
 from repro.reporting.figures import ascii_series
 

@@ -15,7 +15,7 @@ cannot be repaired and yields a clean dataset plus a data-quality
 report.
 
 :mod:`repro.faults.chaos_serve` extends chaos to the *serving* plane:
-seeded shard-kill drills (:func:`kill_plan`, :func:`run_chaos_stream`)
+seeded partition-kill drills (:func:`kill_plan`, :func:`run_chaos_stream`)
 that verify WAL crash recovery reproduces the uninterrupted verdict
 stream byte for byte, and :class:`BlackholeSink` for dead-letter
 delivery drills.

@@ -6,16 +6,16 @@ the in-daemon drift plane is ``repro-serve daemon --learn``):
 * ``drill`` — run the deterministic end-to-end drift drill
   (:class:`~repro.learn.drill.DriftDrill`): simulate a baseline and a
   drifted fleet, detect the drift, refit a challenger, shadow-score,
-  decide promotion, then serve the stream through live shard sets with
-  a mid-stream promotion and verify byte-identity against offline
-  scoring.  Prints one canonical JSON document; the same seed always
-  prints the same bytes.
+  decide promotion, then serve the stream through a live scoring
+  partition with a mid-stream promotion and verify byte-identity
+  against offline scoring.  Prints one canonical JSON document; the
+  same seed always prints the same bytes.
 * ``push`` — promote (or roll back) a bundle on a *running* daemon:
   POST a bundle file to its ``/promote`` endpoint.
 
 Examples::
 
-   repro-learn drill --seed 11 --shards 1 --shards 2 --shards 4
+   repro-learn drill --seed 11
    repro-learn push --url http://127.0.0.1:9200 \\
        --bundle challenger.bundle.json
    repro-learn push --url http://127.0.0.1:9200 --rollback
@@ -63,10 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="CELSIUS",
                        help="inlet-temperature rise injected into the "
                             "drifted fleet (default 8.0)")
-    drill.add_argument("--shards", type=int, action="append", default=[],
-                       metavar="N",
-                       help="serve the stream with this shard count "
-                            "(repeatable; default: 1 and 2)")
     drill.add_argument("--output", metavar="PATH", default=None,
                        help="write the drill document here "
                             "(default: stdout)")
@@ -89,15 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_drill(args: argparse.Namespace, observer: object) -> int:
-    """``drill``: prepare once, serve per shard count, print the document."""
-    shard_counts = args.shards or [1, 2]
+    """``drill``: prepare, serve the stream once, print the document."""
     drill = DriftDrill(seed=args.seed, n_drives=args.drives,
                        block_size=args.block_size,
                        drift_delta_c=args.drift_delta,
                        observer=observer).prepare()
     document = {
         "core": drill.core_payload(),
-        "runs": [drill.run(n_shards) for n_shards in shard_counts],
+        "run": drill.run(),
     }
     text = canonical_json_dumps(document)
     if args.output:
@@ -110,7 +105,7 @@ def run_drill(args: argparse.Namespace, observer: object) -> int:
     decision = document["core"]["decision"]
     print(f"drill complete: {len(alarms)} drift alarm(s), "
           f"promote={decision['promote']}, "
-          f"{len(shard_counts)} serving run(s) byte-identical to offline",
+          "served stream byte-identical to offline",
           file=sys.stderr)
     return 0
 

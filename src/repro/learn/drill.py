@@ -17,7 +17,7 @@ over the drifted stream:
 4. a :class:`~repro.learn.promote.PromotionPolicy` issues the
    promotion decision.
 
-Everything above is shard-independent, collected once by
+Everything above is independent of serving, collected once by
 :meth:`DriftDrill.prepare` into :meth:`DriftDrill.core_payload` — the
 document that must be byte-identical across repeated runs.  The serving
 half, :meth:`DriftDrill.run`, replays the same drifted stream through a
@@ -25,7 +25,7 @@ live :class:`~repro.serve.shard.ShardSet` with a mid-stream
 :meth:`promote <repro.serve.shard.ShardSet.promote>` and asserts the
 served verdict stream is byte-identical to offline scoring that
 switches from the champion's verdict kernel to the challenger's at the
-same block — for any shard count.
+same block.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class DriftDrill:
         self.promote_at = 0
         self._offline_sha256 = ""
 
-    # -- the shard-independent core ---------------------------------------
+    # -- the serving-independent core -------------------------------------
 
     def prepare(self) -> "DriftDrill":
         """Run detect → refit → shadow → decide once; returns self.
@@ -223,7 +223,7 @@ class DriftDrill:
         return digest.hexdigest()
 
     def core_payload(self) -> dict[str, Any]:
-        """The shard-independent drill document (byte-identical per seed)."""
+        """The drill document before serving (byte-identical per seed)."""
         if not self._prepared:
             raise LearnError("drill.prepare() must run before core_payload")
         assert (self.champion is not None and self.challenger is not None
@@ -248,7 +248,7 @@ class DriftDrill:
 
     # -- the serving half -------------------------------------------------
 
-    def run(self, n_shards: int, *, wal_dir: Any = None) -> dict[str, Any]:
+    def run(self, *, wal_dir: Any = None) -> dict[str, Any]:
         """Serve the drifted stream with a live mid-stream promotion.
 
         Feeds the first half of the blocks to a fresh
@@ -256,32 +256,29 @@ class DriftDrill:
         promotes the challenger, feeds the rest, and hashes the served
         canonical verdict stream.  Raises
         :class:`~repro.errors.LearnError` unless the hash equals the
-        offline reference — the byte-identity contract across shard
-        counts and live promotion.
+        offline reference — the byte-identity contract across live
+        promotion.
         """
         if not self._prepared:
             raise LearnError("drill.prepare() must run before run()")
         assert self.champion is not None and self.challenger is not None
         digest = hashlib.sha256()
-        receipts: list[dict[str, Any]] = []
-        with ShardSet(self.champion, n_shards=n_shards,
-                      wal_dir=wal_dir) as shards:
+        receipt: dict[str, Any] = {}
+        with ShardSet(self.champion, wal_dir=wal_dir) as partition:
             for index, (serials, hours, matrix) in enumerate(self.blocks):
                 if index == self.promote_at:
-                    receipts = shards.promote(self.challenger)
-                block = shards.submit_block(serials, hours, matrix,
-                                            block_id=f"drill-{index}")
+                    receipt = partition.promote(self.challenger)
+                block = partition.submit_block(serials, hours, matrix,
+                                               block_id=f"drill-{index}")
                 for line in block.to_json_lines():
                     digest.update(line.encode("utf-8") + b"\n")
         served = digest.hexdigest()
         if served != self._offline_sha256:
             raise LearnError(
                 f"served verdict stream diverged from offline scoring "
-                f"({served[:12]}… vs {self._offline_sha256[:12]}…) at "
-                f"n_shards={n_shards}")
+                f"({served[:12]}… vs {self._offline_sha256[:12]}…)")
         return {
-            "n_shards": n_shards,
             "verdict_sha256": served,
             "matches_offline": True,
-            "promotion_receipts": receipts,
+            "promotion_receipt": receipt,
         }

@@ -30,7 +30,7 @@ the drift drill pins across runs.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 

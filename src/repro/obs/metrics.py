@@ -21,9 +21,7 @@ reservoir of at most ``retention`` retained values.  Below the retention
 cap the reservoir holds every observation, so quantiles stay *exact* —
 identical to the historical behavior — and beyond it the reservoir
 thins itself to every 2nd, 4th, ... observation, keeping quantile
-estimates representative at O(retention) memory.  Batch callers that
-want unbounded exact quantiles regardless of volume pass
-``retention=None``.
+estimates representative at O(retention) memory.
 
 Metrics may carry **labels** — a small mapping of string key/value
 pairs — turning a name into a family of time series (one per label
@@ -164,12 +162,10 @@ class Histogram:
 
     Aggregates (count, sum, min, max) and the fixed
     :data:`BUCKET_BOUNDS` counts are always exact.  Quantiles come from
-    a retained sample: with ``retention=None`` every observation is
-    kept (exact quantiles at unbounded memory — the batch-analysis
-    mode); with an integer ``retention`` (the default,
-    :data:`DEFAULT_HISTOGRAM_RETENTION`) the sample is exact until the
-    cap is reached, then deterministically compacts to every 2nd, 4th,
-    ... observation so memory never exceeds the cap however long the
+    a retained sample of at most ``retention`` values (default
+    :data:`DEFAULT_HISTOGRAM_RETENTION`): exact until the cap is
+    reached, then deterministically compacted to every 2nd, 4th, ...
+    observation so memory never exceeds the cap however long the
     stream runs.
     """
 
@@ -179,10 +175,10 @@ class Histogram:
 
     def __init__(self, name: str,
                  labels: tuple[tuple[str, str], ...] = (), *,
-                 retention: int | None = DEFAULT_HISTOGRAM_RETENTION) -> None:
-        if retention is not None and retention < 2:
+                 retention: int = DEFAULT_HISTOGRAM_RETENTION) -> None:
+        if retention < 2:
             raise ObservabilityError(
-                f"histogram {name!r}: retention must be >= 2 or None, "
+                f"histogram {name!r}: retention must be >= 2, "
                 f"got {retention}"
             )
         self.name = name
@@ -210,9 +206,6 @@ class Histogram:
         if value > self._max:
             self._max = value
         self._buckets[bisect.bisect_left(BUCKET_BOUNDS, value)] += 1
-        if self._retention is None:
-            self._values.append(value)
-            return
         if self._skip:
             self._skip -= 1
             return
@@ -253,9 +246,6 @@ class Histogram:
             bisect.bisect_left, itertools.repeat(BUCKET_BOUNDS), floats))
         for index, count in hits.items():
             self._buckets[index] += count
-        if self._retention is None:
-            self._values.extend(floats)
-            return
         start, end = 0, len(floats)
         while start < end:
             if self._skip:
@@ -291,8 +281,8 @@ class Histogram:
         return self._sum
 
     @property
-    def retention(self) -> int | None:
-        """Reservoir capacity (``None`` = keep everything)."""
+    def retention(self) -> int:
+        """Reservoir capacity."""
         return self._retention
 
     @property
@@ -324,8 +314,8 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Quantile with linear interpolation over the retained sample.
 
-        Exact while the stream fits the retention cap (or with
-        ``retention=None``); a representative estimate afterwards.
+        Exact while the stream fits the retention cap; a representative
+        estimate afterwards.
         """
         if not 0.0 <= q <= 1.0:
             raise ObservabilityError(f"quantile {q} outside [0, 1]")
@@ -384,14 +374,11 @@ class MetricsRegistry:
         return self._get_or_create(name, Gauge, labels)
 
     def histogram(self, name: str,
-                  labels: Mapping[str, str] | None = None, *,
-                  retention: int | None = DEFAULT_HISTOGRAM_RETENTION,
-                  ) -> Histogram:
-        """The named histogram; ``retention`` applies on first creation."""
-        return self._get_or_create(name, Histogram, labels,
-                                   retention=retention)
+                  labels: Mapping[str, str] | None = None) -> Histogram:
+        """The named histogram (default retention)."""
+        return self._get_or_create(name, Histogram, labels)
 
-    def _get_or_create(self, name: str, factory, labels, **kwargs):
+    def _get_or_create(self, name: str, factory, labels):
         # Fast path for the hot loop: an existing metric's name and
         # labels were validated when it was created, so a hit needs
         # only the kind check, no regex work.
@@ -411,7 +398,7 @@ class MetricsRegistry:
                 f"metric {name!r} already registered as "
                 f"{registered.kind}, requested as {factory.kind}"
             )
-        metric = factory(name, key[1], **kwargs)
+        metric = factory(name, key[1])
         self._metrics[key] = metric
         self._kinds[name] = factory
         return metric

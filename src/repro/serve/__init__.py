@@ -6,17 +6,18 @@ service: :func:`build_bundle` freezes them into a versioned, hashed
 round-trip the artifact on disk with typed corruption/staleness
 detection; :class:`StreamScorer` consumes live SMART samples against a
 loaded bundle, byte-identical to offline replay; :class:`ServingDaemon`
-(:mod:`repro.serve.daemon`) is the always-on form — per-drive state
-sharded by consistent hash (:mod:`repro.serve.shard`),
-HTTP ingestion with explicit backpressure, live ``/metrics`` /
+(:mod:`repro.serve.daemon`) is the always-on form — keyed per-drive
+state on one scoring partition (:mod:`repro.serve.shard`), HTTP
+ingestion with explicit backpressure, live ``/metrics`` /
 ``/health`` / ``/status`` surfaces with a flight recorder of recent
 alerts, and pluggable alert sinks (:mod:`repro.serve.sinks`).  Crash
-safety is layered in by :mod:`repro.serve.wal` (per-shard write-ahead
-logs with snapshot-bounded replay, which rebuild a :class:`ShardSet`
-shard back to byte-identical state), and :class:`DeliveryPipeline`
-retry/dead-letter delivery for alerts.  The ``repro-serve`` CLI (:mod:`repro.serve.cli`) fronts all
-of it from the shell: its ``watch`` verb is a one-shard daemon fed from
-a CSV stream, and ``recover`` is the offline crash-recovery tooling.
+safety is layered in by :mod:`repro.serve.wal` (a write-ahead log with
+snapshot-bounded replay, which rebuilds the :class:`ShardSet`
+partition back to byte-identical state), and :class:`DeliveryPipeline`
+retry/dead-letter delivery for alerts.  The ``repro-serve`` CLI
+(:mod:`repro.serve.cli`) fronts all of it from the shell: its
+``watch`` verb is the daemon fed from a CSV stream, and ``recover`` is
+the offline crash-recovery tooling.
 """
 
 from repro._lazy import lazy_exports

@@ -9,19 +9,19 @@ consumes the published artifact:
   line per sample;
 * ``replay`` — push a whole dataset through one scorer at maximum
   throughput;
-* ``watch`` — the ``daemon`` below with one shard, fed from a CSV
+* ``watch`` — the ``daemon`` below without a WAL, fed from a CSV
   stream instead of ``POST /ingest``: verdicts come out exactly as
   ``score`` writes them, while the daemon's HTTP surface answers
   (``/metrics``, ``/health``, ``/status``, ``/recorder`` and its POST
   routes) and a flight recorder keeps the recent alerts;
 * ``daemon`` — the fleet-scale serving process: samples arrive over
-  HTTP (``POST /ingest``), score on ``--shards`` consistent-hash
-  shards with bounded queues and explicit 429 backpressure, and alerts
+  HTTP (``POST /ingest``), score on one partition with a bounded
+  queue and explicit 429 backpressure, and alerts
   fan out to ``--alert-sink`` destinations; SIGTERM drains gracefully
   (see :mod:`repro.serve.daemon` and ``docs/operations.md``);
 * ``recover`` — offline crash-recovery tooling: replay a daemon's
-  per-shard WAL directories (``--wal-dir``) the way a restarted shard
-  would and print the recovered counters, and/or re-deliver a
+  WAL (``--wal-dir``) the way a restarted daemon would and print the
+  recovered counters, and/or re-deliver a
   dead-letter file (``--dead-letter``) through fresh sinks.
 
 Examples::
@@ -30,7 +30,7 @@ Examples::
    repro-serve score --bundle fleet.bundle.json < stream.csv
    repro-serve replay --bundle fleet.bundle.json --simulate 500
    repro-serve watch --bundle fleet.bundle.json --port 9100 < stream.csv
-   repro-serve daemon --bundle fleet.bundle.json --shards 4 --port 9200 \\
+   repro-serve daemon --bundle fleet.bundle.json --port 9200 \\
        --wal-dir /var/lib/repro/wal --dead-letter dead-letters.jsonl \\
        --alert-sink jsonl:alerts.jsonl
    repro-serve recover --bundle fleet.bundle.json \\
@@ -66,7 +66,8 @@ from repro.serve.daemon import ServingDaemon
 from repro.serve.scorer import (StreamScorer, VerdictBlock,
                                 first_hour_out_of_range)
 from repro.serve.shard import (DEFAULT_QUEUE_CAPACITY,
-                               DEFAULT_SNAPSHOT_INTERVAL_BLOCKS, replay_wal)
+                               DEFAULT_SNAPSHOT_INTERVAL_BLOCKS,
+                               partition_wal_dir, replay_wal)
 from repro.serve.sinks import parse_sink_spec, reprocess_dead_letter
 from repro.serve.wal import ShardWal
 
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write only WATCH/CRITICAL verdicts")
 
     watch = commands.add_parser(
-        "watch", help="score a CSV stream through a one-shard daemon "
+        "watch", help="score a CSV stream through the serving daemon "
                       "while its HTTP surface answers")
     add_common(watch)
     watch.add_argument("--input", metavar="PATH", default="-",
@@ -173,19 +174,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="snapshot refresh interval (default 5)")
 
     daemon = commands.add_parser(
-        "daemon", help="serve scoring over HTTP: sharded state, bounded "
-                       "queues, alert sinks, graceful drain")
+        "daemon", help="serve scoring over HTTP: keyed drive state, a "
+                       "bounded queue, alert sinks, graceful drain")
     add_common(daemon)
     daemon.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="shards; drives spread by consistent hash of "
-                             "serial (default 1)")
+                        help="changes nothing (a daemon scores on one "
+                             "partition); kept only because "
+                             "perfbench/workloads.py passes it")
     daemon.add_argument("--backend", default="thread", choices=("thread",),
-                        help="changes nothing (shards score on the "
-                             "request thread); kept only because "
+                        help="changes nothing (the partition scores on "
+                             "the request thread); kept only because "
                              "perfbench/workloads.py passes it")
     daemon.add_argument("--queue-capacity", type=int,
                         default=DEFAULT_QUEUE_CAPACITY, metavar="N",
-                        help="batches in flight per shard before 429 "
+                        help="batches in flight before 429 "
                              f"(default {DEFAULT_QUEUE_CAPACITY})")
     daemon.add_argument("--host", default="127.0.0.1",
                         help="HTTP bind host (default 127.0.0.1)")
@@ -206,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="Retry-After hint on 429 replies (default 1)")
     daemon.add_argument("--final-snapshot", metavar="PATH", default=None,
-                        help="write per-shard state snapshots here at "
-                             "shutdown (atomic)")
+                        help="write the partition's state snapshot here "
+                             "at shutdown (atomic)")
     daemon.add_argument("--wal-dir", metavar="DIR", default=None,
-                        help="per-shard write-ahead logs under this "
-                             "directory: crashed shards replay back to "
+                        help="write-ahead log under this directory "
+                             "(at DIR/shard-000): a crash replays back to "
                              "byte-identical state (default: no WAL)")
     daemon.add_argument("--snapshot-interval-blocks", type=int,
                         default=DEFAULT_SNAPSHOT_INTERVAL_BLOCKS,
@@ -231,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "re-deliver dead-letter alerts")
     add_common(recover, require_bundle=False)
     recover.add_argument("--wal-dir", metavar="DIR", default=None,
-                         help="daemon WAL root (shard-*/ subdirectories); "
-                              "replays each shard offline and prints a "
-                              "recovery summary (needs --bundle)")
+                         help="daemon WAL root (its log is shard-000/); "
+                              "replays it offline and prints a recovery "
+                              "summary (needs --bundle)")
     recover.add_argument("--dead-letter", metavar="PATH", default=None,
                          help="dead-letter JSONL to re-deliver; the file "
                               "is rewritten to hold only what still fails")
@@ -361,7 +363,7 @@ def run_score(args: argparse.Namespace,
 
 def run_watch(args: argparse.Namespace,
               observer: PipelineObserver) -> int:
-    """``watch``: a one-shard :class:`ServingDaemon` fed from a CSV stream.
+    """``watch``: a WAL-less :class:`ServingDaemon` fed from a CSV stream.
 
     Every block of the stream goes through
     :meth:`ServingDaemon.ingest_block` and its verdicts are written
@@ -389,9 +391,9 @@ def run_watch(args: argparse.Namespace,
         return lines
 
     source = sys.stdin if args.input == "-" else open(args.input, newline="")
-    # Built after the input opens: a missing file must not leave shard
-    # threads and a bound socket behind.
-    daemon = ServingDaemon(bundle, n_shards=1, observer=observer,
+    # Built after the input opens: a missing file must not leave a
+    # bound socket behind.
+    daemon = ServingDaemon(bundle, observer=observer,
                            recorder=recorder, host=args.host, port=args.port)
     snapshotter = (PeriodicSnapshotWriter(daemon.registry, args.snapshot,
                                           args.snapshot_interval)
@@ -425,7 +427,7 @@ def run_watch(args: argparse.Namespace,
         print(f"flight recorder dumped to {args.recorder_dump}",
               file=sys.stderr)
     print(f"watched {daemon.samples_accepted} samples from "
-          f"{daemon.shards.drives_tracked()} drives: "
+          f"{daemon.partition.drives_tracked()} drives: "
           f"{daemon.alerts_emitted} alerts, {lines} verdicts written",
           file=sys.stderr)
     return 0
@@ -433,7 +435,7 @@ def run_watch(args: argparse.Namespace,
 
 def run_daemon(args: argparse.Namespace,
                observer: PipelineObserver) -> int:
-    """``daemon``: serve sharded scoring over HTTP until drained.
+    """``daemon``: serve scoring over HTTP until drained.
 
     Blocks in :meth:`ServingDaemon.serve_forever` until SIGTERM/SIGINT
     (installed only when running on the main thread) or ``POST /drain``
@@ -444,8 +446,7 @@ def run_daemon(args: argparse.Namespace,
     sinks = [parse_sink_spec(spec) for spec in args.alert_sink]
     recorder = FlightRecorder(capacity=args.recorder_capacity)
     daemon = ServingDaemon(
-        bundle, n_shards=args.shards,
-        queue_capacity=args.queue_capacity, sinks=sinks,
+        bundle, queue_capacity=args.queue_capacity, sinks=sinks,
         observer=observer, recorder=recorder,
         host=args.host, port=args.port,
         retry_after_s=args.retry_after,
@@ -463,8 +464,7 @@ def run_daemon(args: argparse.Namespace,
     if args.port_file:
         daemon.handle.write_port_file(args.port_file)
     print(f"serving daemon on {daemon.url} "
-          f"({args.shards} shard(s); "
-          f"POST /ingest, /promote, /drain; "
+          f"(POST /ingest, /promote, /drain; "
           f"GET /metrics /health /status /recorder)",
           file=sys.stderr)
     daemon.serve_forever()
@@ -477,13 +477,15 @@ def run_recover(args: argparse.Namespace,
                 observer: PipelineObserver) -> int:
     """``recover``: offline WAL replay and dead-letter redelivery.
 
-    With ``--wal-dir``, every ``shard-*`` subdirectory is replayed
-    through a fresh scorer by :func:`~repro.serve.shard.replay_wal`,
-    the restarted shard's own replay (last snapshot, then the WAL
-    suffix; a block that fails to score is skipped as the shard skips
-    it), and the resulting counters are printed as a JSON summary —
-    the kill -9 drill's verification step, and a way to audit what
-    state a restarted daemon will resume with.  With ``--dead-letter``,
+    With ``--wal-dir``, the log at ``shard-000`` is replayed through a
+    fresh scorer by :func:`~repro.serve.shard.replay_wal`, a restarted
+    daemon's own replay (last snapshot, then the WAL suffix; a block
+    that fails to score is skipped as the daemon skips it), and the
+    resulting counters are printed as a JSON summary — the kill -9
+    drill's verification step, and a way to audit what state a
+    restarted daemon will resume with.  A directory holding any other
+    ``shard-*`` log is refused as the daemon refuses it
+    (:func:`~repro.serve.shard.partition_wal_dir`).  With ``--dead-letter``,
     the parked alerts are re-delivered through each ``--alert-sink``
     and the file is rewritten to hold only what still fails.
     """
@@ -498,29 +500,24 @@ def run_recover(args: argparse.Namespace,
                 "replay through a different model)")
         bundle = load_bundle(args.bundle, observer=observer)
         bundle_sha = content_hash(bundle.to_payload())
-        root = Path(args.wal_dir)
-        shard_dirs = sorted(root.glob("shard-*"))
-        if not shard_dirs:
-            raise ServeError(
-                f"no shard-* WAL directories under {root}")
-        shards = []
-        for shard_dir in shard_dirs:
-            scorer = StreamScorer(bundle, observer=observer)
-            with ShardWal(shard_dir, bundle_sha256=bundle_sha,
-                          generation=bundle.generation) as wal:
-                recovery = wal.open()
-                for _block_id, _outcome in replay_wal(scorer, recovery):
-                    pass
-                shards.append({
-                    "directory": str(shard_dir),
-                    "snapshot_seq": recovery.snapshot_seq,
-                    "replayed_blocks": recovery.replayed_blocks,
-                    "last_seq": wal.last_seq,
-                    "samples_scored": scorer.samples_scored,
-                    "alerts_emitted": scorer.alerts_emitted,
-                    "drives_tracked": scorer.drives_tracked,
-                })
-        summary["wal"] = {"dir": str(root), "shards": shards}
+        log_dir = partition_wal_dir(args.wal_dir)
+        if not log_dir.is_dir():
+            raise ServeError(f"no WAL at {log_dir}")
+        scorer = StreamScorer(bundle, observer=observer)
+        with ShardWal(log_dir, bundle_sha256=bundle_sha,
+                      generation=bundle.generation) as wal:
+            recovery = wal.open()
+            for _block_id, _outcome in replay_wal(scorer, recovery):
+                pass
+            summary["wal"] = {
+                "directory": str(log_dir),
+                "snapshot_seq": recovery.snapshot_seq,
+                "replayed_blocks": recovery.replayed_blocks,
+                "last_seq": wal.last_seq,
+                "samples_scored": scorer.samples_scored,
+                "alerts_emitted": scorer.alerts_emitted,
+                "drives_tracked": scorer.drives_tracked,
+            }
     if args.dead_letter is not None:
         if not args.alert_sink:
             raise ServeError(

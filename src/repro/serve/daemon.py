@@ -1,8 +1,8 @@
-"""The fleet-scale serving daemon: sharded scoring behind HTTP.
+"""The fleet-scale serving daemon: one scoring partition behind HTTP.
 
 :class:`ServingDaemon` is the always-on composition of the serving
-stack: a :class:`~repro.serve.shard.ShardSet` (keyed per-drive state,
-consistent-hash placement, bounded queues), the telemetry plane of
+stack: a :class:`~repro.serve.shard.ShardSet` (the one partition of
+keyed per-drive state, a bounded queue, the WAL), the telemetry plane of
 :mod:`repro.obs.http` (``/metrics``, ``/health``, ``/status``,
 ``/recorder``), an HTTP ingestion endpoint, and pluggable
 :mod:`~repro.serve.sinks` for alert delivery.
@@ -19,17 +19,18 @@ one object per line::
 The default reply is a JSON summary ``{"accepted": n, "alerts": m}``;
 ``?verdicts=all`` (or ``=alerts``) returns the canonical verdict JSON
 lines instead — byte-identical to offline ``repro-serve score`` output
-for the same samples, for any shard count.  A malformed body answers
-400 naming its first bad line or sample; a saturated shard answers **429 with a ``Retry-After`` header**,
+for the same samples, however the stream is cut into batches.  A
+malformed body answers 400 naming its first bad line or sample; a full
+ingest queue answers **429 with a ``Retry-After`` header**,
 and the rejected batch is never partially scored (all-or-nothing
 admission, see :mod:`repro.serve.shard`).
 
 ``POST /drain`` asks the daemon to stop: in-flight batches finish,
-every shard emits its state snapshot, the optional final-snapshot file
+the partition emits its state snapshot, the optional final-snapshot file
 is written atomically, and :meth:`serve_forever` returns.  The CLI
 wires SIGTERM/SIGINT to the same path.
 
-``repro-serve watch`` is this daemon with one shard and no WAL, fed
+``repro-serve watch`` is this daemon with no WAL, fed
 from a CSV stream through :meth:`ServingDaemon.ingest_block` instead of
 ``POST /ingest`` (see :mod:`repro.serve.cli`).
 """
@@ -278,15 +279,15 @@ def _parse_jsonl_batch(body: bytes) -> _Columns:
 
 
 class ServingDaemon:
-    """A long-running sharded scorer with ingestion and telemetry HTTP.
+    """A long-running scorer with ingestion and telemetry HTTP.
 
     Parameters
     ----------
     bundle:
         The model bundle to serve; its content hash and schema version
         are the ``/health`` identity.
-    n_shards / queue_capacity / throttle_s / retry_after_s:
-        Shard-plane knobs, passed to :class:`~repro.serve.shard.ShardSet`.
+    queue_capacity / throttle_s / retry_after_s:
+        Admission knobs, passed to :class:`~repro.serve.shard.ShardSet`.
     sinks:
         Alert sinks handed the canonical line of every WATCH/CRITICAL
         verdict after scoring.  Sink failures are counted
@@ -303,15 +304,15 @@ class ServingDaemon:
         from :attr:`handle`).
     final_snapshot:
         Optional path; on shutdown the daemon writes a JSON document
-        with per-shard state snapshots and totals there (atomically —
-        fsync, then ``os.replace``).
+        with the partition's state snapshot and totals there
+        (atomically — fsync, then ``os.replace``).
     wal_dir:
-        Root directory for per-shard write-ahead logs; enables crash
+        Root directory of the write-ahead log; enables crash
         recovery (see :mod:`repro.serve.wal` and
         ``docs/robustness.md``).  ``None`` (the default) serves without
         a WAL — the pre-crash-safety behavior.
     snapshot_interval_blocks:
-        Blocks a shard scores between WAL state checkpoints.
+        Blocks scored between WAL state checkpoints.
     dead_letter:
         JSONL path collecting the lines of alerts that exhausted sink
         delivery (an fsynced :class:`~repro.serve.sinks.JsonlAlertSink`
@@ -331,7 +332,7 @@ class ServingDaemon:
         detector's thresholds (``learn=True`` only).
     """
 
-    def __init__(self, bundle: ModelBundle, *, n_shards: int = 1,
+    def __init__(self, bundle: ModelBundle, *,
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  sinks: Sequence[AlertSink] = (),
                  observer: PipelineObserver | None = None,
@@ -368,7 +369,7 @@ class ServingDaemon:
         self._alerts_emitted = 0
         self._stop_requested = threading.Event()
         self._stopped = False
-        self._snapshots: list[dict[str, Any]] = []
+        self._snapshot: dict[str, Any] | None = None
         self._previous_bundle: ModelBundle | None = None
         self._drift = None
         if learn:
@@ -380,12 +381,11 @@ class ServingDaemon:
                 observer=self._observer)
         self._dead_letter = (JsonlAlertSink(dead_letter, fsync=True)
                              if dead_letter is not None else None)
-        # The shard set opens its WALs, then the port is bound, and only
+        # The partition opens its WAL, then the port is bound, and only
         # then do the delivery threads start: a refused configuration or
         # a port in use leaves nothing open or running.
-        self._shards = ShardSet(
-            bundle, n_shards=n_shards,
-            queue_capacity=queue_capacity, observer=self._observer,
+        self._partition = ShardSet(
+            bundle, queue_capacity=queue_capacity, observer=self._observer,
             throttle_s=throttle_s, retry_after_s=retry_after_s,
             wal_dir=wal_dir,
             snapshot_interval_blocks=snapshot_interval_blocks,
@@ -404,7 +404,7 @@ class ServingDaemon:
                 host=host, port=port,
             )
         except BaseException:
-            self._shards.stop()
+            self._partition.stop()
             raise
         self._pipelines = [
             DeliveryPipeline(sink, policy=delivery_policy,
@@ -419,14 +419,14 @@ class ServingDaemon:
     def ingest_block(self, serials: Sequence[str], hours: Sequence[int],
                      matrix: Iterable[Iterable[float]],
                      block_id: str | None = None) -> VerdictBlock:
-        """Score one columnar batch through the shard plane.
+        """Score one columnar batch on the partition.
 
         The daemon's hot path: the batch stays struct-of-arrays from
-        HTTP parse to shard scoring to reply accounting.  Raises
-        :class:`~repro.errors.BackpressureError` when a target shard is
-        saturated (nothing enqueued),
-        :class:`~repro.errors.ShardRecoveringError` when one is
-        replaying after a crash (also nothing enqueued), and
+        HTTP parse to scoring to reply accounting.  Raises
+        :class:`~repro.errors.BackpressureError` when the ingest queue
+        is full (nothing enqueued),
+        :class:`~repro.errors.ShardRecoveringError` when the partition
+        is replaying after a crash (also nothing enqueued), and
         :class:`~repro.errors.ServeError` on malformed batches.  Each
         (rare) alerting row is recorded in the flight recorder from the
         block's columns and, when the daemon has sinks, its canonical
@@ -441,8 +441,8 @@ class ServingDaemon:
         it as ``?batch=``.
         """
         columns = np.asarray(matrix, dtype=np.float64)
-        block = self._shards.submit_block(serials, hours, columns,
-                                          block_id=block_id)
+        block = self._partition.submit_block(serials, hours, columns,
+                                             block_id=block_id)
         with self._lock:
             self._samples_accepted += len(block)
             self._alerts_emitted += block.n_alerting
@@ -505,16 +505,14 @@ class ServingDaemon:
             self._count_ingest("backpressure")
             return HttpReply.json(
                 429,
-                {"error": str(error), "shard": error.shard,
-                 "retry_after_s": error.retry_after_s},
+                {"error": str(error), "retry_after_s": error.retry_after_s},
                 headers=(("Retry-After", f"{error.retry_after_s:g}"),),
             )
         except ShardRecoveringError as error:
             self._count_ingest("recovering")
             return HttpReply.json(
                 503,
-                {"error": str(error), "shard": error.shard,
-                 "retry_after_s": error.retry_after_s},
+                {"error": str(error), "retry_after_s": error.retry_after_s},
                 headers=(("Retry-After", f"{error.retry_after_s:g}"),),
             )
         except ServeError as error:
@@ -540,7 +538,7 @@ class ServingDaemon:
     # -- promotion --------------------------------------------------------
 
     def promote_bundle(self, bundle: ModelBundle, *,
-                       force: bool = False) -> list[dict[str, Any]]:
+                       force: bool = False) -> dict[str, Any]:
         """Swap the active bundle for a challenger, atomically.
 
         Unless ``force``, the challenger must name the current champion
@@ -549,7 +547,7 @@ class ServingDaemon:
         generation is refused instead of silently skipping a step in
         the chain.  The swap itself is
         :meth:`ShardSet.promote <repro.serve.shard.ShardSet.promote>`:
-        a clean fence in every shard's stream, WAL-logged so recovery
+        a clean fence in the partition's stream, WAL-logged so recovery
         replays with the right bundle generation.  The replaced
         champion is kept for :meth:`rollback_bundle`.
         """
@@ -568,7 +566,7 @@ class ServingDaemon:
                 f"{bundle.parent_sha256[:12] or '<none>'}…, but the "
                 f"serving champion is {current_sha[:12]}… — refit "
                 f"against the live champion or pass force")
-        receipts = self._shards.promote(bundle)
+        receipt = self._partition.promote(bundle)
         with self._lock:
             self._previous_bundle = current
             self._bundle = bundle
@@ -579,13 +577,13 @@ class ServingDaemon:
             f"bundle promoted to generation {bundle.generation}",
             bundle_sha256=new_sha, parent_sha256=bundle.parent_sha256,
             generation=bundle.generation, forced=force)
-        return receipts
+        return receipt
 
-    def rollback_bundle(self) -> list[dict[str, Any]]:
+    def rollback_bundle(self) -> dict[str, Any]:
         """Re-promote the bundle the last promotion replaced.
 
         The emergency lever of the learning loop: one call restores the
-        previous champion on every shard (same fence semantics as a
+        previous champion (same fence semantics as a
         promotion).  Refuses when no promotion has happened yet.
         """
         with self._lock:
@@ -594,7 +592,7 @@ class ServingDaemon:
             raise ServeError(
                 "no previous bundle to roll back to (nothing was "
                 "promoted on this daemon)")
-        receipts = self._shards.promote(previous)
+        receipt = self._partition.promote(previous)
         previous_sha = content_hash(previous.to_payload())
         with self._lock:
             self._previous_bundle = self._bundle
@@ -605,28 +603,27 @@ class ServingDaemon:
             "lifecycle",
             f"bundle rolled back to generation {previous.generation}",
             bundle_sha256=previous_sha, generation=previous.generation)
-        return receipts
+        return receipt
 
     def _handle_promote(self, body: bytes, query: dict[str, str]) -> HttpReply:
         """``POST /promote``: swap in a challenger bundle (or roll back).
 
         The body is a full hashed bundle artifact — the exact JSON
         :func:`~repro.serve.bundle.save_bundle` writes — verified with
-        the same four gates as a disk load before any shard sees it.
+        the same four gates as a disk load before the scorer sees it.
         ``?rollback=1`` ignores the body and restores the previous
         champion; ``?force=1`` skips the lineage check.  Lineage and
         state conflicts answer 409, malformed artifacts 400.
         """
         if query.get("rollback") in ("1", "true"):
             try:
-                receipts = self.rollback_bundle()
+                self.rollback_bundle()
             except ServeError as error:
                 return HttpReply.json(409, {"error": str(error)})
             return HttpReply.json(200, {
                 "status": "rolled_back",
                 "bundle_sha256": self._bundle_sha256,
                 "generation": self._bundle.generation,
-                "shards": len(receipts),
             })
         try:
             payload = json.loads(body.decode("utf-8"))
@@ -638,7 +635,7 @@ class ServingDaemon:
         except BundleError as error:
             return HttpReply.json(400, {"error": str(error)})
         try:
-            receipts = self.promote_bundle(
+            self.promote_bundle(
                 bundle, force=query.get("force") in ("1", "true"))
         except ServeError as error:
             return HttpReply.json(409, {"error": str(error)})
@@ -646,7 +643,6 @@ class ServingDaemon:
             "status": "promoted",
             "bundle_sha256": self._bundle_sha256,
             "generation": self._bundle.generation,
-            "shards": len(receipts),
         })
 
     # -- payloads ---------------------------------------------------------
@@ -654,15 +650,16 @@ class ServingDaemon:
     def health_payload(self) -> dict[str, Any]:
         """The ``/health`` body: liveness plus serving-model identity.
 
-        ``status`` is ``ok`` (HTTP 200), ``degraded`` (503 — at least
-        one shard is replaying after a crash; other shards' drives
-        still ingest), or ``draining`` (503 — shutdown in progress).
-        The per-shard breakdown tells an operator *which* shard.
+        ``status`` is ``ok`` (HTTP 200), ``degraded`` (503 — the
+        partition is replaying after a crash, or failed), or
+        ``draining`` (503 — shutdown in progress).  ``partition`` is
+        the scoring partition's own lifecycle: ``serving``,
+        ``recovering`` or ``failed: <reason>``.
         """
-        shard_status = self._shards.shard_status()
+        partition = self._partition.status()
         if self._stop_requested.is_set():
             status = "draining"
-        elif all(state == "serving" for state in shard_status):
+        elif partition == "serving":
             status = "ok"
         else:
             status = "degraded"
@@ -671,32 +668,31 @@ class ServingDaemon:
             "bundle_sha256": self._bundle_sha256,
             "schema_version": BUNDLE_SCHEMA_VERSION,
             "generation": self._bundle.generation,
-            "shards": shard_status,
-            "wal": self._shards.wal_enabled,
+            "partition": partition,
+            "wal": self._partition.wal_enabled,
             "learn": self._drift is not None,
         }
 
     def status_payload(self) -> dict[str, Any]:
-        """The ``/status`` body: shard plane, sink list, recorder tail."""
+        """The ``/status`` body: partition, sink list, recorder tail."""
         with self._lock:
             samples = self._samples_accepted
             alerts = self._alerts_emitted
         return {
-            "n_shards": self._shards.n_shards,
-            "queue_capacity": self._shards.queue_capacity,
-            "inflight": self._shards.inflight(),
-            "drives_tracked": self._shards.drives_tracked(),
+            "queue_capacity": self._partition.queue_capacity,
+            "inflight": self._partition.inflight(),
+            "drives_tracked": self._partition.drives_tracked(),
             "samples_accepted": samples,
             "alerts_emitted": alerts,
             "alert_rate": (alerts / samples) if samples else 0.0,
             "sinks": [sink.describe() for sink in self._sinks],
             "draining": self._stop_requested.is_set(),
-            "shard_status": self._shards.shard_status(),
-            "shard_restarts": self._shards.shard_restarts(),
+            "partition": self._partition.status(),
+            "restarts": self._partition.restarts(),
             "wal": {
-                "enabled": self._shards.wal_enabled,
-                "dir": (str(self._shards.wal_dir)
-                        if self._shards.wal_dir is not None else None),
+                "enabled": self._partition.wal_enabled,
+                "dir": (str(self._partition.wal_dir)
+                        if self._partition.wal_dir is not None else None),
             },
             "dead_letter": (str(self._dead_letter.path)
                             if self._dead_letter is not None else None),
@@ -739,9 +735,9 @@ class ServingDaemon:
         return self._registry
 
     @property
-    def shards(self) -> ShardSet:
-        """The shard plane (placement, capacities, inflight counts)."""
-        return self._shards
+    def partition(self) -> ShardSet:
+        """The scoring partition (capacity, inflight count, WAL)."""
+        return self._partition
 
     @property
     def samples_accepted(self) -> int:
@@ -767,8 +763,7 @@ class ServingDaemon:
         self._server.start()
         self.recorder.record(
             "lifecycle", "serving daemon started",
-            url=self.url, bundle_sha256=self._bundle_sha256,
-            n_shards=self._shards.n_shards)
+            url=self.url, bundle_sha256=self._bundle_sha256)
         return self
 
     def request_stop(self) -> None:
@@ -781,19 +776,19 @@ class ServingDaemon:
             pass
         self.stop()
 
-    def stop(self) -> list[dict[str, Any]]:
-        """Drain shards, write the final snapshot, stop HTTP (idempotent).
+    def stop(self) -> dict[str, Any]:
+        """Drain, write the final snapshot, stop HTTP (idempotent).
 
-        Every admitted batch finishes scoring before the shards
-        checkpoint; the returned (and stored) snapshots carry each
-        shard's counters and keyed drive state.
+        Every admitted batch finishes scoring before the partition
+        checkpoints; the returned (and stored) snapshot carries its
+        counters and keyed drive state.
         """
         with self._lock:
             if self._stopped:
-                return list(self._snapshots)
+                return dict(self._snapshot or {})
             self._stopped = True
         self._stop_requested.set()
-        self._snapshots = self._shards.stop()
+        self._snapshot = self._partition.stop()
         if self._final_snapshot is not None:
             self._write_final_snapshot(self._final_snapshot)
         for pipeline in self._pipelines:
@@ -805,7 +800,7 @@ class ServingDaemon:
             samples_accepted=self._samples_accepted,
             alerts_emitted=self._alerts_emitted)
         self._server.stop()
-        return list(self._snapshots)
+        return dict(self._snapshot)
 
     def _write_final_snapshot(self, path: Path) -> None:
         """Atomically write the shutdown snapshot document.
@@ -818,10 +813,9 @@ class ServingDaemon:
         document = {
             "bundle_sha256": self._bundle_sha256,
             "schema_version": BUNDLE_SCHEMA_VERSION,
-            "n_shards": self._shards.n_shards,
             "samples_accepted": self._samples_accepted,
             "alerts_emitted": self._alerts_emitted,
-            "shards": self._snapshots,
+            "partition": self._snapshot,
         }
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_text(path, canonical_json_dumps(document) + "\n")

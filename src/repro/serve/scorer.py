@@ -326,9 +326,10 @@ class VerdictBlock:
         """Reassemble one block from scattered sub-blocks.
 
         ``parts`` pairs each sub-block with the row indices (into the
-        full batch) it scored; the shard plane uses this to stitch
-        per-shard results back into input row order without
-        materializing a single verdict object.
+        full batch) it scored, and the result holds every row in input
+        order without materializing a single verdict object.  The
+        serving path scores a batch as one block and no longer calls
+        this; ``perfbench/layers.py`` still names it as a layer.
         """
         if not parts:
             raise ServeError("gather needs at least one sub-block")
@@ -412,8 +413,8 @@ class StreamScorer:
         :class:`VerdictBlock` carries verdict columns; materializing it
         reproduces the scalar
         :meth:`~repro.core.monitor.DegradationMonitor.observe` oracle
-        byte for byte (the golden tests pin this offline, across shard
-        counts and over live HTTP ingest).  A batch that
+        byte for byte (the golden tests pin this offline, through the
+        daemon's partition and over live HTTP ingest).  A batch that
         :func:`check_batch` refuses raises
         :class:`~repro.errors.ServeError` before any drive's state
         changes.
@@ -438,10 +439,10 @@ class StreamScorer:
 
     @property
     def state(self) -> ColumnStateStore:
-        """The keyed per-drive state store (the sharding seam).
+        """The keyed per-drive state store.
 
-        A daemon shard snapshots or relocates a scorer's fleet state
-        through this store; the scorer itself never copies it.
+        The daemon's partition snapshots a scorer's fleet state through
+        this store; the scorer itself never copies it.
         """
         return self._state
 
@@ -480,11 +481,11 @@ class StreamScorer:
     def restore_state(self, payload: dict[str, Any]) -> None:
         """Rebuild counters and per-drive state from :meth:`dump_state`.
 
-        Restores in place, so a recovering shard worker constructs its
+        Restores in place, so a recovering partition constructs its
         scorer normally and then applies the last snapshot before
         replaying the WAL suffix.  A dump the state store refuses is
         re-raised as :class:`~repro.errors.ServeError`, the error a
-        recovering shard reports as ``failed``.
+        recovering partition reports as ``failed``.
         """
         try:
             samples_scored = int(payload["samples_scored"])

@@ -287,7 +287,7 @@ class DeliveryPipeline:
 
     ``close`` drains the queue before closing the sink, so every
     submitted alert reaches one of those outcomes — the daemon calls
-    it after the shard plane has stopped.
+    it after the scoring partition has stopped.
     """
 
     def __init__(self, sink: AlertSink, *,

@@ -1,13 +1,13 @@
-"""Per-shard write-ahead log with snapshot-bounded replay.
+"""The scoring partition's write-ahead log with snapshot-bounded replay.
 
 The crash-safety backbone of the serving daemon (`docs/robustness.md`):
-every admitted ingest block is appended to its shard's WAL *before*
-scoring, and the shard's full scorer state is checkpointed to an atomic
-snapshot every N blocks — so a killed shard recovers by loading the
+every admitted ingest block is appended to the WAL *before* scoring,
+and the partition's full scorer state is checkpointed to an atomic
+snapshot every N blocks — so a killed partition recovers by loading the
 last snapshot and replaying only the WAL suffix past it, reproducing
 its pre-crash state byte for byte.
 
-Layout of one shard's WAL directory::
+Layout of the log directory (``<wal_dir>/shard-000``)::
 
     wal.json                  # identity: schema + bundle sha256
     segment-000000000001.wal  # records, named by their first seq
@@ -57,7 +57,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -82,7 +82,8 @@ _SNAPSHOT_SUFFIX = ".json"
 _HEADER_MAGIC = b"WAL"
 
 
-def encode_block(block_id: str, serials: list[str], hours: list[int],
+def encode_block(block_id: str, serials: Sequence[str],
+                 hours: Sequence[int] | np.ndarray,
                  matrix: np.ndarray) -> dict[str, Any]:
     """The WAL payload for one admitted ingest block.
 
@@ -95,7 +96,7 @@ def encode_block(block_id: str, serials: list[str], hours: list[int],
     return {
         "block_id": block_id,
         "serials": list(serials),
-        "hours": [int(hour) for hour in hours],
+        "hours": np.asarray(hours, dtype=np.int64).tolist(),
         "shape": list(values.shape),
         "values": base64.b64encode(values.tobytes()).decode("ascii"),
     }
@@ -146,17 +147,17 @@ class WalRecovery:
 
 
 class ShardWal:
-    """Append-only framed log + atomic snapshots for one shard.
+    """Append-only framed log + atomic snapshots for one partition.
 
-    Single-writer by construction: exactly one shard owns a WAL
-    directory at a time, and only under that shard's lock (a crashed
-    shard's handle is closed before its replacement opens the
+    Single-writer by construction: exactly one partition owns a WAL
+    directory at a time, and only under its scoring lock (a crashed
+    partition's handle is closed before its replacement opens the
     directory).  Not thread-safe.
 
     Parameters
     ----------
     directory:
-        This shard's WAL directory (created on open).
+        The log directory (created on open).
     segment_max_bytes / fsync_every:
         Rotation threshold and fsync batching (see module docs).
     bundle_sha256:
@@ -200,7 +201,7 @@ class ShardWal:
 
     @property
     def directory(self) -> Path:
-        """This shard's WAL directory."""
+        """The log directory."""
         return self._dir
 
     @property
@@ -383,7 +384,7 @@ class ShardWal:
         """Re-identify an open WAL to a newly promoted bundle.
 
         Atomically rewrites the identity file with the new sha256 and
-        generation; the caller (a shard applying a promotion) must
+        generation; the caller (the partition applying a promotion) must
         snapshot immediately after, so the replayable suffix never
         crosses a bundle boundary — everything past the post-promote
         snapshot was logged, and will be replayed, under the new

@@ -140,3 +140,30 @@ def test_keep_rows_excuse_callables_and_stale_rows_fail(tmp_path):
     ))
     assert len(violations) == 1
     assert "keep row `deleted_function` names no callable" in violations[0]
+
+
+def test_unused_imports_are_flagged(tmp_path):
+    violations = _plant(tmp_path, '''
+        """Imports ``json`` in a docstring, which is not a use."""
+        from __future__ import annotations
+
+        import json
+        import os.path
+        import numpy as np
+        from typing import Any, Sequence, TYPE_CHECKING
+
+        if TYPE_CHECKING:
+            from collections import OrderedDict
+
+
+        def used(values: Sequence[float]) -> "OrderedDict[str, Any]":
+            return os.path.join(*map(str, values))
+    ''', '''
+        from pkg.mod import used
+
+        used([1.0])
+    ''')
+    # ``os.path`` binds ``os``; ``Any`` and ``OrderedDict`` are used by
+    # annotations, one of them a string.
+    assert violations == ["src/pkg/mod.py:5 import json is unused",
+                          "src/pkg/mod.py:7 import np is unused"]

@@ -1,6 +1,5 @@
 """Tests for the online degradation monitor."""
 
-import numpy as np
 import pytest
 
 from repro.core.monitor import AlertLevel, DegradationMonitor

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core.categorize import FailureCategorizer
-from repro.core.records import build_failure_records
 from repro.core.taxonomy import FailureType
 from repro.core.validate import validate_categorization
 

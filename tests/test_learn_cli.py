@@ -32,7 +32,7 @@ def challenger_path(champion, tmp_path_factory):
 
 def test_drill_writes_a_self_consistent_document(tmp_path, capsys):
     out = tmp_path / "drill.json"
-    assert learn_main(["drill", "--drives", "240", "--shards", "1",
+    assert learn_main(["drill", "--drives", "240",
                        "--output", str(out)]) == 0
     err = capsys.readouterr().err
     assert "drill complete" in err
@@ -41,8 +41,8 @@ def test_drill_writes_a_self_consistent_document(tmp_path, capsys):
     core = document["core"]
     assert core["alarms"]
     assert core["decision"]["promote"] is True
-    assert len(document["runs"]) == 1
-    run = document["runs"][0]
+    assert "runs" not in document
+    run = document["run"]
     assert run["matches_offline"] is True
     assert run["verdict_sha256"] == core["verdict_sha256"]
 
@@ -53,7 +53,7 @@ def test_drill_rejects_a_tiny_fleet(capsys):
 
 
 def test_drill_reports_an_unwritable_output(capsys):
-    assert learn_main(["drill", "--drives", "240", "--shards", "1",
+    assert learn_main(["drill", "--drives", "240",
                        "--output", "/nonexistent/dir/drill.json"]) == 2
     assert "error:" in capsys.readouterr().err
 

@@ -51,7 +51,7 @@ def test_core_payload_and_run_require_prepare():
     with pytest.raises(LearnError, match="prepare"):
         unprepared.core_payload()
     with pytest.raises(LearnError, match="prepare"):
-        unprepared.run(1)
+        unprepared.run()
 
 
 # -- the prepared loop ------------------------------------------------------
@@ -80,16 +80,16 @@ def test_core_payload_is_byte_identical_across_prepares(drill):
         == canonical_json_dumps(drill.core_payload())
 
 
-@pytest.mark.parametrize("n_shards", [1, 2, 4])
-def test_served_stream_matches_offline_for_any_shard_count(drill, n_shards):
-    result = drill.run(n_shards)
-    assert sorted(result) == ["matches_offline", "n_shards",
-                              "promotion_receipts", "verdict_sha256"]
+def test_served_stream_matches_offline(drill):
+    result = drill.run()
+    assert sorted(result) == ["matches_offline", "promotion_receipt",
+                              "verdict_sha256"]
     assert result["matches_offline"] is True
     assert result["verdict_sha256"] == drill.core_payload()["verdict_sha256"]
-    assert len(result["promotion_receipts"]) == n_shards
+    assert result["promotion_receipt"] == {
+        "generation": drill.challenger.generation, "snapshot_seq": 0}
 
 
 def test_run_survives_a_wal_and_still_matches(drill, tmp_path):
-    result = drill.run(2, wal_dir=tmp_path / "wal")
+    result = drill.run(wal_dir=tmp_path / "wal")
     assert result["matches_offline"] is True

@@ -87,16 +87,18 @@ def _batches(rows, size=64):
 
 # -- byte identity over HTTP ------------------------------------------------
 
-@pytest.mark.parametrize("n_shards", [1, 2, 4])
+@pytest.mark.parametrize("n_batches", [1, 2, 4])
 def test_http_verdicts_byte_identical_to_score_cli(bundle, samples,
                                                    score_reference,
-                                                   n_shards):
+                                                   n_batches):
     """The golden contract: POST /ingest?verdicts=all replies, batch by
     batch, concatenate to exactly the offline score output — and both
-    are the per-sample oracle's lines."""
+    are the per-sample oracle's lines — however the stream is cut into
+    ``n_batches`` batches of 64 samples or fewer."""
+    size = min(64, -(-len(samples) // n_batches))
     collected = b""
-    with ServingDaemon(bundle, n_shards=n_shards) as daemon:
-        for batch in _batches(samples):
+    with ServingDaemon(bundle) as daemon:
+        for batch in _batches(samples, size):
             status, headers, body = _post(
                 daemon.url + "/ingest?verdicts=all", _json_doc(batch))
             assert status == 200
@@ -244,7 +246,7 @@ def test_every_jsonl_refusal_names_its_line(bundle, samples):
             'malformed batch: sample 1: "values" must be an array, '
             'got string')
         assert daemon.samples_accepted == 0
-        assert daemon.shards.drives_tracked() == 0
+        assert daemon.partition.drives_tracked() == 0
 
 
 # -- backpressure -----------------------------------------------------------
@@ -252,7 +254,7 @@ def test_every_jsonl_refusal_names_its_line(bundle, samples):
 def test_saturated_shard_answers_429_with_retry_after(bundle, samples):
     """Concurrent posts against capacity 1: the loser gets 429 + a
     Retry-After hint, and its samples are never scored."""
-    daemon = ServingDaemon(bundle, n_shards=1, queue_capacity=1,
+    daemon = ServingDaemon(bundle, queue_capacity=1,
                            throttle_s=0.4, retry_after_s=2.5).start()
     barrier = threading.Barrier(3)
     replies = []
@@ -277,12 +279,12 @@ def test_saturated_shard_answers_429_with_retry_after(bundle, samples):
     assert headers["Retry-After"] == "2.5"
     payload = json.loads(body)
     assert payload["retry_after_s"] == 2.5
-    assert payload["shard"] == 0
+    assert sorted(payload) == ["error", "retry_after_s"]
     metrics = _get(daemon.url + "/metrics")[2]
     assert 'repro_ingest_requests_total{outcome="backpressure"}' in metrics
-    snapshots = daemon.stop()
+    snapshot = daemon.stop()
     # All-or-nothing: exactly the accepted posts' samples were scored.
-    assert sum(s["samples_scored"] for s in snapshots) == sum(accepted)
+    assert snapshot["samples_scored"] == sum(accepted)
     assert daemon.samples_accepted == sum(accepted)
 
 
@@ -290,8 +292,7 @@ def test_saturated_shard_answers_429_with_retry_after(bundle, samples):
 
 def test_drain_endpoint_stops_serve_forever(bundle, samples, tmp_path):
     snapshot_path = tmp_path / "final.json"
-    daemon = ServingDaemon(bundle, n_shards=2,
-                           final_snapshot=snapshot_path).start()
+    daemon = ServingDaemon(bundle, final_snapshot=snapshot_path).start()
     loop = threading.Thread(target=daemon.serve_forever)
     loop.start()
     for batch in _batches(samples[:300]):
@@ -304,11 +305,12 @@ def test_drain_endpoint_stops_serve_forever(bundle, samples, tmp_path):
 
     document = json.loads(snapshot_path.read_text())
     assert document["samples_accepted"] == 300
-    assert document["n_shards"] == 2
-    assert "backend" not in document
+    assert "n_shards" not in document and "shards" not in document
     assert document["bundle_sha256"] == daemon.health_payload()["bundle_sha256"]
-    assert sum(s["samples_scored"] for s in document["shards"]) == 300
-    assert daemon.stop() == document["shards"]
+    assert document["partition"]["samples_scored"] == 300
+    assert document["partition"]["drives_tracked"] == len(
+        document["partition"]["state"]["drives"])
+    assert daemon.stop() == document["partition"]
 
 
 def test_health_reports_draining_after_stop_request(bundle):
@@ -327,15 +329,17 @@ def test_health_reports_draining_after_stop_request(bundle):
 
 def test_status_payload_describes_the_shard_plane(bundle, samples, tmp_path):
     sink = JsonlAlertSink(tmp_path / "alerts.jsonl")
-    with ServingDaemon(bundle, n_shards=2, sinks=[sink]) as daemon:
+    with ServingDaemon(bundle, sinks=[sink]) as daemon:
         _post(daemon.url + "/ingest", _json_doc(samples[:100]))
         payload = json.loads(_get(daemon.url + "/status")[2])
-    assert payload["n_shards"] == 2
-    assert "backend" not in payload
+    for gone in ("n_shards", "backend", "shard_status", "shard_restarts"):
+        assert gone not in payload
     assert payload["samples_accepted"] == 100
     assert payload["sinks"] == [f"jsonl:{tmp_path / 'alerts.jsonl'}"]
     assert payload["draining"] is False
-    assert payload["inflight"] == [0, 0]
+    assert payload["inflight"] == 0
+    assert payload["partition"] == "serving"
+    assert payload["restarts"] == 0
 
 
 # -- sinks ------------------------------------------------------------------
@@ -414,8 +418,7 @@ def test_alert_lines_reach_sinks_recorder_and_dead_letter(bundle, samples,
     sink_path = tmp_path / "alerts.jsonl"
     dead_letter = tmp_path / "dead.jsonl"
     daemon = ServingDaemon(
-        bundle, n_shards=2,
-        sinks=[JsonlAlertSink(sink_path), BlackholeSink()],
+        bundle, sinks=[JsonlAlertSink(sink_path), BlackholeSink()],
         dead_letter=dead_letter,
         delivery_policy=DeliveryPolicy(max_attempts=2, backoff_s=0.0,
                                        backoff_cap_s=0.0),
@@ -452,11 +455,12 @@ def _columnar(rows):
 def test_ingest_block_refuses_non_finite_before_the_wal(bundle, samples,
                                                         tmp_path, bad):
     """A NaN/±Inf batch is refused before admission: no WAL record is
-    written, no drive starts being tracked, and the shard keeps serving."""
+    written, no drive starts being tracked, and the partition keeps
+    serving."""
     wal_dir = tmp_path / "wal"
     with ServingDaemon(bundle, wal_dir=wal_dir) as daemon:
         daemon.ingest_block(*_columnar(samples[:20]))
-        tracked = daemon.shards.drives_tracked()
+        tracked = daemon.partition.drives_tracked()
         appends = daemon.registry.counter("wal_appends").value
         _serials, hours, matrix = _columnar(samples[20:40])
         serials = [f"fresh-{index}" for index in range(len(hours))]
@@ -467,10 +471,10 @@ def test_ingest_block_refuses_non_finite_before_the_wal(bundle, samples,
         assert str(refused.value) == (
             f"record row 3, column 1 ({bundle.attributes[1]!r}) is not "
             f"finite ({bad!r})")
-        assert daemon.shards.drives_tracked() == tracked
+        assert daemon.partition.drives_tracked() == tracked
         assert daemon.registry.counter("wal_appends").value == appends == 1
         assert daemon.samples_accepted == 20
-        assert daemon.shards.shard_status() == ["serving"]
+        assert daemon.partition.status() == "serving"
     with ShardWal(wal_dir / "shard-000",
                   bundle_sha256=content_hash(bundle.to_payload()),
                   generation=bundle.generation) as wal:
@@ -511,7 +515,10 @@ def test_stop_is_idempotent(bundle, samples):
 # -- CLI --------------------------------------------------------------------
 
 def test_daemon_cli_end_to_end(bundle_path, samples, tmp_path, capsys):
-    """The operator path: launch, discover the port, ingest, drain."""
+    """The operator path: launch, discover the port, ingest, drain.
+
+    ``--shards`` and ``--backend`` change nothing but must still be
+    accepted: ``perfbench/workloads.py`` launches the daemon with them."""
     import time
 
     port_file = tmp_path / "port.txt"
@@ -522,7 +529,8 @@ def test_daemon_cli_end_to_end(bundle_path, samples, tmp_path, capsys):
     def run():
         result["status"] = serve_main(
             ["daemon", "--bundle", str(bundle_path),
-             "--shards", "2",
+             "--shards", "2", "--backend", "thread",
+             "--wal-dir", str(tmp_path / "wal"),
              "--port-file", str(port_file),
              "--alert-sink", f"jsonl:{alerts}",
              "--final-snapshot", str(snapshot)])
@@ -544,7 +552,9 @@ def test_daemon_cli_end_to_end(bundle_path, samples, tmp_path, capsys):
 
     document = json.loads(snapshot.read_text())
     assert document["samples_accepted"] == 200
-    assert document["n_shards"] == 2
+    assert document["partition"]["samples_scored"] == 200
+    assert [path.name for path in (tmp_path / "wal").iterdir()] == [
+        "shard-000"]
     if accepted["alerts"]:
         assert len(alerts.read_text().splitlines()) == accepted["alerts"]
     err = capsys.readouterr().err

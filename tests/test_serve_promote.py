@@ -73,8 +73,9 @@ def test_promote_refuses_a_lineage_break_unless_forced(champion,
     with ServingDaemon(champion) as daemon:
         with pytest.raises(ServeError, match="lineage"):
             daemon.promote_bundle(orphan)
-        receipts = daemon.promote_bundle(orphan, force=True)
-        assert len(receipts) == 1
+        receipt = daemon.promote_bundle(orphan, force=True)
+        assert receipt == {"generation": orphan.generation,
+                           "snapshot_seq": 0}
 
 
 def test_rollback_without_a_promotion_is_refused(champion):
@@ -89,7 +90,7 @@ def test_http_promote_status_and_rollback(champion, challenger,
                                           challenger_doc):
     champion_sha = content_hash(champion.to_payload())
     challenger_sha = content_hash(challenger.to_payload())
-    with ServingDaemon(champion, n_shards=2) as daemon:
+    with ServingDaemon(champion) as daemon:
         status, _headers, body = _post(daemon.url + "/promote",
                                        challenger_doc)
         assert status == 200
@@ -97,7 +98,7 @@ def test_http_promote_status_and_rollback(champion, challenger,
         assert reply["status"] == "promoted"
         assert reply["bundle_sha256"] == challenger_sha
         assert reply["generation"] == 1
-        assert reply["shards"] == 2
+        assert "shards" not in reply
 
         _status, _headers, body = _get(daemon.url + "/status")
         bundle_view = json.loads(body)["bundle"]
@@ -153,7 +154,7 @@ def test_http_verdicts_across_promotion_match_offline_swap(champion,
         expected.extend(scorer.score_block(serials, hours,
                                            matrix).to_json_lines())
     collected = []
-    with ServingDaemon(champion, n_shards=2) as daemon:
+    with ServingDaemon(champion) as daemon:
         for index, (serials, hours, matrix) in enumerate(blocks):
             if index == promote_at:
                 status, _h, _b = _post(daemon.url + "/promote",
@@ -172,12 +173,13 @@ def test_http_verdicts_across_promotion_match_offline_swap(champion,
 def test_promotion_rebinds_the_wal_generation(champion, challenger,
                                               blocks, tmp_path):
     wal_dir = tmp_path / "wal"
-    with ShardSet(champion, n_shards=1, wal_dir=wal_dir) as shards:
+    with ShardSet(champion, wal_dir=wal_dir) as partition:
         for serials, hours, matrix in blocks[:2]:
-            shards.submit_block(serials, hours, matrix)
-        shards.promote(challenger)
+            partition.submit_block(serials, hours, matrix)
+        receipt = partition.promote(challenger)
         for serials, hours, matrix in blocks[2:4]:
-            shards.submit_block(serials, hours, matrix)
+            partition.submit_block(serials, hours, matrix)
+    assert receipt == {"generation": 1, "snapshot_seq": 2}
     meta = json.loads((wal_dir / "shard-000" / "wal.json").read_text())
     assert meta["generation"] == 1
     assert meta["bundle_sha256"] == content_hash(challenger.to_payload())
@@ -188,10 +190,10 @@ def test_wal_refuses_to_reopen_under_the_wrong_generation(champion,
                                                           blocks,
                                                           tmp_path):
     wal_dir = tmp_path / "wal"
-    with ShardSet(champion, n_shards=1, wal_dir=wal_dir) as shards:
-        shards.submit_block(*blocks[0])
-        shards.promote(challenger)
-        shards.submit_block(*blocks[1])
+    with ShardSet(champion, wal_dir=wal_dir) as partition:
+        partition.submit_block(*blocks[0])
+        partition.promote(challenger)
+        partition.submit_block(*blocks[1])
     shard_dir = wal_dir / "shard-000"
     challenger_sha = content_hash(challenger.to_payload())
     # Wrong bundle entirely: the sha fence fires first.
@@ -215,10 +217,10 @@ def test_recover_cli_refuses_a_wrong_generation_bundle(champion,
                                                        blocks, tmp_path,
                                                        capsys):
     wal_dir = tmp_path / "wal"
-    with ShardSet(champion, n_shards=1, wal_dir=wal_dir) as shards:
-        shards.submit_block(*blocks[0])
-        shards.promote(challenger)
-        shards.submit_block(*blocks[1])
+    with ShardSet(champion, wal_dir=wal_dir) as partition:
+        partition.submit_block(*blocks[0])
+        partition.promote(challenger)
+        partition.submit_block(*blocks[1])
     champion_path = tmp_path / "champion.bundle.json"
     challenger_path = tmp_path / "challenger.bundle.json"
     save_bundle(champion, champion_path)

@@ -54,8 +54,7 @@ from repro.serve.daemon import ServingDaemon
 bundle_path, block_path, wal_dir = sys.argv[1:]
 with open(block_path) as handle:
     block = json.load(handle)
-with ServingDaemon(load_bundle(bundle_path), n_shards=2,
-                   wal_dir=wal_dir) as daemon:
+with ServingDaemon(load_bundle(bundle_path), wal_dir=wal_dir) as daemon:
     verdicts = daemon.ingest_block(block["serials"], block["hours"],
                                    block["matrix"])
     assert len(verdicts) == len(block["serials"])

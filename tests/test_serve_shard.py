@@ -1,11 +1,12 @@
-"""Tests for the shard plane: placement, identity, backpressure, drain.
+"""Tests for the scoring partition: identity, backpressure, drain.
 
-The sharding contracts pinned here: consistent-hash placement is
-deterministic and balanced; a :class:`ShardSet` returns byte-identical
-verdicts for any shard count; a saturated shard rejects whole batches
-(all-or-nothing — a rejected batch is never partially scored); and
-``stop()`` drains every admitted batch before workers snapshot and
-exit.
+The contracts pinned here: a :class:`ShardSet` returns byte-identical
+verdicts however the stream is cut into batches; a full ingest queue
+rejects whole batches (all-or-nothing — a rejected batch is never
+partially scored); ``stop()`` drains every admitted batch before the
+partition snapshots; and a promotion is a clean fence.  The
+consistent-hash ring that placed drives on shards is pinned too:
+``perfbench`` still places its inputs with it.
 """
 
 import threading
@@ -86,73 +87,84 @@ def test_ring_rejects_bad_parameters():
 
 # -- byte identity ----------------------------------------------------------
 
-@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def _cut(columns, n_batches):
+    """``columns`` cut into ``n_batches`` consecutive batches."""
+    serials, hours, matrix = columns
+    bounds = np.linspace(0, len(serials), n_batches + 1).astype(int)
+    return [(serials[lo:hi], hours[lo:hi], matrix[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+@pytest.mark.parametrize("n_batches", [1, 2, 4])
 def test_sharded_verdicts_byte_identical(bundle, columnar_samples,
-                                         expected_lines, n_shards):
-    serials, hours, matrix = columnar_samples
-    with ShardSet(bundle, n_shards=n_shards) as shards:
-        got = [v.to_json_line() for v in
-               shards.submit_block(serials, hours, matrix).verdicts()]
+                                         expected_lines, n_batches):
+    """The stream cut into ``n_batches`` batches scores to the oracle's
+    lines, materialized verdict by verdict."""
+    with ShardSet(bundle) as partition:
+        got = [v.to_json_line()
+               for batch in _cut(columnar_samples, n_batches)
+               for v in partition.submit_block(*batch).verdicts()]
     assert got == expected_lines
 
 
-@pytest.mark.parametrize("n_shards", [1, 2, 4])
+@pytest.mark.parametrize("n_batches", [1, 2, 4])
 def test_submit_block_byte_identical(bundle, columnar_samples,
-                                     expected_lines, n_shards):
-    """The lazy block surface matches the oracle at any shard count."""
-    serials, hours, matrix = columnar_samples
-    expected = expected_lines
-    with ShardSet(bundle, n_shards=n_shards) as shards:
-        block = shards.submit_block(serials, hours, matrix)
-        assert block.to_json_lines() == expected
-        assert block.serials == list(serials)
-        assert block.n_alerting == sum(
-            1 for line in expected if '"level":"HEALTHY"' not in line)
-        for row in block.alerting_rows():
-            assert (block.verdict_at(int(row)).to_json_line()
-                    == expected[row])
+                                     expected_lines, n_batches):
+    """The lazy block surface matches the oracle however the stream is
+    cut into batches."""
+    expected = iter(expected_lines)
+    with ShardSet(bundle) as partition:
+        for serials, hours, matrix in _cut(columnar_samples, n_batches):
+            block = partition.submit_block(serials, hours, matrix)
+            lines = [next(expected) for _ in serials]
+            assert block.to_json_lines() == lines
+            assert block.serials == list(serials)
+            assert block.n_alerting == sum(
+                1 for line in lines if '"level":"HEALTHY"' not in line)
+            for row in block.alerting_rows():
+                assert (block.verdict_at(int(row)).to_json_line()
+                        == lines[row])
+    assert next(expected, None) is None
 
 
 def test_multiple_submits_keep_per_drive_state_whole(bundle,
                                                      columnar_samples):
     serials, hours, matrix = columnar_samples
-    with ShardSet(bundle, n_shards=3) as shards:
-        shards.submit_block(serials, hours, matrix)
-        shards.submit_block(serials, hours, matrix)
-        snapshots = shards.stop()
-    tracked = sum(s["drives_tracked"] for s in snapshots)
-    assert tracked == len(set(serials))
-    for snapshot in snapshots:
-        for serial in snapshot["state"]["drives"]:
-            assert shards.shard_of(serial) == snapshot["shard"]
+    with ShardSet(bundle) as partition:
+        partition.submit_block(serials, hours, matrix)
+        partition.submit_block(serials, hours, matrix)
+        snapshot = partition.stop()
+    assert snapshot["drives_tracked"] == len(set(serials))
+    assert sorted(snapshot["state"]["drives"]) == sorted(set(serials))
+    assert snapshot["samples_scored"] == 2 * len(serials)
 
 
 def test_parent_telemetry_matches_unsharded(bundle, columnar_samples):
     serials, hours, matrix = columnar_samples
-    plain, sharded = TelemetryObserver(), TelemetryObserver()
+    plain, served = TelemetryObserver(), TelemetryObserver()
     StreamScorer(bundle, observer=plain).score_block(serials, hours, matrix)
-    with ShardSet(bundle, n_shards=4, observer=sharded) as shards:
-        shards.submit_block(serials, hours, matrix)
+    with ShardSet(bundle, observer=served) as partition:
+        partition.submit_block(serials, hours, matrix)
     for name in ("samples_scored", "alerts_emitted"):
         assert (plain.metrics.counter(name).value
-                == sharded.metrics.counter(name).value > 0)
+                == served.metrics.counter(name).value > 0)
     assert (plain.metrics.histogram("verdict_stage").cumulative_buckets()
-            == sharded.metrics.histogram("verdict_stage").cumulative_buckets())
+            == served.metrics.histogram("verdict_stage").cumulative_buckets())
 
 
 def test_stage_histogram_exposition_equals_the_observe_loop(
         bundle, columnar_samples):
-    """The parent records each batch's stages with one ``observe_many``;
+    """The set records each batch's stages with one ``observe_many``;
     the ``/metrics`` text must equal one ``observe`` per stage."""
     serials, hours, matrix = columnar_samples
     observer = TelemetryObserver()
     reference = MetricsRegistry()
     scorer = StreamScorer(bundle)
-    with ShardSet(bundle, n_shards=2, observer=observer) as shards:
+    with ShardSet(bundle, observer=observer) as partition:
         for start in range(0, len(serials), 50):
             window = slice(start, start + 50)
-            shards.submit_block(serials[window], hours[window],
-                                matrix[window])
+            partition.submit_block(serials[window], hours[window],
+                                   matrix[window])
             block = scorer.score_block(serials[window], hours[window],
                                        matrix[window])
             for stage in block.finite_stages():
@@ -169,18 +181,17 @@ def test_stage_histogram_exposition_equals_the_observe_loop(
 # -- backpressure -----------------------------------------------------------
 
 def test_saturated_shard_rejects_whole_batch(bundle, columnar_samples):
-    """Capacity 1 + throttled worker: concurrent submits beyond the
+    """Capacity 1 + throttled scoring: concurrent submits beyond the
     first are refused, and no refused sample is ever scored."""
     serials, hours, matrix = columnar_samples
-    shards = ShardSet(bundle, n_shards=1, queue_capacity=1,
-                      throttle_s=0.4)
+    partition = ShardSet(bundle, queue_capacity=1, throttle_s=0.4)
     barrier = threading.Barrier(3)
     outcomes = []
 
     def submitter():
         barrier.wait()
         try:
-            block = shards.submit_block(serials, hours, matrix)
+            block = partition.submit_block(serials, hours, matrix)
             outcomes.append(("ok", len(block)))
         except BackpressureError as error:
             outcomes.append(("rejected", error))
@@ -190,110 +201,108 @@ def test_saturated_shard_rejects_whole_batch(bundle, columnar_samples):
         thread.start()
     for thread in threads:
         thread.join(timeout=30)
-    snapshots = shards.stop()
+    snapshot = partition.stop()
 
     accepted = [n for kind, n in outcomes if kind == "ok"]
     rejected = [e for kind, e in outcomes if kind == "rejected"]
     assert accepted and rejected
     error = rejected[0]
-    assert error.shard == 0
+    assert not hasattr(error, "shard")
     assert error.retry_after_s > 0
     assert error.capacity == 1
     # All-or-nothing admission: exactly the accepted batches were
     # scored — a rejected batch contributed zero samples.
-    scored = sum(s["samples_scored"] for s in snapshots)
-    assert scored == sum(accepted)
+    assert snapshot["samples_scored"] == sum(accepted)
 
 
 def test_refused_batches_add_no_tracked_drives(bundle, columnar_samples):
     """A batch refused with 429 (backpressure) or as malformed leaves
     ``drives_tracked`` where it was; an admitted one adds its drives."""
     serials, hours, matrix = columnar_samples
-    shards = ShardSet(bundle, n_shards=1, queue_capacity=1, throttle_s=0.4)
+    partition = ShardSet(bundle, queue_capacity=1, throttle_s=0.4)
     try:
-        held = threading.Thread(target=shards.submit_block,
+        held = threading.Thread(target=partition.submit_block,
                                 args=(serials[:20], hours[:20], matrix[:20]))
         held.start()
         deadline = time.monotonic() + 10.0
-        while shards.inflight() != [1] and time.monotonic() < deadline:
+        while partition.inflight() != 1 and time.monotonic() < deadline:
             time.sleep(0.005)
-        tracked = shards.drives_tracked()
-        assert tracked == len(set(serials[:20]))
         fresh = [f"new-{index}" for index in range(5)]
         with pytest.raises(BackpressureError):
-            shards.submit_block(fresh, hours[:5], matrix[:5])
-        assert shards.drives_tracked() == tracked
+            partition.submit_block(fresh, hours[:5], matrix[:5])
         held.join(timeout=30)
+        tracked = partition.drives_tracked()
+        assert tracked == len(set(serials[:20]))
         with pytest.raises(ServeError, match="bundle expects"):
-            shards.submit_block(fresh, hours[:5], matrix[:5, :3])
+            partition.submit_block(fresh, hours[:5], matrix[:5, :3])
         with pytest.raises(ServeError, match="hours must be integers"):
-            shards.submit_block(fresh, [10**30] * 5, matrix[:5])
-        assert shards.drives_tracked() == tracked
-        shards.submit_block(fresh, hours[:5], matrix[:5])
-        assert shards.drives_tracked() == tracked + len(fresh)
+            partition.submit_block(fresh, [10**30] * 5, matrix[:5])
+        assert partition.drives_tracked() == tracked
+        partition.submit_block(fresh, hours[:5], matrix[:5])
+        assert partition.drives_tracked() == tracked + len(fresh)
     finally:
-        shards.stop()
+        partition.stop()
 
 
 def test_stopped_shardset_refuses_new_batches(bundle, columnar_samples):
     serials, hours, matrix = columnar_samples
-    shards = ShardSet(bundle, n_shards=1)
-    shards.stop()
+    partition = ShardSet(bundle)
+    partition.stop()
     with pytest.raises(ServeError, match="stopped"):
-        shards.submit_block(serials, hours, matrix)
+        partition.submit_block(serials, hours, matrix)
 
 
 # -- drain ------------------------------------------------------------------
 
 def test_stop_drains_in_flight_batches(bundle, columnar_samples):
     """stop() lands behind queued work: the in-flight batch finishes
-    scoring and appears in the final snapshots."""
+    scoring and appears in the final snapshot."""
     serials, hours, matrix = columnar_samples
-    shards = ShardSet(bundle, n_shards=2, throttle_s=0.2)
+    partition = ShardSet(bundle, throttle_s=0.2)
     result = {}
 
     def submitter():
-        result["block"] = shards.submit_block(serials, hours, matrix)
+        result["block"] = partition.submit_block(serials, hours, matrix)
 
     thread = threading.Thread(target=submitter)
     thread.start()
     # Let the batch get admitted, then stop while it is (likely) still
     # throttled; either way every admitted sample must end up scored.
     deadline = time.monotonic() + 10.0
-    while (sum(shards.inflight()) == 0 and thread.is_alive()
+    while (partition.inflight() == 0 and thread.is_alive()
            and time.monotonic() < deadline):
         time.sleep(0.005)
-    snapshots = shards.stop()
+    snapshot = partition.stop()
     thread.join(timeout=30)
 
     assert len(result["block"]) == len(serials)
-    assert sum(s["samples_scored"] for s in snapshots) == len(serials)
-    assert {s["shard"] for s in snapshots} == {0, 1}
+    assert snapshot["samples_scored"] == len(serials)
 
 
 def test_stop_is_idempotent(bundle, columnar_samples):
     serials, hours, matrix = columnar_samples
-    shards = ShardSet(bundle, n_shards=2)
-    shards.submit_block(serials, hours, matrix)
-    first = shards.stop()
-    second = shards.stop()
+    partition = ShardSet(bundle)
+    partition.submit_block(serials, hours, matrix)
+    first = partition.stop()
+    second = partition.stop()
     assert first == second
 
 
 def test_shard_set_starts_no_thread(bundle, columnar_samples, tmp_path,
                                     monkeypatch):
-    """Shards score on the caller's thread: construction (WAL replay
-    included), submits, a promotion and the drain start no thread."""
+    """The partition scores on the caller's thread: construction (WAL
+    replay included), submits, a promotion and the drain start no
+    thread."""
     serials, hours, matrix = columnar_samples
     started = []
     monkeypatch.setattr(threading.Thread, "start", started.append)
-    with ShardSet(bundle, n_shards=3, wal_dir=tmp_path / "wal") as shards:
-        shards.submit_block(serials, hours, matrix)
-    shards = ShardSet(bundle, n_shards=3, wal_dir=tmp_path / "wal")
-    shards.submit_block(serials, hours, matrix)
-    shards.promote(stamp_lineage(bundle, bundle))
-    shards.submit_block(serials, hours, matrix)
-    assert len(shards.stop()) == 3
+    with ShardSet(bundle, wal_dir=tmp_path / "wal") as partition:
+        partition.submit_block(serials, hours, matrix)
+    partition = ShardSet(bundle, wal_dir=tmp_path / "wal")
+    partition.submit_block(serials, hours, matrix)
+    partition.promote(stamp_lineage(bundle, bundle))
+    partition.submit_block(serials, hours, matrix)
+    assert partition.stop()["samples_scored"] == 3 * len(serials)
     assert started == []
 
 
@@ -301,10 +310,10 @@ def test_shard_set_starts_no_thread(bundle, columnar_samples, tmp_path,
 
 def test_promote_is_a_clean_fence_for_concurrent_batches(
         bundle, columnar_samples, monkeypatch):
-    """Throttled 2-shard batches race a promotion: each batch scores
-    wholly under the champion or wholly under the challenger, and no
-    two batches interleave their sub-batches (a batch holds every shard
-    lock it needs until its last sub-batch is scored)."""
+    """Throttled batches race a promotion: each batch scores wholly
+    under the champion or wholly under the challenger, and no two
+    batches score at once (a batch holds the scoring lock until it is
+    scored)."""
     serials, hours, matrix = columnar_samples
     # Thresholds that relabel nearly every row, so a batch scored partly
     # under each bundle differs from both oracles.
@@ -315,16 +324,12 @@ def test_promote_is_a_clean_fence_for_concurrent_batches(
     expected = [(oracle_lines(bundle, zip(*batch)),
                  oracle_lines(challenger, zip(*batch)))
                 for batch in batches]
-    shards = ShardSet(bundle, n_shards=2, throttle_s=0.03)
-    for (batch_serials, _hours, _matrix), (old, new) in zip(batches,
-                                                            expected):
-        for shard in (0, 1):
-            rows = [row for row, serial in enumerate(batch_serials)
-                    if shards.shard_of(serial) == shard]
-            assert [old[row] for row in rows] != [new[row] for row in rows]
+    partition = ShardSet(bundle, throttle_s=0.03)
+    for old, new in expected:
+        assert old != new
 
     current = threading.local()
-    calls = []  # (batch, start, end) of every sub-batch scored
+    calls = []  # (batch, start, end) of every batch scored
     score_block = StreamScorer.score_block
 
     def timed_score_block(scorer, *args):
@@ -332,8 +337,8 @@ def test_promote_is_a_clean_fence_for_concurrent_batches(
         try:
             return score_block(scorer, *args)
         finally:
-            # Long enough that a batch letting go of one shard's lock
-            # before its last sub-batch would overlap the next batch.
+            # Long enough that a batch letting go of the scoring lock
+            # early would overlap the next batch.
             time.sleep(0.02)
             calls.append((current.index, start, time.monotonic()))
 
@@ -343,7 +348,7 @@ def test_promote_is_a_clean_fence_for_concurrent_batches(
     def submitter(indices):
         for index in indices:
             current.index = index
-            results[index] = shards.submit_block(
+            results[index] = partition.submit_block(
                 *batches[index]).to_json_lines()
 
     threads = [threading.Thread(target=submitter, args=(range(k, 8, 2),))
@@ -354,11 +359,11 @@ def test_promote_is_a_clean_fence_for_concurrent_batches(
         deadline = time.monotonic() + 30.0
         while not results and time.monotonic() < deadline:
             time.sleep(0.002)
-        shards.promote(challenger)
+        partition.promote(challenger)
         for thread in threads:
             thread.join(timeout=60.0)
     finally:
-        shards.stop()
+        partition.stop()
 
     assert sorted(results) == list(range(8))
     bundles_seen = {(lines == old, lines == new)
@@ -385,12 +390,12 @@ def test_shardset_validates_configuration(bundle):
 
 
 def test_submit_validates_columns(bundle):
-    with ShardSet(bundle) as shards:
+    with ShardSet(bundle) as partition:
         with pytest.raises(ServeError, match="2-D"):
-            shards.submit_block(["a"], [1], np.zeros(4))
+            partition.submit_block(["a"], [1], np.zeros(4))
         with pytest.raises(ServeError, match="disagree"):
-            shards.submit_block(["a", "b"], [1], np.zeros((1, 4)))
+            partition.submit_block(["a", "b"], [1], np.zeros((1, 4)))
         with pytest.raises(ServeError, match="bundle expects"):
-            shards.submit_block([], [], np.zeros((0, 4)))
-        assert len(shards.submit_block(
+            partition.submit_block([], [], np.zeros((0, 4)))
+        assert len(partition.submit_block(
             [], [], np.zeros((0, bundle.n_attributes)))) == 0

@@ -147,12 +147,12 @@ def test_concurrent_scrapes_while_scoring(loaded_bundle, bundle_path,
     health = json.loads(scrapes[-1]["/health"][2])
     assert health["status"] == "ok"
     assert health["bundle_sha256"] == content_hash(loaded_bundle.to_payload())
-    assert health["shards"] == ["serving"]
+    assert health["partition"] == "serving"
     # Live: some scrape landed mid-stream, and the count only grew.
     assert any(0 < count < len(samples) for count in accepted)
     assert scored == sorted(scored) and scored[-1] == len(samples)
     final_status = json.loads(scrapes[-1]["/status"][2])
-    assert final_status["n_shards"] == 1
+    assert final_status["partition"] == "serving"
     assert final_status["samples_accepted"] == len(samples)
     assert final_status["alerts_emitted"] > 0
     assert final_status["flight_recorder"]["total_recorded"] > 0

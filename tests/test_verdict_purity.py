@@ -6,8 +6,8 @@ pure function of (bundle, sample).  Streams drawn from a bundle's fleet
 are permuted, cut into blocks and given duplicate samples, then scored
 through every path that turns a batch into verdicts: the kernel
 (``DegradationMonitor.observe_columns``), ``StreamScorer.score_block``,
-``ShadowScorer``'s champion and challenger blocks, and
-``ShardSet.submit_block`` at 1 and 2 shards.  Each line must equal the
+``ShadowScorer``'s champion and challenger blocks, and the daemon's
+partition (``ShardSet.submit_block``).  Each line must equal the
 line a fresh oracle gives for that sample scored alone, and the drive
 state a scorer keeps must be each serial's last oracle level.
 """
@@ -100,14 +100,12 @@ def test_every_path_equals_the_per_sample_oracle(bundle, challenger, pool,
     scorer = StreamScorer(bundle)
     shadow = ShadowScorer(bundle, challenger)
     outputs = {"kernel": [], "score_block": [], "shadow_champion": [],
-               "shadow_challenger": [], "shards-1": [], "shards-2": []}
-    snapshots = {}
-    for n_shards in (1, 2):
-        with ShardSet(bundle, n_shards=n_shards) as shards:
-            for block in blocks:
-                outputs[f"shards-{n_shards}"] += shards.submit_block(
-                    *_columns(pool, block)).to_json_lines()
-            snapshots[n_shards] = shards.stop()
+               "shadow_challenger": [], "partition": []}
+    with ShardSet(bundle) as partition:
+        for block in blocks:
+            outputs["partition"] += partition.submit_block(
+                *_columns(pool, block)).to_json_lines()
+        snapshot = partition.stop()
     for block in blocks:
         columns = _columns(pool, block)
         outputs["kernel"] += VerdictBlock(
@@ -130,8 +128,6 @@ def test_every_path_equals_the_per_sample_oracle(bundle, challenger, pool,
     for level in AlertLevel:
         assert scorer.drives_at(level) == sorted(
             serial for serial, name in last.items() if name == level.name)
-    for n_shards, shard_snapshots in snapshots.items():
-        served = {serial: drive["level"]
-                  for snapshot in shard_snapshots
-                  for serial, drive in snapshot["state"]["drives"].items()}
-        assert served == last, n_shards
+    served = {serial: drive["level"]
+              for serial, drive in snapshot["state"]["drives"].items()}
+    assert served == last
